@@ -264,13 +264,6 @@ def reflect_weight(datum, i, theta):
     return tuple(theta[j - 1] - ti * datum.c(j, i) for j in datum.nodes)
 
 
-def apply_weyl_to_weight(datum, element, theta):
-    """w(theta) for w = s_{i_t} ... s_{i_1}: the first word letter acts first."""
-    for i in element.word:
-        theta = reflect_weight(datum, i, theta)
-    return theta
-
-
 def root_pairing(datum, theta, root_coords):
     """(theta, alpha) for alpha = sum n_i alpha_i, i.e. sum_i n_i d_i theta_i."""
     return sum(

@@ -26,6 +26,7 @@ from .errors import (
     CapExceeded,
     FieldNotFinite,
     QCharLabError,
+    ShapeMismatch,
     UnsupportedType,
 )
 from .extremal import cone_vertices, verify_theorem_main
@@ -136,12 +137,20 @@ def load_or_compute_qchar(datum, node, cache_dir, cap_monomials, cap_height):
     qchar = fm_qchar(datum, node, cap_monomials, cap_height)
     payload = qchar.to_json_obj()
     os.makedirs(cache_dir, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(_canonical_json({
-            "conventions": CONVENTIONS_VERSION,
-            "checksum": _checksum(payload),
-            "payload": payload,
-        }))
+    # write a temp file beside the target and rename it into place, so a
+    # crash mid-write never leaves a partial file at the cache path
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(_canonical_json({
+                "conventions": CONVENTIONS_VERSION,
+                "checksum": _checksum(payload),
+                "payload": payload,
+            }))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
     return qchar
 
 
@@ -150,11 +159,17 @@ def load_or_compute_qchar(datum, node, cache_dir, cap_monomials, cap_height):
 
 
 def _parse_word(text):
-    return tuple(int(part) for part in text.split(",") if part.strip())
+    try:
+        return tuple(int(part) for part in text.split(",") if part.strip())
+    except ValueError:
+        raise _UsageError(f"cannot parse word {text!r}") from None
 
 
 def _parse_theta(text, rank):
-    parts = [Fraction(part.strip()) for part in text.split(",")]
+    try:
+        parts = [Fraction(part.strip()) for part in text.split(",")]
+    except (ValueError, ZeroDivisionError):
+        raise _UsageError(f"cannot parse theta {text!r}") from None
     if len(parts) == 1:
         parts = parts * rank
     if len(parts) != rank:
@@ -197,6 +212,12 @@ def parse_dims(text):
     return dims
 
 
+def _check_nodes(datum, nodes):
+    for i in nodes:
+        if i not in datum.nodes:
+            raise _UsageError(f"{i} is not a node of {datum.label}")
+
+
 def _load_config_file(path):
     values = {}
     with open(path, "r", encoding="utf-8") as handle:
@@ -218,6 +239,7 @@ def _load_config_file(path):
 def _cmd_qchar(args):
     config = RunConfig.from_args(args)
     datum = build_cartan(config.label)
+    _check_nodes(datum, [config.node])
     qchar = load_or_compute_qchar(
         datum, config.node, config.cache_dir, config.cap_monomials,
         config.cap_height,
@@ -234,12 +256,12 @@ def _cmd_qchar(args):
 def _cmd_extremal(args):
     config = RunConfig.from_args(args)
     datum = build_cartan(config.label)
-    # warm the cache through the checked loader so corrupt caches surface here
-    load_or_compute_qchar(
+    _check_nodes(datum, [config.node])
+    qchar = load_or_compute_qchar(
         datum, config.node, config.cache_dir, config.cap_monomials,
         config.cap_height,
     )
-    summary = verify_theorem_main(datum, config.node, weyl_cap=config.cap_weyl)
+    summary = verify_theorem_main(qchar, weyl_cap=config.cap_weyl)
     vertices = cone_vertices(datum, config.node, weyl_cap=config.cap_weyl)
     distinct = {vec for vec in vertices.values()}
     if config.out:
@@ -267,10 +289,12 @@ def _cmd_extremal(args):
 
 def _cmd_braid_orbit(args):
     datum = build_cartan(args.type)
+    _check_nodes(datum, [args.node])
     anchor = LaurentMonomial.y(args.node, 0)
     rows = []
     if args.word is not None:
         word = _parse_word(args.word)
+        _check_nodes(datum, word)
         image = apply_s_word_inverse(datum, word, anchor)
         rows.append((word, image, factor_to_a(datum, args.node, image)))
     else:
@@ -298,11 +322,14 @@ def _cmd_braid_orbit(args):
 
 
 def _load_point(path):
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
+    """Read a point file; any malformed content is a usage error."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
             return GradedQuiverRep.from_json_obj(json.load(handle))
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise _UsageError(f"cannot read point file {path}: {exc}")
+        # wrong JSON types surface as the built-in errors of the conversions
+        except (ValueError, KeyError, IndexError, TypeError, AttributeError,
+                ArithmeticError) as exc:
+            raise _UsageError(f"cannot read point file {path}: {exc!r}")
 
 
 def _cmd_quiver_check(args):
@@ -318,6 +345,7 @@ def _cmd_quiver_check(args):
 
 def _cmd_quiver_reflect(args):
     rep = _load_point(args.point)
+    _check_nodes(rep.datum, [args.node])
     theta = _parse_theta(args.theta, rep.datum.rank)
     reflected, theta_bar = reflect(rep, args.node, theta, trusted=args.trusted)
     if args.out:
@@ -374,9 +402,10 @@ def _build_parser():
         p.add_argument("--node", type=int)
         p.add_argument("--config", help="key=value config file; flags win")
         p.add_argument("--cache-dir", default=os.environ.get(CACHE_DIR_ENV))
-        p.add_argument("--cap-monomials", type=int, default=DEFAULT_MAX_MONOMIALS)
-        p.add_argument("--cap-height", type=int, default=DEFAULT_MAX_HEIGHT)
-        p.add_argument("--cap-w", type=int, default=DEFAULT_WEYL_CAP)
+        # cap defaults are filled in after the config merge (_CAP_DEFAULTS)
+        p.add_argument("--cap-monomials", type=int)
+        p.add_argument("--cap-height", type=int)
+        p.add_argument("--cap-w", type=int)
 
     p = sub.add_parser("qchar", help="compute a fundamental q-character")
     common(p)
@@ -423,6 +452,11 @@ def _build_parser():
 
 
 _INT_SETTINGS = ("node", "cap_monomials", "cap_height", "cap_w")
+_CAP_DEFAULTS = {
+    "cap_monomials": DEFAULT_MAX_MONOMIALS,
+    "cap_height": DEFAULT_MAX_HEIGHT,
+    "cap_w": DEFAULT_WEYL_CAP,
+}
 
 
 def main(argv=None):
@@ -434,8 +468,16 @@ def main(argv=None):
                 if getattr(args, key, None) is None:
                     setattr(args, key, value)
         for key in _INT_SETTINGS:
-            if isinstance(getattr(args, key, None), str):
-                setattr(args, key, int(getattr(args, key)))
+            value = getattr(args, key, None)
+            if isinstance(value, str):
+                try:
+                    setattr(args, key, int(value))
+                except ValueError:
+                    raise _UsageError(f"{key} must be an integer, got {value!r}")
+        # flag, then config file, then the module default
+        for key, default in _CAP_DEFAULTS.items():
+            if hasattr(args, key) and getattr(args, key) is None:
+                setattr(args, key, default)
         if getattr(args, "type", "") is None:
             raise _UsageError("--type is required (flag or config file)")
         if getattr(args, "node", "") is None:
@@ -444,7 +486,7 @@ def main(argv=None):
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (UnsupportedType, FieldNotFinite) as exc:
+    except (UnsupportedType, FieldNotFinite, ShapeMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (CapExceeded, CacheIntegrityError, OSError) as exc:

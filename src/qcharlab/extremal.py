@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from .braid import apply_s_word_inverse, reflect_dimensions, unit_framing
 from .cartan import DEFAULT_WEYL_CAP, fundamental_weight, weight_orbit, weyl_elements
 from .lweights import LaurentMonomial, factor_to_a
-from .qchar import fm_qchar
 
 
 def cone_membership(vec):
@@ -127,8 +126,8 @@ class TheoremSummary:
         }
 
 
-def verify_theorem_main(datum, node, weyl_cap=DEFAULT_WEYL_CAP, recheck_limit=48):
-    """Run the cone check for every Weyl element against one fundamental module.
+def verify_theorem_main(qchar, weyl_cap=DEFAULT_WEYL_CAP, recheck_limit=48):
+    """Run the cone check for every Weyl element against one q-character.
 
     The rank-one reflections and the longest element are tallied separately
     (those instances carry independent proofs and anchor the conventions).
@@ -136,7 +135,7 @@ def verify_theorem_main(datum, node, weyl_cap=DEFAULT_WEYL_CAP, recheck_limit=48
     a second reduced word; any disagreement counts as a word mismatch.
     """
     start = time.perf_counter()
-    qchar = fm_qchar(datum, node)
+    datum, node = qchar.datum, qchar.anchor
     elements = weyl_elements(datum, weyl_cap)
     framing = unit_framing(node)
     by_matrix = {e.matrix: e for e in elements}

@@ -174,10 +174,6 @@ def mat_copy(a):
     return [list(row) for row in a]
 
 
-def mat_key(a):
-    return tuple(tuple(row) for row in a)
-
-
 def rref(fld, mat):
     """Reduced row echelon form; returns (rref matrix, pivot column list)."""
     m = mat_copy(mat)

@@ -46,6 +46,7 @@ from .linalg import (
     identity,
     is_zero_matrix,
     kernel_basis,
+    mat_mul,
     mat_mul_shaped,
     mat_rank,
     nonzero_vectors,
@@ -71,26 +72,21 @@ class GradedQuiverRep:
 
     def __init__(self, datum, field, v, w, arrows=None, framing=None,
                  coframing=None, check=True):
+        if check:
+            _check_dims(datum, v, w)
         self.datum = datum
         self.field = field
         self.v = {key: n for key, n in dict(v).items() if n}
         self.w = {key: n for key, n in dict(w).items() if n}
-        self.arrows = {}
-        self.framing = {}
-        self.coframing = {}
-        for (i, a, j), mat in (arrows or {}).items():
-            if check and i != j and datum.c(i, j) == 0:
-                raise ShapeMismatch(f"arrow {(i, a, j)} joins non-adjacent nodes")
-            if self.vdim(i, a) and self.vdim(j, a - datum.b(i, j)):
-                self.arrows[(i, a, j)] = mat
-        for (i, a), mat in (framing or {}).items():
-            if self.wdim(i, a) and self.vdim(i, a + datum.di(i)):
-                self.framing[(i, a)] = mat
-        for (i, a), mat in (coframing or {}).items():
-            if self.wdim(i, a) and self.vdim(i, a - datum.di(i)):
-                self.coframing[(i, a)] = mat
+        self.arrows = dict(arrows or {})
+        self.framing = dict(framing or {})
+        self.coframing = dict(coframing or {})
         if check:
             self._check_shapes()
+        # a map with a zero-dimensional end has no entries to store
+        for maps in (self.arrows, self.framing, self.coframing):
+            for key in [key for key, mat in maps.items() if not (mat and mat[0])]:
+                del maps[key]
 
     # -- dimensions ---------------------------------------------------
 
@@ -140,8 +136,11 @@ class GradedQuiverRep:
 
     def _check_shapes(self):
         datum = self.datum
+        for i, *_ in [*self.arrows, *self.framing, *self.coframing]:
+            if i not in datum.nodes:
+                raise ShapeMismatch(f"map at node {i} is not valid in {datum.label}")
         for (i, a, j), mat in self.arrows.items():
-            if i != j and datum.c(i, j) == 0:
+            if j not in datum.nodes or i != j and datum.c(i, j) == 0:
                 raise ShapeMismatch(f"arrow {(i, a, j)} joins non-adjacent nodes")
             self._shape(mat, self.vdim(j, a - datum.b(i, j)), self.vdim(i, a),
                         f"arrow {(i, a, j)}")
@@ -211,6 +210,14 @@ class GradedQuiverRep:
             else:
                 raise ShapeMismatch(f"unknown map kind {entry['kind']!r}")
         return cls(datum, fld, v, w, arrows, framing, coframing)
+
+
+def _check_dims(datum, v, w):
+    for (i, a), n in [*dict(v).items(), *dict(w).items()]:
+        if i not in datum.nodes or n < 0:
+            raise ShapeMismatch(
+                f"dimension {n} at slot {(i, a)} is not valid in {datum.label}"
+            )
 
 
 def valid_map_keys(datum, v, w):
@@ -358,8 +365,7 @@ def validate_n(rep, node, xi):
         raise ShapeMismatch(f"xi must live in V_{node}^{dk} (dim {dim})")
     out = _e1bis_violations(rep, False) + _e2_violations(rep)
     loop = rep.loop_power(node, dk, 1)
-    image = _apply_matrix(fld, loop, list(xi)) if dim else []
-    if any(x != fld.zero() for x in image):
+    if loop and not is_zero_matrix(fld, _images(fld, loop, [xi])):
         out.append(RelationViolation("loop-kills-xi", node, node, dk))
     return out
 
@@ -368,20 +374,15 @@ def validate_n(rep, node, xi):
 # submodule machinery and stability
 
 
-def _span_add(fld, rows, vec):
-    if all(x == fld.zero() for x in vec):
-        return rows, False
-    candidate = [list(r) for r in rows] + [list(vec)]
-    reduced, pivots = rref(fld, candidate)
-    new_rows = tuple(tuple(reduced[r]) for r in range(len(pivots)))
-    return new_rows, len(new_rows) > len(rows)
+def _span(fld, rows):
+    """Canonical echelon basis (tuple of row tuples) of the span of ``rows``."""
+    reduced, pivots = rref(fld, rows)
+    return tuple(tuple(reduced[r]) for r in range(len(pivots)))
 
 
-def _apply_matrix(fld, mat, vec):
-    return [
-        sum((fld.mul(mat[r][c], vec[c]) for c in range(len(vec))), fld.zero())
-        for r in range(len(mat))
-    ]
+def _images(fld, mat, rows):
+    """The image of each row vector under ``mat``, as rows."""
+    return mat_mul(fld, rows, list(zip(*mat)))
 
 
 def _closure(rep, seeds):
@@ -393,9 +394,7 @@ def _closure(rep, seeds):
     fld = rep.field
     spans = {}
     for key, vectors in seeds.items():
-        rows = spans.get(key, ())
-        for vec in vectors:
-            rows, _ = _span_add(fld, rows, vec)
+        rows = _span(fld, vectors)
         if rows:
             spans[key] = rows
     changed = True
@@ -407,13 +406,10 @@ def _closure(rep, seeds):
                 continue
             target = (j, a - rep.datum.b(i, j))
             trows = spans.get(target, ())
-            for vec in rows:
-                image = _apply_matrix(fld, mat, list(vec))
-                trows, grew = _span_add(fld, trows, image)
-                if grew:
-                    changed = True
-            if trows:
-                spans[target] = trows
+            grown = _span(fld, [*trows, *_images(fld, mat, rows)])
+            if len(grown) > len(trows):
+                spans[target] = grown
+                changed = True
     return spans
 
 
@@ -439,10 +435,7 @@ def _pairing(datum, theta, totals):
 def _join(fld, left, right):
     out = dict(left)
     for key, rows in right.items():
-        existing = out.get(key, ())
-        for vec in rows:
-            existing, _ = _span_add(fld, existing, vec)
-        out[key] = existing
+        out[key] = _span(fld, out.get(key, ()) + rows)
     return out
 
 
@@ -450,11 +443,8 @@ def _contained_in_ker_b(rep, sub):
     fld = rep.field
     for (i, a), mat in rep.coframing.items():
         rows = sub.get((i, a - rep.datum.di(i)))
-        if not rows:
-            continue
-        for vec in rows:
-            if any(x != fld.zero() for x in _apply_matrix(fld, mat, list(vec))):
-                return False
+        if rows and not is_zero_matrix(fld, _images(fld, mat, rows)):
+            return False
     return True
 
 
@@ -876,6 +866,7 @@ def exhaustive_search(datum, v, w, field, thetas=(),
     """
     if not field.is_finite:
         raise FieldNotFinite("exhaustive search needs a finite field")
+    _check_dims(datum, v, w)
     v = {key: n for key, n in dict(v).items() if n}
     w = {key: n for key, n in dict(w).items() if n}
     slots = valid_map_keys(datum, v, w)

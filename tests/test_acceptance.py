@@ -139,7 +139,7 @@ def test_criterion_3_theorem_all_types():
     for label in THEOREM_CORPUS:
         datum = build_cartan(label)
         for node in datum.nodes:
-            summary = verify_theorem_main(datum, node)
+            summary = verify_theorem_main(fm_qchar(datum, node))
             assert summary.ok, summary.to_json_obj()
             total_checks += summary.checks
             # the rank-one and longest-element sub-cases, reported separately

@@ -1,4 +1,10 @@
+import contextlib
+import io
 import json
+import string
+import sys
+
+from hypothesis import given, settings, strategies as st
 
 from qcharlab.cli import main
 from qcharlab.conventions import CONVENTIONS_VERSION
@@ -215,3 +221,168 @@ def test_cache_dir_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("QCHARLAB_CACHE_DIR", str(cache))
     assert run("qchar", "--type", "A1", "--node", "1") == 0
     assert cache.exists() and list(cache.iterdir())
+
+
+def test_extremal_check_computes_the_qchar_once(tmp_path, monkeypatch):
+    from qcharlab import qchar as qchar_module
+
+    calls = []
+    real = qchar_module.fm_qchar
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "fm_qchar", None) is real:
+            monkeypatch.setattr(module, "fm_qchar", counting)
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    reports = []
+    # no cache, a cold cache, then a warm cache that computes nothing
+    for extra, expected_calls in [([], 1), (cache, 2), (cache, 2)]:
+        reports.append(tmp_path / f"report{len(reports)}.json")
+        assert run("extremal-check", "--type", "B2", "--node", "1", *extra,
+                   "--report", str(reports[-1])) == 0
+        assert len(calls) == expected_calls
+    assert len({report.read_bytes() for report in reports}) == 1
+
+
+def test_config_file_caps_are_honoured(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("type = A2\nnode = 1\ncap_height = 1\n")
+    assert run("qchar", "--config", str(config)) == 2
+    assert "height cap 1" in capsys.readouterr().err
+    # an explicit flag still wins over the file
+    assert run("qchar", "--config", str(config), "--cap-height", "64") == 0
+    config.write_text("type = A2\nnode = 1\ncap_w = many\n")
+    assert run("qchar", "--config", str(config)) == 1
+
+
+def test_failed_cache_write_leaves_no_file(tmp_path, monkeypatch):
+    from qcharlab import cli
+
+    real = cli._canonical_json
+
+    def failing(obj):
+        raise OSError("disk full")
+
+    cache = tmp_path / "cache"
+    monkeypatch.setattr(cli, "_canonical_json", failing)
+    assert run("qchar", "--type", "A2", "--node", "1",
+               "--cache-dir", str(cache)) == 2
+    assert list(cache.iterdir()) == []
+    monkeypatch.setattr(cli, "_canonical_json", real)
+    # the next run recomputes, writes the cache, and a third run reads it
+    for _ in range(2):
+        assert run("qchar", "--type", "A2", "--node", "1",
+                   "--cache-dir", str(cache)) == 0
+    assert len(list(cache.iterdir())) == 1
+
+
+def test_bad_node_word_and_theta_are_usage_errors(tmp_path):
+    assert run("qchar", "--type", "A2", "--node", "3") == 1
+    assert run("braid-orbit", "--type", "A2", "--node", "1", "--word", "1,x") == 1
+    assert run("braid-orbit", "--type", "A2", "--node", "1", "--word", "1,3") == 1
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps(POINT_A1))
+    assert run("quiver-reflect", "--node", "2", "--theta", "-1", str(point)) == 1
+    assert run("quiver-reflect", "--node", "1", "--theta", "1/0", str(point)) == 1
+
+
+_LETTERS = st.text(alphabet=string.ascii_letters, min_size=1, max_size=6)
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers())
+
+
+@st.composite
+def _malformed_point(draw):
+    """The text of a point file that is wrong in exactly one way."""
+    point = json.loads(json.dumps(POINT_A1))
+    fault = draw(st.sampled_from([
+        "not json", "missing key", "scalar", "type", "field", "node",
+        "negative dim", "dim entry", "shape", "matrix value", "map kind",
+    ]))
+    if fault == "not json":
+        return draw(st.one_of(st.text(max_size=20), st.binary(max_size=20)))
+    if fault == "missing key":
+        del point[draw(st.sampled_from(["field", "type", "v", "w"]))]
+    elif fault == "scalar":
+        point[draw(st.sampled_from(["v", "w", "maps"]))] = draw(_SCALARS)
+    elif fault == "type":
+        point["type"] = draw(st.one_of(_LETTERS, _SCALARS))
+    elif fault == "field":
+        point["field"] = draw(st.one_of(_LETTERS.filter(lambda t: t != "Q"), _SCALARS))
+    elif fault == "node":
+        # POINT_A1 lives in type A1, whose only node is 1
+        node = draw(st.integers(-3, 9).filter(lambda i: i != 1))
+        where = draw(st.sampled_from(["v", "w", "maps"]))
+        if where == "maps":
+            point["maps"][0]["from"][0] = node
+        else:
+            point[where].append([node, 0, draw(st.integers(0, 2))])
+    elif fault == "negative dim":
+        point["v"][0][2] = draw(st.integers(max_value=-1))
+    elif fault == "dim entry":
+        point["v"][0] = draw(st.lists(st.integers(), max_size=5).filter(
+            lambda entry: len(entry) != 3))
+    elif fault == "shape":
+        point["maps"][0]["matrix"] = draw(st.sampled_from(
+            [[], [[]], [[1, 0]], [[1], [0]]]))
+    elif fault == "matrix value":
+        point["maps"][0]["matrix"] = [[draw(st.one_of(
+            _LETTERS, st.none(), st.lists(st.integers(), max_size=2)))]]
+    else:
+        point["maps"][0]["kind"] = draw(_LETTERS.filter(
+            lambda t: t not in ("arrow", "A", "B")))
+    return json.dumps(point)
+
+
+@st.composite
+def _malformed_dims(draw):
+    """A quiver-search type with --v/--w texts, one of them malformed."""
+    label, rank = draw(st.sampled_from([("A2", 2), ("B2", 2), ("A3", 3)]))
+    grade = st.integers(-4, 4)
+    good = st.builds("{}@({},{})".format, st.integers(0, 2),
+                     st.integers(1, rank), grade)
+    bad = st.one_of(
+        # no comma, so it can never be a whole n@(i,a) entry
+        st.text(alphabet="0123456789@()- x", min_size=1, max_size=8).filter(
+            str.strip),
+        st.builds("{}@({},{})".format, st.integers(0, 2),
+                  st.integers(-3, 9).filter(lambda i: not 1 <= i <= rank), grade),
+    )
+    chunks = draw(st.lists(good, max_size=3))
+    chunks.insert(draw(st.integers(0, len(chunks))), draw(bad))
+    malformed = ",".join(chunks)
+    other = ",".join(draw(st.lists(good, max_size=2)))
+    v, w = (malformed, other) if draw(st.booleans()) else (other, malformed)
+    return label, v, w
+
+
+def _run_quietly(*argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(*argv)
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+@settings(deadline=None)
+@given(text=_malformed_point(), command=st.sampled_from([
+    ("quiver-check",),
+    ("quiver-reflect", "--node", "1", "--theta", "-1"),
+]))
+def test_malformed_point_files_are_usage_errors(tmp_path_factory, text, command):
+    path = tmp_path_factory.mktemp("point") / "point.json"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+    assert _run_quietly(*command, str(path)) in (1, 2)
+
+
+@settings(deadline=None)
+@given(case=_malformed_dims())
+def test_malformed_dims_are_usage_errors(case):
+    label, v, w = case
+    assert _run_quietly("quiver-search", "--type", label, "--v", v,
+                        "--w", w) in (1, 2)

@@ -63,7 +63,7 @@ def test_negative_control_injected_monomial_is_flagged():
 def test_verify_theorem_small_types(label):
     datum = build_cartan(label)
     for node in datum.nodes:
-        summary = verify_theorem_main(datum, node)
+        summary = verify_theorem_main(fm_qchar(datum, node))
         assert summary.ok, summary.to_json_obj()
         assert summary.checks == summary.monomial_count * summary.group_order
         assert summary.word_mismatches == 0
@@ -73,14 +73,14 @@ def test_verify_theorem_small_types(label):
 
 def test_verify_theorem_beyond_rank_three():
     # spot checks that the conventions keep holding at higher rank
-    summary = verify_theorem_main(build_cartan("B4"), 4)
+    summary = verify_theorem_main(fm_qchar(build_cartan("B4"), 4))
     assert summary.ok and summary.group_order == 384
-    summary = verify_theorem_main(build_cartan("A4"), 2)
+    summary = verify_theorem_main(fm_qchar(build_cartan("A4"), 2))
     assert summary.ok and summary.group_order == 120
 
 
 def test_summary_counts_a2():
-    summary = verify_theorem_main(build_cartan("A2"), 1)
+    summary = verify_theorem_main(fm_qchar(build_cartan("A2"), 1))
     assert summary.monomial_count == 3
     assert summary.group_order == 6
     assert summary.checks == 18

@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qcharlab.braid import reflect_dimensions
 from qcharlab.cartan import build_cartan
@@ -27,6 +28,7 @@ from qcharlab.linalg import (
 )
 from qcharlab.quiver import (
     GradedQuiverRep,
+    _span,
     chain_reflect,
     exhaustive_search,
     is_framed_stable,
@@ -125,6 +127,19 @@ def test_shape_mismatch_rejected():
         )
 
 
+def test_maps_and_dims_outside_the_datum_rejected():
+    datum = build_cartan("A1")
+    for v, w, framing in [
+        ({(2, 1): 1}, {}, {}),
+        ({(1, 1): -1}, {}, {}),
+        ({(1, 1): 1}, {(0, 0): 1}, {}),
+        # a map on a zero-dimensional slot still has to fit it
+        ({}, {(1, 0): 1}, {(1, 0): [[1]]}),
+    ]:
+        with pytest.raises(ShapeMismatch):
+            GradedQuiverRep(datum, F2, v, w, framing=framing)
+
+
 def test_non_adjacent_arrow_rejected():
     datum = build_cartan("A3")
     with pytest.raises(ShapeMismatch):
@@ -156,6 +171,16 @@ def test_validate_n_flags_surviving_framing_vector():
     )
     violations = validate_n(rep, 1, [1])
     assert any(v.relation == "loop-kills-xi" for v in violations)
+
+
+def test_validate_n_adds_in_the_field():
+    # the loop sends xi = (1, 1) to 1 + 1, which is 0 in F2
+    datum = build_cartan("A1")
+    rep = GradedQuiverRep(
+        datum, F2, {(1, 1): 2, (1, -1): 1}, {},
+        arrows={(1, 1, 1): [[1, 1]]},
+    )
+    assert validate_n(rep, 1, [1, 1]) == []
 
 
 def test_b_zero_slice_passes_validate_n():
@@ -221,6 +246,46 @@ def test_framed_stability_equivalence_everywhere():
     ]:
         for point in exhaustive_search(datum, v, w, F2, thetas=(NEG2,)):
             assert point.stable[0] == is_framed_stable(point.rep)
+
+
+def _span_one_at_a_time(fld, rows):
+    basis = ()
+    for vec in rows:
+        reduced, pivots = rref(fld, [*basis, vec])
+        basis = tuple(tuple(reduced[r]) for r in range(len(pivots)))
+    return basis
+
+
+@st.composite
+def _field_and_rows(draw):
+    fld = draw(st.sampled_from([F2, PrimeField(3), QQ]))
+    if fld.is_finite:
+        entry = st.sampled_from(list(fld.elements()))
+    else:
+        entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    dim = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), max_size=6))
+    return fld, rows, draw(st.permutations(rows))
+
+
+@given(_field_and_rows())
+def test_span_is_canonical(case):
+    fld, rows, shuffled = case
+    span = _span(fld, rows)
+    assert span == _span(fld, shuffled)
+    assert span == _span_one_at_a_time(fld, rows)
+    assert len(span) == mat_rank(fld, rows)
+
+
+def test_mixed_theta_stability_counts_in_the_field():
+    # S_2 of the A3 node-2 dims at theta' = s_2(-1,-1,-1): the stable points
+    # form one free orbit of G_v = GL_1 x GL_2 x GL_1 over F2, |GL_2(F2)| = 6;
+    # adding matrix products as integers instead of in F2 reports 10
+    datum = build_cartan("A3")
+    v = {(1, 2): 1, (2, 1): 2, (3, 2): 1}
+    theta = (Fraction(-2), Fraction(1), Fraction(-2))
+    points = exhaustive_search(datum, v, {(2, 0): 1}, F2, thetas=(theta,))
+    assert sum(1 for p in points if p.stable[0]) == 6
 
 
 # ---------------------------------------------------------------------------
