@@ -12,6 +12,7 @@ dimension vectors) is a derived consequence, asserted by tests.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
 from .lweights import AMonomialVector, LaurentMonomial, a_monomial_inverse
 
@@ -48,6 +49,20 @@ def apply_s_word_inverse(datum, word, monomial):
     return monomial
 
 
+@lru_cache(maxsize=None)
+def _reflection_table(datum, i):
+    """(d_i, ((j, offsets), ...)) for node i: offsets d_ij + t*d_ii, t = 1..-c_ij.
+
+    One entry per neighbour j of i, so the closed form below reads the Cartan
+    data once per (datum, node) instead of once per call.
+    """
+    dii = 2 * datum.di(i)
+    return datum.di(i), tuple(
+        (j, tuple(datum.b(i, j) + t * dii for t in range(1, -datum.c(i, j) + 1)))
+        for j in datum.neighbors(i)
+    )
+
+
 def reflect_dimensions(datum, i, v, w):
     """Closed form of the induced action on dimension vectors.
 
@@ -59,8 +74,9 @@ def reflect_dimensions(datum, i, v, w):
     ``v`` and ``w`` are plain dicts (node, param) -> int; the framing ``w``
     stays fixed (for an anchor Y_{k,0} it is the unit at (k, 0)).
     """
-    di = datum.di(i)
+    di, neighbours = _reflection_table(datum, i)
     dii = 2 * di
+    offsets_of = dict(neighbours)
     out = {key: mult for key, mult in v.items() if key[0] != i}
 
     positions = set()
@@ -72,17 +88,15 @@ def reflect_dimensions(datum, i, v, w):
             continue
         if node == i:
             positions.add(param - dii)
-        elif datum.c(i, node) != 0:
-            dij = datum.b(i, node)
-            for t in range(1, -datum.c(i, node) + 1):
-                positions.add(param - dij - t * dii)
+        else:
+            for offset in offsets_of.get(node, ()):
+                positions.add(param - offset)
 
     for a in positions:
         value = w.get((i, a + di), 0) - v.get((i, a + dii), 0)
-        for j in datum.neighbors(i):
-            dij = datum.b(i, j)
-            for t in range(1, -datum.c(i, j) + 1):
-                value += v.get((j, a + dij + t * dii), 0)
+        for j, offsets in neighbours:
+            for offset in offsets:
+                value += v.get((j, a + offset), 0)
         if value:
             out[(i, a)] = value
     return out

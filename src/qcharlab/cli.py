@@ -218,6 +218,10 @@ def _check_nodes(datum, nodes):
             raise _UsageError(f"{i} is not a node of {datum.label}")
 
 
+# settings a --config file may give; explicit flags win over the file
+_CONFIG_KEYS = ("type", "node", "cache_dir", "cap_monomials", "cap_height", "cap_w")
+
+
 def _load_config_file(path):
     values = {}
     with open(path, "r", encoding="utf-8") as handle:
@@ -228,7 +232,13 @@ def _load_config_file(path):
             if "=" not in line:
                 raise _UsageError(f"config line without '=': {line!r}")
             key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
+            name = key.strip().replace("-", "_")
+            if name not in _CONFIG_KEYS:
+                raise _UsageError(
+                    f"unknown config key {key.strip()!r} in {path} "
+                    f"(known: {', '.join(_CONFIG_KEYS)})"
+                )
+            values[name] = value.strip()
     return values
 
 
@@ -262,6 +272,8 @@ def _cmd_extremal(args):
         config.cap_height,
     )
     summary = verify_theorem_main(qchar, weyl_cap=config.cap_weyl)
+    # timings go to stderr only, so the report stays byte-identical
+    print(f"verify time: {summary.elapsed:.3f} s", file=sys.stderr)
     vertices = cone_vertices(datum, config.node, weyl_cap=config.cap_weyl)
     distinct = {vec for vec in vertices.values()}
     if config.out:
@@ -401,7 +413,8 @@ def _build_parser():
         p.add_argument("--type", help="Cartan type label, e.g. B2")
         p.add_argument("--node", type=int)
         p.add_argument("--config", help="key=value config file; flags win")
-        p.add_argument("--cache-dir", default=os.environ.get(CACHE_DIR_ENV))
+        # default filled in after the config merge: flag, file, then env
+        p.add_argument("--cache-dir")
         # cap defaults are filled in after the config merge (_CAP_DEFAULTS)
         p.add_argument("--cap-monomials", type=int)
         p.add_argument("--cap-height", type=int)
@@ -478,6 +491,8 @@ def main(argv=None):
         for key, default in _CAP_DEFAULTS.items():
             if hasattr(args, key) and getattr(args, key) is None:
                 setattr(args, key, default)
+        if hasattr(args, "cache_dir") and args.cache_dir is None:
+            args.cache_dir = os.environ.get(CACHE_DIR_ENV)
         if getattr(args, "type", "") is None:
             raise _UsageError("--type is required (flag or config file)")
         if getattr(args, "node", "") is None:
@@ -491,6 +506,10 @@ def main(argv=None):
         return EXIT_USAGE
     except (CapExceeded, CacheIntegrityError, OSError) as exc:
         print(f"resource error: {exc}", file=sys.stderr)
+        if isinstance(exc, CapExceeded) and exc.diagnostics:
+            print("  " + " ".join(f"{key}={value}" for key, value
+                                  in sorted(exc.diagnostics.items())),
+                  file=sys.stderr)
         return EXIT_RESOURCE
     except QCharLabError as exc:
         print(f"violation: {exc}", file=sys.stderr)

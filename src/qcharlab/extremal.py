@@ -3,8 +3,10 @@
 Every monomial of a fundamental q-character, pushed through the braid action
 along any Weyl element, must stay inside the nonnegative cone; the cone
 vertices are the images of the anchor under the inverse operators.  The
-verifier never trusts braid well-definedness: for small groups each element
-is re-checked with a second reduced word when one exists.
+verifier pushes each monomial along the breadth-first word tree, one braid
+reflection per (monomial, element), and never trusts braid
+well-definedness: for small groups each element is re-checked with a second
+reduced word when one exists.
 """
 
 from __future__ import annotations
@@ -42,31 +44,64 @@ class ExtremalReport:
 
 
 def _push_dims(datum, word, dims, framing):
+    """S_w on one dimension vector by replaying the whole word."""
     for i in word:
         dims = reflect_dimensions(datum, i, dims, framing)
     return dims
 
 
+def _violation(word, vec, image):
+    """The ConeViolation of ``vec`` under S_word, or None if its image is in the cone."""
+    bad = tuple(sorted(pos for pos, mult in image.items() if mult < 0))
+    if not bad:
+        return None
+    return ConeViolation(
+        word=word, vector=vec, image=tuple(sorted(image.items())), positions=bad
+    )
+
+
 def extremal_check(datum, qchar, element, framing=None):
-    """Push every q-character monomial through S_w and record cone exits."""
+    """Push every q-character monomial through S_w and record cone exits.
+
+    Replays the whole word per monomial; the verifier below shares prefixes
+    instead, and this per-word replay is its differential oracle.
+    """
     if framing is None:
         framing = unit_framing(qchar.anchor)
     violations = []
     for vec in qchar.entries:
         image = _push_dims(datum, element.word, vec.as_dict(), framing)
-        bad = tuple(sorted(pos for pos, mult in image.items() if mult < 0))
-        if bad:
-            violations.append(
-                ConeViolation(
-                    word=element.word,
-                    vector=vec,
-                    image=tuple(sorted(image.items())),
-                    positions=bad,
-                )
-            )
+        violation = _violation(element.word, vec, image)
+        if violation is not None:
+            violations.append(violation)
     return ExtremalReport(
         word=element.word, checked=len(qchar.entries), violations=violations
     )
+
+
+def _pushed_images(datum, elements, vectors, framing):
+    """Yield (element, [S_w(v) for v in vectors]) for each element in order.
+
+    ``elements`` must come in nondecreasing length with every word's prefix
+    ``word[:-1]`` among them, as :func:`weyl_elements` yields them; each image
+    is then one ``reflect_dimensions`` applied to the parent's image.  Only
+    the previous and the current length layer are kept.
+    """
+    previous, current, length = {}, {}, 0
+    for element in elements:
+        word = element.word
+        if len(word) != length:
+            previous, current, length = current, {}, len(word)
+        if word:
+            i = word[-1]
+            images = [
+                reflect_dimensions(datum, i, image, framing)
+                for image in previous[word[:-1]]
+            ]
+        else:
+            images = [vec.as_dict() for vec in vectors]
+        current[word] = images
+        yield element, images
 
 
 def _second_reduced_word(elements_by_matrix, element, datum):
@@ -129,8 +164,10 @@ class TheoremSummary:
 def verify_theorem_main(qchar, weyl_cap=DEFAULT_WEYL_CAP, recheck_limit=48):
     """Run the cone check for every Weyl element against one q-character.
 
-    The rank-one reflections and the longest element are tallied separately
-    (those instances carry independent proofs and anchor the conventions).
+    Each element's images come from its parent's by one reflection
+    (:func:`_pushed_images`).  The rank-one reflections and the longest
+    element are tallied separately (those instances carry independent proofs
+    and anchor the conventions).
     For groups of order <= ``recheck_limit`` each element is recomputed with
     a second reduced word; any disagreement counts as a word mismatch.
     """
@@ -138,32 +175,26 @@ def verify_theorem_main(qchar, weyl_cap=DEFAULT_WEYL_CAP, recheck_limit=48):
     datum, node = qchar.datum, qchar.anchor
     elements = weyl_elements(datum, weyl_cap)
     framing = unit_framing(node)
-    by_matrix = {e.matrix: e for e in elements}
     longest = max(elements, key=lambda e: e.length)
+    vectors = list(qchar.entries)
 
     violations = []
     word_mismatches = 0
     simple_bad = 0
     longest_bad = 0
     checks = 0
-    do_recheck = len(elements) <= recheck_limit
-    for element in elements:
+    by_matrix = (
+        {e.matrix: e for e in elements} if len(elements) <= recheck_limit else None
+    )
+    for element, images in _pushed_images(datum, elements, vectors, framing):
         alt_word = (
-            _second_reduced_word(by_matrix, element, datum) if do_recheck else None
+            _second_reduced_word(by_matrix, element, datum) if by_matrix else None
         )
-        for vec in qchar.entries:
-            checks += 1
-            image = _push_dims(datum, element.word, vec.as_dict(), framing)
-            bad = tuple(sorted(pos for pos, mult in image.items() if mult < 0))
-            if bad:
-                violations.append(
-                    ConeViolation(
-                        word=element.word,
-                        vector=vec,
-                        image=tuple(sorted(image.items())),
-                        positions=bad,
-                    )
-                )
+        checks += len(images)
+        for vec, image in zip(vectors, images):
+            violation = _violation(element.word, vec, image)
+            if violation is not None:
+                violations.append(violation)
                 if element.length == 1:
                     simple_bad += 1
                 if element is longest:

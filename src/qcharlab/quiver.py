@@ -201,14 +201,32 @@ class GradedQuiverRep:
             mat = [[fld.from_json(x) for x in row] for row in entry["matrix"]]
             i, a = int(entry["from"][0]), int(entry["from"][1])
             j, b = int(entry["to"][0]), int(entry["to"][1])
-            if entry["kind"] == "arrow":
-                arrows[(i, a, j)] = mat
-            elif entry["kind"] == "A":
-                framing[(i, a)] = mat
-            elif entry["kind"] == "B":
-                coframing[(j, b)] = mat
+            kind = entry["kind"]
+            if kind not in ("arrow", "A", "B"):
+                raise ShapeMismatch(f"unknown map kind {kind!r}")
+            for node in (i, j):
+                if node not in datum.nodes:
+                    raise ShapeMismatch(
+                        f"{kind} map end at node {node} is not in {datum.label}"
+                    )
+            # the ends to_json_obj writes for the key this map is stored under
+            if kind == "arrow":
+                table, key = arrows, (i, a, j)
+                ends = ((i, a), (j, a - datum.b(i, j)))
+            elif kind == "A":
+                table, key = framing, (i, a)
+                ends = ((i, a), (i, a + datum.di(i)))
             else:
-                raise ShapeMismatch(f"unknown map kind {entry['kind']!r}")
+                table, key = coframing, (j, b)
+                ends = ((j, b - datum.di(j)), (j, b))
+            if ((i, a), (j, b)) != ends:
+                raise ShapeMismatch(
+                    f"{kind} map from {(i, a)} to {(j, b)} contradicts its key; "
+                    f"expected from {ends[0]} to {ends[1]}"
+                )
+            if key in table:
+                raise ShapeMismatch(f"two {kind} maps for the key {key}")
+            table[key] = mat
         return cls(datum, fld, v, w, arrows, framing, coframing)
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import string
@@ -221,6 +222,76 @@ def test_cache_dir_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("QCHARLAB_CACHE_DIR", str(cache))
     assert run("qchar", "--type", "A1", "--node", "1") == 0
     assert cache.exists() and list(cache.iterdir())
+
+
+def test_unknown_config_key_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("type = A2\nnode = 1\ncap_hieght = 1\n")
+    assert run("qchar", "--config", str(config)) == 1
+    assert "cap_hieght" in capsys.readouterr().err
+
+
+def test_cache_dir_flag_then_config_then_env(tmp_path, monkeypatch):
+    env, filed, flag = (tmp_path / name for name in ("env", "file", "flag"))
+    monkeypatch.setenv("QCHARLAB_CACHE_DIR", str(env))
+    config = tmp_path / "run.cfg"
+    config.write_text(f"type = A1\nnode = 1\ncache_dir = {filed}\n")
+    assert run("qchar", "--config", str(config)) == 0
+    assert filed.exists() and not env.exists()
+    assert run("qchar", "--config", str(config), "--cache-dir", str(flag)) == 0
+    assert flag.exists() and not env.exists()
+    config.write_text("type = A1\nnode = 1\n")
+    assert run("qchar", "--config", str(config)) == 0
+    assert env.exists()
+
+
+def test_point_file_with_contradicting_maps_is_usage_error(tmp_path, capsys):
+    # the A map stored at (1, 0) must end at (1, 0 + d_1) = (1, 1)
+    bad = json.loads(json.dumps(POINT_A1))
+    bad["maps"][0]["to"] = [1, 3]
+    point = tmp_path / "bad.json"
+    point.write_text(json.dumps(bad))
+    assert run("quiver-check", str(point)) == 1
+    assert "contradicts its key" in capsys.readouterr().err
+    # an arrow whose "to" grade disagrees with its key (1, 1, 1)
+    bad = json.loads(json.dumps(POINT_A1))
+    bad["v"] = [[1, 1, 1], [1, -1, 1]]
+    bad["maps"].append(
+        {"kind": "arrow", "from": [1, 1], "to": [1, 0], "matrix": [[1]]}
+    )
+    point.write_text(json.dumps(bad))
+    assert run("quiver-check", str(point)) == 1
+    assert "contradicts its key" in capsys.readouterr().err
+    # two maps stored under one key
+    bad = json.loads(json.dumps(POINT_A1))
+    bad["maps"].append(dict(bad["maps"][0], matrix=[[0]]))
+    point.write_text(json.dumps(bad))
+    assert run("quiver-check", str(point)) == 1
+    assert "two A maps" in capsys.readouterr().err
+
+
+def test_cap_diagnostics_go_to_stderr(tmp_path, capsys):
+    out = tmp_path / "q.json"
+    assert run("qchar", "--type", "A2", "--node", "1", "--cap-height", "1",
+               "--out", str(out)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("resource error: height cap 1")
+    assert err[1] == "  height=2 monomials=2"
+    assert not out.exists()
+
+
+# sha256 of the B3 node 2 report as the per-word replay verifier wrote it
+B3_NODE_2_REPORT = "86faa0fbc32bbd699512010b22336a3deef02854520b88a438312d7409ee3cae"
+
+
+def test_extremal_timing_goes_to_stderr_not_the_report(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    assert run("extremal-check", "--type", "B3", "--node", "2",
+               "--report", str(report)) == 0
+    captured = capsys.readouterr()
+    assert "verify time:" in captured.err
+    assert "verify time" not in captured.out
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == B3_NODE_2_REPORT
 
 
 def test_extremal_check_computes_the_qchar_once(tmp_path, monkeypatch):

@@ -2,7 +2,10 @@ import pytest
 
 from qcharlab.braid import unit_framing
 from qcharlab.cartan import build_cartan, weyl_elements
+from qcharlab import extremal
 from qcharlab.extremal import (
+    _push_dims,
+    _pushed_images,
     cone_membership,
     cone_vertices,
     extremal_check,
@@ -165,3 +168,90 @@ def test_framing_override():
         extremal_check(datum, q, element, framing=unit_framing(1)).violations
         == extremal_check(datum, q, element).violations
     )
+
+
+# ---------------------------------------------------------------------------
+# the prefix-shared verifier against the per-word replay oracle
+
+
+@pytest.mark.parametrize(
+    "label,nodes",
+    [("A3", (1, 2, 3)), ("B3", (1, 2, 3)), ("C3", (1, 2, 3)), ("G2", (1, 2)),
+     ("F4", (1,))],
+    ids=["A3", "B3", "C3", "G2", "F4-1"],
+)
+def test_prefix_shared_images_equal_the_replay(label, nodes):
+    datum = build_cartan(label)
+    elements = weyl_elements(datum)
+    for node in nodes:
+        q = fm_qchar(datum, node)
+        vectors = list(q.entries)
+        framing = unit_framing(node)
+        seen = 0
+        for element, images in _pushed_images(datum, elements, vectors, framing):
+            assert len(images) == len(vectors)
+            for vec, image in zip(vectors, images):
+                assert image == _push_dims(datum, element.word, vec.as_dict(),
+                                           framing), (label, node, element.word)
+            seen += 1
+        assert seen == len(elements)
+
+
+def _injected(label, node, *entries):
+    datum = build_cartan(label)
+    q = fm_qchar(datum, node)
+    fake = dict(q.entries)
+    fake[vec(node, *entries)] = 1
+    return datum, QChar(datum, node, fake)
+
+
+@pytest.mark.parametrize("recheck_limit", [0, 48])
+@pytest.mark.parametrize(
+    "label,node,entry",
+    # the first is the corrupted q-character of the acceptance suite
+    [("A1", 1, (1, 3, 1)), ("B3", 1, (2, 5, 1)), ("G2", 2, (1, 4, 2))],
+)
+def test_verifier_violations_equal_the_per_element_checks(
+    label, node, entry, recheck_limit
+):
+    datum, corrupted = _injected(label, node, entry)
+    expected = [
+        violation
+        for element in weyl_elements(datum)
+        for violation in extremal_check(datum, corrupted, element).violations
+    ]
+    assert expected
+    summary = verify_theorem_main(corrupted, recheck_limit=recheck_limit)
+    assert summary.violations == expected
+    assert summary.word_mismatches == 0
+
+
+@pytest.mark.parametrize("label", ["A3", "B4", "C4", "D5", "F4", "G2"])
+def test_every_word_extends_the_word_of_a_shorter_element(label):
+    elements = weyl_elements(build_cartan(label))
+    lengths = {element.word: element.length for element in elements}
+    assert elements[0].word == ()
+    for before, after in zip(elements, elements[1:]):
+        assert before.length <= after.length
+    for element in elements[1:]:
+        assert lengths.get(element.word[:-1]) == element.length - 1
+
+
+@pytest.mark.parametrize("label,node,recheck_limit",
+                         [("A3", 2, 0), ("B4", 4, 48), ("F4", 1, 48)])
+def test_one_reflection_per_monomial_and_element(
+    label, node, recheck_limit, monkeypatch
+):
+    calls = []
+    real = extremal.reflect_dimensions
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(extremal, "reflect_dimensions", counting)
+    summary = verify_theorem_main(fm_qchar(build_cartan(label), node),
+                                  recheck_limit=recheck_limit)
+    assert summary.group_order > recheck_limit
+    assert summary.checks == summary.monomial_count * summary.group_order
+    assert len(calls) == summary.checks - summary.monomial_count

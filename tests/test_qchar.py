@@ -115,6 +115,15 @@ def test_known_sizes(label, node, size):
     assert q.total_multiplicity() == size
 
 
+def test_e8_node_1_totals():
+    # 3875 + 248 + 1: the dimension of the E8 fundamental module at node 1,
+    # with maximum A-height 92 = ht(omega_1 - w_0 omega_1)
+    q = fm_qchar(build_cartan("E8"), 1, max_height=92)
+    assert q.monomial_count() == 3875
+    assert q.total_multiplicity() == 4124
+    assert q.max_height() == 92
+
+
 @pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "C2", "B3", "C3", "G2", "D4"])
 def test_structural_invariants(label):
     datum = build_cartan(label)
