@@ -137,7 +137,7 @@ def build_cartan(label):
 
 
 # ---------------------------------------------------------------------------
-# Weyl group on simple-root coordinates
+# Weyl group
 
 
 @dataclass(frozen=True)
@@ -145,87 +145,84 @@ class WeylElement:
     """A Weyl group element with one stored reduced word.
 
     ``word = (i_1, ..., i_t)`` denotes the element s_{i_t} ... s_{i_1}: the
-    first letter of the word acts first.  ``matrix`` is the integer action on
-    simple-root coordinates, columns indexed by simple roots.
+    first letter of the word acts first.  ``weight`` is w.rho over the
+    fundamental-weight basis, rho = (1, ..., 1); it identifies the element,
+    and s_i is a left descent of w exactly when ``weight[i-1] < 0``.
     """
 
     word: tuple
-    matrix: tuple
+    weight: tuple
 
     @property
     def length(self):
         return len(self.word)
 
 
-def _identity_matrix(n):
-    return tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n))
-        for r in range(n)
-    )
-
-
 @lru_cache(maxsize=None)
 def simple_reflection_matrix(datum, i):
     """Action of s_i on simple-root coordinates: alpha_j -> alpha_j - c_ij alpha_i."""
     n = datum.rank
-    rows = [list(row) for row in _identity_matrix(n)]
+    rows = [[int(r == c) for c in range(n)] for r in range(n)]
     for j in range(1, n + 1):
         rows[i - 1][j - 1] = -datum.c(i, j) if j != i else -1
     return tuple(tuple(row) for row in rows)
 
 
+def _orbit_walk(datum, top, cap=None):
+    """Breadth-first walk down the W-orbit of the dominant weight ``top``.
+
+    Yields (word, weight) with weight = s_{i_t} ... s_{i_1} top.  A step s_i
+    is taken only where ``weight[i-1] > 0``, which lowers the weight; every
+    orbit point is reached that way, each first by its breadth-first word.
+    Raises CapExceeded once more than ``cap`` points have been found.
+    """
+    words = {top: ()}
+    queue = deque([top])
+    while queue:
+        weight = queue.popleft()
+        word = words[weight]
+        yield word, weight
+        for i in datum.nodes:
+            if weight[i - 1] <= 0:
+                continue
+            new = reflect_weight(datum, i, weight)
+            if new in words:
+                continue
+            if cap is not None and len(words) >= cap:
+                raise CapExceeded(
+                    f"Weyl group of {datum.label} exceeds cap {cap}", cap=cap
+                )
+            words[new] = word + (i,)
+            queue.append(new)
+
+
 @lru_cache(maxsize=None)
 def weyl_elements(datum, cap=DEFAULT_WEYL_CAP):
-    """Enumerate the full Weyl group by breadth-first closure on matrices.
+    """Enumerate the full Weyl group as the orbit of the regular weight rho.
 
     The identity comes first and each element carries its BFS word, which is
     automatically reduced.  Raises CapExceeded once more than ``cap`` distinct
     elements have been found.
     """
-    gens = {i: simple_reflection_matrix(datum, i) for i in datum.nodes}
-    ident = _identity_matrix(datum.rank)
-    words = {ident: ()}
-    order = [ident]
-    queue = deque([ident])
-    while queue:
-        mat = queue.popleft()
-        word = words[mat]
-        for i in datum.nodes:
-            new = _mat_mul(gens[i], mat)
-            if new in words:
-                continue
-            if len(words) >= cap:
-                raise CapExceeded(
-                    f"Weyl group of {datum.label} exceeds cap {cap}", cap=cap
-                )
-            words[new] = word + (i,)
-            order.append(new)
-            queue.append(new)
-    return tuple(WeylElement(word=words[mat], matrix=mat) for mat in order)
+    return tuple(
+        WeylElement(word=word, weight=weight)
+        for word, weight in _orbit_walk(datum, (1,) * datum.rank, cap)
+    )
 
 
-def all_reduced_words(datum, element, cap=DEFAULT_WEYL_CAP):
-    """Every reduced word of a Weyl element, by descent recursion."""
-    table = {e.matrix: e for e in weyl_elements(datum, cap)}
+def all_reduced_words(datum, element):
+    """Every reduced word of a Weyl element, by recursion on its left descents."""
 
-    def expand(mat):
-        entry = table[mat]
-        if entry.length == 0:
-            return [()]
-        out = []
-        for g in datum.nodes:
-            lower = _mat_mul(simple_reflection_matrix(datum, g), mat)
-            shorter = table.get(lower)
-            if shorter is not None and shorter.length == entry.length - 1:
-                out.extend(word + (g,) for word in expand(lower))
-        return out
+    def expand(weight):
+        words = [
+            word + (g,)
+            for g in datum.nodes
+            if weight[g - 1] < 0
+            for word in expand(reflect_weight(datum, g, weight))
+        ]
+        return words or [()]
 
-    return expand(element.matrix)
+    return expand(element.weight)
 
 
 def apply_root_matrix(matrix, coords):
@@ -287,13 +284,23 @@ def simple_root_weight_coords(datum, i):
 
 def weight_orbit(datum, theta):
     """The full W-orbit of a weight vector, as a frozenset of tuples."""
-    seen = {tuple(theta)}
-    queue = deque(seen)
-    while queue:
-        current = queue.popleft()
-        for i in datum.nodes:
-            image = reflect_weight(datum, i, current)
-            if image not in seen:
-                seen.add(image)
-                queue.append(image)
-    return frozenset(seen)
+    top = tuple(theta)
+    # raise theta into the dominant chamber, then walk the orbit down from it
+    while any(c < 0 for c in top):
+        i = next(i for i in datum.nodes if top[i - 1] < 0)
+        top = reflect_weight(datum, i, top)
+    return frozenset(weight for _, weight in _orbit_walk(datum, top))
+
+
+def lowest_weight_height(datum, k):
+    """ht(omega_k - w_0 omega_k): the A-height of the lowest weight of V(omega_k).
+
+    Each reflection at a node with a positive coordinate lowers the weight by
+    that coordinate times alpha_i, until it is the antidominant w_0 omega_k.
+    """
+    weight, height = fundamental_weight(datum, k), 0
+    while any(c > 0 for c in weight):
+        i = next(i for i in datum.nodes if weight[i - 1] > 0)
+        height += weight[i - 1]
+        weight = reflect_weight(datum, i, weight)
+    return height

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .braid import apply_s_word_inverse
-from .cartan import DEFAULT_WEYL_CAP, build_cartan, weyl_elements
+from .cartan import DEFAULT_WEYL_CAP, build_cartan, lowest_weight_height
 from .conventions import CONVENTIONS_VERSION
 from .errors import (
     CacheIntegrityError,
@@ -30,8 +30,8 @@ from .errors import (
     UnsupportedType,
 )
 from .extremal import cone_vertices, verify_theorem_main
-from .lweights import LaurentMonomial, factor_to_a
-from .qchar import DEFAULT_MAX_HEIGHT, DEFAULT_MAX_MONOMIALS, QChar, fm_qchar
+from .lweights import LaurentMonomial, expand_to_y, factor_to_a
+from .qchar import CLOSURE_REVISION, DEFAULT_MAX_MONOMIALS, QChar, fm_qchar
 from .quiver import (
     GradedQuiverRep,
     exhaustive_search,
@@ -62,7 +62,7 @@ class RunConfig:
     label: str
     node: int
     cap_monomials: int
-    cap_height: int
+    cap_height: int  # None: the exact height of the lowest weight
     cap_weyl: int
     out: str = None
     cache_dir: str = None
@@ -80,7 +80,8 @@ class RunConfig:
             cache_dir=args.cache_dir,
         )
         for name in ("cap_monomials", "cap_height", "cap_weyl"):
-            if getattr(config, name) <= 0:
+            value = getattr(config, name)
+            if value is not None and value <= 0:
                 raise _UsageError(f"{name.replace('_', '-')} must be positive")
         return config
 
@@ -106,7 +107,8 @@ def _write_artifact(path, obj):
 
 
 def _qchar_cache_key(label, node, cap_monomials, cap_height):
-    blob = f"{CONVENTIONS_VERSION}|{label}|{node}|{cap_monomials}|{cap_height}"
+    blob = (f"{CONVENTIONS_VERSION}|{CLOSURE_REVISION}|{label}|{node}|"
+            f"{cap_monomials}|{cap_height}")
     return hashlib.sha256(blob.encode()).hexdigest()[:24]
 
 
@@ -118,6 +120,8 @@ def _checksum(obj):
 
 def load_or_compute_qchar(datum, node, cache_dir, cap_monomials, cap_height):
     """fm_qchar behind a content-checked disk cache; hits never change results."""
+    if cap_height is None:  # the exact bound, resolved so the key names it
+        cap_height = lowest_weight_height(datum, node)
     if not cache_dir:
         return fm_qchar(datum, node, cap_monomials, cap_height)
     key = _qchar_cache_key(datum.label, node, cap_monomials, cap_height)
@@ -302,17 +306,16 @@ def _cmd_extremal(args):
 def _cmd_braid_orbit(args):
     datum = build_cartan(args.type)
     _check_nodes(datum, [args.node])
-    anchor = LaurentMonomial.y(args.node, 0)
-    rows = []
     if args.word is not None:
         word = _parse_word(args.word)
         _check_nodes(datum, word)
-        image = apply_s_word_inverse(datum, word, anchor)
-        rows.append((word, image, factor_to_a(datum, args.node, image)))
+        image = apply_s_word_inverse(datum, word, LaurentMonomial.y(args.node, 0))
+        rows = [(word, image, factor_to_a(datum, args.node, image))]
     else:
-        for element in weyl_elements(datum, args.cap_w):
-            image = apply_s_word_inverse(datum, element.word, anchor)
-            rows.append((element.word, image, factor_to_a(datum, args.node, image)))
+        rows = [
+            (element.word, expand_to_y(datum, vec), vec)
+            for element, vec in cone_vertices(datum, args.node, args.cap_w).items()
+        ]
     print(f"braid orbit of Y[{args.node},0] in {datum.label}")
     for word, image, vec in rows:
         label = ",".join(map(str, word)) or "e"
@@ -467,7 +470,6 @@ def _build_parser():
 _INT_SETTINGS = ("node", "cap_monomials", "cap_height", "cap_w")
 _CAP_DEFAULTS = {
     "cap_monomials": DEFAULT_MAX_MONOMIALS,
-    "cap_height": DEFAULT_MAX_HEIGHT,
     "cap_w": DEFAULT_WEYL_CAP,
 }
 

@@ -15,7 +15,8 @@ import time
 from dataclasses import dataclass, field
 
 from .braid import apply_s_word_inverse, reflect_dimensions, unit_framing
-from .cartan import DEFAULT_WEYL_CAP, fundamental_weight, weight_orbit, weyl_elements
+from .cartan import (DEFAULT_WEYL_CAP, all_reduced_words, fundamental_weight,
+                     weight_orbit, weyl_elements)
 from .lweights import LaurentMonomial, factor_to_a
 
 
@@ -104,22 +105,6 @@ def _pushed_images(datum, elements, vectors, framing):
         yield element, images
 
 
-def _second_reduced_word(elements_by_matrix, element, datum):
-    """A reduced word for the same element ending in a different letter, if any."""
-    from .cartan import _mat_mul, simple_reflection_matrix
-
-    if not element.word:
-        return None
-    for g in datum.nodes:
-        if g == element.word[-1]:
-            continue
-        shorter = _mat_mul(simple_reflection_matrix(datum, g), element.matrix)
-        candidate = elements_by_matrix.get(shorter)
-        if candidate is not None and candidate.length == element.length - 1:
-            return candidate.word + (g,)
-    return None
-
-
 @dataclass
 class TheoremSummary:
     label: str
@@ -169,7 +154,8 @@ def verify_theorem_main(qchar, weyl_cap=DEFAULT_WEYL_CAP, recheck_limit=48):
     element are tallied separately (those instances carry independent proofs
     and anchor the conventions).
     For groups of order <= ``recheck_limit`` each element is recomputed with
-    a second reduced word; any disagreement counts as a word mismatch.
+    a reduced word ending in another letter, when it has one; any
+    disagreement counts as a word mismatch.
     """
     start = time.perf_counter()
     datum, node = qchar.datum, qchar.anchor
@@ -183,13 +169,10 @@ def verify_theorem_main(qchar, weyl_cap=DEFAULT_WEYL_CAP, recheck_limit=48):
     simple_bad = 0
     longest_bad = 0
     checks = 0
-    by_matrix = (
-        {e.matrix: e for e in elements} if len(elements) <= recheck_limit else None
-    )
+    recheck = len(elements) <= recheck_limit
     for element, images in _pushed_images(datum, elements, vectors, framing):
-        alt_word = (
-            _second_reduced_word(by_matrix, element, datum) if by_matrix else None
-        )
+        alt_words = all_reduced_words(datum, element) if recheck else ()
+        alt_word = next((w for w in alt_words if w[-1:] != element.word[-1:]), None)
         checks += len(images)
         for vec, image in zip(vectors, images):
             violation = _violation(element.word, vec, image)

@@ -10,12 +10,14 @@ by shuffling it.
 
 from __future__ import annotations
 
+from .cartan import lowest_weight_height
 from .conventions import CONVENTIONS_VERSION
 from .errors import CapExceeded
 from .lweights import AMonomialVector, classical_weight, expand_to_y
 
 DEFAULT_MAX_MONOMIALS = 200000
-DEFAULT_MAX_HEIGHT = 64
+# names the closure rule in cache keys, so no cache serves another rule's output
+CLOSURE_REVISION = "fm-excess"
 
 
 def i_dominant(datum, monomial, i):
@@ -145,19 +147,21 @@ def fm_qchar(
     datum,
     node,
     max_monomials=DEFAULT_MAX_MONOMIALS,
-    max_height=DEFAULT_MAX_HEIGHT,
+    max_height=None,
     shuffle_rng=None,
 ):
     """q-character of the fundamental module anchored at Y_{node,0}.
 
-    Fixpoint of the dominance closure: each monomial, processed once its
-    height class is reached, contributes its rank-one expansion in every
-    dominant direction; a generated monomial accumulates mu(source) * c per
-    direction and its own multiplicity is the max over directions.  Caps are
-    hard errors (a truncated character would corrupt downstream checks).
+    Frenkel-Mukhin closure: a monomial's multiplicity mu is the max over
+    directions i of the multiplicity its i-strings already explain; processed
+    in height order, it starts new strings with the excess only.  Caps are
+    hard errors (a truncated character would corrupt downstream checks); the
+    height cap defaults to the exact bound ht(omega_k - w_0 omega_k).
     """
     if node not in datum.nodes:
         raise ValueError(f"node {node} not in {datum.label}")
+    if max_height is None:
+        max_height = lowest_weight_height(datum, node)
     anchor_vec = AMonomialVector(node)
     entries = {}
     # pending: vector -> {direction: accumulated requirement}
@@ -176,7 +180,8 @@ def fm_qchar(
         if shuffle_rng is not None:
             shuffle_rng.shuffle(bucket)
         for vec in bucket:
-            mu = max(pending.pop(vec).values())
+            requirement = pending.pop(vec)
+            mu = max(requirement.values())
             entries[vec] = mu
             if len(entries) > max_monomials:
                 raise CapExceeded(
@@ -187,8 +192,9 @@ def fm_qchar(
                 )
             monomial = expand_to_y(datum, vec)
             for i in datum.nodes:
+                excess = mu - requirement.get(i, 0)
                 part = monomial.node_exponents(i)
-                if not part or any(e < 0 for e in part.values()):
+                if not excess or not part or any(e < 0 for e in part.values()):
                     continue
                 for pattern, coeff in sl2_expansion(datum.di(i), part):
                     if not pattern:
@@ -197,7 +203,7 @@ def fm_qchar(
                         {(i, p): r for p, r in pattern.items()}
                     )
                     slot = pending.setdefault(target, {})
-                    slot[i] = slot.get(i, 0) + mu * coeff
+                    slot[i] = slot.get(i, 0) + excess * coeff
         height += 1
     return QChar(datum, node, entries)
 

@@ -16,8 +16,6 @@ from qcharlab.cartan import (
     simple_reflection_matrix,
     weight_orbit,
     weyl_elements,
-    _mat_mul,
-    _identity_matrix,
 )
 from qcharlab.errors import CapExceeded, UnsupportedType
 
@@ -27,6 +25,56 @@ ALL_LABELS = [
 ]
 
 SMALL_LABELS = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2", "D4"]
+
+
+def _identity_matrix(n):
+    return tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
+
+
+def _mat_mul(a, b):
+    n = len(a)
+    return tuple(
+        tuple(sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n))
+        for r in range(n)
+    )
+
+
+def _word_matrix(datum, word):
+    mat = _identity_matrix(datum.rank)
+    for i in word:
+        mat = _mat_mul(simple_reflection_matrix(datum, i), mat)
+    return mat
+
+
+def _matrix_bfs(datum):
+    """Oracle: W by breadth-first closure on simple-root matrices, as (word, matrix)."""
+    ident = _identity_matrix(datum.rank)
+    words = {ident: ()}
+    queue = [ident]
+    for mat in queue:
+        for i in datum.nodes:
+            new = _mat_mul(simple_reflection_matrix(datum, i), mat)
+            if new not in words:
+                words[new] = words[mat] + (i,)
+                queue.append(new)
+    return [(words[mat], mat) for mat in queue]
+
+
+def _matrix_reduced_words(datum, word):
+    """Oracle: every reduced word by descent recursion over a matrix table."""
+    table = {mat: w for w, mat in _matrix_bfs(datum)}
+
+    def expand(mat):
+        if not table[mat]:
+            return [()]
+        out = []
+        for g in datum.nodes:
+            lower = _mat_mul(simple_reflection_matrix(datum, g), mat)
+            if len(table[lower]) == len(table[mat]) - 1:
+                out.extend(w + (g,) for w in expand(lower))
+        return out
+
+    return expand(_word_matrix(datum, word))
 
 
 def _det(rows):
@@ -101,13 +149,25 @@ def test_weyl_enumeration(label, order, longest):
     elements = weyl_elements(datum)
     assert len(elements) == order
     assert elements[0].word == ()
-    assert len({e.matrix for e in elements}) == order
+    assert len({e.weight for e in elements}) == order
     assert max(e.length for e in elements) == longest
     # exactly one reduced word stored per element; closed under generators
-    matrices = {e.matrix for e in elements}
+    weights = {e.weight for e in elements}
     for e in elements:
         for i in datum.nodes:
-            assert _mat_mul(simple_reflection_matrix(datum, i), e.matrix) in matrices
+            assert reflect_weight(datum, i, e.weight) in weights
+
+
+@pytest.mark.parametrize(
+    "label",
+    ["A1", "A2", "A3", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "D5", "G2", "F4"],
+)
+def test_weyl_elements_match_matrix_bfs(label):
+    # the rho-orbit walk yields the matrix BFS's words in the matrix BFS's order
+    datum = build_cartan(label)
+    assert [e.word for e in weyl_elements(datum)] == [
+        word for word, _ in _matrix_bfs(datum)
+    ]
 
 
 def test_weyl_cap():
@@ -118,12 +178,15 @@ def test_weyl_cap():
 
 
 def test_word_matches_matrix():
+    # w.rho pairs with w(beta) as rho pairs with beta, w replayed as a matrix
     datum = build_cartan("B3")
+    rho = (1,) * datum.rank
     for element in weyl_elements(datum):
-        mat = _identity_matrix(datum.rank)
-        for i in element.word:
-            mat = _mat_mul(simple_reflection_matrix(datum, i), mat)
-        assert mat == element.matrix
+        mat = _word_matrix(datum, element.word)
+        for root in all_roots(datum):
+            assert root_pairing(
+                datum, element.weight, apply_root_matrix(mat, root)
+            ) == root_pairing(datum, rho, root)
 
 
 @pytest.mark.parametrize("label", SMALL_LABELS)
@@ -134,9 +197,7 @@ def test_word_length_counts_inversions(label):
     pos = positive_roots(datum)
     for element in weyl_elements(datum):
         flipped = sum(
-            1
-            for root in pos
-            if all(c <= 0 for c in apply_root_matrix(element.matrix, root))
+            1 for root in pos if root_pairing(datum, element.weight, root) < 0
         )
         assert flipped == element.length
 
@@ -237,12 +298,26 @@ def test_all_reduced_words_of_longest_element():
     assert sorted(all_reduced_words(datum, longest)) == [(1, 2, 1), (2, 1, 2)]
 
 
+@pytest.mark.parametrize("label", ["A3", "B3", "G2"])
+def test_all_reduced_words_match_matrix_recursion(label):
+    datum = build_cartan(label)
+    for element in weyl_elements(datum):
+        assert all_reduced_words(datum, element) == _matrix_reduced_words(
+            datum, element.word
+        )
+
+
 def test_weight_orbit_sizes():
     a2 = build_cartan("A2")
     assert len(weight_orbit(a2, fundamental_weight(a2, 1))) == 3
     b2 = build_cartan("B2")
     assert len(weight_orbit(b2, fundamental_weight(b2, 1))) == 4
     assert len(weight_orbit(b2, fundamental_weight(b2, 2))) == 4
+    # the orbit of a non-dominant weight is the orbit of its dominant point
+    g2 = build_cartan("G2")
+    lowered = reflect_weight(g2, 1, reflect_weight(g2, 2, (Fraction(1, 2), 3)))
+    assert weight_orbit(g2, lowered) == weight_orbit(g2, (Fraction(1, 2), 3))
+    assert len(weight_orbit(g2, lowered)) == 12
 
 
 def test_json_shape():

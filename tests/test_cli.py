@@ -105,6 +105,18 @@ def test_braid_orbit_full_group(tmp_path):
     assert len(payload["orbit"]) == 8
 
 
+# sha256 of the B3 node 2 orbit as written when each image was pushed per word
+B3_NODE_2_ORBIT = "9de2b4389c765d305f9516e8fa3cf9910ae23003ac0c2f783426a5ece884e413"
+
+
+def test_braid_orbit_bytes_are_pinned(tmp_path):
+    out = tmp_path / "orbit.json"
+    assert run(
+        "braid-orbit", "--type", "B3", "--node", "2", "--out", str(out)
+    ) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == B3_NODE_2_ORBIT
+
+
 POINT_A1 = {
     "field": "F2",
     "type": "A1",

@@ -1,7 +1,7 @@
 import pytest
 
 from qcharlab.braid import unit_framing
-from qcharlab.cartan import build_cartan, weyl_elements
+from qcharlab.cartan import all_reduced_words, build_cartan, weyl_elements
 from qcharlab import extremal
 from qcharlab.extremal import (
     _push_dims,
@@ -145,20 +145,6 @@ def test_vertex_map_factors_through_stabilizer_cosets(label):
             assert len(group) == 1, (label, node, weight, group)
 
 
-def test_second_reduced_word_machinery():
-    from qcharlab.extremal import _second_reduced_word
-
-    datum = build_cartan("A2")
-    elements = weyl_elements(datum)
-    by_matrix = {e.matrix: e for e in elements}
-    longest = max(elements, key=lambda e: e.length)
-    alt = _second_reduced_word(by_matrix, longest, datum)
-    assert alt is not None and alt != longest.word
-    assert sorted([alt, longest.word]) == [(1, 2, 1), (2, 1, 2)]
-    identity = elements[0]
-    assert _second_reduced_word(by_matrix, identity, datum) is None
-
-
 def test_framing_override():
     # pushing with an explicit framing matches the default unit framing
     datum = build_cartan("A2")
@@ -224,6 +210,33 @@ def test_verifier_violations_equal_the_per_element_checks(
     summary = verify_theorem_main(corrupted, recheck_limit=recheck_limit)
     assert summary.violations == expected
     assert summary.word_mismatches == 0
+
+
+@pytest.mark.parametrize("label,node", [("A2", 1), ("B3", 2)])
+def test_recheck_replays_a_word_ending_in_another_letter(label, node, monkeypatch):
+    replayed = []
+    real = extremal._push_dims
+
+    def recording(datum, word, dims, framing):
+        replayed.append(word)
+        return real(datum, word, dims, framing)
+
+    monkeypatch.setattr(extremal, "_push_dims", recording)
+    datum = build_cartan(label)
+    q = fm_qchar(datum, node)
+    summary = verify_theorem_main(q, recheck_limit=48)
+    assert summary.word_mismatches == 0
+    # one recheck per monomial of every element with two left descents
+    rechecked = [
+        element
+        for element in weyl_elements(datum)
+        if len({word[-1] for word in all_reduced_words(datum, element) if word}) > 1
+    ]
+    assert rechecked[-1].length == max(e.length for e in weyl_elements(datum))
+    assert len(replayed) == len(rechecked) * q.monomial_count()
+    for element, word in zip(rechecked, replayed[:: q.monomial_count()]):
+        assert word[-1] != element.word[-1]
+        assert word in all_reduced_words(datum, element)
 
 
 @pytest.mark.parametrize("label", ["A3", "B4", "C4", "D5", "F4", "G2"])

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from qcharlab.cartan import build_cartan, reflect_weight
+from qcharlab.cartan import build_cartan, lowest_weight_height, reflect_weight
 from qcharlab.errors import CapExceeded
 from qcharlab.lweights import AMonomialVector, LaurentMonomial
 from qcharlab.qchar import (
@@ -117,8 +117,8 @@ def test_known_sizes(label, node, size):
 
 def test_e8_node_1_totals():
     # 3875 + 248 + 1: the dimension of the E8 fundamental module at node 1,
-    # with maximum A-height 92 = ht(omega_1 - w_0 omega_1)
-    q = fm_qchar(build_cartan("E8"), 1, max_height=92)
+    # with maximum A-height 92 = ht(omega_1 - w_0 omega_1), the default cap
+    q = fm_qchar(build_cartan("E8"), 1)
     assert q.monomial_count() == 3875
     assert q.total_multiplicity() == 4124
     assert q.max_height() == 92
@@ -133,14 +133,42 @@ def test_structural_invariants(label):
         for v, mu in q.entries.items():
             assert mu >= 1
             assert v.in_cone()
-        # Weyl invariance of the restricted character
-        character = classical_character(q)
-        for i in datum.nodes:
-            reflected = {
-                reflect_weight(datum, i, weight): mult
-                for weight, mult in character.items()
-            }
-            assert reflected == character
+        _assert_w_invariant(q)
+
+
+def _assert_w_invariant(q):
+    # Weyl invariance of the restricted character
+    character = classical_character(q)
+    for i in q.datum.nodes:
+        reflected = {
+            reflect_weight(q.datum, i, weight): mult
+            for weight, mult in character.items()
+        }
+        assert reflected == character, (q, i)
+
+
+@pytest.mark.parametrize(
+    "label,node,total",
+    [("F4", 1, 26), ("F4", 2, 299), ("F4", 3, 1703), ("F4", 4, 53),
+     ("E6", 4, 3732)],
+)
+def test_closure_starts_strings_with_the_excess_only(label, node, total):
+    # expanding with the full multiplicity instead of the excess over the
+    # strings already through a monomial broke W-invariance on these nodes
+    q = fm_qchar(build_cartan(label), node)
+    _assert_w_invariant(q)
+    assert q.total_multiplicity() == total
+
+
+@pytest.mark.parametrize(
+    "label",
+    ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "F4"],
+)
+def test_height_bound_is_attained(label):
+    datum = build_cartan(label)
+    for node in datum.nodes:
+        bound = lowest_weight_height(datum, node)
+        assert fm_qchar(datum, node).max_height() == bound, node
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2"])
