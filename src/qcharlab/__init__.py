@@ -24,12 +24,10 @@ from .braid import (
     apply_s_inverse,
     apply_s_on_v,
     apply_s_word,
-    braid_relation_check,
     unit_framing,
 )
 from .qchar import QChar, classical_character, fm_qchar, i_dominant, sl2_expansion
 from .extremal import (
-    cone_membership,
     cone_vertices,
     extremal_check,
     verify_theorem_main,
@@ -64,14 +62,12 @@ __all__ = [
     "apply_s_inverse",
     "apply_s_on_v",
     "apply_s_word",
-    "braid_relation_check",
     "unit_framing",
     "QChar",
     "classical_character",
     "fm_qchar",
     "i_dominant",
     "sl2_expansion",
-    "cone_membership",
     "cone_vertices",
     "extremal_check",
     "verify_theorem_main",

@@ -11,10 +11,9 @@ dimension vectors) is a derived consequence, asserted by tests.
 
 from __future__ import annotations
 
-import random
 from functools import lru_cache
 
-from .lweights import AMonomialVector, LaurentMonomial, a_monomial_inverse
+from .lweights import AMonomialVector, a_monomial_inverse
 
 
 def apply_s(datum, i, monomial):
@@ -111,31 +110,3 @@ def apply_s_on_v(datum, i, vec, framing):
     """S_i on an anchored A-monomial vector, for a fixed framing."""
     new = reflect_dimensions(datum, i, vec.as_dict(), dict(framing))
     return AMonomialVector(vec.anchor, new)
-
-
-def random_monomial(datum, rng, max_terms=4, param_range=6, max_exp=3):
-    """A random sparse monomial, for property checks."""
-    exps = {}
-    for _ in range(rng.randint(0, max_terms)):
-        node = rng.randint(1, datum.rank)
-        param = rng.randint(-param_range, param_range)
-        exp = rng.choice([e for e in range(-max_exp, max_exp + 1) if e])
-        exps[(node, param)] = exps.get((node, param), 0) + exp
-    return LaurentMonomial(exps)
-
-
-def braid_relation_check(datum, i, j, sample_count, seed=0):
-    """True iff the m_ij-fold alternating products of S_i, S_j agree on samples."""
-    if i == j:
-        raise ValueError("braid relations concern distinct nodes")
-    m = datum.m[i - 1][j - 1]
-    word_a = tuple(i if t % 2 == 0 else j for t in range(m))
-    word_b = tuple(j if t % 2 == 0 else i for t in range(m))
-    rng = random.Random(seed)
-    for _ in range(sample_count):
-        monomial = random_monomial(datum, rng)
-        if apply_s_word(datum, word_a, monomial) != apply_s_word(
-            datum, word_b, monomial
-        ):
-            return False
-    return True

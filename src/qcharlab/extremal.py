@@ -15,14 +15,8 @@ import time
 from dataclasses import dataclass, field
 
 from .braid import apply_s_word_inverse, reflect_dimensions, unit_framing
-from .cartan import (DEFAULT_WEYL_CAP, all_reduced_words, fundamental_weight,
-                     weight_orbit, weyl_elements)
+from .cartan import DEFAULT_WEYL_CAP, all_reduced_words, weyl_elements
 from .lweights import LaurentMonomial, factor_to_a
-
-
-def cone_membership(vec):
-    """True iff every entry of the A-monomial vector is nonnegative."""
-    return vec.in_cone()
 
 
 @dataclass(frozen=True)
@@ -212,8 +206,3 @@ def cone_vertices(datum, node, weyl_cap=DEFAULT_WEYL_CAP):
         image = apply_s_word_inverse(datum, element.word, anchor)
         out[element] = factor_to_a(datum, node, image)
     return out
-
-
-def vertex_orbit_size(datum, node):
-    """|W . omega_k|, the expected number of distinct cone vertices."""
-    return len(weight_orbit(datum, fundamental_weight(datum, node)))

@@ -466,13 +466,17 @@ def _contained_in_ker_b(rep, sub):
     return True
 
 
-def _cyclic_submodules(rep):
-    fld = rep.field
-    seen = {}
+def _cyclic_closures(rep):
+    """The closure of each nonzero vector (one per line) of each slot of V."""
     for (i, a), dim in sorted(rep.v.items()):
-        for vec in nonzero_vectors(fld, dim):
-            sub = _closure(rep, {(i, a): [vec]})
-            seen.setdefault(_sub_key(sub), sub)
+        for vec in nonzero_vectors(rep.field, dim):
+            yield _closure(rep, {(i, a): [vec]})
+
+
+def _cyclic_submodules(rep):
+    seen = {}
+    for sub in _cyclic_closures(rep):
+        seen.setdefault(_sub_key(sub), sub)
     return list(seen.values())
 
 
@@ -508,11 +512,22 @@ def _framing_image_seeds(rep):
 
 def stability_check(rep, theta, dim_cap=DEFAULT_STABILITY_DIM_CAP,
                     lattice_cap=DEFAULT_LATTICE_CAP):
-    """Two-sided slope condition over the full submodule lattice.
+    """Two-sided slope condition: is ``rep`` theta-stable?
 
     True iff every subrepresentation inside Ker B pairs <= 0 with theta and
     every subrepresentation containing Im A leaves a complement pairing >= 0.
-    Only decidable over a finite field within the dimension cap.
+    Only decidable over a finite field within the dimension cap.  After the
+    guards, the sign of theta picks one of three paths:
+
+    * every theta_i < 0: :func:`is_framed_stable`.  Proof: every submodule
+      pairs <= 0, so the Ker B half is vacuous; a complement pairs >= 0 only
+      if it is zero, so the Im A half says the closure of Im A is V.
+    * every theta_i > 0: no cyclic submodule lies in Ker B.  Proof: every
+      complement pairs >= 0, so the Im A half is vacuous; a submodule pairs
+      <= 0 only if it is zero, and a nonzero one inside Ker B contains the
+      closure of any of its nonzero vectors, again inside Ker B.
+    * mixed signs: :func:`_stability_by_lattice`, which walks the submodule
+      lattice and alone can raise the ``lattice_cap`` CapExceeded.
     """
     if not rep.field.is_finite:
         raise FieldNotFinite("stability enumeration needs a finite field")
@@ -523,6 +538,17 @@ def stability_check(rep, theta, dim_cap=DEFAULT_STABILITY_DIM_CAP,
         )
     if not is_generic(rep.datum, theta):
         raise NonGenericTheta(f"{theta} lies on a root hyperplane")
+    if all(t < 0 for t in theta):
+        return is_framed_stable(rep)
+    if all(t > 0 for t in theta):
+        return not any(
+            _contained_in_ker_b(rep, sub) for sub in _cyclic_closures(rep)
+        )
+    return _stability_by_lattice(rep, theta, lattice_cap)
+
+
+def _stability_by_lattice(rep, theta, lattice_cap):
+    """The slope condition checked on every submodule of the two lattices."""
     datum = rep.datum
     cyclics = _cyclic_submodules(rep)
 

@@ -8,8 +8,6 @@ from qcharlab.braid import (
     apply_s_on_v,
     apply_s_word,
     apply_s_word_inverse,
-    braid_relation_check,
-    random_monomial,
     reflect_dimensions,
     unit_framing,
 )
@@ -22,6 +20,8 @@ from qcharlab.lweights import (
     expand_to_y,
     factor_to_a,
 )
+
+from helpers import braid_relation_check, random_monomial
 
 Y = LaurentMonomial.y
 

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -27,8 +28,10 @@ from qcharlab.linalg import (
     solve_exact,
 )
 from qcharlab.quiver import (
+    DEFAULT_LATTICE_CAP,
     GradedQuiverRep,
     _span,
+    _stability_by_lattice,
     chain_reflect,
     exhaustive_search,
     is_framed_stable,
@@ -41,8 +44,11 @@ from qcharlab.quiver import (
     validate_relations,
 )
 
+from helpers import quiver_corpus_cases
+
 NEG = (Fraction(-1),)
 NEG2 = (Fraction(-1), Fraction(-1))
+POS2 = (Fraction(1), Fraction(1))
 
 
 def a1_point(field=F2):
@@ -234,6 +240,62 @@ def test_stability_preconditions():
     big = GradedQuiverRep(build_cartan("A1"), F2, {(1, 1): 15}, {})
     with pytest.raises(CapExceeded):
         stability_check(big, NEG)
+
+
+@pytest.mark.parametrize("theta", [NEG2, POS2], ids=["negative", "positive"])
+def test_same_sign_guards_still_fire(theta):
+    datum = build_cartan("A2")
+    with pytest.raises(FieldNotFinite):
+        stability_check(GradedQuiverRep(datum, QQ, {(1, 1): 1}, {}), theta)
+    big = GradedQuiverRep(datum, F2, {(1, 1): 8, (2, 2): 7}, {})
+    with pytest.raises(CapExceeded):
+        stability_check(big, theta)
+    # a same-sign theta with a zero entry lies on the hyperplane of a simple root
+    on_wall = (Fraction(0), theta[1])
+    with pytest.raises(NonGenericTheta):
+        stability_check(GradedQuiverRep(datum, F2, {(1, 1): 1}, {}), on_wall)
+
+
+def test_lattice_cap_only_reaches_mixed_theta():
+    # V_1^1 = W_1^0 = k with A the identity: its lattices have two members
+    datum = build_cartan("A2")
+    rep = GradedQuiverRep(datum, F2, {(1, 1): 1}, {(1, 0): 1},
+                          framing={(1, 0): [[1]]})
+    assert stability_check(rep, NEG2, lattice_cap=1) is True
+    assert stability_check(rep, POS2, lattice_cap=1) is False
+    with pytest.raises(CapExceeded):
+        _stability_by_lattice(rep, NEG2, 1)
+    with pytest.raises(CapExceeded):
+        stability_check(rep, (Fraction(-1), Fraction(3)), lattice_cap=1)
+
+
+def test_same_sign_shortcuts_match_the_lattice_on_the_corpus():
+    # the whole criterion-7 corpus at both same-sign chambers, and every
+    # reflected stable point at its s_i theta (positive for A1)
+    counts = Counter()
+    for label in ["A1", "A2", "B2"]:
+        for datum, _, _, _, neg, points in quiver_corpus_cases(label, sums=True):
+            pos = tuple(-t for t in neg)
+            for point in points:
+                rep = point.rep
+                for theta, stable in [(neg, point.stable[0]),
+                                      (pos, stability_check(rep, pos))]:
+                    assert stable == _stability_by_lattice(
+                        rep, theta, DEFAULT_LATTICE_CAP
+                    )
+                    counts["stable", theta[0]] += stable
+                counts["points"] += 1
+                if not point.stable[0]:
+                    continue
+                for i in datum.nodes:
+                    reflected, theta_bar = reflect(rep, i, neg)
+                    assert stability_check(reflected, theta_bar) is True
+                    assert _stability_by_lattice(
+                        reflected, theta_bar, DEFAULT_LATTICE_CAP
+                    ) is True
+                    counts["reflected"] += 1
+    assert counts == {"points": 3603, ("stable", -1): 17, ("stable", 1): 5,
+                      "reflected": 32}
 
 
 def test_framed_stability_equivalence_everywhere():
