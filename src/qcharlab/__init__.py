@@ -29,7 +29,6 @@ from .braid import (
 from .qchar import QChar, classical_character, fm_qchar, i_dominant, sl2_expansion
 from .extremal import (
     cone_vertices,
-    extremal_check,
     verify_theorem_main,
 )
 from .quiver import (
@@ -69,7 +68,6 @@ __all__ = [
     "i_dominant",
     "sl2_expansion",
     "cone_vertices",
-    "extremal_check",
     "verify_theorem_main",
     "GradedQuiverRep",
     "chain_reflect",

@@ -19,7 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .braid import apply_s_word_inverse
-from .cartan import DEFAULT_WEYL_CAP, build_cartan, lowest_weight_height
+from .cartan import (
+    DEFAULT_WEYL_CAP,
+    build_cartan,
+    lowest_weight_height,
+    weyl_elements,
+)
 from .conventions import CONVENTIONS_VERSION
 from .errors import (
     CacheIntegrityError,
@@ -29,7 +34,7 @@ from .errors import (
     ShapeMismatch,
     UnsupportedType,
 )
-from .extremal import cone_vertices, verify_theorem_main
+from .extremal import cone_vertices, coset_weight, verify_theorem_main
 from .lweights import LaurentMonomial, expand_to_y, factor_to_a
 from .qchar import CLOSURE_REVISION, DEFAULT_MAX_MONOMIALS, QChar, fm_qchar
 from .quiver import (
@@ -278,8 +283,7 @@ def _cmd_extremal(args):
     summary = verify_theorem_main(qchar, weyl_cap=config.cap_weyl)
     # timings go to stderr only, so the report stays byte-identical
     print(f"verify time: {summary.elapsed:.3f} s", file=sys.stderr)
-    vertices = cone_vertices(datum, config.node, weyl_cap=config.cap_weyl)
-    distinct = {vec for vec in vertices.values()}
+    distinct = set(cone_vertices(datum, config.node).values())
     if config.out:
         obj = summary.to_json_obj()
         obj["vertices"] = sorted(
@@ -312,10 +316,11 @@ def _cmd_braid_orbit(args):
         image = apply_s_word_inverse(datum, word, LaurentMonomial.y(args.node, 0))
         rows = [(word, image, factor_to_a(datum, args.node, image))]
     else:
-        rows = [
-            (element.word, expand_to_y(datum, vec), vec)
-            for element, vec in cone_vertices(datum, args.node, args.cap_w).items()
-        ]
+        vertices = cone_vertices(datum, args.node)
+        rows = []
+        for element in weyl_elements(datum, args.cap_w):
+            vec = vertices[coset_weight(datum, args.node, element.word)]
+            rows.append((element.word, expand_to_y(datum, vec), vec))
     print(f"braid orbit of Y[{args.node},0] in {datum.label}")
     for word, image, vec in rows:
         label = ",".join(map(str, word)) or "e"

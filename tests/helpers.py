@@ -1,13 +1,16 @@
 """Shared test helpers: random monomials, the braid-relation property check,
-the expected cone-vertex count, and the exhaustive quiver corpus."""
+the per-word replay oracle of the cone verifier, the expected cone-vertex
+count, and the exhaustive quiver corpus."""
 
 import random
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
-from qcharlab.braid import apply_s_word
+from qcharlab.braid import apply_s_word, unit_framing
 from qcharlab.cartan import build_cartan, fundamental_weight, weight_orbit
 from qcharlab.errors import CapExceeded
+from qcharlab.extremal import _push_dims, _violation
 from qcharlab.linalg import F2
 from qcharlab.lweights import LaurentMonomial
 from qcharlab.qchar import fm_qchar
@@ -40,6 +43,36 @@ def braid_relation_check(datum, i, j, sample_count, seed=0):
         ):
             return False
     return True
+
+
+@dataclass
+class ExtremalReport:
+    word: tuple
+    checked: int
+    violations: list
+
+    @property
+    def ok(self):
+        return not self.violations
+
+
+def extremal_check(datum, qchar, element, framing=None):
+    """Push every q-character monomial through S_w and record cone exits.
+
+    Replays the element's whole word per monomial: the differential oracle
+    of the verifier's row walk.
+    """
+    if framing is None:
+        framing = unit_framing(qchar.anchor)
+    violations = []
+    for vec in qchar.entries:
+        image = _push_dims(datum, element.word, vec.as_dict(), framing)
+        violation = _violation(element.word, vec, image)
+        if violation is not None:
+            violations.append(violation)
+    return ExtremalReport(
+        word=element.word, checked=len(qchar.entries), violations=violations
+    )
 
 
 def vertex_orbit_size(datum, node):

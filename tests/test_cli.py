@@ -292,6 +292,19 @@ def test_cap_diagnostics_go_to_stderr(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_weyl_cap_below_the_group_order_is_resource_error(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    for command in (["extremal-check", "--report", str(report)], ["braid-orbit"]):
+        assert run(*command, "--type", "F4", "--node", "1",
+                   "--cap-w", "1151") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "resource error: Weyl group of F4 exceeds cap 1151"
+        assert err[1] == "  cap=1151"
+    assert not report.exists()
+    assert run("extremal-check", "--type", "F4", "--node", "1",
+               "--cap-w", "1152") == 0
+
+
 # sha256 of the B3 node 2 report as the per-word replay verifier wrote it
 B3_NODE_2_REPORT = "86faa0fbc32bbd699512010b22336a3deef02854520b88a438312d7409ee3cae"
 

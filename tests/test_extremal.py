@@ -1,19 +1,35 @@
+import time
+
 import pytest
 
-from qcharlab.braid import unit_framing
-from qcharlab.cartan import all_reduced_words, build_cartan, weyl_elements
+from qcharlab.braid import apply_s_word_inverse, unit_framing
+from qcharlab.cartan import (
+    all_reduced_words,
+    build_cartan,
+    fundamental_weight,
+    weight_orbit,
+    weyl_elements,
+)
 from qcharlab import extremal
+from qcharlab.errors import CapExceeded
 from qcharlab.extremal import (
+    _column,
     _push_dims,
-    _pushed_images,
+    _row_walk,
     cone_vertices,
-    extremal_check,
+    coset_weight,
     verify_theorem_main,
 )
-from qcharlab.lweights import AMonomialVector, classical_weight, expand_to_y
+from qcharlab.lweights import (
+    AMonomialVector,
+    LaurentMonomial,
+    classical_weight,
+    expand_to_y,
+    factor_to_a,
+)
 from qcharlab.qchar import QChar, fm_qchar
 
-from helpers import vertex_orbit_size
+from helpers import extremal_check, vertex_orbit_size
 
 
 def vec(anchor, *entries):
@@ -93,21 +109,19 @@ def test_summary_counts_a2():
 def test_cone_vertices_a1():
     datum = build_cartan("A1")
     vertices = cone_vertices(datum, 1)
-    by_word = {element.word: v for element, v in vertices.items()}
-    assert by_word[()] == vec(1)
-    assert by_word[(1,)] == vec(1, (1, 1, 1))
+    assert vertices == {(1,): vec(1), (-1,): vec(1, (1, 1, 1))}
 
 
 def test_cone_vertices_a2():
     datum = build_cartan("A2")
     vertices = cone_vertices(datum, 1)
-    distinct = set(vertices.values())
-    assert distinct == {
+    # one vertex per coset w W_J, keyed by w^{-1} omega_1
+    assert set(vertices) == weight_orbit(datum, fundamental_weight(datum, 1))
+    assert set(vertices.values()) == {
         vec(1),
         vec(1, (1, 1, 1)),
         vec(1, (1, 1, 1), (2, 2, 1)),
     }
-    assert len(vertices) == 6  # one vertex per group element, with repeats
 
 
 def test_identity_vertex_is_zero():
@@ -115,8 +129,7 @@ def test_identity_vertex_is_zero():
         datum = build_cartan(label)
         for node in datum.nodes:
             vertices = cone_vertices(datum, node)
-            identity = next(e for e in vertices if e.word == ())
-            assert vertices[identity] == AMonomialVector(node)
+            assert vertices[fundamental_weight(datum, node)] == AMonomialVector(node)
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "C2", "B3", "G2"])
@@ -126,23 +139,26 @@ def test_vertices_present_with_multiplicity_one(label):
         q = fm_qchar(datum, node)
         vertices = cone_vertices(datum, node)
         distinct = set(vertices.values())
-        assert len(distinct) == vertex_orbit_size(datum, node)
+        assert len(distinct) == len(vertices) == vertex_orbit_size(datum, node)
         for vertex in distinct:
             assert q.multiplicity(vertex) == 1, (label, node, vertex)
 
 
-@pytest.mark.parametrize("label", ["A2", "B2", "B3"])
+@pytest.mark.parametrize("label", ["A2", "B2", "B3", "A3", "C3", "D4", "G2", "F4"])
 def test_vertex_map_factors_through_stabilizer_cosets(label):
-    # vertices with the same classical shadow are literally equal
+    # S_w^{-1}(anchor), replayed per element, is the vertex of the coset w W_J,
+    # and S_w^{-1} intertwines with w^{-1}, so the vertex has weight w^{-1} omega_k
     datum = build_cartan(label)
     for node in datum.nodes:
         vertices = cone_vertices(datum, node)
-        by_weight = {}
-        for element, vertex in vertices.items():
-            weight = classical_weight(datum, expand_to_y(datum, vertex))
-            by_weight.setdefault(weight, set()).add(vertex)
-        for weight, group in by_weight.items():
-            assert len(group) == 1, (label, node, weight, group)
+        for weight, vertex in vertices.items():
+            assert classical_weight(datum, expand_to_y(datum, vertex)) == weight
+        anchor = LaurentMonomial.y(node, 0)
+        for element in weyl_elements(datum):
+            image = apply_s_word_inverse(datum, element.word, anchor)
+            assert factor_to_a(datum, node, image) == vertices[
+                coset_weight(datum, node, element.word)
+            ], (label, node, element.word)
 
 
 def test_framing_override():
@@ -157,7 +173,26 @@ def test_framing_override():
 
 
 # ---------------------------------------------------------------------------
-# the prefix-shared verifier against the per-word replay oracle
+# the row walk against the per-word replay oracle
+
+
+def _assert_walk_equals_the_replay(datum, vectors, framing):
+    words = {element.weight: element.word for element in weyl_elements(datum)}
+    seen, walked = set(), 0
+    for weight, length, image, negative in _row_walk(datum, vectors, framing):
+        walked += 1
+        word = words[weight]
+        assert length == len(word)
+        bad = set()
+        for col, vec in enumerate(vectors):
+            replay = _push_dims(datum, word, vec.as_dict(), framing)
+            assert _column(image, col) == replay, (datum.label, word, vec)
+            if any(mult < 0 for mult in replay.values()):
+                bad.add(col)
+        assert set().union(*negative.values()) == bad
+        seen.add(weight)
+    assert walked == len(seen) == len(words)
+    return image
 
 
 @pytest.mark.parametrize(
@@ -168,19 +203,21 @@ def test_framing_override():
 )
 def test_prefix_shared_images_equal_the_replay(label, nodes):
     datum = build_cartan(label)
-    elements = weyl_elements(datum)
     for node in nodes:
-        q = fm_qchar(datum, node)
-        vectors = list(q.entries)
-        framing = unit_framing(node)
-        seen = 0
-        for element, images in _pushed_images(datum, elements, vectors, framing):
-            assert len(images) == len(vectors)
-            for vec, image in zip(vectors, images):
-                assert image == _push_dims(datum, element.word, vec.as_dict(),
-                                           framing), (label, node, element.word)
-            seen += 1
-        assert seen == len(elements)
+        vectors = list(fm_qchar(datum, node).entries)
+        _assert_walk_equals_the_replay(datum, vectors, unit_framing(node))
+
+
+def test_row_walk_widens_lanes_that_overflow():
+    # G2 lanes hold |entries| < 2**(bits - 4); the reflections of an entry
+    # just below that outgrow them, and the walk restarts on wider lanes
+    datum = build_cartan("G2")
+    largest = (1 << (extremal._LANE_BITS - 4)) - 1
+    vectors = list(fm_qchar(datum, 2).entries) + [
+        vec(2, (1, 4, largest), (2, 1, -3))
+    ]
+    lanes, _ = _assert_walk_equals_the_replay(datum, vectors, unit_framing(2))
+    assert lanes.bits > extremal._LANE_BITS
 
 
 def _injected(label, node, *entries):
@@ -210,6 +247,13 @@ def test_verifier_violations_equal_the_per_element_checks(
     summary = verify_theorem_main(corrupted, recheck_limit=recheck_limit)
     assert summary.violations == expected
     assert summary.word_mismatches == 0
+    longest = max(element.length for element in weyl_elements(datum))
+    assert summary.simple_reflection_violations == sum(
+        len(v.word) == 1 for v in expected
+    )
+    assert summary.longest_element_violations == sum(
+        len(v.word) == longest for v in expected
+    )
 
 
 @pytest.mark.parametrize("label,node", [("A2", 1), ("B3", 2)])
@@ -252,19 +296,58 @@ def test_every_word_extends_the_word_of_a_shorter_element(label):
 
 @pytest.mark.parametrize("label,node,recheck_limit",
                          [("A3", 2, 0), ("B4", 4, 48), ("F4", 1, 48)])
-def test_one_reflection_per_monomial_and_element(
-    label, node, recheck_limit, monkeypatch
-):
-    calls = []
-    real = extremal.reflect_dimensions
+def test_one_row_rewrite_per_element(label, node, recheck_limit, monkeypatch):
+    rewrites = []
+    real = extremal._reflect_rows
 
     def counting(*args):
-        calls.append(None)
+        rewrites.append(None)
         return real(*args)
 
-    monkeypatch.setattr(extremal, "reflect_dimensions", counting)
+    def no_replay(*args):
+        raise AssertionError("the walk replays no word")
+
+    monkeypatch.setattr(extremal, "_reflect_rows", counting)
+    monkeypatch.setattr(extremal, "reflect_dimensions", no_replay)
     summary = verify_theorem_main(fm_qchar(build_cartan(label), node),
                                   recheck_limit=recheck_limit)
     assert summary.group_order > recheck_limit
     assert summary.checks == summary.monomial_count * summary.group_order
-    assert len(calls) == summary.checks - summary.monomial_count
+    assert len(rewrites) == summary.group_order - 1
+
+
+def test_weyl_cap_below_the_group_order_raises():
+    q = fm_qchar(build_cartan("B4"), 4)
+    with pytest.raises(CapExceeded) as info:
+        verify_theorem_main(q, weyl_cap=383)
+    assert info.value.diagnostics == {"cap": 383}
+    assert verify_theorem_main(q, weyl_cap=384).group_order == 384
+
+
+# ---------------------------------------------------------------------------
+# opt-in heavy tier: pytest -m heavy
+
+
+@pytest.mark.heavy
+@pytest.mark.parametrize("node", [1, 2, 3, 4, 5, 6])
+def test_e6_theorem_over_all_of_w(node):
+    start = time.perf_counter()
+    summary = verify_theorem_main(fm_qchar(build_cartan("E6"), node),
+                                  weyl_cap=51840)
+    elapsed = time.perf_counter() - start
+    assert summary.ok, summary.to_json_obj()
+    assert summary.group_order == 51840
+    assert summary.simple_reflection_violations == 0
+    assert summary.longest_element_violations == 0
+    assert elapsed < 60.0
+
+
+@pytest.mark.heavy
+def test_e7_node_7_theorem_over_all_of_w():
+    summary = verify_theorem_main(fm_qchar(build_cartan("E7"), 7),
+                                  weyl_cap=2903040)
+    assert summary.ok, summary.to_json_obj()
+    assert summary.group_order == 2903040
+    assert summary.checks == 56 * 2903040
+    assert summary.simple_reflection_violations == 0
+    assert summary.longest_element_violations == 0

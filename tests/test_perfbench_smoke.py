@@ -1,8 +1,9 @@
-"""The benchmark's quiver workloads, run once with every artifact checked.
+"""The benchmark's cone and quiver workloads, run once with every artifact checked.
 
-``perfbench --check-only`` compares each search count against the
-independent reference (divisible by |G_v(F2)|, zero off the predicted
-locus) and each reflection against the braid prediction.
+``perfbench --check-only`` compares each extremal-check report against the
+independent reference (|W|, checks = monomials x |W|, |W/W_J| distinct
+vertices), each search count against it (divisible by |G_v(F2)|, zero off
+the predicted locus) and each reflection against the braid prediction.
 """
 
 import json
@@ -15,8 +16,9 @@ import pytest
 RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
 
-@pytest.mark.parametrize("workload", ["quiver-same-sign", "quiver-mixed"])
-def test_quiver_workload_checks_clean(workload):
+@pytest.mark.parametrize("workload",
+                         ["cone-verify", "quiver-same-sign", "quiver-mixed"])
+def test_workload_checks_clean(workload):
     done = subprocess.run(
         [sys.executable, str(RUN), "--check-only", "--workload", workload],
         capture_output=True, text=True, timeout=300,

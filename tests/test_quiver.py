@@ -34,7 +34,6 @@ from qcharlab.quiver import (
     _stability_by_lattice,
     chain_reflect,
     exhaustive_search,
-    is_framed_stable,
     phi_map,
     psi_map,
     reflect,
@@ -299,7 +298,7 @@ def test_same_sign_shortcuts_match_the_lattice_on_the_corpus():
 
 
 def test_framed_stability_equivalence_everywhere():
-    # in the all-negative chamber theta-stability is the closure condition
+    # in the all-negative chamber the searched stability is the lattice's
     datum = build_cartan("B2")
     for v, w in [
         ({(1, 1): 1}, {(1, 0): 1}),
@@ -307,7 +306,9 @@ def test_framed_stability_equivalence_everywhere():
         ({(2, 2): 1, (1, 4): 1}, {(2, 0): 1}),
     ]:
         for point in exhaustive_search(datum, v, w, F2, thetas=(NEG2,)):
-            assert point.stable[0] == is_framed_stable(point.rep)
+            assert point.stable[0] == _stability_by_lattice(
+                point.rep, NEG2, DEFAULT_LATTICE_CAP
+            )
 
 
 def _span_one_at_a_time(fld, rows):
