@@ -15,7 +15,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .braid import apply_s_word_inverse
@@ -38,6 +37,7 @@ from .extremal import cone_vertices, coset_weight, verify_theorem_main
 from .lweights import LaurentMonomial, expand_to_y, factor_to_a
 from .qchar import CLOSURE_REVISION, DEFAULT_MAX_MONOMIALS, QChar, fm_qchar
 from .quiver import (
+    DEFAULT_SEARCH_ENTRY_CAP,
     GradedQuiverRep,
     exhaustive_search,
     reflect,
@@ -55,40 +55,6 @@ EXIT_VIOLATION = 3
 
 class _UsageError(Exception):
     pass
-
-
-@dataclass
-class RunConfig:
-    """One resolved run: type label, node, caps, output and cache locations.
-
-    Every artifact written under a config carries the conventions tag.
-    """
-
-    label: str
-    node: int
-    cap_monomials: int
-    cap_height: int  # None: the exact height of the lowest weight
-    cap_weyl: int
-    out: str = None
-    cache_dir: str = None
-    conventions: str = CONVENTIONS_VERSION
-
-    @classmethod
-    def from_args(cls, args):
-        config = cls(
-            label=args.type,
-            node=args.node,
-            cap_monomials=args.cap_monomials,
-            cap_height=args.cap_height,
-            cap_weyl=args.cap_w,
-            out=getattr(args, "out", None) or getattr(args, "report", None),
-            cache_dir=args.cache_dir,
-        )
-        for name in ("cap_monomials", "cap_height", "cap_weyl"):
-            value = getattr(config, name)
-            if value is not None and value <= 0:
-                raise _UsageError(f"{name.replace('_', '-')} must be positive")
-        return config
 
 
 class _Parser(argparse.ArgumentParser):
@@ -167,6 +133,17 @@ def load_or_compute_qchar(datum, node, cache_dir, cap_monomials, cap_height):
 # small parsers
 
 
+def _positive_int(text):
+    """The type of every cap flag, so a bad flag or config value is exit 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _parse_word(text):
     try:
         return tuple(int(part) for part in text.split(",") if part.strip())
@@ -227,7 +204,7 @@ def _check_nodes(datum, nodes):
             raise _UsageError(f"{i} is not a node of {datum.label}")
 
 
-# settings a --config file may give; explicit flags win over the file
+# settings a --config file may give; they become the subcommand's defaults
 _CONFIG_KEYS = ("type", "node", "cache_dir", "cap_monomials", "cap_height", "cap_w")
 
 
@@ -255,17 +232,18 @@ def _load_config_file(path):
 # subcommands
 
 
+def _load_qchar(args):
+    datum = build_cartan(args.type)
+    _check_nodes(datum, [args.node])
+    return load_or_compute_qchar(datum, args.node, args.cache_dir,
+                                 args.cap_monomials, args.cap_height)
+
+
 def _cmd_qchar(args):
-    config = RunConfig.from_args(args)
-    datum = build_cartan(config.label)
-    _check_nodes(datum, [config.node])
-    qchar = load_or_compute_qchar(
-        datum, config.node, config.cache_dir, config.cap_monomials,
-        config.cap_height,
-    )
-    if config.out:
-        _write_artifact(config.out, qchar.to_json_obj())
-    print(f"q-character  {datum.label}  node {config.node}")
+    qchar = _load_qchar(args)
+    if args.out:
+        _write_artifact(args.out, qchar.to_json_obj())
+    print(f"q-character  {qchar.datum.label}  node {args.node}")
     print(f"  monomials : {qchar.monomial_count()}")
     print(f"  max height: {qchar.max_height()}")
     print(f"  total mu  : {qchar.total_multiplicity()}")
@@ -273,24 +251,19 @@ def _cmd_qchar(args):
 
 
 def _cmd_extremal(args):
-    config = RunConfig.from_args(args)
-    datum = build_cartan(config.label)
-    _check_nodes(datum, [config.node])
-    qchar = load_or_compute_qchar(
-        datum, config.node, config.cache_dir, config.cap_monomials,
-        config.cap_height,
-    )
-    summary = verify_theorem_main(qchar, weyl_cap=config.cap_weyl)
+    qchar = _load_qchar(args)
+    datum = qchar.datum
+    summary = verify_theorem_main(qchar, weyl_cap=args.cap_w)
     # timings go to stderr only, so the report stays byte-identical
     print(f"verify time: {summary.elapsed:.3f} s", file=sys.stderr)
-    distinct = set(cone_vertices(datum, config.node).values())
-    if config.out:
+    distinct = set(cone_vertices(datum, args.node).values())
+    if args.report:
         obj = summary.to_json_obj()
         obj["vertices"] = sorted(
             [[i, a, m] for (i, a), m in vec.items()] for vec in distinct
         )
-        _write_artifact(config.out, obj)
-    print(f"extremal check  {datum.label}  node {config.node}")
+        _write_artifact(args.report, obj)
+    print(f"extremal check  {datum.label}  node {args.node}")
     print(f"  monomials      : {summary.monomial_count}")
     print(f"  group order    : {summary.group_order}")
     print(f"  checks         : {summary.checks}")
@@ -413,20 +386,21 @@ def _cmd_quiver_search(args):
 
 
 def _build_parser():
+    """The parser, and its subcommand parsers by name."""
     parser = _Parser(prog="qcharlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        # --type/--node may come from --config instead; validated after merge
+        # --type/--node may come from --config instead; checked after parsing
         p.add_argument("--type", help="Cartan type label, e.g. B2")
         p.add_argument("--node", type=int)
         p.add_argument("--config", help="key=value config file; flags win")
-        # default filled in after the config merge: flag, file, then env
-        p.add_argument("--cache-dir")
-        # cap defaults are filled in after the config merge (_CAP_DEFAULTS)
-        p.add_argument("--cap-monomials", type=int)
-        p.add_argument("--cap-height", type=int)
-        p.add_argument("--cap-w", type=int)
+        p.add_argument("--cache-dir", default=os.environ.get(CACHE_DIR_ENV))
+        p.add_argument("--cap-monomials", type=_positive_int,
+                       default=DEFAULT_MAX_MONOMIALS)
+        # None: the exact height of the lowest weight
+        p.add_argument("--cap-height", type=_positive_int)
+        p.add_argument("--cap-w", type=_positive_int, default=DEFAULT_WEYL_CAP)
 
     p = sub.add_parser("qchar", help="compute a fundamental q-character")
     common(p)
@@ -465,45 +439,26 @@ def _build_parser():
     p.add_argument("--w", required=True)
     p.add_argument("--field", default="F2")
     p.add_argument("--theta")
-    p.add_argument("--cap-entries", type=int, default=22)
+    p.add_argument("--cap-entries", type=_positive_int,
+                   default=DEFAULT_SEARCH_ENTRY_CAP)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_quiver_search)
 
-    return parser
-
-
-_INT_SETTINGS = ("node", "cap_monomials", "cap_height", "cap_w")
-_CAP_DEFAULTS = {
-    "cap_monomials": DEFAULT_MAX_MONOMIALS,
-    "cap_w": DEFAULT_WEYL_CAP,
-}
+    return parser, sub.choices
 
 
 def main(argv=None):
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
-            for key, value in _load_config_file(args.config).items():
-                if getattr(args, key, None) is None:
-                    setattr(args, key, value)
-        for key in _INT_SETTINGS:
-            value = getattr(args, key, None)
-            if isinstance(value, str):
-                try:
-                    setattr(args, key, int(value))
-                except ValueError:
-                    raise _UsageError(f"{key} must be an integer, got {value!r}")
-        # flag, then config file, then the module default
-        for key, default in _CAP_DEFAULTS.items():
-            if hasattr(args, key) and getattr(args, key) is None:
-                setattr(args, key, default)
-        if hasattr(args, "cache_dir") and args.cache_dir is None:
-            args.cache_dir = os.environ.get(CACHE_DIR_ENV)
-        if getattr(args, "type", "") is None:
-            raise _UsageError("--type is required (flag or config file)")
-        if getattr(args, "node", "") is None:
-            raise _UsageError("--node is required (flag or config file)")
+            # the file's values become the subcommand's defaults, so a flag
+            # still wins and argparse converts each with its flag's type
+            commands[args.command].set_defaults(**_load_config_file(args.config))
+            args = parser.parse_args(argv)
+        for name in ("type", "node"):
+            if getattr(args, name, "") is None:
+                raise _UsageError(f"--{name} is required (flag or config file)")
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -133,15 +133,20 @@ def identity(fld, n):
     return mat
 
 
-def mat_mul(fld, a, b):
-    rows, inner = len(a), len(b)
-    cols = len(b[0]) if inner else 0
-    if a and len(a[0]) != inner:
-        raise ValueError("inner dimensions disagree")
+def mat_mul_shaped(fld, a, b, rows, mid, cols):
+    """Product of a rows x mid and a mid x cols matrix.
+
+    The shapes are explicit because a 0xN matrix is stored as [] and loses N,
+    so the column count of a composite through a zero space cannot be inferred.
+    """
+    if rows == 0 or cols == 0 or mid == 0:
+        return zeros(fld, rows, cols)
+    if len(a) != rows or len(a[0]) != mid or len(b) != mid or len(b[0]) != cols:
+        raise ValueError("declared shapes disagree with operands")
     out = zeros(fld, rows, cols)
     for r in range(rows):
         ar = a[r]
-        for k in range(inner):
+        for k in range(mid):
             coeff = ar[k]
             if coeff == fld.zero():
                 continue
@@ -150,19 +155,6 @@ def mat_mul(fld, a, b):
             for c in range(cols):
                 outr[c] = fld.add(outr[c], fld.mul(coeff, bk[c]))
     return out
-
-
-def mat_mul_shaped(fld, a, b, rows, mid, cols):
-    """Product with explicit shapes; correct even through zero-dim middles.
-
-    A 0xN matrix is stored as [] and loses N, so plain mat_mul cannot infer
-    the column count of a composite through a zero space.
-    """
-    if rows == 0 or cols == 0 or mid == 0:
-        return zeros(fld, rows, cols)
-    if len(a) != rows or len(a[0]) != mid or len(b) != mid or len(b[0]) != cols:
-        raise ValueError("declared shapes disagree with operands")
-    return mat_mul(fld, a, b)
 
 
 def is_zero_matrix(fld, a):
@@ -269,7 +261,7 @@ def solve_exact(fld, a, b):
     return x
 
 
-def hstack(blocks, rows, fld):
+def hstack(blocks, rows):
     """Concatenate matrices side by side; empty blocks contribute no columns."""
     out = [[] for _ in range(rows)]
     for block in blocks:

@@ -194,7 +194,7 @@ def fm_qchar(
             for i in datum.nodes:
                 excess = mu - requirement.get(i, 0)
                 part = monomial.node_exponents(i)
-                if not excess or not part or any(e < 0 for e in part.values()):
+                if not excess or not part or not i_dominant(datum, monomial, i):
                     continue
                 for pattern, coeff in sl2_expansion(datum.di(i), part):
                     if not pattern:

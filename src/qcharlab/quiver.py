@@ -46,7 +46,6 @@ from .linalg import (
     identity,
     is_zero_matrix,
     kernel_basis,
-    mat_mul,
     mat_mul_shaped,
     mat_rank,
     nonzero_vectors,
@@ -399,8 +398,9 @@ def _span(fld, rows):
 
 
 def _images(fld, mat, rows):
-    """The image of each row vector under ``mat``, as rows."""
-    return mat_mul(fld, rows, list(zip(*mat)))
+    """The image of each row vector (``rows`` is not empty) under ``mat``."""
+    return mat_mul_shaped(fld, rows, list(zip(*mat)), len(rows), len(rows[0]),
+                          len(mat))
 
 
 def _closure(rep, seeds):
@@ -617,7 +617,7 @@ def phi_map(rep, i, a):
             fld, rep.loop_power(i, a + t * dii, t - 1), rep.arrow(j, grade, i),
             rows, rep.vdim(i, a + t * dii), rep.vdim(j, grade),
         ))
-    return hstack(mats, rows, fld)
+    return hstack(mats, rows)
 
 
 def psi_map(rep, i, a):

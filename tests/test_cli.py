@@ -5,6 +5,7 @@ import json
 import string
 import sys
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcharlab.cli import main
@@ -227,6 +228,47 @@ def test_missing_type_is_usage_error():
 def test_nonpositive_cap_is_usage_error():
     assert run("qchar", "--type", "A1", "--node", "1",
                "--cap-monomials", "0") == 1
+
+
+_RUN_CAPS = ("cap_monomials", "cap_height", "cap_w")
+# every subcommand that takes a cap: a name, its argv, artifact flag and caps
+_CAPPED_COMMANDS = [
+    ("qchar", ("qchar", "--type", "A2", "--node", "1"), "--out", _RUN_CAPS),
+    ("extremal-check", ("extremal-check", "--type", "A2", "--node", "1"),
+     "--report", _RUN_CAPS),
+    ("braid-orbit", ("braid-orbit", "--type", "A2", "--node", "1"), "--out",
+     _RUN_CAPS),
+    ("braid-orbit-word", ("braid-orbit", "--type", "A2", "--node", "1",
+                          "--word", "1"), "--out", _RUN_CAPS),
+    ("quiver-search", ("quiver-search", "--type", "A2", "--v", "1@(1,1)",
+                       "--w", "1@(1,0)"), "--out", ("cap_entries",)),
+]
+# a config file gives the same caps as flags; quiver-search reads no config file
+_CAP_CASES = [
+    pytest.param(command, out_flag, cap, source, id=f"{name}-{cap}-{source}")
+    for name, command, out_flag, caps in _CAPPED_COMMANDS
+    for cap in caps
+    for source in (("flag", "config") if cap in _RUN_CAPS else ("flag",))
+]
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "x"])
+@pytest.mark.parametrize("command, out_flag, cap, source", _CAP_CASES)
+def test_every_cap_must_be_a_positive_integer(tmp_path, capsys, command,
+                                              out_flag, cap, source, value):
+    out = tmp_path / "artifact.json"
+    flag = f"--{cap.replace('_', '-')}"
+    argv = [*command, out_flag, str(out)]
+    if source == "flag":
+        argv += [flag, value]
+    else:
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{cap} = {value}\n")
+        argv += ["--config", str(config)]
+    assert run(*argv) == 1
+    # the message names the flag, also when the value came from the file
+    assert capsys.readouterr().err.startswith(f"usage error: argument {flag}:")
+    assert not out.exists()
 
 
 def test_cache_dir_env_override(tmp_path, monkeypatch):

@@ -22,7 +22,7 @@ from qcharlab.linalg import (
     PrimeField,
     field_by_name,
     kernel_basis,
-    mat_mul,
+    mat_mul_shaped,
     mat_rank,
     rref,
     solve_exact,
@@ -86,7 +86,7 @@ def test_solve_exact():
     a = [[1, 0], [1, 1], [0, 1]]
     b = [[1], [0], [1]]
     x = solve_exact(F2, a, b)
-    assert mat_mul(F2, a, x) == b
+    assert mat_mul_shaped(F2, a, x, 3, 2, 1) == b
     assert solve_exact(F2, [[1], [0]], [[0], [1]]) is None
 
 
@@ -469,7 +469,6 @@ def test_upsilon_squares_to_comparison():
 def test_upsilon_diagram_commutes_on_valid_points():
     # Phi at (i, a - d_ii) composed with the comparison map equals the loop
     # composed with Phi at (i, a), on every relation-satisfying point
-    from qcharlab.linalg import mat_mul_shaped
     from qcharlab.quiver import _block_dims, phi_blocks
 
     for label, v, w in [
