@@ -14,7 +14,9 @@ from functools import lru_cache
 
 from .errors import CapExceeded, UnsupportedType
 
-DEFAULT_WEYL_CAP = 2000
+# |W(E6)|: the cone verifier walks every group up to E6 whole by default;
+# E7 and E8 stop at the cap unless a larger one is given
+DEFAULT_WEYL_CAP = 51840
 
 _LABEL_RE = re.compile(r"^([A-G])_?([0-9]+)$")
 

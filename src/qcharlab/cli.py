@@ -208,7 +208,10 @@ def _check_nodes(datum, nodes):
 _CONFIG_KEYS = ("type", "node", "cache_dir", "cap_monomials", "cap_height", "cap_w")
 
 
-def _load_config_file(path):
+def _load_config_file(path, command):
+    """The settings of a --config file; each must be one that ``command`` takes."""
+    takes = {action.dest for action in command._actions}
+    known = [key for key in _CONFIG_KEYS if key in takes]
     values = {}
     with open(path, "r", encoding="utf-8") as handle:
         for line in handle:
@@ -219,10 +222,10 @@ def _load_config_file(path):
                 raise _UsageError(f"config line without '=': {line!r}")
             key, value = line.split("=", 1)
             name = key.strip().replace("-", "_")
-            if name not in _CONFIG_KEYS:
+            if name not in known:
                 raise _UsageError(
                     f"unknown config key {key.strip()!r} in {path} "
-                    f"(known: {', '.join(_CONFIG_KEYS)})"
+                    f"(known to {command.prog}: {', '.join(known)})"
                 )
             values[name] = value.strip()
     return values
@@ -390,17 +393,20 @@ def _build_parser():
     parser = _Parser(prog="qcharlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, closure=True):
         # --type/--node may come from --config instead; checked after parsing
         p.add_argument("--type", help="Cartan type label, e.g. B2")
         p.add_argument("--node", type=int)
         p.add_argument("--config", help="key=value config file; flags win")
+        p.add_argument("--cap-w", type=_positive_int, default=DEFAULT_WEYL_CAP)
+        if not closure:
+            return
+        # the settings of the q-character closure
         p.add_argument("--cache-dir", default=os.environ.get(CACHE_DIR_ENV))
         p.add_argument("--cap-monomials", type=_positive_int,
                        default=DEFAULT_MAX_MONOMIALS)
         # None: the exact height of the lowest weight
         p.add_argument("--cap-height", type=_positive_int)
-        p.add_argument("--cap-w", type=_positive_int, default=DEFAULT_WEYL_CAP)
 
     p = sub.add_parser("qchar", help="compute a fundamental q-character")
     common(p)
@@ -413,7 +419,7 @@ def _build_parser():
     p.set_defaults(func=_cmd_extremal)
 
     p = sub.add_parser("braid-orbit", help="inverse braid images of the anchor")
-    common(p)
+    common(p, closure=False)
     p.add_argument("--word", help="comma-separated node list; default: all of W")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_braid_orbit)
@@ -454,7 +460,8 @@ def main(argv=None):
         if getattr(args, "config", None):
             # the file's values become the subcommand's defaults, so a flag
             # still wins and argparse converts each with its flag's type
-            commands[args.command].set_defaults(**_load_config_file(args.config))
+            command = commands[args.command]
+            command.set_defaults(**_load_config_file(args.config, command))
             args = parser.parse_args(argv)
         for name in ("type", "node"):
             if getattr(args, name, "") is None:

@@ -55,7 +55,8 @@ from .linalg import (
     zeros,
 )
 
-DEFAULT_STABILITY_DIM_CAP = 14
+# stability is decided by enumeration, so only up to this total dimension
+STABILITY_DIM_CAP = 14
 DEFAULT_SEARCH_ENTRY_CAP = 22
 DEFAULT_LATTICE_CAP = 100000
 
@@ -83,9 +84,12 @@ class GradedQuiverRep:
         if check:
             self._check_shapes()
         # a map with a zero-dimensional end has no entries to store
-        for maps in (self.arrows, self.framing, self.coframing):
+        for _, maps in self._maps_by_kind():
             for key in [key for key, mat in maps.items() if not (mat and mat[0])]:
                 del maps[key]
+
+    def _maps_by_kind(self):
+        return (("arrow", self.arrows), ("A", self.framing), ("B", self.coframing))
 
     # -- dimensions ---------------------------------------------------
 
@@ -94,6 +98,16 @@ class GradedQuiverRep:
 
     def wdim(self, i, a):
         return self.w.get((i, a), 0)
+
+    def slot_dim(self, slot):
+        """The dimension of a ("V"|"W", node, grade) slot."""
+        space, i, a = slot
+        return (self.v if space == "V" else self.w).get((i, a), 0)
+
+    def _map_shape(self, kind, key):
+        """(rows, cols) of a map: the dimensions of its target and its source."""
+        source, target = _map_ends(self.datum, kind, key)
+        return self.slot_dim(target), self.slot_dim(source)
 
     def total_dim(self):
         return sum(self.v.values())
@@ -104,22 +118,19 @@ class GradedQuiverRep:
         mat = self.arrows.get((i, a, j))
         if mat is not None:
             return mat
-        return zeros(self.field, self.vdim(j, a - self.datum.b(i, j)),
-                     self.vdim(i, a))
+        return zeros(self.field, *self._map_shape("arrow", (i, a, j)))
 
     def framing_map(self, i, a):
         mat = self.framing.get((i, a))
         if mat is not None:
             return mat
-        return zeros(self.field, self.vdim(i, a + self.datum.di(i)),
-                     self.wdim(i, a))
+        return zeros(self.field, *self._map_shape("A", (i, a)))
 
     def coframing_map(self, i, a):
         mat = self.coframing.get((i, a))
         if mat is not None:
             return mat
-        return zeros(self.field, self.wdim(i, a),
-                     self.vdim(i, a - self.datum.di(i)))
+        return zeros(self.field, *self._map_shape("B", (i, a)))
 
     def loop_power(self, i, a, count):
         """The composite of ``count`` descending loops starting at V_i^a."""
@@ -135,50 +146,30 @@ class GradedQuiverRep:
 
     def _check_shapes(self):
         datum = self.datum
-        for i, *_ in [*self.arrows, *self.framing, *self.coframing]:
-            if i not in datum.nodes:
-                raise ShapeMismatch(f"map at node {i} is not valid in {datum.label}")
-        for (i, a, j), mat in self.arrows.items():
-            if j not in datum.nodes or i != j and datum.c(i, j) == 0:
-                raise ShapeMismatch(f"arrow {(i, a, j)} joins non-adjacent nodes")
-            self._shape(mat, self.vdim(j, a - datum.b(i, j)), self.vdim(i, a),
-                        f"arrow {(i, a, j)}")
-        for (i, a), mat in self.framing.items():
-            self._shape(mat, self.vdim(i, a + datum.di(i)), self.wdim(i, a),
-                        f"framing {(i, a)}")
-        for (i, a), mat in self.coframing.items():
-            self._shape(mat, self.wdim(i, a), self.vdim(i, a - datum.di(i)),
-                        f"coframing {(i, a)}")
-
-    @staticmethod
-    def _shape(mat, rows, cols, what):
-        if len(mat) != rows or any(len(row) != cols for row in mat):
-            raise ShapeMismatch(f"{what}: expected {rows}x{cols}")
+        for kind, maps in self._maps_by_kind():
+            for key, mat in maps.items():
+                i = key[0]
+                j = key[2] if kind == "arrow" else i
+                if i not in datum.nodes or j not in datum.nodes:
+                    raise ShapeMismatch(f"{kind} map {key} is not valid in {datum.label}")
+                if i != j and datum.c(i, j) == 0:
+                    raise ShapeMismatch(f"arrow {key} joins non-adjacent nodes")
+                rows, cols = self._map_shape(kind, key)
+                if len(mat) != rows or any(len(row) != cols for row in mat):
+                    raise ShapeMismatch(f"{kind} map {key}: expected {rows}x{cols}")
 
     # -- serialization --------------------------------------------------
 
     def to_json_obj(self):
         fld = self.field
         maps = []
-        for (i, a, j) in sorted(self.arrows):
-            maps.append({
-                "kind": "arrow", "from": [i, a],
-                "to": [j, a - self.datum.b(i, j)],
-                "matrix": [[fld.to_json(x) for x in row]
-                           for row in self.arrows[(i, a, j)]],
-            })
-        for (i, a) in sorted(self.framing):
-            maps.append({
-                "kind": "A", "from": [i, a], "to": [i, a + self.datum.di(i)],
-                "matrix": [[fld.to_json(x) for x in row]
-                           for row in self.framing[(i, a)]],
-            })
-        for (i, a) in sorted(self.coframing):
-            maps.append({
-                "kind": "B", "from": [i, a - self.datum.di(i)], "to": [i, a],
-                "matrix": [[fld.to_json(x) for x in row]
-                           for row in self.coframing[(i, a)]],
-            })
+        for kind, table in self._maps_by_kind():
+            for key in sorted(table):
+                source, target = _map_ends(self.datum, kind, key)
+                maps.append({
+                    "kind": kind, "from": list(source[1:]), "to": list(target[1:]),
+                    "matrix": [[fld.to_json(x) for x in row] for row in table[key]],
+                })
         return {
             "field": fld.name,
             "type": self.datum.label,
@@ -195,38 +186,31 @@ class GradedQuiverRep:
         fld = field_by_name(obj["field"])
         v = {(int(i), int(a)): int(n) for i, a, n in obj["v"]}
         w = {(int(i), int(a)): int(n) for i, a, n in obj["w"]}
-        arrows, framing, coframing = {}, {}, {}
+        tables = {"arrow": {}, "A": {}, "B": {}}
         for entry in obj.get("maps", []):
             mat = [[fld.from_json(x) for x in row] for row in entry["matrix"]]
             i, a = int(entry["from"][0]), int(entry["from"][1])
             j, b = int(entry["to"][0]), int(entry["to"][1])
             kind = entry["kind"]
-            if kind not in ("arrow", "A", "B"):
+            if kind not in tables:
                 raise ShapeMismatch(f"unknown map kind {kind!r}")
             for node in (i, j):
                 if node not in datum.nodes:
                     raise ShapeMismatch(
                         f"{kind} map end at node {node} is not in {datum.label}"
                     )
-            # the ends to_json_obj writes for the key this map is stored under
-            if kind == "arrow":
-                table, key = arrows, (i, a, j)
-                ends = ((i, a), (j, a - datum.b(i, j)))
-            elif kind == "A":
-                table, key = framing, (i, a)
-                ends = ((i, a), (i, a + datum.di(i)))
-            else:
-                table, key = coframing, (j, b)
-                ends = ((j, b - datum.di(j)), (j, b))
+            # the key this map is stored under, and the ends to_json_obj writes for it
+            key = {"arrow": (i, a, j), "A": (i, a), "B": (j, b)}[kind]
+            ends = tuple(slot[1:] for slot in _map_ends(datum, kind, key))
             if ((i, a), (j, b)) != ends:
                 raise ShapeMismatch(
                     f"{kind} map from {(i, a)} to {(j, b)} contradicts its key; "
                     f"expected from {ends[0]} to {ends[1]}"
                 )
-            if key in table:
+            if key in tables[kind]:
                 raise ShapeMismatch(f"two {kind} maps for the key {key}")
-            table[key] = mat
-        return cls(datum, fld, v, w, arrows, framing, coframing)
+            tables[kind][key] = mat
+        return cls(datum, fld, v, w, tables["arrow"], tables["A"], tables["B"])
 
 
 def _check_dims(datum, v, w):
@@ -237,22 +221,33 @@ def _check_dims(datum, v, w):
             )
 
 
+def _map_ends(datum, kind, key):
+    """The (source, target) slots, each ("V"|"W", node, grade), of a map.
+
+    The one statement of the grading: an arrow (i, a, j) goes V_i^a ->
+    V_j^{a - d_ij}, A (i, a) goes W_i^a -> V_i^{a + d_i}, and B (i, a) goes
+    V_i^{a - d_i} -> W_i^a.
+    """
+    if kind == "arrow":
+        i, a, j = key
+        return ("V", i, a), ("V", j, a - datum.b(i, j))
+    i, a = key
+    if kind == "A":
+        return ("W", i, a), ("V", i, a + datum.di(i))
+    return ("V", i, a - datum.di(i)), ("W", i, a)
+
+
 def valid_map_keys(datum, v, w):
     """All (kind, key) slots carrying free matrix entries for dims (v, w)."""
+    dims = {"V": v, "W": w}
     keys = []
     for (i, a) in sorted(k for k, n in v.items() if n):
-        dii = 2 * datum.di(i)
-        if v.get((i, a - dii), 0):
-            keys.append(("arrow", (i, a, i)))
-        for j in sorted(datum.neighbors(i)):
-            if v.get((j, a - datum.b(i, j)), 0):
-                keys.append(("arrow", (i, a, j)))
+        keys += [("arrow", (i, a, j)) for j in (i, *sorted(datum.neighbors(i)))]
     for (i, a) in sorted(k for k, n in w.items() if n):
-        if v.get((i, a + datum.di(i)), 0):
-            keys.append(("A", (i, a)))
-        if v.get((i, a - datum.di(i)), 0):
-            keys.append(("B", (i, a)))
-    return keys
+        keys += [("A", (i, a)), ("B", (i, a))]
+    return [(kind, key) for kind, key in keys
+            if all(dims[space].get((node, grade), 0)
+                   for space, node, grade in _map_ends(datum, kind, key))]
 
 
 # ---------------------------------------------------------------------------
@@ -415,14 +410,17 @@ def _closure(rep, seeds):
         rows = _span(fld, vectors)
         if rows:
             spans[key] = rows
+    moves = []  # (source, target, matrix) per arrow, slots as (node, grade)
+    for key, mat in rep.arrows.items():
+        source, target = _map_ends(rep.datum, "arrow", key)
+        moves.append((source[1:], target[1:], mat))
     changed = True
     while changed:
         changed = False
-        for (i, a, j), mat in rep.arrows.items():
-            rows = spans.get((i, a))
+        for source, target, mat in moves:
+            rows = spans.get(source)
             if not rows:
                 continue
-            target = (j, a - rep.datum.b(i, j))
             trows = spans.get(target, ())
             grown = _span(fld, [*trows, *_images(fld, mat, rows)])
             if len(grown) > len(trows):
@@ -459,8 +457,9 @@ def _join(fld, left, right):
 
 def _contained_in_ker_b(rep, sub):
     fld = rep.field
-    for (i, a), mat in rep.coframing.items():
-        rows = sub.get((i, a - rep.datum.di(i)))
+    for key, mat in rep.coframing.items():
+        source, _ = _map_ends(rep.datum, "B", key)
+        rows = sub.get(source[1:])
         if rows and not is_zero_matrix(fld, _images(fld, mat, rows)):
             return False
     return True
@@ -502,21 +501,20 @@ def _lattice(rep, base, generators, cap):
 
 def _framing_image_seeds(rep):
     seeds = {}
-    for (i, a), mat in rep.framing.items():
-        target = (i, a + rep.datum.di(i))
+    for key, mat in rep.framing.items():
+        _, target = _map_ends(rep.datum, "A", key)
         cols = len(mat[0]) if mat else 0
         for c in range(cols):
-            seeds.setdefault(target, []).append([mat[r][c] for r in range(len(mat))])
+            seeds.setdefault(target[1:], []).append([mat[r][c] for r in range(len(mat))])
     return seeds
 
 
-def stability_check(rep, theta, dim_cap=DEFAULT_STABILITY_DIM_CAP,
-                    lattice_cap=DEFAULT_LATTICE_CAP):
+def stability_check(rep, theta, lattice_cap=DEFAULT_LATTICE_CAP):
     """Two-sided slope condition: is ``rep`` theta-stable?
 
     True iff every subrepresentation inside Ker B pairs <= 0 with theta and
     every subrepresentation containing Im A leaves a complement pairing >= 0.
-    Only decidable over a finite field within the dimension cap.  After the
+    Only decidable over a finite field within ``STABILITY_DIM_CAP``.  After the
     guards, the sign of theta picks one of three paths:
 
     * every theta_i < 0: :func:`is_framed_stable`.  Proof: every submodule
@@ -531,10 +529,11 @@ def stability_check(rep, theta, dim_cap=DEFAULT_STABILITY_DIM_CAP,
     """
     if not rep.field.is_finite:
         raise FieldNotFinite("stability enumeration needs a finite field")
-    if rep.total_dim() > dim_cap:
+    if rep.total_dim() > STABILITY_DIM_CAP:
         raise CapExceeded(
-            f"total dimension {rep.total_dim()} exceeds stability cap {dim_cap}",
-            cap=dim_cap,
+            f"total dimension {rep.total_dim()} exceeds stability cap "
+            f"{STABILITY_DIM_CAP}",
+            cap=STABILITY_DIM_CAP,
         )
     if not is_generic(rep.datum, theta):
         raise NonGenericTheta(f"{theta} lies on a root hyperplane")
@@ -594,10 +593,7 @@ def phi_blocks(datum, i, a):
 
 
 def _block_dims(rep, blocks):
-    dims = []
-    for kind, node, grade, _ in blocks:
-        dims.append(rep.wdim(node, grade) if kind == "W" else rep.vdim(node, grade))
-    return dims
+    return [rep.slot_dim(block[:3]) for block in blocks]
 
 
 def phi_map(rep, i, a):
@@ -699,13 +695,13 @@ def upsilon_map(rep, i, a):
 def _kernel_block_rows(K, blocks, dims, want):
     offset = 0
     for block, dim in zip(blocks, dims):
-        if block[:3] == want[:3] and block[0] == want[0]:
+        if block[:3] == want:
             return [K[offset + r] for r in range(dim)]
         offset += dim
     raise KeyError(want)
 
 
-def reflect(rep, i, theta, *, trusted=False, dim_cap=DEFAULT_STABILITY_DIM_CAP):
+def reflect(rep, i, theta, *, trusted=False):
     """The reflection functor at node i applied to a theta-stable point.
 
     Requires theta_i < 0 and generic theta.  Stability of the input is
@@ -729,13 +725,13 @@ def reflect(rep, i, theta, *, trusted=False, dim_cap=DEFAULT_STABILITY_DIM_CAP):
                 "stability is undecidable over an infinite field; "
                 "pass trusted=True to proceed"
             )
-        if rep.total_dim() > dim_cap:
+        if rep.total_dim() > STABILITY_DIM_CAP:
             raise CapExceeded(
                 f"total dimension {rep.total_dim()} exceeds the stability cap "
-                f"{dim_cap}; pass trusted=True to proceed",
-                cap=dim_cap,
+                f"{STABILITY_DIM_CAP}; pass trusted=True to proceed",
+                cap=STABILITY_DIM_CAP,
             )
-        if not stability_check(rep, theta, dim_cap=dim_cap):
+        if not stability_check(rep, theta):
             raise StabilityViolated(f"input point is not stable for {theta}")
 
     di = datum.di(i)
@@ -752,8 +748,7 @@ def reflect(rep, i, theta, *, trusted=False, dim_cap=DEFAULT_STABILITY_DIM_CAP):
         if node == i:
             candidates.add(grade - di)
 
-    kernels = {}
-    layouts = {}
+    kernels = {}  # grade -> (kernel basis, its width, Phi blocks, block dims)
     for a in sorted(candidates):
         blocks = phi_blocks(datum, i, a)
         dims = _block_dims(rep, blocks)
@@ -768,16 +763,10 @@ def reflect(rep, i, theta, *, trusted=False, dim_cap=DEFAULT_STABILITY_DIM_CAP):
                 "the stability hypothesis fails upstream"
             )
         basis = kernel_basis(fld, phi, cols=dom)
-        width = len(basis[0]) if basis else 0
-        if width or dom:
-            kernels[a] = basis
-            layouts[a] = (blocks, dims)
+        kernels[a] = (basis, len(basis[0]) if basis else 0, blocks, dims)
 
     new_v = {key: n for key, n in rep.v.items() if key[0] != i}
-    for a, basis in kernels.items():
-        width = len(basis[0]) if basis else 0
-        if width:
-            new_v[(i, a)] = width
+    new_v.update({(i, a): width for a, (_, width, _, _) in kernels.items() if width})
 
     new_arrows = {
         key: mat for key, mat in rep.arrows.items()
@@ -793,20 +782,18 @@ def reflect(rep, i, theta, *, trusted=False, dim_cap=DEFAULT_STABILITY_DIM_CAP):
             psis[a] = psi_map(rep, i, a)
         return psis[a]
 
-    for a, basis in kernels.items():
-        width = len(basis[0]) if basis else 0
+    for a, (basis, width, blocks, dims) in kernels.items():
         if not width:
             continue
-        blocks, dims = layouts[a]
 
         # outgoing arrows and the new coframing: plain projections
         wrows = [basis[r] for r in range(dims[0])]
         if dims[0]:
             new_coframing[(i, a + di)] = [list(row) for row in wrows]
         for j in datum.neighbors(i):
-            tgrade = a - datum.b(i, j)
-            if rep.vdim(j, tgrade):
-                rows = _kernel_block_rows(basis, blocks, dims, ("V", j, tgrade))
+            _, end = _map_ends(datum, "arrow", (i, a, j))
+            if rep.slot_dim(end):
+                rows = _kernel_block_rows(basis, blocks, dims, end)
                 new_arrows[(i, a, j)] = [list(row) for row in rows]
 
         # the new loop, induced by the comparison map
@@ -814,8 +801,7 @@ def reflect(rep, i, theta, *, trusted=False, dim_cap=DEFAULT_STABILITY_DIM_CAP):
         dom = sum(dims)
         lower_dom = sum(_block_dims(rep, phi_blocks(datum, i, a - dii)))
         image = mat_mul_shaped(fld, ups, basis, lower_dom, dom, width)
-        lower = kernels.get(a - dii, [])
-        lower_width = len(lower[0]) if lower else 0
+        lower, lower_width, _, _ = kernels.get(a - dii, ([], 0, None, None))
         if lower_width:
             coords = solve_exact(fld, lower, image)
             if coords is None:
@@ -865,16 +851,16 @@ def reflect(rep, i, theta, *, trusted=False, dim_cap=DEFAULT_STABILITY_DIM_CAP):
             f"predicted {sorted(predicted.items())}"
         )
     theta_bar = reflect_weight(datum, i, theta)
-    if not trusted and reflected.field.is_finite and reflected.total_dim() <= dim_cap:
-        if not stability_check(reflected, theta_bar, dim_cap=dim_cap):
+    if (not trusted and reflected.field.is_finite
+            and reflected.total_dim() <= STABILITY_DIM_CAP):
+        if not stability_check(reflected, theta_bar):
             raise StabilityViolated(
                 f"reflected point is not stable for {theta_bar}"
             )
     return reflected, theta_bar
 
 
-def chain_reflect(rep, theta, word, *, trusted=False,
-                  dim_cap=DEFAULT_STABILITY_DIM_CAP):
+def chain_reflect(rep, theta, word, *, trusted=False):
     """Sequential reflections along a reduced word (first letter first).
 
     For theta in the negative chamber the sign precondition at each step
@@ -886,7 +872,7 @@ def chain_reflect(rep, theta, word, *, trusted=False,
             raise ValueError(
                 f"chain step at node {i} has nonnegative theta coefficient"
             )
-        rep, theta = reflect(rep, i, theta, trusted=trusted, dim_cap=dim_cap)
+        rep, theta = reflect(rep, i, theta, trusted=trusted)
     return rep, theta
 
 
@@ -901,8 +887,7 @@ class SearchPoint:
 
 
 def exhaustive_search(datum, v, w, field, thetas=(),
-                      cap_entries=DEFAULT_SEARCH_ENTRY_CAP,
-                      dim_cap=DEFAULT_STABILITY_DIM_CAP):
+                      cap_entries=DEFAULT_SEARCH_ENTRY_CAP):
     """Enumerate every relation-satisfying point for dims (v, w) over a finite field.
 
     Raw points: no deduplication by the graded automorphism group.  Each
@@ -910,21 +895,9 @@ def exhaustive_search(datum, v, w, field, thetas=(),
     """
     if not field.is_finite:
         raise FieldNotFinite("exhaustive search needs a finite field")
-    _check_dims(datum, v, w)
-    v = {key: n for key, n in dict(v).items() if n}
-    w = {key: n for key, n in dict(w).items() if n}
-    slots = valid_map_keys(datum, v, w)
-    shapes = []
-    for kind, key in slots:
-        if kind == "arrow":
-            i, a, j = key
-            shapes.append((v[(j, a - datum.b(i, j))], v[(i, a)]))
-        elif kind == "A":
-            i, a = key
-            shapes.append((v[(i, a + datum.di(i))], w[(i, a)]))
-        else:
-            i, a = key
-            shapes.append((w[(i, a)], v[(i, a - datum.di(i))]))
+    empty = GradedQuiverRep(datum, field, v, w)
+    slots = valid_map_keys(datum, empty.v, empty.w)
+    shapes = [empty._map_shape(kind, key) for kind, key in slots]
     total_entries = sum(r * c for r, c in shapes)
     if total_entries > cap_entries:
         raise CapExceeded(
@@ -935,25 +908,17 @@ def exhaustive_search(datum, v, w, field, thetas=(),
     results = []
     for assignment in product(elements, repeat=total_entries):
         pos = 0
-        arrows, framing, coframing = {}, {}, {}
+        maps = {"arrow": {}, "A": {}, "B": {}}
         for (kind, key), (rows, cols) in zip(slots, shapes):
-            mat = [
+            maps[kind][key] = [
                 list(assignment[pos + r * cols: pos + (r + 1) * cols])
                 for r in range(rows)
             ]
             pos += rows * cols
-            if kind == "arrow":
-                arrows[key] = mat
-            elif kind == "A":
-                framing[key] = mat
-            else:
-                coframing[key] = mat
-        rep = GradedQuiverRep(datum, field, v, w, arrows, framing, coframing,
-                              check=False)
+        rep = GradedQuiverRep(datum, field, empty.v, empty.w, maps["arrow"],
+                              maps["A"], maps["B"], check=False)
         if validate_relations(rep):
             continue
-        stable = tuple(
-            stability_check(rep, theta, dim_cap=dim_cap) for theta in thetas
-        )
+        stable = tuple(stability_check(rep, theta) for theta in thetas)
         results.append(SearchPoint(rep=rep, stable=stable))
     return results

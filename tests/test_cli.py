@@ -127,6 +127,33 @@ POINT_A1 = {
 }
 
 
+# sha256 of a B2 search with loops, arrows and A maps (16 points), and of
+# two reflections from A2 node 1 whose images carry B maps and an arrow, as
+# written when each map kind serialized its own grading
+B2_SEARCH = "0cc171cca0aef76d8f6fc742a91f7ff71e4d9a008a58869b758e3f297ad6a73c"
+A2_REFLECTED_AT_1 = "b51eb8b83037f34b66dfdd2fd45096e430c44e59a1b724d5fd9c2e64e68e7e86"
+A2_REFLECTED_AT_1_2 = "cfc409653f82133be85af32cec4a857e28018982aec3dd7898bb19d259b8dc39"
+
+
+def test_quiver_search_and_reflect_bytes_are_pinned(tmp_path):
+    out = tmp_path / "search.json"
+    assert run("quiver-search", "--type", "B2", "--v",
+               "1@(1,2),1@(1,4),1@(2,2),1@(2,4)", "--w", "1@(2,0)",
+               "--theta=-1,-1", "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == B2_SEARCH
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps(
+        {"field": "F2", "type": "A2", "v": [], "w": [[1, 0, 1]], "maps": []}
+    ))
+    once, twice = tmp_path / "once.json", tmp_path / "twice.json"
+    assert run("quiver-reflect", "--node", "1", "--theta=-1,-1", str(point),
+               "--out", str(once)) == 0
+    assert hashlib.sha256(once.read_bytes()).hexdigest() == A2_REFLECTED_AT_1
+    assert run("quiver-reflect", "--node", "2", "--theta=1,-2", str(once),
+               "--out", str(twice)) == 0
+    assert hashlib.sha256(twice.read_bytes()).hexdigest() == A2_REFLECTED_AT_1_2
+
+
 def test_quiver_check(tmp_path):
     point = tmp_path / "point.json"
     point.write_text(json.dumps(POINT_A1))
@@ -236,26 +263,30 @@ _CAPPED_COMMANDS = [
     ("qchar", ("qchar", "--type", "A2", "--node", "1"), "--out", _RUN_CAPS),
     ("extremal-check", ("extremal-check", "--type", "A2", "--node", "1"),
      "--report", _RUN_CAPS),
+    # braid-orbit computes no q-character, so it takes only the Weyl cap
     ("braid-orbit", ("braid-orbit", "--type", "A2", "--node", "1"), "--out",
-     _RUN_CAPS),
+     ("cap_w",)),
     ("braid-orbit-word", ("braid-orbit", "--type", "A2", "--node", "1",
-                          "--word", "1"), "--out", _RUN_CAPS),
+                          "--word", "1"), "--out", ("cap_w",)),
     ("quiver-search", ("quiver-search", "--type", "A2", "--v", "1@(1,1)",
                        "--w", "1@(1,0)"), "--out", ("cap_entries",)),
 ]
-# a config file gives the same caps as flags; quiver-search reads no config file
+# a config file gives the same caps as flags; quiver-search reads no config file.
+# braid-orbit is also given the closure caps, which it must refuse by name
 _CAP_CASES = [
-    pytest.param(command, out_flag, cap, source, id=f"{name}-{cap}-{source}")
+    pytest.param(command, out_flag, cap, source, cap in caps,
+                 id=f"{name}-{cap}-{source}")
     for name, command, out_flag, caps in _CAPPED_COMMANDS
-    for cap in caps
+    for cap in (_RUN_CAPS if name.startswith("braid-orbit") else caps)
     for source in (("flag", "config") if cap in _RUN_CAPS else ("flag",))
 ]
 
 
 @pytest.mark.parametrize("value", ["0", "-3", "x"])
-@pytest.mark.parametrize("command, out_flag, cap, source", _CAP_CASES)
+@pytest.mark.parametrize("command, out_flag, cap, source, taken", _CAP_CASES)
 def test_every_cap_must_be_a_positive_integer(tmp_path, capsys, command,
-                                              out_flag, cap, source, value):
+                                              out_flag, cap, source, taken,
+                                              value):
     out = tmp_path / "artifact.json"
     flag = f"--{cap.replace('_', '-')}"
     argv = [*command, out_flag, str(out)]
@@ -266,9 +297,30 @@ def test_every_cap_must_be_a_positive_integer(tmp_path, capsys, command,
         config.write_text(f"{cap} = {value}\n")
         argv += ["--config", str(config)]
     assert run(*argv) == 1
-    # the message names the flag, also when the value came from the file
-    assert capsys.readouterr().err.startswith(f"usage error: argument {flag}:")
+    err = capsys.readouterr().err
+    if taken:
+        # the message names the flag, also when the value came from the file
+        assert err.startswith(f"usage error: argument {flag}:")
+    else:
+        assert (flag if source == "flag" else repr(cap)) in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("setting", ["cache_dir", "cap_monomials", "cap_height"])
+def test_braid_orbit_takes_no_closure_setting(tmp_path, capsys, setting):
+    # valid values, refused because braid-orbit computes no q-character
+    cache = tmp_path / "cache"
+    value = str(cache) if setting == "cache_dir" else "64"
+    out = tmp_path / "orbit.json"
+    command = ("braid-orbit", "--type", "A2", "--node", "1", "--out", str(out))
+    flag = f"--{setting.replace('_', '-')}"
+    assert run(*command, flag, value) == 1
+    assert flag in capsys.readouterr().err
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{setting} = {value}\n")
+    assert run(*command, "--config", str(config)) == 1
+    assert repr(setting) in capsys.readouterr().err
+    assert not out.exists() and not cache.exists()
 
 
 def test_cache_dir_env_override(tmp_path, monkeypatch):
@@ -345,6 +397,15 @@ def test_weyl_cap_below_the_group_order_is_resource_error(tmp_path, capsys):
     assert not report.exists()
     assert run("extremal-check", "--type", "F4", "--node", "1",
                "--cap-w", "1152") == 0
+
+
+def test_default_weyl_cap_walks_e6_and_stops_at_e7(capsys):
+    # the default cap is |W(E6)|
+    assert run("extremal-check", "--type", "E6", "--node", "1") == 0
+    assert "group order    : 51840" in capsys.readouterr().out
+    assert run("braid-orbit", "--type", "E7", "--node", "7") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "resource error: Weyl group of E7 exceeds cap 51840"
 
 
 # sha256 of the B3 node 2 report as the per-word replay verifier wrote it

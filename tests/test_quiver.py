@@ -132,6 +132,18 @@ def test_shape_mismatch_rejected():
         )
 
 
+def test_wrong_shaped_arrow_and_coframing_rejected():
+    datum = build_cartan("A2")
+    v, w = {(1, 1): 1, (2, 2): 1}, {(1, 2): 1}
+    for maps in [{"arrows": {(1, 1, 2): [[1, 0]]}},
+                 {"coframing": {(1, 2): [[1], [0]]}}]:
+        with pytest.raises(ShapeMismatch):
+            GradedQuiverRep(datum, F2, v, w, **maps)
+    # the same maps in their right shapes are accepted
+    GradedQuiverRep(datum, F2, v, w, arrows={(1, 1, 2): [[1]]},
+                    coframing={(1, 2): [[1]]})
+
+
 def test_maps_and_dims_outside_the_datum_rejected():
     datum = build_cartan("A1")
     for v, w, framing in [
@@ -703,6 +715,24 @@ def test_point_json_round_trip():
     assert again.v == rep.v and again.w == rep.w
     assert again.framing == rep.framing
     assert validate_relations(again) == []
+
+
+def test_point_json_round_trip_on_the_corpus():
+    # every point of the criterion-7 corpus: loops, arrows, A and B maps
+    count = 0
+    for label in ["A1", "A2", "B2"]:
+        for _, _, _, _, _, points in quiver_corpus_cases(label, sums=True):
+            for point in points:
+                rep = point.rep
+                obj = json.loads(json.dumps(rep.to_json_obj()))
+                again = GradedQuiverRep.from_json_obj(obj)
+                assert (again.v, again.w) == (rep.v, rep.w)
+                assert (again.arrows, again.framing, again.coframing) == (
+                    rep.arrows, rep.framing, rep.coframing
+                )
+                assert again.to_json_obj() == obj
+                count += 1
+    assert count == 3603
 
 
 def test_point_json_round_trip_over_q():
