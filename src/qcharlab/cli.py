@@ -398,7 +398,6 @@ def _build_parser():
         p.add_argument("--type", help="Cartan type label, e.g. B2")
         p.add_argument("--node", type=int)
         p.add_argument("--config", help="key=value config file; flags win")
-        p.add_argument("--cap-w", type=_positive_int, default=DEFAULT_WEYL_CAP)
         if not closure:
             return
         # the settings of the q-character closure
@@ -415,11 +414,13 @@ def _build_parser():
 
     p = sub.add_parser("extremal-check", help="verify the cone bound for all w")
     common(p)
+    p.add_argument("--cap-w", type=_positive_int, default=DEFAULT_WEYL_CAP)
     p.add_argument("--report", help="write the report JSON here")
     p.set_defaults(func=_cmd_extremal)
 
     p = sub.add_parser("braid-orbit", help="inverse braid images of the anchor")
     common(p, closure=False)
+    p.add_argument("--cap-w", type=_positive_int, default=DEFAULT_WEYL_CAP)
     p.add_argument("--word", help="comma-separated node list; default: all of W")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_braid_orbit)

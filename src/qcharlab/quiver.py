@@ -7,7 +7,9 @@ framing A_i^a : W_i^a -> V_i^{a + d_i} and coframing B_i^a : V_i^{a - d_i}
 -> W_i^a both ascend by d_i.  Arrows between non-adjacent distinct nodes are
 omitted; no relation constrains them.
 
-The defining relations, checked by :func:`validate_relations`:
+The defining relations, checked by :func:`validate_relations`.  Each is a
+sum of path composites out of one slot that must vanish (see
+:func:`_relation_table`):
 
   E1bis  sum over neighbors j and l = 0..-c_ij-1 of
          loop_i^{-c_ij-1-l} o (i<-j) o (j<-i) o loop_i^l,
@@ -84,12 +86,12 @@ class GradedQuiverRep:
         if check:
             self._check_shapes()
         # a map with a zero-dimensional end has no entries to store
-        for _, maps in self._maps_by_kind():
+        for maps in self._maps_by_kind().values():
             for key in [key for key, mat in maps.items() if not (mat and mat[0])]:
                 del maps[key]
 
     def _maps_by_kind(self):
-        return (("arrow", self.arrows), ("A", self.framing), ("B", self.coframing))
+        return {"arrow": self.arrows, "A": self.framing, "B": self.coframing}
 
     # -- dimensions ---------------------------------------------------
 
@@ -112,41 +114,9 @@ class GradedQuiverRep:
     def total_dim(self):
         return sum(self.v.values())
 
-    # -- map accessors (zero matrices where nothing is stored) ---------
-
-    def arrow(self, i, a, j):
-        mat = self.arrows.get((i, a, j))
-        if mat is not None:
-            return mat
-        return zeros(self.field, *self._map_shape("arrow", (i, a, j)))
-
-    def framing_map(self, i, a):
-        mat = self.framing.get((i, a))
-        if mat is not None:
-            return mat
-        return zeros(self.field, *self._map_shape("A", (i, a)))
-
-    def coframing_map(self, i, a):
-        mat = self.coframing.get((i, a))
-        if mat is not None:
-            return mat
-        return zeros(self.field, *self._map_shape("B", (i, a)))
-
-    def loop_power(self, i, a, count):
-        """The composite of ``count`` descending loops starting at V_i^a."""
-        dii = 2 * self.datum.di(i)
-        cols = self.vdim(i, a)
-        mat = identity(self.field, cols)
-        for step in range(count):
-            src = self.vdim(i, a - step * dii)
-            dst = self.vdim(i, a - (step + 1) * dii)
-            mat = mat_mul_shaped(self.field, self.arrow(i, a - step * dii, i),
-                                 mat, dst, src, cols)
-        return mat
-
     def _check_shapes(self):
         datum = self.datum
-        for kind, maps in self._maps_by_kind():
+        for kind, maps in self._maps_by_kind().items():
             for key, mat in maps.items():
                 i = key[0]
                 j = key[2] if kind == "arrow" else i
@@ -163,7 +133,7 @@ class GradedQuiverRep:
     def to_json_obj(self):
         fld = self.field
         maps = []
-        for kind, table in self._maps_by_kind():
+        for kind, table in self._maps_by_kind().items():
             for key in sorted(table):
                 source, target = _map_ends(self.datum, kind, key)
                 maps.append({
@@ -237,6 +207,42 @@ def _map_ends(datum, kind, key):
     return ("V", i, a - datum.di(i)), ("W", i, a)
 
 
+def _map_from(datum, slot, to):
+    """The (kind, key) of the map out of ``slot`` toward ("V"|"W", node)."""
+    space, i, a = slot
+    if space == "W":
+        return "A", (i, a)
+    if to[0] == "W":
+        return "B", (i, a + datum.di(i))
+    return "arrow", (i, a, to[1])
+
+
+def _composite(rep, start, path):
+    """The composite of the maps along ``path`` out of the slot ``start``.
+
+    ``path`` lists the targets ("V"|"W", node) in order: V to V is an arrow,
+    V to W a B map, W to V an A map.  Returns None when a map on the path is
+    absent, since the composite is then zero; the empty path is the identity.
+    """
+    maps = rep._maps_by_kind()
+    mat, slot = None, start
+    for to in path:
+        kind, key = _map_from(rep.datum, slot, to)
+        step = maps[kind].get(key)
+        if step is None:
+            return None
+        mat = step if mat is None else mat_mul_shaped(
+            rep.field, step, mat, len(step), len(mat), len(mat[0]))
+        slot = _map_ends(rep.datum, kind, key)[1]
+    return identity(rep.field, rep.slot_dim(start)) if mat is None else mat
+
+
+def _dense(rep, start, path, rows):
+    """The composite along ``path`` as a matrix, zero where a map is absent."""
+    mat = _composite(rep, start, path)
+    return zeros(rep.field, rows, rep.slot_dim(start)) if mat is None else mat
+
+
 def valid_map_keys(datum, v, w):
     """All (kind, key) slots carrying free matrix entries for dims (v, w)."""
     dims = {"V": v, "W": w}
@@ -266,99 +272,61 @@ class RelationViolation:
         return f"{self.relation} fails at {where}, grade {self.a}"
 
 
-def _mat_sum(fld, mats, rows, cols):
-    total = zeros(fld, rows, cols)
-    for mat in mats:
-        for r in range(rows):
-            row = mat[r]
-            trow = total[r]
-            for c in range(cols):
-                trow[c] = fld.add(trow[c], row[c])
-    return total
+def _relation_table(rep, framed=True):
+    """Every relation on ``rep`` as a row (name, i, j, a, start, paths).
 
-
-def _e1bis_violations(rep, include_ab):
-    datum, fld = rep.datum, rep.field
-    out = []
+    The composites along ``paths`` out of the slot ``start`` must add up to
+    zero.  Rows come in the order E1bis, E2, then E4 and E5 per W slot.  With
+    ``framed=False`` the loop relation drops its AB term and is named E1, and
+    E4/E5 are left out.
+    """
+    datum = rep.datum
+    table = []
     for (i, a) in sorted(rep.v):
-        di = datum.di(i)
-        dii = 2 * di
-        rows = rep.vdim(i, a + dii)
-        cols = rep.vdim(i, a)
-        if not rows:
-            continue
-        terms = []
+        at = ("V", i)
+        paths = []
         for j in datum.neighbors(i):
-            cij = datum.c(i, j)
-            dij = datum.b(i, j)
-            for l in range(-cij):
-                g1 = a - l * dii
-                g2 = g1 - dij
-                g3 = g2 - dij
-                d1 = rep.vdim(i, g1)
-                d2 = rep.vdim(j, g2)
-                d3 = rep.vdim(i, g3)
-                term = rep.loop_power(i, a, l)
-                term = mat_mul_shaped(fld, rep.arrow(i, g1, j), term, d2, d1, cols)
-                term = mat_mul_shaped(fld, rep.arrow(j, g2, i), term, d3, d2, cols)
-                term = mat_mul_shaped(fld, rep.loop_power(i, g3, -cij - 1 - l),
-                                      term, rows, d3, cols)
-                terms.append(term)
-        if include_ab:
-            terms.append(mat_mul_shaped(
-                fld, rep.framing_map(i, a + di), rep.coframing_map(i, a + di),
-                rows, rep.wdim(i, a + di), cols,
-            ))
-        if not is_zero_matrix(fld, _mat_sum(fld, terms, rows, cols)):
-            name = "E1bis" if include_ab else "E1"
-            out.append(RelationViolation(name, i, i, a))
-    return out
-
-
-def _e2_violations(rep):
-    datum, fld = rep.datum, rep.field
-    out = []
+            c = -datum.c(i, j)
+            paths += [[at] * l + [("V", j), at] + [at] * (c - 1 - l)
+                      for l in range(c)]
+        if framed:
+            paths.append([("W", i), at])
+        table.append(("E1bis" if framed else "E1", i, i, a, ("V", i, a), paths))
     for (i, a) in sorted(rep.v):
         for j in datum.neighbors(i):
-            dij = datum.b(i, j)
-            rows = rep.vdim(j, a + dij)
-            cols = rep.vdim(i, a)
-            if not rows:
+            table.append(("E2", i, j, a, ("V", i, a), [
+                [("V", j)] * (1 - datum.c(j, i)),
+                [("V", i)] * -datum.c(i, j) + [("V", j)],
+            ]))
+    if framed:
+        for (i, a) in sorted(rep.w):
+            table.append(("E4", i, i, a, ("W", i, a), [[("V", i)] * 2]))
+            table.append(("E5", i, i, a, ("V", i, a + datum.di(i)),
+                          [[("V", i), ("W", i)]]))
+    return table
+
+
+def _violations(rep, table):
+    fld = rep.field
+    out = []
+    for name, i, j, a, start, paths in table:
+        total = None
+        for path in paths:
+            term = _composite(rep, start, path)
+            if term is None:
                 continue
-            t1 = mat_mul_shaped(fld, rep.loop_power(j, a - dij, -datum.c(j, i)),
-                                rep.arrow(i, a, j), rows, rep.vdim(j, a - dij),
-                                cols)
-            t2 = mat_mul_shaped(fld, rep.arrow(i, a + 2 * dij, j),
-                                rep.loop_power(i, a, -datum.c(i, j)), rows,
-                                rep.vdim(i, a + 2 * dij), cols)
-            if not is_zero_matrix(fld, _mat_sum(fld, [t1, t2], rows, cols)):
-                out.append(RelationViolation("E2", i, j, a))
-    return out
-
-
-def _e4_e5_violations(rep):
-    datum, fld = rep.datum, rep.field
-    out = []
-    for (i, a) in sorted(rep.w):
-        di = datum.di(i)
-        if rep.wdim(i, a) and rep.vdim(i, a - di):
-            e4 = mat_mul_shaped(fld, rep.loop_power(i, a + di, 1),
-                                rep.framing_map(i, a), rep.vdim(i, a - di),
-                                rep.vdim(i, a + di), rep.wdim(i, a))
-            if not is_zero_matrix(fld, e4):
-                out.append(RelationViolation("E4", i, i, a))
-        if rep.vdim(i, a + di) and rep.wdim(i, a):
-            e5 = mat_mul_shaped(fld, rep.coframing_map(i, a),
-                                rep.loop_power(i, a + di, 1), rep.wdim(i, a),
-                                rep.vdim(i, a - di), rep.vdim(i, a + di))
-            if not is_zero_matrix(fld, e5):
-                out.append(RelationViolation("E5", i, i, a))
+            total = term if total is None else [
+                [fld.add(x, y) for x, y in zip(left, right)]
+                for left, right in zip(total, term)
+            ]
+        if total is not None and not is_zero_matrix(fld, total):
+            out.append(RelationViolation(name, i, j, a))
     return out
 
 
 def validate_relations(rep):
     """All relation failures of a (co)framed point; empty means valid."""
-    return _e1bis_violations(rep, True) + _e2_violations(rep) + _e4_e5_violations(rep)
+    return _violations(rep, _relation_table(rep))
 
 
 def validate_n(rep, node, xi):
@@ -370,14 +338,14 @@ def validate_n(rep, node, xi):
     """
     if rep.coframing:
         raise ValueError("validate_n expects a point with all B maps zero")
-    datum, fld = rep.datum, rep.field
-    dk = datum.di(node)
+    dk = rep.datum.di(node)
     dim = rep.vdim(node, dk)
     if len(xi) != dim:
         raise ShapeMismatch(f"xi must live in V_{node}^{dk} (dim {dim})")
-    out = _e1bis_violations(rep, False) + _e2_violations(rep)
-    loop = rep.loop_power(node, dk, 1)
-    if loop and not is_zero_matrix(fld, _images(fld, loop, [xi])):
+    out = _violations(rep, _relation_table(rep, framed=False))
+    loop = _composite(rep, ("V", node, dk), [("V", node)])
+    if loop is not None and not is_zero_matrix(rep.field,
+                                               _images(rep.field, loop, [xi])):
         out.append(RelationViolation("loop-kills-xi", node, node, dk))
     return out
 
@@ -596,6 +564,32 @@ def _block_dims(rep, blocks):
     return [rep.slot_dim(block[:3]) for block in blocks]
 
 
+def _block_paths(datum, i, a):
+    """Per block of :func:`phi_blocks` at (i, a): (block, phi, psi, upsilon).
+
+    ``phi`` is the path of Phi's block, out of the block's slot into
+    V_i^{a+d_ii}; ``psi`` the path of Psi's block, out of V_i^a into the
+    block's slot.  ``upsilon`` is None for the W block, which Upsilon kills;
+    otherwise (path, t, negate): Upsilon sends the block's slot along the
+    path, negated or not, to the block of the same neighbor with step t in
+    the layout at (i, a - d_ii).
+    """
+    at = ("V", i)
+    table = []
+    for block in phi_blocks(datum, i, a):
+        space, j, _, t = block
+        if space == "W":
+            table.append((block, [at], [("W", i)], None))
+            continue
+        c = -datum.c(i, j)
+        if t < c:  # the same slot, one step later in the lower layout
+            upsilon = ([], t + 1, False)
+        else:  # the top slot, through minus the full loop composite at j
+            upsilon = ([("V", j)] * -datum.c(j, i), 1, True)
+        table.append((block, [at] * t, [at] * (c - t) + [("V", j)], upsilon))
+    return table
+
+
 def phi_map(rep, i, a):
     """The assembled map out of the framing slot and neighbor slots into V_i^{a+d_ii}.
 
@@ -603,17 +597,9 @@ def phi_map(rep, i, a):
     A_i^{a+d_i}, then for each neighbor slot the arrow into node i followed by
     t-1 descending loops.
     """
-    datum, fld = rep.datum, rep.field
-    dii = 2 * datum.di(i)
-    rows = rep.vdim(i, a + dii)
-    blocks = phi_blocks(datum, i, a)
-    mats = [rep.framing_map(i, a + datum.di(i))]
-    for kind, j, grade, t in blocks[1:]:
-        mats.append(mat_mul_shaped(
-            fld, rep.loop_power(i, a + t * dii, t - 1), rep.arrow(j, grade, i),
-            rows, rep.vdim(i, a + t * dii), rep.vdim(j, grade),
-        ))
-    return hstack(mats, rows)
+    rows = rep.vdim(i, a + 2 * rep.datum.di(i))
+    return hstack([_dense(rep, block[:3], phi, rows)
+                   for block, phi, _, _ in _block_paths(rep.datum, i, a)], rows)
 
 
 def psi_map(rep, i, a):
@@ -623,23 +609,14 @@ def psi_map(rep, i, a):
     composite of -c_ij - t descending loops followed by the arrow out to j.
     Raises RelationViolated when the composite with Phi is nonzero.
     """
-    datum, fld = rep.datum, rep.field
-    di = datum.di(i)
-    dii = 2 * di
-    blocks = phi_blocks(datum, i, a)
-    cols = rep.vdim(i, a)
-    mats = [rep.coframing_map(i, a + di)]
-    for kind, j, grade, t in blocks[1:]:
-        cij = datum.c(i, j)
-        src = a + (cij + t) * dii
-        mats.append(mat_mul_shaped(
-            fld, rep.arrow(i, src, j), rep.loop_power(i, a, -cij - t),
-            rep.vdim(j, grade), rep.vdim(i, src), cols,
-        ))
-    psi = vstack(mats)
-    dom = sum(_block_dims(rep, blocks))
+    fld = rep.field
+    table = _block_paths(rep.datum, i, a)
+    dims = _block_dims(rep, [block for block, _, _, _ in table])
+    psi = vstack([_dense(rep, ("V", i, a), path, dim)
+                  for (_, _, path, _), dim in zip(table, dims)])
     composite = mat_mul_shaped(fld, phi_map(rep, i, a), psi,
-                               rep.vdim(i, a + dii), dom, cols)
+                               rep.vdim(i, a + 2 * rep.datum.di(i)), sum(dims),
+                               rep.vdim(i, a))
     if not is_zero_matrix(fld, composite):
         raise RelationViolated(
             f"Phi o Psi nonzero at node {i}, grade {a}: input violates relations"
@@ -655,50 +632,28 @@ def upsilon_map(rep, i, a):
     neighbor through minus the full loop composite at that neighbor.
     """
     datum, fld = rep.datum, rep.field
-    dii = 2 * datum.di(i)
-    src_blocks = phi_blocks(datum, i, a)
-    dst_blocks = phi_blocks(datum, i, a - dii)
-    src_dims = _block_dims(rep, src_blocks)
-    dst_dims = _block_dims(rep, dst_blocks)
-    rows = sum(dst_dims)
-    cols = sum(src_dims)
-    out = zeros(fld, rows, cols)
+    table = _block_paths(datum, i, a)
+    lower = phi_blocks(datum, i, a - 2 * datum.di(i))
+    src_dims = _block_dims(rep, [block for block, _, _, _ in table])
+    dst_dims = _block_dims(rep, lower)
+    out = zeros(fld, sum(dst_dims), sum(src_dims))
 
-    dst_offset = {}
+    dst_offset = {}  # (node, t) -> first row of that block of the lower layout
     pos = 0
-    for block, dim in zip(dst_blocks, dst_dims):
-        dst_offset[block] = pos
+    for (_, j, _, t), dim in zip(lower, dst_dims):
+        dst_offset[j, t] = pos
         pos += dim
 
-    def paste(matrix, row0, col0):
-        for r, row in enumerate(matrix):
-            for c, x in enumerate(row):
-                if x != fld.zero():
-                    out[row0 + r][col0 + c] = x
-
-    col = src_dims[0]  # skip the W block
-    for (kind, j, grade, t), dim in zip(src_blocks[1:], src_dims[1:]):
-        cij = datum.c(i, j)
-        if t < -cij:
-            # same grade appears one step later in the lower layout
-            dst = ("V", j, grade, t + 1)
-            paste(identity(fld, dim), dst_offset[dst], col)
-        else:
-            dst = ("V", j, a + datum.b(i, j), 1)
-            loop = rep.loop_power(j, grade, -datum.c(j, i))
-            paste([[fld.neg(x) for x in row] for row in loop],
-                  dst_offset[dst], col)
+    col = 0
+    for (block, _, _, upsilon), dim in zip(table, src_dims):
+        if upsilon is not None:
+            path, t, negate = upsilon
+            row0 = dst_offset[block[1], t]
+            for r, row in enumerate(_composite(rep, block[:3], path) or ()):
+                for c, x in enumerate(row):
+                    out[row0 + r][col + c] = fld.neg(x) if negate else x
         col += dim
     return out
-
-
-def _kernel_block_rows(K, blocks, dims, want):
-    offset = 0
-    for block, dim in zip(blocks, dims):
-        if block[:3] == want:
-            return [K[offset + r] for r in range(dim)]
-        offset += dim
-    raise KeyError(want)
 
 
 def reflect(rep, i, theta, *, trusted=False):
@@ -748,10 +703,9 @@ def reflect(rep, i, theta, *, trusted=False):
         if node == i:
             candidates.add(grade - di)
 
-    kernels = {}  # grade -> (kernel basis, its width, Phi blocks, block dims)
+    kernels = {}  # grade -> (kernel basis, its width, Phi block dims)
     for a in sorted(candidates):
-        blocks = phi_blocks(datum, i, a)
-        dims = _block_dims(rep, blocks)
+        dims = _block_dims(rep, phi_blocks(datum, i, a))
         dom = sum(dims)
         target = rep.vdim(i, a + dii)
         if dom == 0 and target == 0:
@@ -763,10 +717,10 @@ def reflect(rep, i, theta, *, trusted=False):
                 "the stability hypothesis fails upstream"
             )
         basis = kernel_basis(fld, phi, cols=dom)
-        kernels[a] = (basis, len(basis[0]) if basis else 0, blocks, dims)
+        kernels[a] = (basis, len(basis[0]) if basis else 0, dims)
 
     new_v = {key: n for key, n in rep.v.items() if key[0] != i}
-    new_v.update({(i, a): width for a, (_, width, _, _) in kernels.items() if width})
+    new_v.update({(i, a): width for a, (_, width, _) in kernels.items() if width})
 
     new_arrows = {
         key: mat for key, mat in rep.arrows.items()
@@ -774,6 +728,7 @@ def reflect(rep, i, theta, *, trusted=False):
     }
     new_framing = {key: mat for key, mat in rep.framing.items() if key[0] != i}
     new_coframing = {key: mat for key, mat in rep.coframing.items() if key[0] != i}
+    new_maps = {"arrow": new_arrows, "A": new_framing, "B": new_coframing}
 
     psis = {}
 
@@ -782,26 +737,25 @@ def reflect(rep, i, theta, *, trusted=False):
             psis[a] = psi_map(rep, i, a)
         return psis[a]
 
-    for a, (basis, width, blocks, dims) in kernels.items():
+    for a, (basis, width, dims) in kernels.items():
         if not width:
             continue
 
-        # outgoing arrows and the new coframing: plain projections
-        wrows = [basis[r] for r in range(dims[0])]
-        if dims[0]:
-            new_coframing[(i, a + di)] = [list(row) for row in wrows]
-        for j in datum.neighbors(i):
-            _, end = _map_ends(datum, "arrow", (i, a, j))
-            if rep.slot_dim(end):
-                rows = _kernel_block_rows(basis, blocks, dims, end)
-                new_arrows[(i, a, j)] = [list(row) for row in rows]
+        # outgoing arrows and the new coframing: the maps out of V_i^a are
+        # the one-map blocks of Psi at a, and each new one projects the kernel
+        offset = 0
+        for (_, _, path, _), dim in zip(_block_paths(datum, i, a), dims):
+            if len(path) == 1 and dim:
+                kind, key = _map_from(datum, ("V", i, a), path[0])
+                new_maps[kind][key] = [list(row) for row in basis[offset:offset + dim]]
+            offset += dim
 
         # the new loop, induced by the comparison map
         ups = upsilon_map(rep, i, a)
         dom = sum(dims)
         lower_dom = sum(_block_dims(rep, phi_blocks(datum, i, a - dii)))
         image = mat_mul_shaped(fld, ups, basis, lower_dom, dom, width)
-        lower, lower_width, _, _ = kernels.get(a - dii, ([], 0, None, None))
+        lower, lower_width, _ = kernels.get(a - dii, ([], 0, None))
         if lower_width:
             coords = solve_exact(fld, lower, image)
             if coords is None:
@@ -814,28 +768,24 @@ def reflect(rep, i, theta, *, trusted=False):
                 f"comparison map leaves the zero kernel at node {i}, grade {a}"
             )
 
-        # incoming arrows and the new framing: factor through Psi
-        for j in datum.neighbors(i):
-            sgrade = a + datum.b(i, j)
-            if not rep.vdim(j, sgrade):
+        # incoming arrows and the new framing: the maps into V_i^a are the
+        # one-map blocks of Phi at a - d_ii, and each factors through Psi
+        for block, path, _, _ in _block_paths(datum, i, a - dii):
+            source = block[:3]
+            if len(path) != 1 or not rep.slot_dim(source):
                 continue
-            mapped = mat_mul_shaped(fld, psi_at(a), rep.arrow(j, sgrade, i),
-                                    dom, rep.vdim(i, a), rep.vdim(j, sgrade))
+            kind, key = _map_from(datum, source, path[0])
+            mapped = mat_mul_shaped(
+                fld, psi_at(a), _dense(rep, source, path, rep.vdim(i, a)),
+                dom, rep.vdim(i, a), rep.slot_dim(source),
+            )
             coords = solve_exact(fld, basis, mapped)
             if coords is None:
+                what = "framing image" if kind == "A" else "incoming arrow"
                 raise RelationViolated(
-                    f"incoming arrow misses the kernel at node {i}, grade {a}"
+                    f"{what} misses the kernel at node {i}, grade {a}"
                 )
-            new_arrows[(j, sgrade, i)] = coords
-        if rep.wdim(i, a - di):
-            mapped = mat_mul_shaped(fld, psi_at(a), rep.framing_map(i, a - di),
-                                    dom, rep.vdim(i, a), rep.wdim(i, a - di))
-            coords = solve_exact(fld, basis, mapped)
-            if coords is None:
-                raise RelationViolated(
-                    f"framing image misses the kernel at node {i}, grade {a}"
-                )
-            new_framing[(i, a - di)] = coords
+            new_maps[kind][key] = coords
 
     reflected = GradedQuiverRep(datum, fld, new_v, rep.w, new_arrows,
                                 new_framing, new_coframing)

@@ -1,6 +1,7 @@
 """Shared test helpers: random monomials, the braid-relation property check,
 the per-word replay oracle of the cone verifier, the expected cone-vertex
-count, and the exhaustive quiver corpus."""
+count, the exhaustive quiver corpus, and the per-relation oracle of the
+quiver relation checks."""
 
 import random
 from collections import Counter
@@ -11,10 +12,20 @@ from qcharlab.braid import apply_s_word, unit_framing
 from qcharlab.cartan import build_cartan, fundamental_weight, weight_orbit
 from qcharlab.errors import CapExceeded
 from qcharlab.extremal import _push_dims, _violation
-from qcharlab.linalg import F2
+from qcharlab.linalg import (
+    F2,
+    identity,
+    is_zero_matrix,
+    mat_mul_shaped,
+    zeros,
+)
 from qcharlab.lweights import LaurentMonomial
 from qcharlab.qchar import fm_qchar
-from qcharlab.quiver import exhaustive_search
+from qcharlab.quiver import (
+    RelationViolation,
+    _map_ends,
+    exhaustive_search,
+)
 
 
 def random_monomial(datum, rng, max_terms=4, param_range=6, max_exp=3):
@@ -122,3 +133,141 @@ def quiver_corpus_cases(label, dim_bound=6, entry_cap=22, sums=False,
                 skipped["capped", label, node] += 1
                 continue
             yield datum, node, v, w, theta, points
+
+
+# ---------------------------------------------------------------------------
+# the relation oracle: each relation built by hand, absent maps as zero matrices
+
+
+def stored_or_zero(rep, kind, key):
+    """The stored map, or the zero matrix of its shape where none is stored."""
+    mat = rep._maps_by_kind()[kind].get(key)
+    if mat is not None:
+        return mat
+    source, target = _map_ends(rep.datum, kind, key)
+    return zeros(rep.field, rep.slot_dim(target), rep.slot_dim(source))
+
+
+def loop_power(rep, i, a, count):
+    """The composite of ``count`` descending loops starting at V_i^a."""
+    dii = 2 * rep.datum.di(i)
+    cols = rep.vdim(i, a)
+    mat = identity(rep.field, cols)
+    for step in range(count):
+        src = rep.vdim(i, a - step * dii)
+        dst = rep.vdim(i, a - (step + 1) * dii)
+        mat = mat_mul_shaped(rep.field,
+                             stored_or_zero(rep, "arrow", (i, a - step * dii, i)),
+                             mat, dst, src, cols)
+    return mat
+
+
+def _mat_sum(fld, mats, rows, cols):
+    total = zeros(fld, rows, cols)
+    for mat in mats:
+        for r in range(rows):
+            row = mat[r]
+            trow = total[r]
+            for c in range(cols):
+                trow[c] = fld.add(trow[c], row[c])
+    return total
+
+
+def _e1bis_violations(rep, include_ab):
+    datum, fld = rep.datum, rep.field
+    out = []
+    for (i, a) in sorted(rep.v):
+        di = datum.di(i)
+        dii = 2 * di
+        rows = rep.vdim(i, a + dii)
+        cols = rep.vdim(i, a)
+        if not rows:
+            continue
+        terms = []
+        for j in datum.neighbors(i):
+            cij = datum.c(i, j)
+            dij = datum.b(i, j)
+            for l in range(-cij):
+                g1 = a - l * dii
+                g2 = g1 - dij
+                g3 = g2 - dij
+                d1 = rep.vdim(i, g1)
+                d2 = rep.vdim(j, g2)
+                d3 = rep.vdim(i, g3)
+                term = loop_power(rep, i, a, l)
+                term = mat_mul_shaped(fld, stored_or_zero(rep, "arrow", (i, g1, j)),
+                                      term, d2, d1, cols)
+                term = mat_mul_shaped(fld, stored_or_zero(rep, "arrow", (j, g2, i)),
+                                      term, d3, d2, cols)
+                term = mat_mul_shaped(fld, loop_power(rep, i, g3, -cij - 1 - l),
+                                      term, rows, d3, cols)
+                terms.append(term)
+        if include_ab:
+            terms.append(mat_mul_shaped(
+                fld, stored_or_zero(rep, "A", (i, a + di)),
+                stored_or_zero(rep, "B", (i, a + di)),
+                rows, rep.wdim(i, a + di), cols,
+            ))
+        if not is_zero_matrix(fld, _mat_sum(fld, terms, rows, cols)):
+            name = "E1bis" if include_ab else "E1"
+            out.append(RelationViolation(name, i, i, a))
+    return out
+
+
+def _e2_violations(rep):
+    datum, fld = rep.datum, rep.field
+    out = []
+    for (i, a) in sorted(rep.v):
+        for j in datum.neighbors(i):
+            dij = datum.b(i, j)
+            rows = rep.vdim(j, a + dij)
+            cols = rep.vdim(i, a)
+            if not rows:
+                continue
+            t1 = mat_mul_shaped(fld, loop_power(rep, j, a - dij, -datum.c(j, i)),
+                                stored_or_zero(rep, "arrow", (i, a, j)), rows,
+                                rep.vdim(j, a - dij), cols)
+            t2 = mat_mul_shaped(fld, stored_or_zero(rep, "arrow", (i, a + 2 * dij, j)),
+                                loop_power(rep, i, a, -datum.c(i, j)), rows,
+                                rep.vdim(i, a + 2 * dij), cols)
+            if not is_zero_matrix(fld, _mat_sum(fld, [t1, t2], rows, cols)):
+                out.append(RelationViolation("E2", i, j, a))
+    return out
+
+
+def _e4_e5_violations(rep):
+    datum, fld = rep.datum, rep.field
+    out = []
+    for (i, a) in sorted(rep.w):
+        di = datum.di(i)
+        if rep.wdim(i, a) and rep.vdim(i, a - di):
+            e4 = mat_mul_shaped(fld, loop_power(rep, i, a + di, 1),
+                                stored_or_zero(rep, "A", (i, a)), rep.vdim(i, a - di),
+                                rep.vdim(i, a + di), rep.wdim(i, a))
+            if not is_zero_matrix(fld, e4):
+                out.append(RelationViolation("E4", i, i, a))
+        if rep.vdim(i, a + di) and rep.wdim(i, a):
+            e5 = mat_mul_shaped(fld, stored_or_zero(rep, "B", (i, a)),
+                                loop_power(rep, i, a + di, 1), rep.wdim(i, a),
+                                rep.vdim(i, a - di), rep.vdim(i, a + di))
+            if not is_zero_matrix(fld, e5):
+                out.append(RelationViolation("E5", i, i, a))
+    return out
+
+
+def relation_violations_oracle(rep):
+    """What ``validate_relations`` must return, relation by relation."""
+    return _e1bis_violations(rep, True) + _e2_violations(rep) + _e4_e5_violations(rep)
+
+
+def validate_n_oracle(rep, node, xi):
+    """What ``validate_n`` must return on a B = 0 point with xi in V_node^{d_node}."""
+    fld = rep.field
+    dk = rep.datum.di(node)
+    out = _e1bis_violations(rep, False) + _e2_violations(rep)
+    loop = loop_power(rep, node, dk, 1)
+    if loop and not is_zero_matrix(
+        fld, mat_mul_shaped(fld, loop, [[x] for x in xi], len(loop), len(xi), 1)
+    ):
+        out.append(RelationViolation("loop-kills-xi", node, node, dk))
+    return out

@@ -260,7 +260,9 @@ def test_nonpositive_cap_is_usage_error():
 _RUN_CAPS = ("cap_monomials", "cap_height", "cap_w")
 # every subcommand that takes a cap: a name, its argv, artifact flag and caps
 _CAPPED_COMMANDS = [
-    ("qchar", ("qchar", "--type", "A2", "--node", "1"), "--out", _RUN_CAPS),
+    # qchar builds no Weyl group, so it takes only the closure caps
+    ("qchar", ("qchar", "--type", "A2", "--node", "1"), "--out",
+     ("cap_monomials", "cap_height")),
     ("extremal-check", ("extremal-check", "--type", "A2", "--node", "1"),
      "--report", _RUN_CAPS),
     # braid-orbit computes no q-character, so it takes only the Weyl cap
@@ -272,12 +274,13 @@ _CAPPED_COMMANDS = [
                        "--w", "1@(1,0)"), "--out", ("cap_entries",)),
 ]
 # a config file gives the same caps as flags; quiver-search reads no config file.
-# braid-orbit is also given the closure caps, which it must refuse by name
+# qchar and braid-orbit are also given the run caps they do not take, which
+# they must refuse by name
 _CAP_CASES = [
     pytest.param(command, out_flag, cap, source, cap in caps,
                  id=f"{name}-{cap}-{source}")
     for name, command, out_flag, caps in _CAPPED_COMMANDS
-    for cap in (_RUN_CAPS if name.startswith("braid-orbit") else caps)
+    for cap in (caps if name == "quiver-search" else _RUN_CAPS)
     for source in (("flag", "config") if cap in _RUN_CAPS else ("flag",))
 ]
 
@@ -321,6 +324,19 @@ def test_braid_orbit_takes_no_closure_setting(tmp_path, capsys, setting):
     assert run(*command, "--config", str(config)) == 1
     assert repr(setting) in capsys.readouterr().err
     assert not out.exists() and not cache.exists()
+
+
+def test_qchar_takes_no_weyl_cap(tmp_path, capsys):
+    # a valid value, refused because qchar builds no Weyl group
+    out = tmp_path / "qchar.json"
+    command = ("qchar", "--type", "A2", "--node", "1", "--out", str(out))
+    assert run(*command, "--cap-w", "1") == 1
+    assert "--cap-w" in capsys.readouterr().err
+    config = tmp_path / "run.cfg"
+    config.write_text("cap_w = 1\n")
+    assert run(*command, "--config", str(config)) == 1
+    assert "'cap_w'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cache_dir_env_override(tmp_path, monkeypatch):

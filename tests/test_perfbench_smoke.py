@@ -7,20 +7,28 @@ the predicted locus) and each reflection against the braid prediction.
 """
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("workload",
                          ["cone-verify", "quiver-same-sign", "quiver-mixed"])
-def test_workload_checks_clean(workload):
+def test_workload_checks_clean(tmp_path, workload):
+    # run.py writes its outputs beside itself and reads src beside its
+    # directory, so a copy keeps this run apart from any other benchmark run
+    bench = tmp_path / "perfbench"
+    shutil.copytree(ROOT / "perfbench", bench,
+                    ignore=shutil.ignore_patterns("out", "__pycache__"))
+    (tmp_path / "src").symlink_to(ROOT / "src")
     done = subprocess.run(
-        [sys.executable, str(RUN), "--check-only", "--workload", workload],
+        [sys.executable, str(bench / "run.py"), "--check-only",
+         "--workload", workload],
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr

@@ -1,5 +1,7 @@
 import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -145,6 +147,33 @@ def _assert_w_invariant(q):
             for weight, mult in character.items()
         }
         assert reflected == character, (q, i)
+
+
+@pytest.fixture(scope="module")
+def reference():
+    """perfbench/reference.py: values from Dynkin data alone, no qcharlab call."""
+    bench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, bench)
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # leave no bytecode beside the benchmark
+    try:
+        import reference
+    finally:
+        sys.dont_write_bytecode = saved
+        sys.path.remove(bench)
+    return reference
+
+
+@pytest.mark.parametrize("label,node", [
+    *((label, node) for label in ["A1", "A2", "A3", "A4", "B2", "C2", "C3",
+                                 "C4", "G2"]
+      for node in build_cartan(label).nodes),
+    ("D4", 2),
+])
+def test_total_multiplicity_is_the_kr_dimension(reference, label, node):
+    q = fm_qchar(build_cartan(label), node)
+    assert q.total_multiplicity() == reference.kr_dimension(label, node)
+    _assert_w_invariant(q)
 
 
 @pytest.mark.parametrize(

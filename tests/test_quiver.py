@@ -39,11 +39,17 @@ from qcharlab.quiver import (
     reflect,
     stability_check,
     upsilon_map,
+    valid_map_keys,
     validate_n,
     validate_relations,
 )
 
-from helpers import quiver_corpus_cases
+from helpers import (
+    loop_power,
+    quiver_corpus_cases,
+    relation_violations_oracle,
+    validate_n_oracle,
+)
 
 NEG = (Fraction(-1),)
 NEG2 = (Fraction(-1), Fraction(-1))
@@ -227,6 +233,69 @@ def test_b_zero_slice_passes_validate_n():
                     else [0] * rep0.vdim(node, dk)
                 )
                 assert validate_n(rep0, node, xi) == []
+
+
+@st.composite
+def _random_point(draw):
+    """A point with random entries on every valid map; most are not valid.
+
+    V slots are drawn among those a chain of maps links to the framing slot
+    W_k^0, so that most relations compose maps that are present.
+    """
+    datum = build_cartan(draw(st.sampled_from(["A2", "B2", "G2"])))
+    fld = draw(st.sampled_from([F2, PrimeField(3)]))
+    k = draw(st.sampled_from(datum.nodes))
+    linked, todo = set(), [(k, datum.di(k))]
+    while todo:
+        i, a = todo.pop()
+        if (i, a) in linked or not -3 <= a <= 5:
+            continue
+        linked.add((i, a))
+        todo += [(i, a + 2 * datum.di(i)), (i, a - 2 * datum.di(i))]
+        todo += [(j, a + sign * datum.b(i, j))
+                 for j in datum.neighbors(i) for sign in (1, -1)]
+    v = {slot: draw(st.integers(0, 2)) for slot in sorted(linked)}
+    w = {(k, 0): 1}
+    empty = GradedQuiverRep(datum, fld, v, w)
+    entry = st.sampled_from(list(fld.elements()))
+    maps = {"arrow": {}, "A": {}, "B": {}}
+    for kind, key in valid_map_keys(datum, v, w):
+        rows, cols = empty._map_shape(kind, key)
+        row = st.lists(entry, min_size=cols, max_size=cols)
+        maps[kind][key] = draw(st.lists(row, min_size=rows, max_size=rows))
+    node = draw(st.sampled_from(datum.nodes))
+    dim = empty.vdim(node, datum.di(node))
+    xi = draw(st.lists(entry, min_size=dim, max_size=dim))
+    rep = GradedQuiverRep(datum, fld, v, w, maps["arrow"], maps["A"], maps["B"])
+    return rep, node, xi
+
+
+@given(_random_point())
+def test_relation_checks_match_the_per_relation_oracle(case):
+    # exhaustive_search keeps only valid points, so only random ones reach
+    # the violation paths; the oracle builds each relation with zero matrices
+    rep, node, xi = case
+    assert validate_relations(rep) == relation_violations_oracle(rep)
+    framed = GradedQuiverRep(rep.datum, rep.field, rep.v, rep.w, rep.arrows,
+                             rep.framing, {})
+    assert validate_n(framed, node, xi) == validate_n_oracle(framed, node, xi)
+
+
+def test_relation_checks_build_no_zero_matrix(monkeypatch):
+    # every point of one search shares v and w; an absent map is skipped,
+    # never materialized as a zero matrix
+    import qcharlab.quiver as quiver
+
+    calls = []
+    real = quiver.zeros
+    monkeypatch.setattr(quiver, "zeros",
+                        lambda *args: calls.append(args) or real(*args))
+    datum = build_cartan("B2")
+    v = {(1, 2): 1, (1, 4): 2, (2, 2): 2, (2, 4): 1}
+    points = exhaustive_search(datum, v, {(2, 0): 1}, F2)
+    assert len(points) == 512
+    assert all(validate_relations(point.rep) == [] for point in points)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +578,7 @@ def test_upsilon_diagram_commutes_on_valid_points():
                             rep.vdim(i, a), low, dom,
                         )
                         rhs = mat_mul_shaped(
-                            F2, rep.loop_power(i, a + dii, 1),
+                            F2, loop_power(rep, i, a + dii, 1),
                             phi_map(rep, i, a),
                             rep.vdim(i, a), rep.vdim(i, a + dii), dom,
                         )
