@@ -8,7 +8,20 @@ conventions are spelled out in :mod:`qcharlab.conventions`.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import NotFactorable
+
+
+def _accumulate(data, items, scale=1):
+    """Add ``scale`` times each (key, exp) of ``items`` into ``data``, dropping zeros."""
+    for key, exp in items:
+        total = data.get(key, 0) + scale * exp
+        if total:
+            data[key] = total
+        else:
+            data.pop(key, None)
+    return data
 
 
 class LaurentMonomial:
@@ -62,13 +75,7 @@ class LaurentMonomial:
         small, large = self._exps, other._exps
         if len(small) > len(large):
             small, large = large, small
-        data = dict(large)
-        for key, exp in small.items():
-            total = data.get(key, 0) + exp
-            if total:
-                data[key] = total
-            else:
-                del data[key]
+        data = _accumulate(dict(large), small.items())
         result = LaurentMonomial.__new__(LaurentMonomial)
         object.__setattr__(result, "_exps", data)
         object.__setattr__(result, "_key", tuple(sorted(data.items())))
@@ -157,7 +164,12 @@ class AMonomialVector:
     def add_entries(self, entries):
         """New vector with (node, param) -> mult increments applied."""
         items = entries.items() if hasattr(entries, "items") else entries
-        return AMonomialVector(self.anchor, list(self._v.items()) + list(items))
+        data = _accumulate(dict(self._v), items)
+        result = AMonomialVector.__new__(AMonomialVector)
+        object.__setattr__(result, "anchor", self.anchor)
+        object.__setattr__(result, "_v", data)
+        object.__setattr__(result, "_key", (self.anchor, tuple(sorted(data.items()))))
+        return result
 
     def __add__(self, other):
         if not isinstance(other, AMonomialVector):
@@ -190,27 +202,48 @@ class AMonomialVector:
         )
 
 
-def a_monomial_inverse(datum, i, a):
-    """The Y-expansion of A_{i,a}^{-1}.
+class _AInverseTable(dict):
+    """(i, a) -> the entries ((node, param), exp) of A_{i,a}^{-1}, filled on first use.
 
     Exponent -1 at (i, a +- d_i), and for each neighbor j exponent +1 at
     (j, a+s) with s running over the -c_ji values c_ji+1, c_ji+3, ...,
     -c_ji-1.  The classical weight of the result is -alpha_i.
     """
-    exps = {(i, a + datum.di(i)): -1, (i, a - datum.di(i)): -1}
-    for j in datum.neighbors(i):
-        cji = datum.c(j, i)
-        for s in range(cji + 1, -cji, 2):
-            exps[(j, a + s)] = exps.get((j, a + s), 0) + 1
-    return LaurentMonomial(exps)
+
+    def __init__(self, datum):
+        super().__init__()
+        self.datum = datum
+
+    def __missing__(self, key):
+        datum = self.datum
+        i, a = key
+        exps = {(i, a + datum.di(i)): -1, (i, a - datum.di(i)): -1}
+        for j in datum.neighbors(i):
+            cji = datum.c(j, i)
+            for s in range(cji + 1, -cji, 2):
+                exps[(j, a + s)] = exps.get((j, a + s), 0) + 1
+        entries = self[key] = tuple(sorted(exps.items()))
+        return entries
+
+
+@lru_cache(maxsize=None)
+def _a_inverse_table(datum):
+    """The one table of A^{-1} expansions for ``datum``, shared by every caller."""
+    return _AInverseTable(datum)
+
+
+def a_monomial_inverse(datum, i, a):
+    """The Y-expansion of A_{i,a}^{-1}, read from :func:`_a_inverse_table`."""
+    return LaurentMonomial(_a_inverse_table(datum)[i, a])
 
 
 def expand_to_y(datum, vec):
     """Y_{anchor,0} times the product of A_{i,a}^{-v_i^a} over the support."""
-    result = LaurentMonomial.y(vec.anchor, 0)
-    for (i, a), mult in vec.items():
-        result = result * a_monomial_inverse(datum, i, a) ** mult
-    return result
+    table = _a_inverse_table(datum)
+    exps = {(vec.anchor, 0): 1}
+    for key, mult in vec.items():
+        _accumulate(exps, table[key], mult)
+    return LaurentMonomial(exps)
 
 
 def factor_to_a(datum, anchor, monomial):

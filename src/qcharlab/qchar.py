@@ -1,19 +1,22 @@
 """Iterative closure computing q-characters of fundamental modules.
 
-Monomials are stored as anchored A-monomial vectors; Y-expansions are derived
-on demand.  The closure processes monomials in increasing A-height (sum of
-the vector entries), expanding every node direction in which the monomial is
-dominant through the rank-one string decomposition below.  Within a height
+Monomials are stored as anchored A-monomial vectors.  The closure carries
+each pending vector's Y-exponents beside it: a new vector's exponents are
+its parent's times the few A^{-1} factors that produced it, read from the
+shared table of :mod:`qcharlab.lweights`, so no monomial is expanded from
+scratch.  It processes monomials in increasing A-height (sum of the vector
+entries), expanding every node direction in which the monomial is dominant
+through the rank-one string decomposition below.  Within a height
 class the processing order is irrelevant, which the determinism tests check
 by shuffling it.
 """
 
 from __future__ import annotations
 
-from .cartan import lowest_weight_height
+from .cartan import fundamental_weight, lowest_weight_height, simple_root_weight_coords
 from .conventions import CONVENTIONS_VERSION
 from .errors import CapExceeded
-from .lweights import AMonomialVector, classical_weight, expand_to_y
+from .lweights import AMonomialVector, _a_inverse_table, _accumulate
 
 DEFAULT_MAX_MONOMIALS = 200000
 # names the closure rule in cache keys, so no cache serves another rule's output
@@ -162,10 +165,10 @@ def fm_qchar(
         raise ValueError(f"node {node} not in {datum.label}")
     if max_height is None:
         max_height = lowest_weight_height(datum, node)
-    anchor_vec = AMonomialVector(node)
+    table = _a_inverse_table(datum)
     entries = {}
-    # pending: vector -> {direction: accumulated requirement}
-    pending = {anchor_vec: {0: 1}}
+    # pending: vector -> (its Y-exponents, {direction: accumulated requirement})
+    pending = {AMonomialVector(node): ({(node, 0): 1}, {0: 1})}
     height = 0
     while pending:
         if height > max_height:
@@ -180,7 +183,7 @@ def fm_qchar(
         if shuffle_rng is not None:
             shuffle_rng.shuffle(bucket)
         for vec in bucket:
-            requirement = pending.pop(vec)
+            exps, requirement = pending.pop(vec)
             mu = max(requirement.values())
             entries[vec] = mu
             if len(entries) > max_monomials:
@@ -190,11 +193,14 @@ def fm_qchar(
                     monomials=len(entries),
                     height=height,
                 )
-            monomial = expand_to_y(datum, vec)
+            parts = {}
+            for (j, p), e in exps.items():
+                parts.setdefault(j, {})[p] = e
             for i in datum.nodes:
                 excess = mu - requirement.get(i, 0)
-                part = monomial.node_exponents(i)
-                if not excess or not part or not i_dominant(datum, monomial, i):
+                part = parts.get(i)
+                # skip unless the monomial is i-dominant with a nonempty i-part
+                if not excess or not part or min(part.values()) < 0:
                     continue
                 for pattern, coeff in sl2_expansion(datum.di(i), part):
                     if not pattern:
@@ -202,17 +208,32 @@ def fm_qchar(
                     target = vec.add_entries(
                         {(i, p): r for p, r in pattern.items()}
                     )
-                    slot = pending.setdefault(target, {})
+                    if target not in pending:
+                        # Y(target) depends on target alone, so any parent will do
+                        target_exps = dict(exps)
+                        for p, r in pattern.items():
+                            _accumulate(target_exps, table[i, p], r)
+                        pending[target] = (target_exps, {})
+                    slot = pending[target][1]
                     slot[i] = slot.get(i, 0) + excess * coeff
         height += 1
     return QChar(datum, node, entries)
 
 
 def classical_character(qchar):
-    """Pushforward of the multiplicities along the classical-weight shadow."""
+    """Pushforward of the multiplicities along the classical-weight shadow.
+
+    Y_{k,0} prod A_{i,a}^{-v_i^a} has weight omega_k - sum_i (sum_a v_i^a) alpha_i.
+    """
     datum = qchar.datum
+    top = fundamental_weight(datum, qchar.anchor)
+    alphas = [simple_root_weight_coords(datum, i) for i in datum.nodes]
     out = {}
     for vec, mu in qchar.entries.items():
-        weight = classical_weight(datum, expand_to_y(datum, vec))
+        weight = list(top)
+        for (i, _), mult in vec.items():
+            for j, c in enumerate(alphas[i - 1]):
+                weight[j] -= mult * c
+        weight = tuple(weight)
         out[weight] = out.get(weight, 0) + mu
     return out

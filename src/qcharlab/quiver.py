@@ -855,6 +855,8 @@ def exhaustive_search(datum, v, w, field, thetas=(),
             entries=total_entries,
         )
     elements = list(field.elements())
+    # every point shares datum, v and w, and the table reads nothing else
+    table = _relation_table(empty)
     results = []
     for assignment in product(elements, repeat=total_entries):
         pos = 0
@@ -867,7 +869,7 @@ def exhaustive_search(datum, v, w, field, thetas=(),
             pos += rows * cols
         rep = GradedQuiverRep(datum, field, empty.v, empty.w, maps["arrow"],
                               maps["A"], maps["B"], check=False)
-        if validate_relations(rep):
+        if _violations(rep, table):
             continue
         stable = tuple(stability_check(rep, theta) for theta in thetas)
         results.append(SearchPoint(rep=rep, stable=stable))

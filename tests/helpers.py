@@ -1,7 +1,7 @@
 """Shared test helpers: random monomials, the braid-relation property check,
 the per-word replay oracle of the cone verifier, the expected cone-vertex
-count, the exhaustive quiver corpus, and the per-relation oracle of the
-quiver relation checks."""
+count, the closure oracle that expands every monomial, the exhaustive quiver
+corpus, and the per-relation oracle of the quiver relation checks."""
 
 import random
 from collections import Counter
@@ -9,7 +9,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from qcharlab.braid import apply_s_word, unit_framing
-from qcharlab.cartan import build_cartan, fundamental_weight, weight_orbit
+from qcharlab.cartan import (
+    build_cartan,
+    fundamental_weight,
+    lowest_weight_height,
+    weight_orbit,
+)
 from qcharlab.errors import CapExceeded
 from qcharlab.extremal import _push_dims, _violation
 from qcharlab.linalg import (
@@ -19,8 +24,8 @@ from qcharlab.linalg import (
     mat_mul_shaped,
     zeros,
 )
-from qcharlab.lweights import LaurentMonomial
-from qcharlab.qchar import fm_qchar
+from qcharlab.lweights import AMonomialVector, LaurentMonomial, expand_to_y
+from qcharlab.qchar import QChar, fm_qchar, i_dominant, sl2_expansion
 from qcharlab.quiver import (
     RelationViolation,
     _map_ends,
@@ -84,6 +89,47 @@ def extremal_check(datum, qchar, element, framing=None):
     return ExtremalReport(
         word=element.word, checked=len(qchar.entries), violations=violations
     )
+
+
+def fm_qchar_by_expansion(datum, node, shuffle_rng=None):
+    """The closure of :func:`qchar.fm_qchar` with every monomial expanded from scratch.
+
+    Calls ``expand_to_y`` once per processed monomial instead of carrying the
+    Y-exponents from the parent: the differential oracle of the fast closure.
+    """
+    max_height = lowest_weight_height(datum, node)
+    anchor_vec = AMonomialVector(node)
+    entries = {}
+    # pending: vector -> {direction: accumulated requirement}
+    pending = {anchor_vec: {0: 1}}
+    height = 0
+    while pending:
+        if height > max_height:
+            raise CapExceeded(f"height cap {max_height} exceeded")
+        bucket = [vec for vec in pending if vec.height() == height]
+        bucket.sort(key=lambda vec: vec.items())
+        if shuffle_rng is not None:
+            shuffle_rng.shuffle(bucket)
+        for vec in bucket:
+            requirement = pending.pop(vec)
+            mu = max(requirement.values())
+            entries[vec] = mu
+            monomial = expand_to_y(datum, vec)
+            for i in datum.nodes:
+                excess = mu - requirement.get(i, 0)
+                part = monomial.node_exponents(i)
+                if not excess or not part or not i_dominant(datum, monomial, i):
+                    continue
+                for pattern, coeff in sl2_expansion(datum.di(i), part):
+                    if not pattern:
+                        continue  # the top term regenerates vec itself
+                    target = vec.add_entries(
+                        {(i, p): r for p, r in pattern.items()}
+                    )
+                    slot = pending.setdefault(target, {})
+                    slot[i] = slot.get(i, 0) + excess * coeff
+        height += 1
+    return QChar(datum, node, entries)
 
 
 def vertex_orbit_size(datum, node):

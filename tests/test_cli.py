@@ -31,6 +31,22 @@ def test_qchar_a2(capsys):
     assert "monomials : 3" in capsys.readouterr().out
 
 
+# sha256 of qchar --out as written when the closure expanded every monomial
+QCHAR_ARTIFACTS = {
+    ("D8", 4): "25021b5358c92d8ab5ccc5b245de8f4b5a6d22d1ca95bc3edae4bd6ce7d4bb93",
+    ("E6", 4): "e6808e64b854bc8fb082897b014a20b42916627c6a4b77d520d69ea7186a2091",
+    ("E7", 6): "9e5c4ee7a62f7d9ca79a13b152a6c7587ada5515168564d52f923ca26c94de75",
+}
+
+
+@pytest.mark.parametrize("label,node", sorted(QCHAR_ARTIFACTS))
+def test_qchar_bytes_are_pinned(tmp_path, label, node):
+    out = tmp_path / "qchar.json"
+    assert run("qchar", "--type", label, "--node", str(node), "--out", str(out)) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == QCHAR_ARTIFACTS[label, node]
+
+
 def test_unknown_type_is_usage_error(capsys):
     assert run("qchar", "--type", "X9", "--node", "1") == 1
 

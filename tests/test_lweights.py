@@ -142,6 +142,33 @@ def test_expand_is_multiplicative():
         assert lhs == rhs
 
 
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_expand_is_the_product_of_a_inverses(label):
+    # expand_to_y sums table entries; the product of A^{-1} powers defines it
+    datum = build_cartan(label)
+    rng = random.Random(len(label) * 31 + datum.rank)
+    for _ in range(60):
+        vec = _random_vector(datum, rng)
+        product = Y(vec.anchor, 0)
+        for (i, a), mult in vec.items():
+            product = product * a_monomial_inverse(datum, i, a) ** mult
+        assert expand_to_y(datum, vec) == product
+
+
+def test_add_entries_matches_the_constructor():
+    datum = build_cartan("C3")
+    rng = random.Random(5)
+    for _ in range(200):
+        vec = _random_vector(datum, rng, anchor=2)
+        # increments that often cancel an entry exactly
+        entries = {key: -mult for key, mult in vec.items() if rng.random() < 0.5}
+        entries.update(_random_vector(datum, rng, anchor=2).items())
+        expected = AMonomialVector(2, list(vec.items()) + list(entries.items()))
+        result = vec.add_entries(entries)
+        assert result == expected and hash(result) == hash(expected)
+        assert result.as_dict() == expected.as_dict()
+
+
 def test_factor_identity():
     datum = build_cartan("A2")
     assert factor_to_a(datum, 1, Y(1, 0)) == AMonomialVector(1)

@@ -5,9 +5,15 @@ from pathlib import Path
 
 import pytest
 
+from qcharlab import lweights
 from qcharlab.cartan import build_cartan, lowest_weight_height, reflect_weight
 from qcharlab.errors import CapExceeded
-from qcharlab.lweights import AMonomialVector, LaurentMonomial
+from qcharlab.lweights import (
+    AMonomialVector,
+    LaurentMonomial,
+    classical_weight,
+    expand_to_y,
+)
 from qcharlab.qchar import (
     QChar,
     classical_character,
@@ -16,7 +22,12 @@ from qcharlab.qchar import (
     sl2_expansion,
 )
 
+from helpers import fm_qchar_by_expansion
+
 Y = LaurentMonomial.y
+
+ORACLE_LABELS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
+                 "D4", "G2", "F4"]
 
 
 def vec(anchor, *entries):
@@ -239,6 +250,59 @@ def test_shuffled_processing_order_is_irrelevant():
         for seed in range(3):
             shuffled = fm_qchar(datum, node, shuffle_rng=random.Random(seed))
             assert shuffled.entries == reference.entries
+
+
+# ---------------------------------------------------------------------------
+# the carried Y-exponents against the closure that expands every monomial
+
+
+@pytest.mark.parametrize("label,node", [
+    *((label, node) for label in ORACLE_LABELS
+      for node in build_cartan(label).nodes),
+    ("E6", 4),
+])
+def test_closure_matches_the_expansion_oracle(label, node):
+    datum = build_cartan(label)
+    assert fm_qchar(datum, node) == fm_qchar_by_expansion(datum, node)
+
+
+@pytest.mark.parametrize("label,node", [("B2", 2), ("G2", 2), ("C3", 2), ("F4", 3)])
+def test_shuffled_closure_matches_the_expansion_oracle(label, node):
+    # the carried exponents come from whichever parent reaches a vector first
+    datum = build_cartan(label)
+    expected = fm_qchar_by_expansion(datum, node)
+    for seed in range(3):
+        assert fm_qchar(datum, node, shuffle_rng=random.Random(seed)) == expected
+        assert fm_qchar_by_expansion(
+            datum, node, shuffle_rng=random.Random(seed)
+        ) == expected
+
+
+def test_closure_never_expands_a_monomial(monkeypatch):
+    datum = build_cartan("F4")
+    expected = fm_qchar_by_expansion(datum, 1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closure expanded a monomial")
+
+    for real in (lweights.expand_to_y, lweights.a_monomial_inverse):
+        for module in list(sys.modules.values()):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, refuse)
+    assert fm_qchar(datum, 1) == expected
+
+
+@pytest.mark.parametrize("label", ORACLE_LABELS)
+def test_classical_character_matches_the_expanded_weights(label):
+    datum = build_cartan(label)
+    for node in datum.nodes:
+        q = fm_qchar(datum, node)
+        expected = {}
+        for vec, mu in q.entries.items():
+            weight = classical_weight(datum, expand_to_y(datum, vec))
+            expected[weight] = expected.get(weight, 0) + mu
+        assert classical_character(q) == expected, node
 
 
 def test_classical_character_examples():

@@ -298,6 +298,22 @@ def test_relation_checks_build_no_zero_matrix(monkeypatch):
     assert calls == []
 
 
+def test_search_builds_the_relation_table_once(monkeypatch):
+    # the table reads only datum, v and w, which every point of one search shares
+    import qcharlab.quiver as quiver
+
+    calls = []
+    real = quiver._relation_table
+    monkeypatch.setattr(quiver, "_relation_table",
+                        lambda *args, **kwargs: calls.append(args)
+                        or real(*args, **kwargs))
+    datum = build_cartan("B2")
+    v = {(1, 2): 1, (1, 4): 2, (2, 2): 2, (2, 4): 1}
+    points = exhaustive_search(datum, v, {(2, 0): 1}, F2)
+    assert len(points) == 512
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # stability
 
