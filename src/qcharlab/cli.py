@@ -213,21 +213,25 @@ def _load_config_file(path, command):
     takes = {action.dest for action in command._actions}
     known = [key for key in _CONFIG_KEYS if key in takes]
     values = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise _UsageError(f"config line without '=': {line!r}")
-            key, value = line.split("=", 1)
-            name = key.strip().replace("-", "_")
-            if name not in known:
-                raise _UsageError(
-                    f"unknown config key {key.strip()!r} in {path} "
-                    f"(known to {command.prog}: {', '.join(known)})"
-                )
-            values[name] = value.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except UnicodeDecodeError:
+        raise _UsageError(f"config file {path} is not UTF-8 text") from None
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise _UsageError(f"config line without '=': {line!r}")
+        key, value = line.split("=", 1)
+        name = key.strip().replace("-", "_")
+        if name not in known:
+            raise _UsageError(
+                f"unknown config key {key.strip()!r} in {path} "
+                f"(known to {command.prog}: {', '.join(known)})"
+            )
+        values[name] = value.strip()
     return values
 
 

@@ -166,6 +166,7 @@ def fm_qchar(
     if max_height is None:
         max_height = lowest_weight_height(datum, node)
     table = _a_inverse_table(datum)
+    shapes = {}  # (d_i, shifted i-part) -> its nonempty sl2_expansion patterns
     entries = {}
     # pending: vector -> (its Y-exponents, {direction: accumulated requirement})
     pending = {AMonomialVector(node): ({(node, 0): 1}, {0: 1})}
@@ -202,16 +203,25 @@ def fm_qchar(
                 # skip unless the monomial is i-dominant with a nonempty i-part
                 if not excess or not part or min(part.values()) < 0:
                     continue
-                for pattern, coeff in sl2_expansion(datum.di(i), part):
-                    if not pattern:
-                        continue  # the top term regenerates vec itself
-                    target = vec.add_entries(
-                        {(i, p): r for p, r in pattern.items()}
-                    )
+                # the expansion commutes with shifting the i-part, so it is
+                # computed once per (d_i, i-part shifted to start at 0)
+                low = min(part)
+                key = (datum.di(i),
+                       tuple(sorted((p - low, e) for p, e in part.items())))
+                shape = shapes.get(key)
+                if shape is None:
+                    shape = shapes[key] = [
+                        (tuple(pattern.items()), coeff)
+                        for pattern, coeff in sl2_expansion(key[0], dict(key[1]))
+                        if pattern  # the top term regenerates vec itself
+                    ]
+                for pattern, coeff in shape:
+                    pattern = [(low + p, r) for p, r in pattern]
+                    target = vec.add_entries({(i, p): r for p, r in pattern})
                     if target not in pending:
                         # Y(target) depends on target alone, so any parent will do
                         target_exps = dict(exps)
-                        for p, r in pattern.items():
+                        for p, r in pattern:
                             _accumulate(target_exps, table[i, p], r)
                         pending[target] = (target_exps, {})
                     slot = pending[target][1]

@@ -28,7 +28,10 @@ ascending) so serialized reflected points are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 from itertools import product
+from math import lcm
 
 from .braid import reflect_dimensions
 from .cartan import is_generic, reflect_weight
@@ -405,22 +408,33 @@ def _sub_dims(sub):
     return {key: len(rows) for key, rows in sub.items()}
 
 
-def _sub_totals(datum, sub):
-    totals = [0] * datum.rank
-    for (i, _), rows in sub.items():
-        totals[i - 1] += len(rows)
-    return totals
-
-
-def _pairing(datum, theta, totals):
-    return sum(datum.di(i) * theta[i - 1] * totals[i - 1] for i in datum.nodes)
-
-
 def _join(fld, left, right):
     out = dict(left)
     for key, rows in right.items():
         out[key] = _span(fld, out.get(key, ()) + rows)
     return out
+
+
+def _in_span(fld, basis, vec):
+    """True iff ``vec`` reduces to zero against the echelon rows ``basis``."""
+    vec = list(vec)
+    for row in basis:
+        pivot = next(c for c, x in enumerate(row) if x)
+        coeff = vec[pivot]
+        if coeff:
+            vec = [fld.sub(x, fld.mul(coeff, y)) for x, y in zip(vec, row)]
+    return not any(vec)
+
+
+def _contains(fld, sub, gen):
+    """True iff the submodule ``gen`` lies in ``sub``, slot by slot."""
+    for key, rows in gen.items():
+        basis = sub.get(key, ())
+        if len(rows) > len(basis):
+            return False
+        if not all(_in_span(fld, basis, row) for row in rows):
+            return False
+    return True
 
 
 def _contained_in_ker_b(rep, sub):
@@ -448,13 +462,21 @@ def _cyclic_submodules(rep):
 
 
 def _lattice(rep, base, generators, cap):
-    """All joins of ``base`` with subsets of ``generators`` (BFS, deduplicated)."""
+    """Yield ``base``, then each new join of it with a subset of ``generators``.
+
+    A generator already inside the current submodule is not joined: the join
+    would be the current submodule itself, so the members reached are the
+    same.  Raises CapExceeded before yielding a member beyond ``cap``.
+    """
     fld = rep.field
-    seen = {_sub_key(base): base}
+    seen = {_sub_key(base)}
     queue = [base]
+    yield base
     while queue:
         current = queue.pop()
         for gen in generators:
+            if _contains(fld, current, gen):
+                continue
             joined = _join(fld, current, gen)
             key = _sub_key(joined)
             if key not in seen:
@@ -462,9 +484,9 @@ def _lattice(rep, base, generators, cap):
                     raise CapExceeded(
                         f"submodule lattice exceeds cap {cap}", cap=cap
                     )
-                seen[key] = joined
+                seen.add(key)
                 queue.append(joined)
-    return seen.values()
+                yield joined
 
 
 def _framing_image_seeds(rep):
@@ -475,6 +497,23 @@ def _framing_image_seeds(rep):
         for c in range(cols):
             seeds.setdefault(target[1:], []).append([mat[r][c] for r in range(len(mat))])
     return seeds
+
+
+@lru_cache(maxsize=1024)
+def _generic(datum, theta):
+    """``is_generic`` once per (datum, theta); ``theta`` is a tuple."""
+    return is_generic(datum, theta)
+
+
+@lru_cache(maxsize=1024)
+def _weights(datum, theta):
+    """Integer weights d_i theta_i L of the tuple ``theta``.
+
+    L > 0 is the lcm of theta's denominators, so every pairing keeps its sign.
+    """
+    scale = lcm(*(Fraction(t).denominator for t in theta))
+    return tuple(int(datum.di(i) * Fraction(theta[i - 1]) * scale)
+                 for i in datum.nodes)
 
 
 def stability_check(rep, theta, lattice_cap=DEFAULT_LATTICE_CAP):
@@ -493,7 +532,10 @@ def stability_check(rep, theta, lattice_cap=DEFAULT_LATTICE_CAP):
       <= 0 only if it is zero, and a nonzero one inside Ker B contains the
       closure of any of its nonzero vectors, again inside Ker B.
     * mixed signs: :func:`_stability_by_lattice`, which walks the submodule
-      lattice and alone can raise the ``lattice_cap`` CapExceeded.
+      lattice and alone can raise the ``lattice_cap`` CapExceeded.  It stops
+      at the first submodule that breaks the slope condition, so an unstable
+      point whose witness comes before ``lattice_cap`` members is False, not
+      CapExceeded.
     """
     if not rep.field.is_finite:
         raise FieldNotFinite("stability enumeration needs a finite field")
@@ -503,7 +545,7 @@ def stability_check(rep, theta, lattice_cap=DEFAULT_LATTICE_CAP):
             f"{STABILITY_DIM_CAP}",
             cap=STABILITY_DIM_CAP,
         )
-    if not is_generic(rep.datum, theta):
+    if not _generic(rep.datum, tuple(theta)):
         raise NonGenericTheta(f"{theta} lies on a root hyperplane")
     if all(t < 0 for t in theta):
         return is_framed_stable(rep)
@@ -515,23 +557,23 @@ def stability_check(rep, theta, lattice_cap=DEFAULT_LATTICE_CAP):
 
 
 def _stability_by_lattice(rep, theta, lattice_cap):
-    """The slope condition checked on every submodule of the two lattices."""
-    datum = rep.datum
-    cyclics = _cyclic_submodules(rep)
+    """The slope condition on the two lattices, up to the first witness."""
+    weights = _weights(rep.datum, tuple(theta))
 
+    def pairing(sub):
+        return sum(weights[i - 1] * len(rows) for (i, _), rows in sub.items())
+
+    cyclics = _cyclic_submodules(rep)
     ker_b_gens = [c for c in cyclics if _contained_in_ker_b(rep, c)]
     for sub in _lattice(rep, {}, ker_b_gens, lattice_cap):
-        if _pairing(datum, theta, _sub_totals(datum, sub)) > 0:
+        if pairing(sub) > 0:
             return False
 
-    v_totals = [0] * datum.rank
-    for (i, _), n in rep.v.items():
-        v_totals[i - 1] += n
+    # a complement's pairing is V's minus the submodule's
+    whole = sum(weights[i - 1] * n for (i, _), n in rep.v.items())
     base = _closure(rep, _framing_image_seeds(rep))
     for sub in _lattice(rep, base, cyclics, lattice_cap):
-        totals = _sub_totals(datum, sub)
-        diff = [v_totals[k] - totals[k] for k in range(datum.rank)]
-        if _pairing(datum, theta, diff) < 0:
+        if whole - pairing(sub) < 0:
             return False
     return True
 
@@ -669,7 +711,7 @@ def reflect(rep, i, theta, *, trusted=False):
     datum, fld = rep.datum, rep.field
     if theta[i - 1] >= 0:
         raise ValueError(f"reflection at node {i} needs theta_{i} < 0")
-    if not is_generic(datum, theta):
+    if not _generic(datum, tuple(theta)):
         raise NonGenericTheta(f"{theta} lies on a root hyperplane")
     bad = validate_relations(rep)
     if bad:

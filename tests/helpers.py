@@ -1,13 +1,18 @@
 """Shared test helpers: random monomials, the braid-relation property check,
 the per-word replay oracle of the cone verifier, the expected cone-vertex
 count, the closure oracle that expands every monomial, the exhaustive quiver
-corpus, and the per-relation oracle of the quiver relation checks."""
+corpus, the per-relation oracle of the quiver relation checks, and the
+eager submodule lattice that decides mixed-sign stability."""
 
+import importlib
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
+from qcharlab import quiver
 from qcharlab.braid import apply_s_word, unit_framing
 from qcharlab.cartan import (
     build_cartan,
@@ -27,10 +32,24 @@ from qcharlab.linalg import (
 from qcharlab.lweights import AMonomialVector, LaurentMonomial, expand_to_y
 from qcharlab.qchar import QChar, fm_qchar, i_dominant, sl2_expansion
 from qcharlab.quiver import (
+    DEFAULT_LATTICE_CAP,
     RelationViolation,
     _map_ends,
     exhaustive_search,
 )
+
+
+def perfbench_module(name):
+    """A module of ``perfbench/``, imported without writing bytecode beside it."""
+    bench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, bench)
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.dont_write_bytecode = saved
+        sys.path.remove(bench)
 
 
 def random_monomial(datum, rng, max_terms=4, param_range=6, max_exp=3):
@@ -317,3 +336,73 @@ def validate_n_oracle(rep, node, xi):
     ):
         out.append(RelationViolation("loop-kills-xi", node, node, dk))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the eager submodule lattice: the oracle of quiver._stability_by_lattice
+
+
+def _sub_totals(datum, sub):
+    totals = [0] * datum.rank
+    for (i, _), rows in sub.items():
+        totals[i - 1] += len(rows)
+    return totals
+
+
+def _pairing(datum, theta, totals):
+    return sum(datum.di(i) * theta[i - 1] * totals[i - 1] for i in datum.nodes)
+
+
+def full_lattice(rep, base, generators, cap):
+    """All joins of ``base`` with subsets of ``generators`` (BFS, deduplicated).
+
+    Joins every generator into every member, contained or not; ``_join`` is
+    looked up on the module, so a test that patches it sees these calls too.
+    """
+    fld = rep.field
+    seen = {quiver._sub_key(base): base}
+    queue = [base]
+    while queue:
+        current = queue.pop()
+        for gen in generators:
+            joined = quiver._join(fld, current, gen)
+            key = quiver._sub_key(joined)
+            if key not in seen:
+                if len(seen) >= cap:
+                    raise CapExceeded(
+                        f"submodule lattice exceeds cap {cap}", cap=cap
+                    )
+                seen[key] = joined
+                queue.append(joined)
+    return seen.values()
+
+
+def stability_by_full_lattice(rep, thetas, lattice_cap=DEFAULT_LATTICE_CAP):
+    """The slope condition at each theta, on every member of both lattices.
+
+    Each lattice is built in full before any of its pairings is read, and the
+    pairings are Fractions: the differential oracle of the early-exit walk in
+    ``stability_check``.  Returns one verdict per theta, like
+    ``SearchPoint.stable``; the lattice over Im A is built only if some theta
+    passes the Ker B half, as for a single theta before the early exit.
+    """
+    datum = rep.datum
+    cyclics = quiver._cyclic_submodules(rep)
+    ker_b_gens = [c for c in cyclics if quiver._contained_in_ker_b(rep, c)]
+    subs = [_sub_totals(datum, sub)
+            for sub in full_lattice(rep, {}, ker_b_gens, lattice_cap)]
+    stable = [all(_pairing(datum, theta, totals) <= 0 for totals in subs)
+              for theta in thetas]
+    if any(stable):
+        v_totals = [0] * datum.rank
+        for (i, _), n in rep.v.items():
+            v_totals[i - 1] += n
+        base = quiver._closure(rep, quiver._framing_image_seeds(rep))
+        complements = [
+            [whole - part for whole, part in zip(v_totals, _sub_totals(datum, sub))]
+            for sub in full_lattice(rep, base, cyclics, lattice_cap)
+        ]
+        stable = [ok and all(_pairing(datum, theta, diff) >= 0
+                             for diff in complements)
+                  for ok, theta in zip(stable, thetas)]
+    return tuple(stable)

@@ -617,3 +617,92 @@ def test_malformed_dims_are_usage_errors(case):
     label, v, w = case
     assert _run_quietly("quiver-search", "--type", label, "--v", v,
                         "--w", w) in (1, 2)
+
+
+def _parses_as_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+# every subcommand, with the config keys it takes; the quiver ones take no
+# --config at all.  The argv is complete but for --type/--node.
+_CONFIG_TAKERS = {
+    "qchar": (("qchar",), ("type", "node", "cache_dir", "cap_monomials",
+                           "cap_height")),
+    "extremal-check": (("extremal-check",), ("type", "node", "cache_dir",
+                                             "cap_monomials", "cap_height",
+                                             "cap_w")),
+    "braid-orbit": (("braid-orbit",), ("type", "node", "cap_w")),
+    "quiver-check": (("quiver-check", "point.json"), ()),
+    "quiver-reflect": (("quiver-reflect", "point.json", "--node", "1",
+                        "--theta", "-1"), ()),
+    "quiver-search": (("quiver-search", "--type", "A2", "--v", "1@(1,1)",
+                       "--w", "1@(1,0)"), ()),
+}
+_CAPS = ("cap_monomials", "cap_height", "cap_w")
+# one config line: no line breaks, so a drawn value never starts a new line
+_LINE = st.text(alphabet=st.characters(blacklist_characters="\r\n",
+                                       blacklist_categories=("Cs",)),
+                max_size=12)
+
+
+@st.composite
+def _malformed_config(draw):
+    """A subcommand's argv and a config file with one fault, as bytes."""
+    command = draw(st.sampled_from(sorted(_CONFIG_TAKERS)))
+    argv, takes = _CONFIG_TAKERS[command]
+    values = {"type": "A2", "node": "1"}
+    extra = []
+    fault = draw(st.sampled_from(["json", "no equals", "bad bytes", "type",
+                                  "node", "cap value", "key not taken"]))
+    if fault == "json":
+        obj = draw(st.dictionaries(st.sampled_from(["type", "node", *_CAPS]),
+                                   st.one_of(_SCALARS, _LETTERS), max_size=3))
+        text = json.dumps(obj, indent=draw(st.sampled_from([None, 2])))
+        extra.extend(text.splitlines())
+    elif fault == "no equals":
+        extra.append(draw(_LINE.filter(
+            lambda t: "=" not in t and t.strip()
+            and not t.strip().startswith("#"))))
+    elif fault == "bad bytes":
+        extra.append(draw(st.sampled_from([b"\xff", b"\xc3\x28", b"\xed\xa0\x80"])))
+    elif fault == "type":
+        values["type"] = draw(st.one_of(
+            _LETTERS, st.sampled_from(["A0", "E9", "G3", "A2.5", ""])))
+    elif fault == "node":
+        # A2 has nodes 1 and 2
+        values["node"] = draw(st.one_of(
+            st.integers().filter(lambda i: i not in (1, 2)).map(str),
+            _LINE.filter(lambda t: not _parses_as_int(t))))
+    elif fault == "cap value":
+        values[draw(st.sampled_from(_CAPS))] = draw(st.one_of(
+            st.integers(max_value=0).map(str),
+            _LINE.filter(lambda t: not _parses_as_int(t))))
+    else:
+        others = [key for key in ("type", "node", "cache_dir", *_CAPS)
+                  if key not in takes]
+        name = draw(st.one_of(st.sampled_from(others or ["cap_entries"]),
+                              st.sampled_from(["cap_entries", "field", "word",
+                                               "theta", "out"])))
+        extra.append(f"{name.replace('_', draw(st.sampled_from(['_', '-'])))}"
+                     f" = {draw(st.integers(1, 9))}")
+    lines = [f"{key} = {value}" for key, value in values.items()]
+    lines += draw(st.lists(st.sampled_from(["", "# a comment"]), max_size=2))
+    for line in extra:
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    data = b"".join((line if isinstance(line, bytes) else line.encode()) + b"\n"
+                    for line in lines)
+    return argv, data
+
+
+@settings(deadline=None)
+@given(case=_malformed_config())
+def test_malformed_config_files_are_usage_errors(tmp_path_factory, case):
+    argv, data = case
+    path = tmp_path_factory.mktemp("config") / "run.cfg"
+    path.write_bytes(data)
+    assert _run_quietly(*argv, "--config", str(path)) == 1
+

@@ -1,7 +1,6 @@
 import json
 import random
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -22,7 +21,7 @@ from qcharlab.qchar import (
     sl2_expansion,
 )
 
-from helpers import fm_qchar_by_expansion
+from helpers import fm_qchar_by_expansion, perfbench_module
 
 Y = LaurentMonomial.y
 
@@ -163,16 +162,7 @@ def _assert_w_invariant(q):
 @pytest.fixture(scope="module")
 def reference():
     """perfbench/reference.py: values from Dynkin data alone, no qcharlab call."""
-    bench = str(Path(__file__).resolve().parents[1] / "perfbench")
-    sys.path.insert(0, bench)
-    saved = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True  # leave no bytecode beside the benchmark
-    try:
-        import reference
-    finally:
-        sys.dont_write_bytecode = saved
-        sys.path.remove(bench)
-    return reference
+    return perfbench_module("reference")
 
 
 @pytest.mark.parametrize("label,node", [
@@ -291,6 +281,26 @@ def test_closure_never_expands_a_monomial(monkeypatch):
                 if value is real:
                     monkeypatch.setattr(module, attr, refuse)
     assert fm_qchar(datum, 1) == expected
+
+
+@pytest.mark.parametrize("label,node", [("F4", 3), ("C4", 2), ("G2", 1)])
+def test_closure_expands_each_shifted_part_once(monkeypatch, label, node):
+    # sl2_expansion commutes with shifting its multiset, so one closure asks
+    # it once per (d_i, multiset shifted to start at 0)
+    from qcharlab import qchar
+
+    datum = build_cartan(label)
+    expected = fm_qchar_by_expansion(datum, node)
+    asked = []
+
+    def counting(d_i, multiset):
+        asked.append((d_i, min(multiset), tuple(sorted(multiset.items()))))
+        return sl2_expansion(d_i, multiset)
+
+    monkeypatch.setattr(qchar, "sl2_expansion", counting)
+    assert fm_qchar(datum, node) == expected
+    assert asked and len(asked) == len(set(asked))
+    assert {low for _, low, _ in asked} == {0}
 
 
 @pytest.mark.parametrize("label", ORACLE_LABELS)

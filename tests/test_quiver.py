@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qcharlab.braid import reflect_dimensions
-from qcharlab.cartan import build_cartan
+from qcharlab.cartan import build_cartan, reflect_weight
+from qcharlab.cli import _parse_theta, parse_dims
 from qcharlab.errors import (
     CapExceeded,
     FieldNotFinite,
@@ -45,9 +46,12 @@ from qcharlab.quiver import (
 )
 
 from helpers import (
+    full_lattice,
     loop_power,
+    perfbench_module,
     quiver_corpus_cases,
     relation_violations_oracle,
+    stability_by_full_lattice,
     validate_n_oracle,
 )
 
@@ -392,6 +396,123 @@ def test_same_sign_shortcuts_match_the_lattice_on_the_corpus():
                     counts["reflected"] += 1
     assert counts == {"points": 3603, ("stable", -1): 17, ("stable", 1): 5,
                       "reflected": 32}
+
+
+def _quiver_mixed_searches():
+    """(datum, v, w, theta) of each search of the benchmark's quiver-mixed workload."""
+    for group in perfbench_module("workloads").quiver_mixed():
+        for op in group:
+            flags = dict(zip(op.args[1:-1:2], op.args[2:-1:2]))
+            datum = build_cartan(flags["--type"])
+            theta = _parse_theta(op.args[-1].removeprefix("--theta="), datum.rank)
+            yield datum, parse_dims(flags["--v"]), parse_dims(flags["--w"]), theta
+
+
+def test_stability_matches_the_full_lattice_on_quiver_mixed():
+    counts = Counter()
+    for datum, v, w, theta in _quiver_mixed_searches():
+        assert min(theta) < 0 < max(theta)
+        for point in exhaustive_search(datum, v, w, F2, thetas=(theta,)):
+            assert point.stable == stability_by_full_lattice(point.rep, (theta,))
+            counts["points"] += 1
+            counts["stable"] += point.stable[0]
+        counts["searches"] += 1
+    assert counts == {"searches": 126, "points": 1263, "stable": 131}
+
+
+def test_lattice_walk_reaches_every_member_of_the_full_lattice():
+    # the skip of contained generators may change the order of the walk,
+    # never its members: both lattices of every quiver-mixed point
+    import qcharlab.quiver as quiver
+
+    members = 0
+    for datum, v, w, _ in _quiver_mixed_searches():
+        for point in exhaustive_search(datum, v, w, F2):
+            rep = point.rep
+            cyclics = quiver._cyclic_submodules(rep)
+            base = quiver._closure(rep, quiver._framing_image_seeds(rep))
+            for start, gens in [
+                ({}, [c for c in cyclics if quiver._contained_in_ker_b(rep, c)]),
+                (base, cyclics),
+            ]:
+                walked = [quiver._sub_key(sub) for sub in
+                          quiver._lattice(rep, start, gens, DEFAULT_LATTICE_CAP)]
+                assert len(walked) == len(set(walked))
+                assert set(walked) == {quiver._sub_key(sub) for sub in full_lattice(
+                    rep, start, gens, DEFAULT_LATTICE_CAP)}
+                members += len(walked)
+    assert members == 35599
+
+
+def test_stability_matches_the_full_lattice_at_mixed_theta_on_the_corpus():
+    # the criterion-7 corpus at each theta = s_i(-1,...,-1); for A1 that is
+    # (1), which has one sign, so only the rank-two types count
+    counts = Counter()
+    for label in ["A2", "B2"]:
+        for datum, _, _, _, neg, points in quiver_corpus_cases(label, sums=True):
+            thetas = tuple(reflect_weight(datum, i, neg) for i in datum.nodes)
+            assert all(min(theta) < 0 < max(theta) for theta in thetas)
+            for point in points:
+                stable = tuple(stability_check(point.rep, t) for t in thetas)
+                assert stable == stability_by_full_lattice(point.rep, thetas)
+                counts["points"] += 1
+                counts["stable"] += sum(stable)
+    assert counts == {"points": 3596, "stable": 19}
+
+
+def _two_plane_point():
+    # V_1^1 = k^2 and no maps: every line is a submodule inside Ker B, and at
+    # theta = (1, -2) each pairs 1 > 0, while the Ker B lattice has 5 members
+    datum = build_cartan("A2")
+    return GradedQuiverRep(datum, F2, {(1, 1): 2}, {}), (Fraction(1), Fraction(-2))
+
+
+def _counting_joins(monkeypatch, check=None):
+    import qcharlab.quiver as quiver
+
+    calls = []
+    real = quiver._join
+
+    def join(fld, left, right):
+        if check is not None:
+            check(fld, left, right)
+        calls.append(1)
+        return real(fld, left, right)
+
+    monkeypatch.setattr(quiver, "_join", join)
+    return calls
+
+
+def test_mixed_walk_stops_at_the_first_witness(monkeypatch):
+    rep, theta = _two_plane_point()
+    calls = _counting_joins(monkeypatch)
+    assert stability_check(rep, theta) is False
+    walked = len(calls)
+    assert stability_by_full_lattice(rep, (theta,)) == (False,)
+    # the oracle joins each of the 3 lines into each of the 5 members
+    assert (walked, len(calls) - walked) == (1, 15)
+
+
+def test_mixed_walk_never_joins_a_contained_generator(monkeypatch):
+    def grows(fld, current, gen):
+        joined = {key: _span(fld, current.get(key, ()) + rows)
+                  for key, rows in gen.items()}
+        assert any(len(rows) > len(current.get(key, ()))
+                   for key, rows in joined.items())
+
+    calls = _counting_joins(monkeypatch, grows)
+    for datum, v, w, theta in _quiver_mixed_searches():
+        exhaustive_search(datum, v, w, F2, thetas=(theta,))
+    assert len(calls) == 9524
+
+
+def test_early_witness_is_found_before_the_lattice_cap():
+    # the one change of the early exit: a witness that comes before the cap
+    # decides the point, where the whole lattice would exceed it
+    rep, theta = _two_plane_point()
+    assert stability_check(rep, theta, lattice_cap=2) is False
+    with pytest.raises(CapExceeded):
+        stability_by_full_lattice(rep, (theta,), 2)
 
 
 def test_framed_stability_equivalence_everywhere():
