@@ -26,7 +26,7 @@ from .braid import (
     apply_s_word,
     unit_framing,
 )
-from .qchar import QChar, classical_character, fm_qchar, i_dominant, sl2_expansion
+from .qchar import QChar, classical_character, fm_qchar, sl2_expansion
 from .extremal import (
     cone_vertices,
     verify_theorem_main,
@@ -65,7 +65,6 @@ __all__ = [
     "QChar",
     "classical_character",
     "fm_qchar",
-    "i_dominant",
     "sl2_expansion",
     "cone_vertices",
     "verify_theorem_main",

@@ -109,10 +109,6 @@ class LaurentMonomial:
     def to_pairs(self):
         return [[node, param, exp] for (node, param), exp in self._key]
 
-    @classmethod
-    def from_pairs(cls, pairs):
-        return cls({(int(i), int(a)): int(e) for i, a, e in pairs})
-
 
 _ONE = LaurentMonomial()
 
@@ -158,18 +154,19 @@ class AMonomialVector:
     def height(self):
         return sum(self._v.values())
 
-    def in_cone(self):
-        return all(mult >= 0 for mult in self._v.values())
+    @classmethod
+    def _trusted(cls, anchor, data):
+        """The vector of ``data``, which has no zero entry and is not used after."""
+        result = cls.__new__(cls)
+        object.__setattr__(result, "anchor", anchor)
+        object.__setattr__(result, "_v", data)
+        object.__setattr__(result, "_key", (anchor, tuple(sorted(data.items()))))
+        return result
 
     def add_entries(self, entries):
         """New vector with (node, param) -> mult increments applied."""
         items = entries.items() if hasattr(entries, "items") else entries
-        data = _accumulate(dict(self._v), items)
-        result = AMonomialVector.__new__(AMonomialVector)
-        object.__setattr__(result, "anchor", self.anchor)
-        object.__setattr__(result, "_v", data)
-        object.__setattr__(result, "_key", (self.anchor, tuple(sorted(data.items()))))
-        return result
+        return self._trusted(self.anchor, _accumulate(dict(self._v), items))
 
     def __add__(self, other):
         if not isinstance(other, AMonomialVector):

@@ -1,14 +1,19 @@
 """Iterative closure computing q-characters of fundamental modules.
 
-Monomials are stored as anchored A-monomial vectors.  The closure carries
-each pending vector's Y-exponents beside it: a new vector's exponents are
-its parent's times the few A^{-1} factors that produced it, read from the
-shared table of :mod:`qcharlab.lweights`, so no monomial is expanded from
-scratch.  It processes monomials in increasing A-height (sum of the vector
-entries), expanding every node direction in which the monomial is dominant
-through the rank-one string decomposition below.  Within a height
-class the processing order is irrelevant, which the determinism tests check
-by shuffling it.
+Monomials are stored as anchored A-monomial vectors.  The closure processes
+them in increasing A-height (sum of the vector entries), expanding every
+node direction in which the monomial is dominant through the rank-one
+string decomposition below.  Pending work is held in one level per height,
+and a target goes straight into the level of its parent's height plus its
+pattern's exponent sum.  Each level is keyed by Y(v), the target's
+Y-exponents: they name v, because the A_{i,a} are algebraically
+independent, and they have a few times fewer entries than v.  They are
+carried, not expanded: a target's exponents are its parent's times the few
+A^{-1} factors that produced it, read from the shared table of
+:mod:`qcharlab.lweights`.  Each AMonomialVector is built once, when its
+level is processed, and each level is processed in sorted order, so the
+entries come out in ``sorted_entries`` order.  Within a level the processing
+order is irrelevant, which the determinism tests check by shuffling it.
 """
 
 from __future__ import annotations
@@ -21,11 +26,6 @@ from .lweights import AMonomialVector, _a_inverse_table, _accumulate
 DEFAULT_MAX_MONOMIALS = 200000
 # names the closure rule in cache keys, so no cache serves another rule's output
 CLOSURE_REVISION = "fm-excess"
-
-
-def i_dominant(datum, monomial, i):
-    """True iff every Y_{i,.} exponent of the monomial is nonnegative."""
-    return all(e >= 0 for e in monomial.node_exponents(i).values())
 
 
 def sl2_expansion(d_i, multiset):
@@ -130,7 +130,8 @@ class QChar:
             "type": self.datum.label,
             "node": self.anchor,
             "entries": [
-                {"v": [[i, a, m] for (i, a), m in vec.items()], "mu": mu}
+                # tuples serialize as lists do and cost the cyclic GC less
+                {"v": [(i, a, m) for (i, a), m in vec.items()], "mu": mu}
                 for vec, mu in self.sorted_entries()
             ],
         }
@@ -166,12 +167,16 @@ def fm_qchar(
     if max_height is None:
         max_height = lowest_weight_height(datum, node)
     table = _a_inverse_table(datum)
-    shapes = {}  # (d_i, shifted i-part) -> its nonempty sl2_expansion patterns
+    # (d_i, shifted i-part) -> (pattern, coeff, rise) for its nonempty
+    # sl2_expansion patterns, rise being the pattern's exponent sum
+    shapes = {}
     entries = {}
-    # pending: vector -> (its Y-exponents, {direction: accumulated requirement})
-    pending = {AMonomialVector(node): ({(node, 0): 1}, {0: 1})}
+    # levels[h]: key of Y(v) -> (v as a dict, Y(v), {direction: requirement})
+    # for each pending v of A-height h
+    top = {(node, 0): 1}
+    levels = {0: {frozenset(top.items()): ({}, top, {0: 1})}}
     height = 0
-    while pending:
+    while levels:
         if height > max_height:
             raise CapExceeded(
                 f"height cap {max_height} exceeded computing {datum.label} "
@@ -179,12 +184,14 @@ def fm_qchar(
                 monomials=len(entries),
                 height=height,
             )
-        bucket = [vec for vec in pending if vec.height() == height]
-        bucket.sort(key=lambda vec: vec.items())
+        level = [
+            (AMonomialVector._trusted(node, v), exps, requirement)
+            for v, exps, requirement in levels.pop(height, {}).values()
+        ]
+        level.sort(key=lambda item: item[0].items())
         if shuffle_rng is not None:
-            shuffle_rng.shuffle(bucket)
-        for vec in bucket:
-            exps, requirement = pending.pop(vec)
+            shuffle_rng.shuffle(level)
+        for vec, exps, requirement in level:
             mu = max(requirement.values())
             entries[vec] = mu
             if len(entries) > max_monomials:
@@ -197,11 +204,10 @@ def fm_qchar(
             parts = {}
             for (j, p), e in exps.items():
                 parts.setdefault(j, {})[p] = e
-            for i in datum.nodes:
+            for i, part in parts.items():
                 excess = mu - requirement.get(i, 0)
-                part = parts.get(i)
-                # skip unless the monomial is i-dominant with a nonempty i-part
-                if not excess or not part or min(part.values()) < 0:
+                # skip unless the monomial is i-dominant
+                if not excess or min(part.values()) < 0:
                     continue
                 # the expansion commutes with shifting the i-part, so it is
                 # computed once per (d_i, i-part shifted to start at 0)
@@ -211,21 +217,24 @@ def fm_qchar(
                 shape = shapes.get(key)
                 if shape is None:
                     shape = shapes[key] = [
-                        (tuple(pattern.items()), coeff)
+                        (tuple(pattern.items()), coeff, sum(pattern.values()))
                         for pattern, coeff in sl2_expansion(key[0], dict(key[1]))
                         if pattern  # the top term regenerates vec itself
                     ]
-                for pattern, coeff in shape:
-                    pattern = [(low + p, r) for p, r in pattern]
-                    target = vec.add_entries({(i, p): r for p, r in pattern})
-                    if target not in pending:
-                        # Y(target) depends on target alone, so any parent will do
-                        target_exps = dict(exps)
+                for pattern, coeff, rise in shape:
+                    target_exps = dict(exps)
+                    for p, r in pattern:
+                        _accumulate(target_exps, table[i, low + p], r)
+                    # Y(target) names target and is the smaller key
+                    target_key = frozenset(target_exps.items())
+                    level_up = levels.setdefault(height + rise, {})
+                    slot = level_up.get(target_key)
+                    if slot is None:
+                        target_v = vec.as_dict()
                         for p, r in pattern:
-                            _accumulate(target_exps, table[i, p], r)
-                        pending[target] = (target_exps, {})
-                    slot = pending[target][1]
-                    slot[i] = slot.get(i, 0) + excess * coeff
+                            target_v[i, low + p] = target_v.get((i, low + p), 0) + r
+                        slot = level_up[target_key] = (target_v, target_exps, {})
+                    slot[2][i] = slot[2].get(i, 0) + excess * coeff
         height += 1
     return QChar(datum, node, entries)
 

@@ -1,7 +1,8 @@
-"""Shared test helpers: random monomials, the braid-relation property check,
-the per-word replay oracle of the cone verifier, the expected cone-vertex
-count, the closure oracle that expands every monomial, the exhaustive quiver
-corpus, the per-relation oracle of the quiver relation checks, and the
+"""Shared test helpers: the small predicates and parsers only the tests use,
+random monomials, the braid-relation property check, the per-word replay
+oracle of the cone verifier, the expected cone-vertex count, the closure
+oracle that expands every monomial, the exhaustive quiver corpus, the
+per-relation oracle of the quiver relation checks, and the
 eager submodule lattice that decides mixed-sign stability."""
 
 import importlib
@@ -30,7 +31,7 @@ from qcharlab.linalg import (
     zeros,
 )
 from qcharlab.lweights import AMonomialVector, LaurentMonomial, expand_to_y
-from qcharlab.qchar import QChar, fm_qchar, i_dominant, sl2_expansion
+from qcharlab.qchar import QChar, fm_qchar, sl2_expansion
 from qcharlab.quiver import (
     DEFAULT_LATTICE_CAP,
     RelationViolation,
@@ -50,6 +51,21 @@ def perfbench_module(name):
     finally:
         sys.dont_write_bytecode = saved
         sys.path.remove(bench)
+
+
+def laurent_from_pairs(pairs):
+    """The monomial of ``[[node, param, exp], ...]``, the inverse of ``to_pairs``."""
+    return LaurentMonomial({(int(i), int(a)): int(e) for i, a, e in pairs})
+
+
+def in_cone(vec):
+    """True iff every entry of the A-monomial vector is nonnegative."""
+    return all(mult >= 0 for _, mult in vec.items())
+
+
+def i_dominant(datum, monomial, i):
+    """True iff every Y_{i,.} exponent of the monomial is nonnegative."""
+    return all(e >= 0 for e in monomial.node_exponents(i).values())
 
 
 def random_monomial(datum, rng, max_terms=4, param_range=6, max_exp=3):

@@ -35,6 +35,7 @@ from qcharlab.quiver import (
 from helpers import (
     braid_relation_check,
     extremal_check,
+    in_cone,
     quiver_corpus_cases,
     random_monomial,
     vertex_orbit_size,
@@ -73,7 +74,7 @@ def test_criterion_2_rank_two_corpus():
             character = classical_character(q)
             elapsed = time.perf_counter() - start
             assert q.multiplicity(AMonomialVector(node)) == 1
-            assert all(vec.in_cone() for vec in q.entries)
+            assert all(in_cone(vec) for vec in q.entries)
             for i in datum.nodes:
                 reflected = {
                     reflect_weight(datum, i, wt): m for wt, m in character.items()

@@ -31,20 +31,31 @@ def test_qchar_a2(capsys):
     assert "monomials : 3" in capsys.readouterr().out
 
 
-# sha256 of qchar --out as written when the closure expanded every monomial
+# sha256 of qchar --out as written when the closure expanded every monomial;
+# the key's third element holds any extra qchar arguments
 QCHAR_ARTIFACTS = {
-    ("D8", 4): "25021b5358c92d8ab5ccc5b245de8f4b5a6d22d1ca95bc3edae4bd6ce7d4bb93",
-    ("E6", 4): "e6808e64b854bc8fb082897b014a20b42916627c6a4b77d520d69ea7186a2091",
-    ("E7", 6): "9e5c4ee7a62f7d9ca79a13b152a6c7587ada5515168564d52f923ca26c94de75",
+    ("C8", 3, ()): "81f8f640782dd002a960b1ff429e6daa5d6c5e36c5b7aa3f8eabf23060099c75",
+    ("D8", 4, ()): "25021b5358c92d8ab5ccc5b245de8f4b5a6d22d1ca95bc3edae4bd6ce7d4bb93",
+    ("E6", 4, ()): "e6808e64b854bc8fb082897b014a20b42916627c6a4b77d520d69ea7186a2091",
+    ("E7", 6, ()): "9e5c4ee7a62f7d9ca79a13b152a6c7587ada5515168564d52f923ca26c94de75",
+    ("E8", 1, ("--cap-height", "92")):
+        "588c9eac8cdf694dee20e8d0398db57224b81838caa5bb82c6369c92ca76f873",
 }
+QCHAR_CASES = sorted(QCHAR_ARTIFACTS)
 
 
-@pytest.mark.parametrize("label,node", sorted(QCHAR_ARTIFACTS))
-def test_qchar_bytes_are_pinned(tmp_path, label, node):
+@pytest.mark.parametrize(
+    "label,node,extra",
+    QCHAR_CASES,
+    ids=[f"{label}-{node}{''.join(extra)}" for label, node, extra in QCHAR_CASES],
+)
+def test_qchar_bytes_are_pinned(tmp_path, label, node, extra):
     out = tmp_path / "qchar.json"
-    assert run("qchar", "--type", label, "--node", str(node), "--out", str(out)) == 0
+    assert run(
+        "qchar", "--type", label, "--node", str(node), *extra, "--out", str(out)
+    ) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == QCHAR_ARTIFACTS[label, node]
+    assert digest == QCHAR_ARTIFACTS[label, node, extra]
 
 
 def test_unknown_type_is_usage_error(capsys):

@@ -29,7 +29,7 @@ from qcharlab.lweights import (
 )
 from qcharlab.qchar import QChar, fm_qchar
 
-from helpers import extremal_check, vertex_orbit_size
+from helpers import extremal_check, in_cone, vertex_orbit_size
 
 
 def vec(anchor, *entries):
@@ -37,9 +37,9 @@ def vec(anchor, *entries):
 
 
 def test_cone_membership():
-    assert vec(1).in_cone()
-    assert not vec(1, (1, 1, 1), (1, -1, -1)).in_cone()
-    assert vec(1, (1, 1, 1), (2, 2, 1)).in_cone()
+    assert in_cone(vec(1))
+    assert not in_cone(vec(1, (1, 1, 1), (1, -1, -1)))
+    assert in_cone(vec(1, (1, 1, 1), (2, 2, 1)))
 
 
 def test_extremal_check_a1_simple_reflection():

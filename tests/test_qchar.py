@@ -6,6 +6,7 @@ import pytest
 
 from qcharlab import lweights
 from qcharlab.cartan import build_cartan, lowest_weight_height, reflect_weight
+from qcharlab.cli import load_or_compute_qchar
 from qcharlab.errors import CapExceeded
 from qcharlab.lweights import (
     AMonomialVector,
@@ -14,14 +15,14 @@ from qcharlab.lweights import (
     expand_to_y,
 )
 from qcharlab.qchar import (
+    DEFAULT_MAX_MONOMIALS,
     QChar,
     classical_character,
     fm_qchar,
-    i_dominant,
     sl2_expansion,
 )
 
-from helpers import fm_qchar_by_expansion, perfbench_module
+from helpers import fm_qchar_by_expansion, i_dominant, in_cone, perfbench_module
 
 Y = LaurentMonomial.y
 
@@ -144,7 +145,7 @@ def test_structural_invariants(label):
         assert q.multiplicity(AMonomialVector(node)) == 1
         for v, mu in q.entries.items():
             assert mu >= 1
-            assert v.in_cone()
+            assert in_cone(v)
         _assert_w_invariant(q)
 
 
@@ -281,6 +282,54 @@ def test_closure_never_expands_a_monomial(monkeypatch):
                 if value is real:
                     monkeypatch.setattr(module, attr, refuse)
     assert fm_qchar(datum, 1) == expected
+
+
+def test_closure_builds_each_vector_once(monkeypatch):
+    # the closure keys pending work by Y(v) and makes each AMonomialVector
+    # once, when its height is processed, never by extending a parent
+    datum = build_cartan("F4")
+    expected = fm_qchar_by_expansion(datum, 1)
+    built = []
+    real_init = AMonomialVector.__init__
+    real_trusted = AMonomialVector._trusted
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closure extended a vector")
+
+    def counting_init(self, *args):
+        built.append(args)
+        real_init(self, *args)
+
+    def counting_trusted(cls, *args):
+        built.append(args)
+        return real_trusted(*args)
+
+    # the public constructor and the trusted one are the only ways to a vector
+    monkeypatch.setattr(AMonomialVector, "add_entries", refuse)
+    monkeypatch.setattr(AMonomialVector, "__init__", counting_init)
+    monkeypatch.setattr(AMonomialVector, "_trusted", classmethod(counting_trusted))
+    q = fm_qchar(datum, 1)
+    monkeypatch.undo()
+    assert q == expected
+    assert len(built) == q.monomial_count()
+
+
+@pytest.mark.parametrize("label,node", [
+    ("A3", 2), ("B3", 1), ("C3", 3), ("D4", 1), ("G2", 2), ("F4", 4), ("E6", 1),
+])
+def test_closure_entry_order_is_canonical(tmp_path, label, node):
+    # the verifier numbers its columns by list(qchar.entries), so a computed
+    # character and one read back from the cache must list them alike
+    datum = build_cartan(label)
+    q = fm_qchar(datum, node)
+    order = list(q.entries)
+    assert order == [v for v, _ in q.sorted_entries()]
+    for _ in range(2):  # a cache miss, then a hit
+        cached = load_or_compute_qchar(
+            datum, node, str(tmp_path), DEFAULT_MAX_MONOMIALS, None
+        )
+        assert list(cached.entries) == order
+    assert len(list(tmp_path.iterdir())) == 1
 
 
 @pytest.mark.parametrize("label,node", [("F4", 3), ("C4", 2), ("G2", 1)])
