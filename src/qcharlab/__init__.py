@@ -22,8 +22,6 @@ from .lweights import (
 from .braid import (
     apply_s,
     apply_s_inverse,
-    apply_s_on_v,
-    apply_s_word,
     unit_framing,
 )
 from .qchar import QChar, classical_character, fm_qchar, sl2_expansion
@@ -59,8 +57,6 @@ __all__ = [
     "factor_to_a",
     "apply_s",
     "apply_s_inverse",
-    "apply_s_on_v",
-    "apply_s_word",
     "unit_framing",
     "QChar",
     "classical_character",

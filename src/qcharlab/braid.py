@@ -5,15 +5,16 @@ The single source of truth is the generator rule
     S_i(Y_{j,x}) = Y_{j,x} * A_{i, x - d_i}^{-delta_ij}
 
 extended multiplicatively; see :mod:`qcharlab.conventions` for why the shift
-is downward.  Everything else (the A-level action, the closed form on
-dimension vectors) is a derived consequence, asserted by tests.
+is downward.  Everything else (the closed form on dimension vectors, and the
+A-level action the tests build from it) is a derived consequence, asserted
+by tests.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .lweights import AMonomialVector, a_monomial_inverse
+from .lweights import a_monomial_inverse
 
 
 def apply_s(datum, i, monomial):
@@ -34,15 +35,9 @@ def apply_s_inverse(datum, i, monomial):
     return out
 
 
-def apply_s_word(datum, word, monomial):
-    """S_w for w = s_{i_t} ... s_{i_1} and word (i_1, ..., i_t): i_1 acts first."""
-    for i in word:
-        monomial = apply_s(datum, i, monomial)
-    return monomial
-
-
 def apply_s_word_inverse(datum, word, monomial):
-    """Inverse of :func:`apply_s_word`: S_{i_t}^{-1} acts first."""
+    """S_w^{-1} for w = s_{i_t} ... s_{i_1} and word (i_1, ..., i_t): S_{i_t}^{-1}
+    acts first."""
     for i in reversed(word):
         monomial = apply_s_inverse(datum, i, monomial)
     return monomial
@@ -104,9 +99,3 @@ def reflect_dimensions(datum, i, v, w):
 def unit_framing(k):
     """The framing of the fundamental anchor Y_{k,0}."""
     return {(k, 0): 1}
-
-
-def apply_s_on_v(datum, i, vec, framing):
-    """S_i on an anchored A-monomial vector, for a fixed framing."""
-    new = reflect_dimensions(datum, i, vec.as_dict(), dict(framing))
-    return AMonomialVector(vec.anchor, new)

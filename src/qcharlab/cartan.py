@@ -284,16 +284,6 @@ def simple_root_weight_coords(datum, i):
     return tuple(datum.c(j, i) for j in datum.nodes)
 
 
-def weight_orbit(datum, theta):
-    """The full W-orbit of a weight vector, as a frozenset of tuples."""
-    top = tuple(theta)
-    # raise theta into the dominant chamber, then walk the orbit down from it
-    while any(c < 0 for c in top):
-        i = next(i for i in datum.nodes if top[i - 1] < 0)
-        top = reflect_weight(datum, i, top)
-    return frozenset(weight for _, weight in _orbit_walk(datum, top))
-
-
 def lowest_weight_height(datum, k):
     """ht(omega_k - w_0 omega_k): the A-height of the lowest weight of V(omega_k).
 

@@ -10,6 +10,7 @@ never mixed.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -83,14 +84,18 @@ def _qchar_cache_key(label, node, cap_monomials, cap_height):
     return hashlib.sha256(blob.encode()).hexdigest()[:24]
 
 
-def _checksum(obj):
-    return hashlib.sha256(
-        json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
+def _checksum(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def load_or_compute_qchar(datum, node, cache_dir, cap_monomials, cap_height):
-    """fm_qchar behind a content-checked disk cache; hits never change results."""
+    """fm_qchar behind a content-checked disk cache; hits never change results.
+
+    The cache file is {"checksum", "conventions", "payload"} in canonical
+    JSON, the payload being ``QChar.to_json_text()`` and the checksum its
+    sha256.  A hit is checked against the text of what was read back, so the
+    checksum covers every value and the order of the entries it returns.
+    """
     if cap_height is None:  # the exact bound, resolved so the key names it
         cap_height = lowest_weight_height(datum, node)
     if not cache_dir:
@@ -104,24 +109,26 @@ def load_or_compute_qchar(datum, node, cache_dir, cap_monomials, cap_height):
             payload = stored["payload"]
             if stored.get("conventions") != CONVENTIONS_VERSION:
                 raise CacheIntegrityError(f"{path}: conventions tag mismatch")
-            if stored.get("checksum") != _checksum(payload):
+            qchar = QChar.from_json_obj(datum, payload)
+            if stored.get("checksum") != _checksum(qchar.to_json_text()):
                 raise CacheIntegrityError(f"{path}: checksum mismatch")
-            return QChar.from_json_obj(datum, payload)
+            return qchar
         except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
             raise CacheIntegrityError(f"{path}: unreadable cache file ({exc})")
     qchar = fm_qchar(datum, node, cap_monomials, cap_height)
-    payload = qchar.to_json_obj()
+    text = qchar.to_json_text()
     os.makedirs(cache_dir, exist_ok=True)
     # write a temp file beside the target and rename it into place, so a
     # crash mid-write never leaves a partial file at the cache path
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(_canonical_json({
-                "conventions": CONVENTIONS_VERSION,
-                "checksum": _checksum(payload),
-                "payload": payload,
-            }))
+            # the bytes _canonical_json writes for the same object
+            handle.write(f'{{"checksum":{json.dumps(_checksum(text))},'
+                         f'"conventions":{json.dumps(CONVENTIONS_VERSION)},'
+                         f'"payload":')
+            handle.write(text)
+            handle.write("}\n")
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -204,7 +211,7 @@ def _check_nodes(datum, nodes):
             raise _UsageError(f"{i} is not a node of {datum.label}")
 
 
-# settings a --config file may give; they become the subcommand's defaults
+# settings a --config file may give; each goes in as its subcommand's flag
 _CONFIG_KEYS = ("type", "node", "cache_dir", "cap_monomials", "cap_height", "cap_w")
 
 
@@ -249,7 +256,10 @@ def _load_qchar(args):
 def _cmd_qchar(args):
     qchar = _load_qchar(args)
     if args.out:
-        _write_artifact(args.out, qchar.to_json_obj())
+        # the payload carries its conventions tag, as _write_artifact's do
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(qchar.to_json_text())
+            handle.write("\n")
     print(f"q-character  {qchar.datum.label}  node {args.node}")
     print(f"  monomials : {qchar.monomial_count()}")
     print(f"  max height: {qchar.max_height()}")
@@ -392,8 +402,14 @@ def _cmd_quiver_search(args):
 # parser assembly
 
 
+@functools.cache
 def _build_parser():
-    """The parser, and its subcommand parsers by name."""
+    """The parser, and its subcommand parsers by name.
+
+    Built on the first ``main`` call and shared by every later one, so
+    nothing may change it after it is built: config-file values and
+    ``$QCHARLAB_CACHE_DIR`` are applied to each call's arguments instead.
+    """
     parser = _Parser(prog="qcharlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -405,7 +421,8 @@ def _build_parser():
         if not closure:
             return
         # the settings of the q-character closure
-        p.add_argument("--cache-dir", default=os.environ.get(CACHE_DIR_ENV))
+        # None: $QCHARLAB_CACHE_DIR, read when main runs
+        p.add_argument("--cache-dir")
         p.add_argument("--cap-monomials", type=_positive_int,
                        default=DEFAULT_MAX_MONOMIALS)
         # None: the exact height of the lowest weight
@@ -463,11 +480,17 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
-            # the file's values become the subcommand's defaults, so a flag
-            # still wins and argparse converts each with its flag's type
-            command = commands[args.command]
-            command.set_defaults(**_load_config_file(args.config, command))
+            # the file's values go in as flags ahead of the command line's
+            # own, so a flag still wins (the last one given does) and
+            # argparse converts each with its flag's type
+            values = _load_config_file(args.config, commands[args.command])
+            argv = list(sys.argv[1:] if argv is None else argv)
+            at = argv.index(args.command) + 1
+            argv[at:at] = [f"--{name.replace('_', '-')}={value}"
+                           for name, value in values.items()]
             args = parser.parse_args(argv)
+        if getattr(args, "cache_dir", "") is None:
+            args.cache_dir = os.environ.get(CACHE_DIR_ENV)
         for name in ("type", "node"):
             if getattr(args, name, "") is None:
                 raise _UsageError(f"--{name} is required (flag or config file)")

@@ -361,11 +361,10 @@ def cone_vertices(datum, node):
 
     S_j^{-1} fixes the anchor Y_{k,0} for j != k, so the vertex depends only
     on the coset w W_J, i.e. on the weight w^{-1} omega_k (see
-    :func:`coset_weight`).  The omega_k-orbit is walked breadth first with
-    one inverse braid reflection per step, in the order of
-    :func:`cartan.weight_orbit`'s walk.  Propagates NotFactorable, which
-    would indicate convention breakage: the inverse-braid images of the
-    anchor always factor.
+    :func:`coset_weight`).  The omega_k-orbit is walked breadth first by
+    ``cartan._orbit_walk``, with one inverse braid reflection per step.
+    Propagates NotFactorable, which would indicate convention breakage: the
+    inverse-braid images of the anchor always factor.
     """
     images = {}
     for word, weight in _orbit_walk(datum, fundamental_weight(datum, node)):

@@ -12,11 +12,14 @@ carried, not expanded: a target's exponents are its parent's times the few
 A^{-1} factors that produced it, read from the shared table of
 :mod:`qcharlab.lweights`.  Each AMonomialVector is built once, when its
 level is processed, and each level is processed in sorted order, so the
-entries come out in ``sorted_entries`` order.  Within a level the processing
-order is irrelevant, which the determinism tests check by shuffling it.
+entries come out in the canonical order of :class:`QChar` without a sort
+of their own.  Within a level the processing order is irrelevant, which
+the determinism tests check by shuffling it.
 """
 
 from __future__ import annotations
+
+import json
 
 from .cartan import fundamental_weight, lowest_weight_height, simple_root_weight_coords
 from .conventions import CONVENTIONS_VERSION
@@ -86,12 +89,28 @@ def sl2_expansion(d_i, multiset):
 
 
 class QChar:
-    """A q-character: anchor node plus multiplicities over A-monomial vectors."""
+    """A q-character: anchor node plus multiplicities over A-monomial vectors.
+
+    ``entries`` is kept in canonical order, by A-height and then by the
+    vectors' sorted entries, which is the order ``to_json_text`` writes.
+    """
 
     def __init__(self, datum, anchor, entries):
         self.datum = datum
         self.anchor = anchor
-        self.entries = dict(entries)
+        self.entries = dict(
+            sorted(entries.items(), key=lambda kv: (kv[0].height(), kv[0].items()))
+        )
+
+    @classmethod
+    def _trusted(cls, datum, anchor, entries):
+        """The q-character of ``entries``, already in canonical order and not
+        used after."""
+        result = cls.__new__(cls)
+        result.datum = datum
+        result.anchor = anchor
+        result.entries = entries
+        return result
 
     def multiplicity(self, vec):
         return self.entries.get(vec, 0)
@@ -104,11 +123,6 @@ class QChar:
 
     def max_height(self):
         return max(vec.height() for vec in self.entries)
-
-    def sorted_entries(self):
-        return sorted(
-            self.entries.items(), key=lambda kv: (kv[0].height(), kv[0].items())
-        )
 
     def __eq__(self, other):
         return (
@@ -124,27 +138,43 @@ class QChar:
             f"{self.monomial_count()} monomials)"
         )
 
-    def to_json_obj(self):
-        return {
-            "conventions": CONVENTIONS_VERSION,
-            "type": self.datum.label,
-            "node": self.anchor,
-            "entries": [
-                # tuples serialize as lists do and cost the cyclic GC less
-                {"v": [(i, a, m) for (i, a), m in vec.items()], "mu": mu}
-                for vec, mu in self.sorted_entries()
-            ],
-        }
+    def to_json_text(self):
+        """The canonical JSON of this q-character, without a trailing newline.
+
+        It is what ``json.dumps`` writes with sorted keys and no spaces for
+        {"conventions", "entries": [{"mu", "v": [[i, a, m], ...]}, ...],
+        "node", "type"}, built as text: the few distinct "[i,a,m]" cells are
+        formatted once each, and no object tree is built.
+        """
+        cells = _Cells()
+        rows = ",".join([
+            f'{{"mu":{mu},"v":[{",".join(map(cells.__getitem__, vec.items()))}]}}'
+            for vec, mu in self.entries.items()
+        ])
+        return (f'{{"conventions":{json.dumps(CONVENTIONS_VERSION)},'
+                f'"entries":[{rows}],"node":{self.anchor},'
+                f'"type":{json.dumps(self.datum.label)}}}')
 
     @classmethod
     def from_json_obj(cls, datum, obj):
+        """The q-character of a parsed ``to_json_text``; entries keep their
+        order, which the cache's checksum over that text vouches for."""
         entries = {}
         for item in obj["entries"]:
             vec = AMonomialVector(
                 int(obj["node"]), {(int(i), int(a)): int(m) for i, a, m in item["v"]}
             )
             entries[vec] = int(item["mu"])
-        return cls(datum, int(obj["node"]), entries)
+        return cls._trusted(datum, int(obj["node"]), entries)
+
+
+class _Cells(dict):
+    """((i, a), m) -> its JSON text "[i,a,m]", formatted on first use."""
+
+    def __missing__(self, item):
+        (i, a), m = item
+        text = self[item] = f"[{i},{a},{m}]"
+        return text
 
 
 def fm_qchar(
@@ -236,7 +266,7 @@ def fm_qchar(
                         slot = level_up[target_key] = (target_v, target_exps, {})
                     slot[2][i] = slot[2].get(i, 0) + excess * coeff
         height += 1
-    return QChar(datum, node, entries)
+    return QChar._trusted(datum, node, entries)
 
 
 def classical_character(qchar):

@@ -101,9 +101,6 @@ class GradedQuiverRep:
     def vdim(self, i, a):
         return self.v.get((i, a), 0)
 
-    def wdim(self, i, a):
-        return self.w.get((i, a), 0)
-
     def slot_dim(self, slot):
         """The dimension of a ("V"|"W", node, grade) slot."""
         space, i, a = slot

@@ -1,5 +1,7 @@
 """Shared test helpers: the small predicates and parsers only the tests use,
-random monomials, the braid-relation property check, the per-word replay
+the weight orbit and the word and A-level braid actions, the sorted entries
+and JSON object tree of a q-character, random monomials, the braid-relation
+property check, the per-word replay
 oracle of the cone verifier, the expected cone-vertex count, the closure
 oracle that expands every monomial, the exhaustive quiver corpus, the
 per-relation oracle of the quiver relation checks, and the
@@ -14,13 +16,15 @@ from fractions import Fraction
 from pathlib import Path
 
 from qcharlab import quiver
-from qcharlab.braid import apply_s_word, unit_framing
+from qcharlab.braid import apply_s, reflect_dimensions, unit_framing
 from qcharlab.cartan import (
+    _orbit_walk,
     build_cartan,
     fundamental_weight,
     lowest_weight_height,
-    weight_orbit,
+    reflect_weight,
 )
+from qcharlab.conventions import CONVENTIONS_VERSION
 from qcharlab.errors import CapExceeded
 from qcharlab.extremal import _push_dims, _violation
 from qcharlab.linalg import (
@@ -66,6 +70,50 @@ def in_cone(vec):
 def i_dominant(datum, monomial, i):
     """True iff every Y_{i,.} exponent of the monomial is nonnegative."""
     return all(e >= 0 for e in monomial.node_exponents(i).values())
+
+
+def weight_orbit(datum, theta):
+    """The full W-orbit of a weight vector, as a frozenset of tuples."""
+    top = tuple(theta)
+    # raise theta into the dominant chamber, then walk the orbit down from it
+    while any(c < 0 for c in top):
+        i = next(i for i in datum.nodes if top[i - 1] < 0)
+        top = reflect_weight(datum, i, top)
+    return frozenset(weight for _, weight in _orbit_walk(datum, top))
+
+
+def apply_s_word(datum, word, monomial):
+    """S_w for w = s_{i_t} ... s_{i_1} and word (i_1, ..., i_t): i_1 acts first."""
+    for i in word:
+        monomial = apply_s(datum, i, monomial)
+    return monomial
+
+
+def apply_s_on_v(datum, i, vec, framing):
+    """S_i on an anchored A-monomial vector, for a fixed framing."""
+    new = reflect_dimensions(datum, i, vec.as_dict(), dict(framing))
+    return AMonomialVector(vec.anchor, new)
+
+
+def sorted_entries(qchar):
+    """The (vector, mu) pairs of a q-character, sorted by A-height and then by
+    the vectors' entries: the oracle of the order ``QChar.entries`` keeps."""
+    return sorted(
+        qchar.entries.items(), key=lambda kv: (kv[0].height(), kv[0].items())
+    )
+
+
+def qchar_json_obj(qchar):
+    """The object tree whose canonical JSON ``QChar.to_json_text`` writes."""
+    return {
+        "conventions": CONVENTIONS_VERSION,
+        "type": qchar.datum.label,
+        "node": qchar.anchor,
+        "entries": [
+            {"v": [[i, a, m] for (i, a), m in vec.items()], "mu": mu}
+            for vec, mu in sorted_entries(qchar)
+        ],
+    }
 
 
 def random_monomial(datum, rng, max_terms=4, param_range=6, max_exp=3):
@@ -191,7 +239,7 @@ def quiver_corpus_cases(label, dim_bound=6, entry_cap=22, sums=False,
     for node in datum.nodes:
         q = fm_qchar(datum, node)
         w = {(node, 0): 1}
-        entries = [vec for vec, _ in q.sorted_entries()]
+        entries = [vec for vec, _ in sorted_entries(q)]
         dims = [vec.as_dict() for vec in entries]
         if sums:
             seen = {tuple(sorted(v.items())) for v in dims}
@@ -218,6 +266,11 @@ def quiver_corpus_cases(label, dim_bound=6, entry_cap=22, sums=False,
 
 # ---------------------------------------------------------------------------
 # the relation oracle: each relation built by hand, absent maps as zero matrices
+
+
+def wdim(rep, i, a):
+    """The dimension of the framing space W_i^a of a quiver point."""
+    return rep.w.get((i, a), 0)
 
 
 def stored_or_zero(rep, kind, key):
@@ -287,7 +340,7 @@ def _e1bis_violations(rep, include_ab):
             terms.append(mat_mul_shaped(
                 fld, stored_or_zero(rep, "A", (i, a + di)),
                 stored_or_zero(rep, "B", (i, a + di)),
-                rows, rep.wdim(i, a + di), cols,
+                rows, wdim(rep, i, a + di), cols,
             ))
         if not is_zero_matrix(fld, _mat_sum(fld, terms, rows, cols)):
             name = "E1bis" if include_ab else "E1"
@@ -321,15 +374,15 @@ def _e4_e5_violations(rep):
     out = []
     for (i, a) in sorted(rep.w):
         di = datum.di(i)
-        if rep.wdim(i, a) and rep.vdim(i, a - di):
+        if wdim(rep, i, a) and rep.vdim(i, a - di):
             e4 = mat_mul_shaped(fld, loop_power(rep, i, a + di, 1),
                                 stored_or_zero(rep, "A", (i, a)), rep.vdim(i, a - di),
-                                rep.vdim(i, a + di), rep.wdim(i, a))
+                                rep.vdim(i, a + di), wdim(rep, i, a))
             if not is_zero_matrix(fld, e4):
                 out.append(RelationViolation("E4", i, i, a))
-        if rep.vdim(i, a + di) and rep.wdim(i, a):
+        if rep.vdim(i, a + di) and wdim(rep, i, a):
             e5 = mat_mul_shaped(fld, stored_or_zero(rep, "B", (i, a)),
-                                loop_power(rep, i, a + di, 1), rep.wdim(i, a),
+                                loop_power(rep, i, a + di, 1), wdim(rep, i, a),
                                 rep.vdim(i, a - di), rep.vdim(i, a + di))
             if not is_zero_matrix(fld, e5):
                 out.append(RelationViolation("E5", i, i, a))

@@ -7,7 +7,7 @@ import random
 import time
 from collections import Counter
 
-from qcharlab.braid import apply_s, apply_s_word, unit_framing
+from qcharlab.braid import apply_s, unit_framing
 from qcharlab.cartan import (
     all_reduced_words,
     build_cartan,
@@ -22,7 +22,6 @@ from qcharlab.lweights import (
     expand_to_y,
     factor_to_a,
 )
-from qcharlab.braid import apply_s_on_v
 from qcharlab.linalg import F2
 from qcharlab.qchar import QChar, classical_character, fm_qchar
 from qcharlab.quiver import (
@@ -33,6 +32,8 @@ from qcharlab.quiver import (
 )
 
 from helpers import (
+    apply_s_on_v,
+    apply_s_word,
     braid_relation_check,
     extremal_check,
     in_cone,

@@ -5,8 +5,6 @@ import pytest
 from qcharlab.braid import (
     apply_s,
     apply_s_inverse,
-    apply_s_on_v,
-    apply_s_word,
     apply_s_word_inverse,
     reflect_dimensions,
     unit_framing,
@@ -21,7 +19,13 @@ from qcharlab.lweights import (
     factor_to_a,
 )
 
-from helpers import braid_relation_check, in_cone, random_monomial
+from helpers import (
+    apply_s_on_v,
+    apply_s_word,
+    braid_relation_check,
+    in_cone,
+    random_monomial,
+)
 
 Y = LaurentMonomial.y
 

@@ -14,10 +14,11 @@ from qcharlab.cartan import (
     reflect_weight,
     root_pairing,
     simple_reflection_matrix,
-    weight_orbit,
     weyl_elements,
 )
 from qcharlab.errors import CapExceeded, UnsupportedType
+
+from helpers import weight_orbit
 
 ALL_LABELS = [
     "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",

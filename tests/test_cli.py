@@ -2,8 +2,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import string
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -503,22 +506,155 @@ def test_config_file_caps_are_honoured(tmp_path, capsys):
 def test_failed_cache_write_leaves_no_file(tmp_path, monkeypatch):
     from qcharlab import cli
 
-    real = cli._canonical_json
+    writes = []
 
-    def failing(obj):
-        raise OSError("disk full")
+    class FailingHandle:
+        """A file whose second write fails, after the first has landed."""
+
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.handle.close()
+
+        def write(self, text):
+            writes.append(text)
+            if len(writes) == 2:
+                raise OSError("disk full")
+            return self.handle.write(text)
+
+    def failing_open(path, mode="r", **kwargs):
+        handle = open(path, mode, **kwargs)
+        return FailingHandle(handle) if "w" in mode else handle
 
     cache = tmp_path / "cache"
-    monkeypatch.setattr(cli, "_canonical_json", failing)
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
     assert run("qchar", "--type", "A2", "--node", "1",
                "--cache-dir", str(cache)) == 2
+    assert len(writes) == 2  # the write failed partway through the file
     assert list(cache.iterdir()) == []
-    monkeypatch.setattr(cli, "_canonical_json", real)
+    monkeypatch.undo()
     # the next run recomputes, writes the cache, and a third run reads it
     for _ in range(2):
         assert run("qchar", "--type", "A2", "--node", "1",
                    "--cache-dir", str(cache)) == 0
     assert len(list(cache.iterdir())) == 1
+
+
+# sha256 of the cache file for F4 node 3, as written when the cache payload
+# was encoded from a JSON object tree
+F4_NODE_3_CACHE_FILE = (
+    "qchar-7ef426ca711b1ce799eb5773.json",
+    "305976037f17f15d5cd435cb2d309b373f6c4b3d1a0275952a67e5f6af9b9b94",
+)
+# the cache file for A2 node 1 as that encoder wrote it
+A2_NODE_1_CACHE_FILE = (
+    "qchar-170e219499c51389cbd0e798.json",
+    '{"checksum":"857c43e8d4495566edc384df31860d8dc71b1c22a42829d88e02d666e85e0a21",'
+    '"conventions":"qcharlab-conventions-1","payload":{"conventions":'
+    '"qcharlab-conventions-1","entries":[{"mu":1,"v":[]},{"mu":1,"v":[[1,1,1]]},'
+    '{"mu":1,"v":[[1,1,1],[2,2,1]]}],"node":1,"type":"A2"}}\n',
+)
+
+
+def _refuse_to_compute(monkeypatch):
+    from qcharlab import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cache hit computed the q-character")
+
+    monkeypatch.setattr(cli, "fm_qchar", refuse)
+
+
+def test_cache_file_bytes_are_pinned_and_read_back(tmp_path, monkeypatch):
+    cache, out = tmp_path / "cache", tmp_path / "f4.json"
+    assert run("qchar", "--type", "F4", "--node", "3",
+               "--cache-dir", str(cache)) == 0
+    name, digest = F4_NODE_3_CACHE_FILE
+    assert [path.name for path in cache.iterdir()] == [name]
+    assert hashlib.sha256((cache / name).read_bytes()).hexdigest() == digest
+    _refuse_to_compute(monkeypatch)
+    assert run("qchar", "--type", "F4", "--node", "3",
+               "--cache-dir", str(cache), "--out", str(out)) == 0
+    assert out.stat().st_size > 0
+
+
+def test_an_older_cache_file_is_a_hit(tmp_path, monkeypatch):
+    cache, out = tmp_path / "cache", tmp_path / "a2.json"
+    cache.mkdir()
+    name, text = A2_NODE_1_CACHE_FILE
+    (cache / name).write_text(text)
+    _refuse_to_compute(monkeypatch)
+    assert run("qchar", "--type", "A2", "--node", "1",
+               "--cache-dir", str(cache), "--out", str(out)) == 0
+    # the artifact is the payload, which sits between "payload": and "}\n"
+    assert out.read_text() == text[text.index('{"conventions"'):-2] + "\n"
+    assert (cache / name).read_text() == text
+
+
+def test_reordered_cache_entries_fail_the_checksum(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    name, text = A2_NODE_1_CACHE_FILE
+    stored = json.loads(text)
+    stored["payload"]["entries"].reverse()
+    (cache / name).write_text(json.dumps(stored))
+    assert run("qchar", "--type", "A2", "--node", "1",
+               "--cache-dir", str(cache)) == 2
+    assert "checksum mismatch" in capsys.readouterr().err
+
+
+def test_qchar_writes_no_json_object_tree(tmp_path, monkeypatch):
+    # the artifact and the cache file are written from one canonical text, so
+    # json.dumps only ever escapes the few strings around it
+    handed = []
+    real = json.dumps
+
+    def recording(obj, *args, **kwargs):
+        handed.append(type(obj))
+        return real(obj, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", recording)
+    for extra in ([], ["--cache-dir", str(tmp_path / "cache")]):
+        assert run("qchar", "--type", "B3", "--node", "1", *extra,
+                   "--out", str(tmp_path / "b3.json")) == 0
+    assert handed and set(handed) == {str}
+
+
+def test_a_config_file_does_not_leak_into_later_runs(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("type = A2\nnode = 1\ncap_height = 1\n")
+    assert run("qchar", "--config", str(config)) == 2
+    assert "height cap 1" in capsys.readouterr().err
+    assert run("qchar", "--type", "A2", "--node", "1") == 0
+    assert "monomials : 3" in capsys.readouterr().out
+
+
+def test_a_bad_config_value_is_a_usage_error_under_a_flag_too(tmp_path, capsys):
+    # the file's values are checked as flags are, whether or not a flag wins
+    config = tmp_path / "run.cfg"
+    config.write_text("type = A2\nnode = 1\ncap_height = 0\n")
+    assert run("qchar", "--config", str(config), "--cap-height", "5") == 1
+    assert "--cap-height" in capsys.readouterr().err
+
+
+def test_the_parser_is_built_once_on_the_first_call(tmp_path):
+    # not at import, where it would count as set-up time, and not per call
+    script = (
+        "from qcharlab import cli\n"
+        "assert cli._build_parser.cache_info().misses == 0\n"
+        "for node in ('1', '2'):\n"
+        "    assert cli.main(['qchar', '--type', 'A2', '--node', node]) == 0\n"
+        "assert cli._build_parser.cache_info().misses == 1\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_bad_node_word_and_theta_are_usage_errors(tmp_path):

@@ -7,7 +7,6 @@ from qcharlab.cartan import (
     all_reduced_words,
     build_cartan,
     fundamental_weight,
-    weight_orbit,
     weyl_elements,
 )
 from qcharlab import extremal
@@ -29,7 +28,13 @@ from qcharlab.lweights import (
 )
 from qcharlab.qchar import QChar, fm_qchar
 
-from helpers import extremal_check, in_cone, vertex_orbit_size
+from helpers import (
+    apply_s_on_v,
+    extremal_check,
+    in_cone,
+    vertex_orbit_size,
+    weight_orbit,
+)
 
 
 def vec(anchor, *entries):
@@ -49,8 +54,6 @@ def test_extremal_check_a1_simple_reflection():
     report = extremal_check(datum, q, s1)
     assert report.ok and report.checked == 2
     # the two images under S_1: 0 -> e_{(1,-1)} and e_{(1,1)} -> 0
-    from qcharlab.braid import apply_s_on_v
-
     framing = unit_framing(1)
     assert apply_s_on_v(datum, 1, vec(1), framing) == vec(1, (1, -1, 1))
     assert apply_s_on_v(datum, 1, vec(1, (1, 1, 1)), framing) == vec(1)

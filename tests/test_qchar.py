@@ -6,7 +6,7 @@ import pytest
 
 from qcharlab import lweights
 from qcharlab.cartan import build_cartan, lowest_weight_height, reflect_weight
-from qcharlab.cli import load_or_compute_qchar
+from qcharlab.cli import _canonical_json, load_or_compute_qchar
 from qcharlab.errors import CapExceeded
 from qcharlab.lweights import (
     AMonomialVector,
@@ -22,7 +22,14 @@ from qcharlab.qchar import (
     sl2_expansion,
 )
 
-from helpers import fm_qchar_by_expansion, i_dominant, in_cone, perfbench_module
+from helpers import (
+    fm_qchar_by_expansion,
+    i_dominant,
+    in_cone,
+    perfbench_module,
+    qchar_json_obj,
+    sorted_entries,
+)
 
 Y = LaurentMonomial.y
 
@@ -323,7 +330,7 @@ def test_closure_entry_order_is_canonical(tmp_path, label, node):
     datum = build_cartan(label)
     q = fm_qchar(datum, node)
     order = list(q.entries)
-    assert order == [v for v, _ in q.sorted_entries()]
+    assert order == [v for v, _ in sorted_entries(q)]
     for _ in range(2):  # a cache miss, then a hit
         cached = load_or_compute_qchar(
             datum, node, str(tmp_path), DEFAULT_MAX_MONOMIALS, None
@@ -385,8 +392,30 @@ def test_g2_adjoint_has_a_multiplicity_two_weight():
 def test_json_round_trip_and_sorting():
     datum = build_cartan("B2")
     q = fm_qchar(datum, 2)
-    obj = json.loads(json.dumps(q.to_json_obj()))
+    obj = json.loads(q.to_json_text())
     assert obj["type"] == "B2" and obj["node"] == 2
     heights = [sum(m for _, _, m in entry["v"]) for entry in obj["entries"]]
     assert heights == sorted(heights)
     assert QChar.from_json_obj(datum, obj) == q
+
+
+@pytest.mark.parametrize("label", ORACLE_LABELS + ["D5", "E6"])
+def test_json_text_is_the_canonical_json_of_the_object_tree(label):
+    datum = build_cartan(label)
+    for node in datum.nodes:
+        q = fm_qchar(datum, node)
+        assert q.to_json_text() == _canonical_json(qchar_json_obj(q))[:-1], node
+
+
+@pytest.mark.parametrize("label,node", [("B3", 1), ("G2", 2), ("F4", 3)])
+def test_entries_given_in_any_order_are_written_canonically(label, node):
+    datum = build_cartan(label)
+    q = fm_qchar(datum, node)
+    items = list(q.entries.items())
+    random.Random(label).shuffle(items)
+    assert [vec for vec, _ in items] != list(q.entries)
+    shuffled = QChar(datum, node, dict(items))
+    assert list(shuffled.entries) == list(q.entries)
+    text = shuffled.to_json_text()
+    assert text == _canonical_json(qchar_json_obj(shuffled))[:-1]
+    assert text == q.to_json_text()

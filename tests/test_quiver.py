@@ -51,6 +51,7 @@ from helpers import (
     perfbench_module,
     quiver_corpus_cases,
     relation_violations_oracle,
+    sorted_entries,
     stability_by_full_lattice,
     validate_n_oracle,
 )
@@ -218,7 +219,7 @@ def test_b_zero_slice_passes_validate_n():
         from qcharlab.qchar import fm_qchar
 
         q = fm_qchar(datum, node)
-        for entry, _ in q.sorted_entries():
+        for entry, _ in sorted_entries(q):
             points = exhaustive_search(
                 datum, entry.as_dict(), {(node, 0): 1}, F2, thetas=(theta,)
             )
@@ -893,7 +894,7 @@ def test_simply_laced_stable_points_have_zero_loops():
         datum = build_cartan(label)
         theta = tuple(Fraction(-1) for _ in datum.nodes)
         w = {(node, 0): 1}
-        for entry, _ in fm_qchar(datum, node).sorted_entries():
+        for entry, _ in sorted_entries(fm_qchar(datum, node)):
             v = entry.as_dict()
             if sum(v.values()) > bound:
                 continue
