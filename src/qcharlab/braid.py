@@ -47,7 +47,7 @@ def apply_s_word_inverse(datum, word, monomial):
 def _reflection_table(datum, i):
     """(d_i, ((j, offsets), ...)) for node i: offsets d_ij + t*d_ii, t = 1..-c_ij.
 
-    One entry per neighbour j of i, so the closed form below reads the Cartan
+    One entry per neighbour j of i, so :func:`_reflect_rows` reads the Cartan
     data once per (datum, node) instead of once per call.
     """
     dii = 2 * datum.di(i)
@@ -57,42 +57,48 @@ def _reflection_table(datum, i):
     )
 
 
-def reflect_dimensions(datum, i, v, w):
-    """Closed form of the induced action on dimension vectors.
-
-    Entries away from node i are untouched;
+def _reflect_rows(table, rows, i, constants):
+    """The node-i entries of S_i, by the closed form on dimension vectors:
 
         vbar_i^a = w_i^{a+d_i} - v_i^{a+d_ii}
                    + sum_{j ~ i} sum_{t=1}^{-c_ij} v_j^{a + d_ij + t*d_ii}
 
-    ``v`` and ``w`` are plain dicts (node, param) -> int; the framing ``w``
-    stays fixed (for an anchor Y_{k,0} it is the unit at (k, 0)).
+    ``table`` is :func:`_reflection_table` of node i, ``rows[j-1]`` maps a
+    parameter a to the entry v_j^a, and ``constants`` maps a to the framing
+    term w_i^{a+d_i}.  An entry may be one int or, in the cone verifier, a
+    packed row of ints, one column per vector; the sums are the same.
+    Returns {a: vbar_i^a} for every grade a that the sums reach, zeros
+    included.
     """
-    di, neighbours = _reflection_table(datum, i)
+    di, neighbours = table
     dii = 2 * di
-    offsets_of = dict(neighbours)
-    out = {key: mult for key, mult in v.items() if key[0] != i}
-
-    positions = set()
-    for (node, param), mult in w.items():
-        if node == i and mult:
-            positions.add(param - di)
-    for (node, param), mult in v.items():
-        if not mult:
-            continue
-        if node == i:
-            positions.add(param - dii)
-        else:
-            for offset in offsets_of.get(node, ()):
-                positions.add(param - offset)
-
-    for a in positions:
-        value = w.get((i, a + di), 0) - v.get((i, a + dii), 0)
-        for j, offsets in neighbours:
+    acc = dict(constants)
+    get = acc.get
+    for j, offsets in neighbours:
+        for b, x in rows[j - 1].items():
             for offset in offsets:
-                value += v.get((j, a + offset), 0)
-        if value:
-            out[(i, a)] = value
+                acc[b - offset] = get(b - offset, 0) + x
+    for b, x in rows[i - 1].items():
+        acc[b - dii] = get(b - dii, 0) - x
+    return acc
+
+
+def reflect_dimensions(datum, i, v, w):
+    """S_i on a dimension vector: :func:`_reflect_rows` on plain dicts.
+
+    ``v`` and ``w`` map (node, param) to an int, and the framing ``w`` stays
+    fixed.  Entries away from node i are untouched; at node i every grade
+    the closed form reaches is kept, zeros included.
+    """
+    rows = [{} for _ in datum.nodes]
+    for (node, param), mult in v.items():
+        rows[node - 1][param] = mult
+    constants = {param - datum.di(i): mult for (node, param), mult in w.items()
+                 if node == i}
+    out = {key: mult for key, mult in v.items() if key[0] != i}
+    table = _reflection_table(datum, i)
+    for a, value in _reflect_rows(table, rows, i, constants).items():
+        out[(i, a)] = value
     return out
 
 

@@ -1,8 +1,8 @@
-"""Finite-type Cartan data, root systems, and Weyl group enumeration.
+"""Finite-type Cartan data, Weyl group enumeration, and weight reflections.
 
 Node indices are 1-based.  Weight vectors are plain tuples of length ``rank``
-over the fundamental-weight basis; root coordinate vectors are tuples over
-the simple-root basis.  Everything is exact (ints / Fractions), no floats.
+over the fundamental-weight basis.  Everything is exact (ints / Fractions),
+no floats.
 """
 
 from __future__ import annotations
@@ -160,16 +160,6 @@ class WeylElement:
         return len(self.word)
 
 
-@lru_cache(maxsize=None)
-def simple_reflection_matrix(datum, i):
-    """Action of s_i on simple-root coordinates: alpha_j -> alpha_j - c_ij alpha_i."""
-    n = datum.rank
-    rows = [[int(r == c) for c in range(n)] for r in range(n)]
-    for j in range(1, n + 1):
-        rows[i - 1][j - 1] = -datum.c(i, j) if j != i else -1
-    return tuple(tuple(row) for row in rows)
-
-
 def _orbit_walk(datum, top, cap=None):
     """Breadth-first walk down the W-orbit of the dominant weight ``top``.
 
@@ -227,32 +217,6 @@ def all_reduced_words(datum, element):
     return expand(element.weight)
 
 
-def apply_root_matrix(matrix, coords):
-    n = len(matrix)
-    return tuple(sum(matrix[r][k] * coords[k] for k in range(n)) for r in range(n))
-
-
-@lru_cache(maxsize=None)
-def all_roots(datum):
-    """Every root, as simple-root coordinates, by reflection closure."""
-    simple = [tuple(int(k == i - 1) for k in range(datum.rank)) for i in datum.nodes]
-    seen = set(simple)
-    queue = deque(simple)
-    while queue:
-        root = queue.popleft()
-        for i in datum.nodes:
-            image = apply_root_matrix(simple_reflection_matrix(datum, i), root)
-            if image not in seen:
-                seen.add(image)
-                queue.append(image)
-    return tuple(sorted(seen))
-
-
-@lru_cache(maxsize=None)
-def positive_roots(datum):
-    return tuple(r for r in all_roots(datum) if all(c >= 0 for c in r))
-
-
 # ---------------------------------------------------------------------------
 # Weight vectors over the fundamental-weight basis
 
@@ -263,16 +227,31 @@ def reflect_weight(datum, i, theta):
     return tuple(theta[j - 1] - ti * datum.c(j, i) for j in datum.nodes)
 
 
-def root_pairing(datum, theta, root_coords):
-    """(theta, alpha) for alpha = sum n_i alpha_i, i.e. sum_i n_i d_i theta_i."""
-    return sum(
-        root_coords[i - 1] * datum.di(i) * theta[i - 1] for i in datum.nodes
-    )
+def _lower(datum, weight):
+    """The antidominant W-conjugate of ``weight``, and the A-height down to it.
+
+    Each step reflects at the first node with a positive coordinate, which
+    lowers the weight by that coordinate times alpha_i and leaves one fewer
+    positive root pairing positively with it, so the walk ends; the height
+    is the sum of the coordinates reflected away.
+    """
+    height = 0
+    while True:
+        i = next((i for i in datum.nodes if weight[i - 1] > 0), None)
+        if i is None:
+            return weight, height
+        height += weight[i - 1]
+        weight = reflect_weight(datum, i, weight)
 
 
 def is_generic(datum, theta):
-    """True iff theta avoids every root hyperplane."""
-    return all(root_pairing(datum, theta, r) != 0 for r in positive_roots(datum))
+    """True iff theta avoids every root hyperplane.
+
+    W permutes the hyperplanes, so theta avoids them iff its antidominant
+    conjugate does.  That pairs negatively with every positive root unless
+    one of its coordinates, its pairing with a simple root, is zero.
+    """
+    return all(_lower(datum, tuple(theta))[0])
 
 
 def fundamental_weight(datum, k):
@@ -287,12 +266,6 @@ def simple_root_weight_coords(datum, i):
 def lowest_weight_height(datum, k):
     """ht(omega_k - w_0 omega_k): the A-height of the lowest weight of V(omega_k).
 
-    Each reflection at a node with a positive coordinate lowers the weight by
-    that coordinate times alpha_i, until it is the antidominant w_0 omega_k.
+    The antidominant conjugate of omega_k is its lowest weight w_0 omega_k.
     """
-    weight, height = fundamental_weight(datum, k), 0
-    while any(c > 0 for c in weight):
-        i = next(i for i in datum.nodes if weight[i - 1] > 0)
-        height += weight[i - 1]
-        weight = reflect_weight(datum, i, weight)
-    return height
+    return _lower(datum, fundamental_weight(datum, k))[1]

@@ -22,6 +22,7 @@ from .braid import apply_s_word_inverse
 from .cartan import (
     DEFAULT_WEYL_CAP,
     build_cartan,
+    is_generic,
     lowest_weight_height,
     weyl_elements,
 )
@@ -158,15 +159,18 @@ def _parse_word(text):
         raise _UsageError(f"cannot parse word {text!r}") from None
 
 
-def _parse_theta(text, rank):
+def _parse_theta(text, datum):
+    """A generic theta over the nodes of ``datum``; one value stands for all."""
     try:
         parts = [Fraction(part.strip()) for part in text.split(",")]
     except (ValueError, ZeroDivisionError):
         raise _UsageError(f"cannot parse theta {text!r}") from None
     if len(parts) == 1:
-        parts = parts * rank
-    if len(parts) != rank:
-        raise _UsageError(f"theta needs 1 or {rank} entries, got {len(parts)}")
+        parts = parts * datum.rank
+    if len(parts) != datum.rank:
+        raise _UsageError(f"theta needs 1 or {datum.rank} entries, got {len(parts)}")
+    if not is_generic(datum, parts):
+        raise _UsageError(f"theta {text!r} lies on a root hyperplane")
     return tuple(parts)
 
 
@@ -356,7 +360,9 @@ def _cmd_quiver_check(args):
 def _cmd_quiver_reflect(args):
     rep = _load_point(args.point)
     _check_nodes(rep.datum, [args.node])
-    theta = _parse_theta(args.theta, rep.datum.rank)
+    theta = _parse_theta(args.theta, rep.datum)
+    if theta[args.node - 1] >= 0:
+        raise _UsageError(f"reflection at node {args.node} needs theta_{args.node} < 0")
     reflected, theta_bar = reflect(rep, args.node, theta, trusted=args.trusted)
     if args.out:
         obj = reflected.to_json_obj()
@@ -375,7 +381,7 @@ def _cmd_quiver_search(args):
     w = parse_dims(args.w)
     thetas = []
     if args.theta:
-        thetas.append(_parse_theta(args.theta, datum.rank))
+        thetas.append(_parse_theta(args.theta, datum))
     results = exhaustive_search(datum, v, w, field, thetas=tuple(thetas),
                                 cap_entries=args.cap_entries)
     stable_count = sum(1 for point in results if all(point.stable))

@@ -15,7 +15,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .braid import _reflection_table, apply_s_inverse, reflect_dimensions, unit_framing
+from .braid import (
+    _reflect_rows,
+    _reflection_table,
+    apply_s_inverse,
+    reflect_dimensions,
+    unit_framing,
+)
 from .cartan import (
     DEFAULT_WEYL_CAP,
     _orbit_walk,
@@ -37,10 +43,10 @@ class ConeViolation:
 
 
 def _push_dims(datum, word, dims, framing):
-    """S_w on one dimension vector by replaying the whole word."""
+    """S_w on one dimension vector by replaying the whole word; zeros dropped."""
     for i in word:
         dims = reflect_dimensions(datum, i, dims, framing)
-    return dims
+    return {key: mult for key, mult in dims.items() if mult}
 
 
 def _violation(word, vec, image):
@@ -73,8 +79,8 @@ class _Lanes:
     |v_c| < 2**(bits-1) that int determines the row, and sums and differences
     of rows are then plain int arithmetic.  The walk keeps every stored entry
     below ``half`` = 2**(bits-1-guard) in size, where 2**guard exceeds the
-    number of terms of one reflection (see :func:`_reflect_rows`), so no new
-    entry, even shifted by ``half``, can reach 2**(bits-1).  :meth:`negative_columns` checks each new
+    number of terms of one reflection (see :func:`braid._reflect_rows`), so no
+    new entry, even shifted by ``half``, can reach 2**(bits-1).  :meth:`negative_columns` checks each new
     row and raises _LaneOverflow when an entry reaches ``half``.
     """
 
@@ -109,31 +115,6 @@ class _Lanes:
         return frozenset(
             c for x in rows for c in range(self.width) if self.entry(x, c) < 0
         )
-
-
-def _reflect_rows(table, rows, i, constants):
-    """The node-i rows of S_i applied to every column of ``rows``.
-
-    ``rows[j-1]`` maps a parameter a to the packed row of entries (j, a),
-    one per column, and ``constants[a]`` is the packed framing row
-    w(i, a + d_i).  Column by column this is :func:`braid.reflect_dimensions`:
-
-        new(i, a) = w(i, a + d_i) - row(i, a + d_ii)
-                    + sum_{j ~ i} sum_t row(j, a + d_ij + t d_ii)
-
-    Rows that come out all zero are dropped.
-    """
-    di, neighbours = table
-    dii = 2 * di
-    acc = dict(constants)
-    get = acc.get
-    for j, offsets in neighbours:
-        for b, x in rows[j - 1].items():
-            for offset in offsets:
-                acc[b - offset] = get(b - offset, 0) + x
-    for b, x in rows[i - 1].items():
-        acc[b - dii] = get(b - dii, 0) - x
-    return {a: x for a, x in acc.items() if x}
 
 
 def _packed_walk(datum, lanes, rows, framing, cap):
@@ -174,7 +155,8 @@ def _packed_walk(datum, lanes, rows, framing, cap):
                 child[j] -= wi * c
             if i > 1 and min(child[: i - 1]) < 0:
                 continue
-            new = _reflect_rows(table, rows, i, constants)
+            new = {a: x for a, x in _reflect_rows(table, rows, i, constants).items()
+                   if x}
             bad = check(new.values())
             if negative or bad:
                 child_negative = {j: cols for j, cols in negative.items() if j != i}
@@ -243,6 +225,11 @@ def _column(image, col):
     return out
 
 
+# groups up to this order (G2 has 12, B3 48) re-check every element with a
+# second reduced word; the second walk replays whole words, one per column
+RECHECK_LIMIT = 48
+
+
 @dataclass
 class TheoremSummary:
     label: str
@@ -284,7 +271,7 @@ class TheoremSummary:
         }
 
 
-def verify_theorem_main(qchar, weyl_cap=DEFAULT_WEYL_CAP, recheck_limit=48):
+def verify_theorem_main(qchar, weyl_cap=DEFAULT_WEYL_CAP):
     """Run the cone check for every Weyl element against one q-character.
 
     The elements come from :func:`_row_walk`.  A violation is reported under
@@ -292,7 +279,7 @@ def verify_theorem_main(qchar, weyl_cap=DEFAULT_WEYL_CAP, recheck_limit=48):
     words are looked up only when there is a violation.  The rank-one
     reflections and the longest element are tallied separately (those
     instances carry independent proofs and anchor the conventions).
-    For groups of order <= ``recheck_limit`` each element is recomputed with
+    For groups of order <= ``RECHECK_LIMIT`` each element is recomputed with
     a reduced word ending in another letter, when it has one; any
     disagreement counts as a word mismatch.
     """
@@ -309,7 +296,7 @@ def verify_theorem_main(qchar, weyl_cap=DEFAULT_WEYL_CAP, recheck_limit=48):
     group_order = 0
     for weight, length, image, negative in _row_walk(datum, vectors, framing, weyl_cap):
         group_order += 1
-        if group_order <= recheck_limit:
+        if group_order <= RECHECK_LIMIT:
             kept[weight] = image
         if negative:
             cols = frozenset().union(*negative.values())
@@ -329,7 +316,7 @@ def verify_theorem_main(qchar, weyl_cap=DEFAULT_WEYL_CAP, recheck_limit=48):
             violations.append(_violation(word, vectors[col], _column(image, col)))
 
     word_mismatches = 0
-    if group_order <= recheck_limit:
+    if group_order <= RECHECK_LIMIT:
         for element in weyl_elements(datum, weyl_cap):
             alt_words = all_reduced_words(datum, element)
             alt_word = next(

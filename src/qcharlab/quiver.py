@@ -33,7 +33,7 @@ from functools import lru_cache
 from itertools import product
 from math import lcm
 
-from .braid import reflect_dimensions
+from .braid import _reflection_table, reflect_dimensions
 from .cartan import is_generic, reflect_weight
 from .errors import (
     CapExceeded,
@@ -63,7 +63,8 @@ from .linalg import (
 # stability is decided by enumeration, so only up to this total dimension
 STABILITY_DIM_CAP = 14
 DEFAULT_SEARCH_ENTRY_CAP = 22
-DEFAULT_LATTICE_CAP = 100000
+# the submodule lattices of a mixed-sign stability check stop at this many members
+LATTICE_CAP = 100000
 
 
 class GradedQuiverRep:
@@ -513,7 +514,7 @@ def _weights(datum, theta):
                  for i in datum.nodes)
 
 
-def stability_check(rep, theta, lattice_cap=DEFAULT_LATTICE_CAP):
+def stability_check(rep, theta):
     """Two-sided slope condition: is ``rep`` theta-stable?
 
     True iff every subrepresentation inside Ker B pairs <= 0 with theta and
@@ -529,9 +530,9 @@ def stability_check(rep, theta, lattice_cap=DEFAULT_LATTICE_CAP):
       <= 0 only if it is zero, and a nonzero one inside Ker B contains the
       closure of any of its nonzero vectors, again inside Ker B.
     * mixed signs: :func:`_stability_by_lattice`, which walks the submodule
-      lattice and alone can raise the ``lattice_cap`` CapExceeded.  It stops
+      lattice and alone can raise the ``LATTICE_CAP`` CapExceeded.  It stops
       at the first submodule that breaks the slope condition, so an unstable
-      point whose witness comes before ``lattice_cap`` members is False, not
+      point whose witness comes before ``LATTICE_CAP`` members is False, not
       CapExceeded.
     """
     if not rep.field.is_finite:
@@ -550,10 +551,10 @@ def stability_check(rep, theta, lattice_cap=DEFAULT_LATTICE_CAP):
         return not any(
             _contained_in_ker_b(rep, sub) for sub in _cyclic_closures(rep)
         )
-    return _stability_by_lattice(rep, theta, lattice_cap)
+    return _stability_by_lattice(rep, theta)
 
 
-def _stability_by_lattice(rep, theta, lattice_cap):
+def _stability_by_lattice(rep, theta):
     """The slope condition on the two lattices, up to the first witness."""
     weights = _weights(rep.datum, tuple(theta))
 
@@ -562,14 +563,14 @@ def _stability_by_lattice(rep, theta, lattice_cap):
 
     cyclics = _cyclic_submodules(rep)
     ker_b_gens = [c for c in cyclics if _contained_in_ker_b(rep, c)]
-    for sub in _lattice(rep, {}, ker_b_gens, lattice_cap):
+    for sub in _lattice(rep, {}, ker_b_gens, LATTICE_CAP):
         if pairing(sub) > 0:
             return False
 
     # a complement's pairing is V's minus the submodule's
     whole = sum(weights[i - 1] * n for (i, _), n in rep.v.items())
     base = _closure(rep, _framing_image_seeds(rep))
-    for sub in _lattice(rep, base, cyclics, lattice_cap):
+    for sub in _lattice(rep, base, cyclics, LATTICE_CAP):
         if whole - pairing(sub) < 0:
             return False
     return True
@@ -589,14 +590,15 @@ def is_framed_stable(rep):
 
 
 def phi_blocks(datum, i, a):
-    """Summand layout of the Phi/Psi domain at (i, a): W first, then (j, t)."""
-    blocks = [("W", i, a + datum.di(i), 0)]
-    dii = 2 * datum.di(i)
-    for j in sorted(datum.neighbors(i)):
-        dij = datum.b(i, j)
-        for t in range(1, -datum.c(i, j) + 1):
-            blocks.append(("V", j, a + dij + t * dii, t))
-    return blocks
+    """Summand layout of the Phi/Psi domain at (i, a): W first, then (j, t).
+
+    Its slots are the terms of the closed form of ``braid._reflect_rows``.
+    """
+    di, neighbours = _reflection_table(datum, i)
+    return [("W", i, a + di, 0)] + [
+        ("V", j, a + offset, t)
+        for j, offsets in neighbours for t, offset in enumerate(offsets, 1)
+    ]
 
 
 def _block_dims(rep, blocks):
@@ -728,22 +730,12 @@ def reflect(rep, i, theta, *, trusted=False):
         if not stability_check(rep, theta):
             raise StabilityViolated(f"input point is not stable for {theta}")
 
-    di = datum.di(i)
-    dii = 2 * di
-    candidates = set()
-    for (node, grade) in rep.v:
-        if node == i:
-            candidates.add(grade - dii)
-        elif datum.c(i, node) != 0:
-            dij = datum.b(i, node)
-            for t in range(1, -datum.c(i, node) + 1):
-                candidates.add(grade - dij - t * dii)
-    for (node, grade) in rep.w:
-        if node == i:
-            candidates.add(grade - di)
-
+    dii = 2 * datum.di(i)
+    # every grade the closed form reaches, zero-width ones too: Phi must be
+    # onto there as well
+    predicted = reflect_dimensions(datum, i, rep.v, rep.w)
     kernels = {}  # grade -> (kernel basis, its width, Phi block dims)
-    for a in sorted(candidates):
+    for a in sorted(a for node, a in predicted if node == i):
         dims = _block_dims(rep, phi_blocks(datum, i, a))
         dom = sum(dims)
         target = rep.vdim(i, a + dii)
@@ -832,7 +824,6 @@ def reflect(rep, i, theta, *, trusted=False):
     bad = validate_relations(reflected)
     if bad:
         raise RelationViolated(f"reflected point invalid: {bad[0]}")
-    predicted = reflect_dimensions(datum, i, dict(rep.v), dict(rep.w))
     predicted = {key: n for key, n in predicted.items() if n}
     if predicted != reflected.v:
         raise DimensionMismatch(
@@ -853,14 +844,10 @@ def chain_reflect(rep, theta, word, *, trusted=False):
     """Sequential reflections along a reduced word (first letter first).
 
     For theta in the negative chamber the sign precondition at each step
-    holds automatically; it is still asserted.  Returns the final point and
-    the transported weight.
+    holds automatically; :func:`reflect` still asserts it.  Returns the final
+    point and the transported weight.
     """
     for i in word:
-        if theta[i - 1] >= 0:
-            raise ValueError(
-                f"chain step at node {i} has nonnegative theta coefficient"
-            )
         rep, theta = reflect(rep, i, theta, trusted=trusted)
     return rep, theta
 

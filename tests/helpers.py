@@ -1,5 +1,6 @@
 """Shared test helpers: the small predicates and parsers only the tests use,
-the weight orbit and the word and A-level braid actions, the sorted entries
+the weight orbit, the root system and its genericity test, the word and
+A-level braid actions, the sorted entries
 and JSON object tree of a q-character, random monomials, the braid-relation
 property check, the per-word replay
 oracle of the cone verifier, the expected cone-vertex count, the closure
@@ -10,9 +11,10 @@ eager submodule lattice that decides mixed-sign stability."""
 import importlib
 import random
 import sys
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from qcharlab import quiver
@@ -37,7 +39,7 @@ from qcharlab.linalg import (
 from qcharlab.lweights import AMonomialVector, LaurentMonomial, expand_to_y
 from qcharlab.qchar import QChar, fm_qchar, sl2_expansion
 from qcharlab.quiver import (
-    DEFAULT_LATTICE_CAP,
+    LATTICE_CAP,
     RelationViolation,
     _map_ends,
     exhaustive_search,
@@ -80,6 +82,58 @@ def weight_orbit(datum, theta):
         i = next(i for i in datum.nodes if top[i - 1] < 0)
         top = reflect_weight(datum, i, top)
     return frozenset(weight for _, weight in _orbit_walk(datum, top))
+
+
+# ---------------------------------------------------------------------------
+# the root system over simple-root coordinates: the oracle of is_generic
+
+
+@lru_cache(maxsize=None)
+def simple_reflection_matrix(datum, i):
+    """Action of s_i on simple-root coordinates: alpha_j -> alpha_j - c_ij alpha_i."""
+    n = datum.rank
+    rows = [[int(r == c) for c in range(n)] for r in range(n)]
+    for j in range(1, n + 1):
+        rows[i - 1][j - 1] = -datum.c(i, j) if j != i else -1
+    return tuple(tuple(row) for row in rows)
+
+
+def apply_root_matrix(matrix, coords):
+    n = len(matrix)
+    return tuple(sum(matrix[r][k] * coords[k] for k in range(n)) for r in range(n))
+
+
+@lru_cache(maxsize=None)
+def all_roots(datum):
+    """Every root, as simple-root coordinates, by reflection closure."""
+    simple = [tuple(int(k == i - 1) for k in range(datum.rank)) for i in datum.nodes]
+    seen = set(simple)
+    queue = deque(simple)
+    while queue:
+        root = queue.popleft()
+        for i in datum.nodes:
+            image = apply_root_matrix(simple_reflection_matrix(datum, i), root)
+            if image not in seen:
+                seen.add(image)
+                queue.append(image)
+    return tuple(sorted(seen))
+
+
+@lru_cache(maxsize=None)
+def positive_roots(datum):
+    return tuple(r for r in all_roots(datum) if all(c >= 0 for c in r))
+
+
+def root_pairing(datum, theta, root_coords):
+    """(theta, alpha) for alpha = sum n_i alpha_i, i.e. sum_i n_i d_i theta_i."""
+    return sum(
+        root_coords[i - 1] * datum.di(i) * theta[i - 1] for i in datum.nodes
+    )
+
+
+def is_generic_by_roots(datum, theta):
+    """True iff theta pairs nonzero with every positive root."""
+    return all(root_pairing(datum, theta, r) != 0 for r in positive_roots(datum))
 
 
 def apply_s_word(datum, word, monomial):
@@ -446,7 +500,7 @@ def full_lattice(rep, base, generators, cap):
     return seen.values()
 
 
-def stability_by_full_lattice(rep, thetas, lattice_cap=DEFAULT_LATTICE_CAP):
+def stability_by_full_lattice(rep, thetas, lattice_cap=LATTICE_CAP):
     """The slope condition at each theta, on every member of both lattices.
 
     Each lattice is built in full before any of its pairings is read, and the

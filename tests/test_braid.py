@@ -24,6 +24,7 @@ from helpers import (
     apply_s_word,
     braid_relation_check,
     in_cone,
+    perfbench_module,
     random_monomial,
 )
 
@@ -226,3 +227,21 @@ def test_reflect_dimensions_keeps_other_nodes():
     v = {(1, 1): 2, (2, 0): 3, (2, 4): 1}
     out = reflect_dimensions(datum, 1, v, {(1, 0): 1})
     assert out[(2, 0)] == 3 and out[(2, 4)] == 1
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C4", "D5", "E6", "F4", "G2"])
+def test_reflect_dimensions_matches_the_benchmark_reference(label):
+    # the benchmark's closed form, written apart from qcharlab, on random v
+    # with zero and negative entries and random framings
+    reference = perfbench_module("reference")
+    datum = build_cartan(label)
+    rng = random.Random(label)
+    for _ in range(40):
+        v = {(rng.choice(datum.nodes), rng.randint(-6, 6)): rng.randint(-2, 3)
+             for _ in range(rng.randint(0, 8))}
+        w = {(rng.choice(datum.nodes), rng.randint(-6, 6)): rng.randint(0, 2)
+             for _ in range(rng.randint(0, 3))}
+        i = rng.choice(datum.nodes)
+        image = reflect_dimensions(datum, i, v, w)
+        assert {key: n for key, n in image.items() if n} == (
+            reference.reflect_dimensions(label, i, v, w)), (v, w, i)

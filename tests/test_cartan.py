@@ -1,24 +1,29 @@
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
 from qcharlab.cartan import (
     all_reduced_words,
-    all_roots,
-    apply_root_matrix,
     build_cartan,
     fundamental_weight,
     is_generic,
-    positive_roots,
     reflect_weight,
-    root_pairing,
-    simple_reflection_matrix,
     weyl_elements,
 )
 from qcharlab.errors import CapExceeded, UnsupportedType
 
-from helpers import weight_orbit
+from helpers import (
+    all_roots,
+    apply_root_matrix,
+    is_generic_by_roots,
+    positive_roots,
+    root_pairing,
+    simple_reflection_matrix,
+    weight_orbit,
+)
 
 ALL_LABELS = [
     "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
@@ -26,6 +31,13 @@ ALL_LABELS = [
 ]
 
 SMALL_LABELS = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2", "D4"]
+
+# every type build_cartan accepts
+SUPPORTED_LABELS = (
+    [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
 
 
 def _identity_matrix(n):
@@ -250,6 +262,33 @@ def test_is_generic_examples():
     assert is_generic(a2, (Fraction(-1), Fraction(-1)))
     assert not is_generic(a2, (Fraction(1), Fraction(-1)))  # vanishes on a1+a2
     assert not is_generic(build_cartan("A1"), (Fraction(0),))
+
+
+@pytest.mark.parametrize("label", SUPPORTED_LABELS)
+def test_is_generic_matches_the_root_oracle(label):
+    # a grid of small entries with zeros (in full up to rank 3, sampled
+    # above), halves, and W-images of antidominant weights: those with one
+    # zero coordinate lie on a root hyperplane, the negative ones on none
+    datum = build_cartan(label)
+    rng = random.Random(label)
+    if datum.rank <= 3:
+        thetas = list(product(range(-2, 3), repeat=datum.rank))
+    else:
+        thetas = [tuple(rng.randint(-2, 2) for _ in datum.nodes) for _ in range(60)]
+    thetas += [tuple(Fraction(rng.randint(-4, 4), 2) for _ in datum.nodes)
+               for _ in range(20)]
+    walls, chambers = [], []
+    for i in datum.nodes:
+        for zero, images in [(True, walls), (False, chambers)]:
+            theta = tuple(0 if zero and j == i else -rng.randint(1, 3)
+                          for j in datum.nodes)
+            for _ in range(3 * datum.rank):
+                theta = reflect_weight(datum, rng.choice(datum.nodes), theta)
+            images.append(theta)
+    assert not any(is_generic(datum, theta) for theta in walls)
+    assert all(is_generic(datum, theta) for theta in chambers)
+    for theta in thetas + walls + chambers:
+        assert is_generic(datum, theta) == is_generic_by_roots(datum, theta), theta
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C3", "G2"])

@@ -657,7 +657,7 @@ def test_the_parser_is_built_once_on_the_first_call(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
-def test_bad_node_word_and_theta_are_usage_errors(tmp_path):
+def test_bad_node_word_and_theta_are_usage_errors(tmp_path, capsys):
     assert run("qchar", "--type", "A2", "--node", "3") == 1
     assert run("braid-orbit", "--type", "A2", "--node", "1", "--word", "1,x") == 1
     assert run("braid-orbit", "--type", "A2", "--node", "1", "--word", "1,3") == 1
@@ -665,6 +665,23 @@ def test_bad_node_word_and_theta_are_usage_errors(tmp_path):
     point.write_text(json.dumps(POINT_A1))
     assert run("quiver-reflect", "--node", "2", "--theta", "-1", str(point)) == 1
     assert run("quiver-reflect", "--node", "1", "--theta", "1/0", str(point)) == 1
+    a2_point = tmp_path / "a2.json"
+    a2_point.write_text(json.dumps(dict(POINT_A1, type="A2")))
+    capsys.readouterr()
+    # a theta on a root hyperplane (0, or -1 + 1 on alpha_1 + alpha_2), and
+    # a nonnegative theta at the reflected node
+    for argv in [
+        ("quiver-reflect", "--node", "1", "--theta=1", str(point)),
+        ("quiver-reflect", "--node", "1", "--theta=0", str(point)),
+        ("quiver-reflect", "--node", "1", "--theta=1,-2", str(a2_point)),
+        ("quiver-reflect", "--node", "1", "--theta=1,-1", str(a2_point)),
+        ("quiver-reflect", "--node", "1", "--theta=-1,1", str(a2_point)),
+        ("quiver-search", "--type", "A2", "--v", "1@(1,1)", "--w", "1@(1,0)",
+         "--theta=-1,1"),
+    ]:
+        assert run(*argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "Traceback" not in err, argv
 
 
 _LETTERS = st.text(alphabet=string.ascii_letters, min_size=1, max_size=6)

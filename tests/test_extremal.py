@@ -238,8 +238,9 @@ def _injected(label, node, *entries):
     [("A1", 1, (1, 3, 1)), ("B3", 1, (2, 5, 1)), ("G2", 2, (1, 4, 2))],
 )
 def test_verifier_violations_equal_the_per_element_checks(
-    label, node, entry, recheck_limit
+    label, node, entry, recheck_limit, monkeypatch
 ):
+    monkeypatch.setattr(extremal, "RECHECK_LIMIT", recheck_limit)
     datum, corrupted = _injected(label, node, entry)
     expected = [
         violation
@@ -247,7 +248,7 @@ def test_verifier_violations_equal_the_per_element_checks(
         for violation in extremal_check(datum, corrupted, element).violations
     ]
     assert expected
-    summary = verify_theorem_main(corrupted, recheck_limit=recheck_limit)
+    summary = verify_theorem_main(corrupted)
     assert summary.violations == expected
     assert summary.word_mismatches == 0
     longest = max(element.length for element in weyl_elements(datum))
@@ -271,7 +272,7 @@ def test_recheck_replays_a_word_ending_in_another_letter(label, node, monkeypatc
     monkeypatch.setattr(extremal, "_push_dims", recording)
     datum = build_cartan(label)
     q = fm_qchar(datum, node)
-    summary = verify_theorem_main(q, recheck_limit=48)
+    summary = verify_theorem_main(q)
     assert summary.word_mismatches == 0
     # one recheck per monomial of every element with two left descents
     rechecked = [
@@ -312,8 +313,8 @@ def test_one_row_rewrite_per_element(label, node, recheck_limit, monkeypatch):
 
     monkeypatch.setattr(extremal, "_reflect_rows", counting)
     monkeypatch.setattr(extremal, "reflect_dimensions", no_replay)
-    summary = verify_theorem_main(fm_qchar(build_cartan(label), node),
-                                  recheck_limit=recheck_limit)
+    monkeypatch.setattr(extremal, "RECHECK_LIMIT", recheck_limit)
+    summary = verify_theorem_main(fm_qchar(build_cartan(label), node))
     assert summary.group_order > recheck_limit
     assert summary.checks == summary.monomial_count * summary.group_order
     assert len(rewrites) == summary.group_order - 1

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from qcharlab import quiver
 from qcharlab.braid import reflect_dimensions
 from qcharlab.cartan import build_cartan, reflect_weight
 from qcharlab.cli import _parse_theta, parse_dims
@@ -29,7 +30,7 @@ from qcharlab.linalg import (
     solve_exact,
 )
 from qcharlab.quiver import (
-    DEFAULT_LATTICE_CAP,
+    LATTICE_CAP,
     GradedQuiverRep,
     _span,
     _stability_by_lattice,
@@ -289,8 +290,6 @@ def test_relation_checks_match_the_per_relation_oracle(case):
 def test_relation_checks_build_no_zero_matrix(monkeypatch):
     # every point of one search shares v and w; an absent map is skipped,
     # never materialized as a zero matrix
-    import qcharlab.quiver as quiver
-
     calls = []
     real = quiver.zeros
     monkeypatch.setattr(quiver, "zeros",
@@ -305,8 +304,6 @@ def test_relation_checks_build_no_zero_matrix(monkeypatch):
 
 def test_search_builds_the_relation_table_once(monkeypatch):
     # the table reads only datum, v and w, which every point of one search shares
-    import qcharlab.quiver as quiver
-
     calls = []
     real = quiver._relation_table
     monkeypatch.setattr(quiver, "_relation_table",
@@ -357,17 +354,18 @@ def test_same_sign_guards_still_fire(theta):
         stability_check(GradedQuiverRep(datum, F2, {(1, 1): 1}, {}), on_wall)
 
 
-def test_lattice_cap_only_reaches_mixed_theta():
+def test_lattice_cap_only_reaches_mixed_theta(monkeypatch):
     # V_1^1 = W_1^0 = k with A the identity: its lattices have two members
     datum = build_cartan("A2")
     rep = GradedQuiverRep(datum, F2, {(1, 1): 1}, {(1, 0): 1},
                           framing={(1, 0): [[1]]})
-    assert stability_check(rep, NEG2, lattice_cap=1) is True
-    assert stability_check(rep, POS2, lattice_cap=1) is False
+    monkeypatch.setattr(quiver, "LATTICE_CAP", 1)
+    assert stability_check(rep, NEG2) is True
+    assert stability_check(rep, POS2) is False
     with pytest.raises(CapExceeded):
-        _stability_by_lattice(rep, NEG2, 1)
+        _stability_by_lattice(rep, NEG2)
     with pytest.raises(CapExceeded):
-        stability_check(rep, (Fraction(-1), Fraction(3)), lattice_cap=1)
+        stability_check(rep, (Fraction(-1), Fraction(3)))
 
 
 def test_same_sign_shortcuts_match_the_lattice_on_the_corpus():
@@ -381,9 +379,7 @@ def test_same_sign_shortcuts_match_the_lattice_on_the_corpus():
                 rep = point.rep
                 for theta, stable in [(neg, point.stable[0]),
                                       (pos, stability_check(rep, pos))]:
-                    assert stable == _stability_by_lattice(
-                        rep, theta, DEFAULT_LATTICE_CAP
-                    )
+                    assert stable == _stability_by_lattice(rep, theta)
                     counts["stable", theta[0]] += stable
                 counts["points"] += 1
                 if not point.stable[0]:
@@ -391,9 +387,7 @@ def test_same_sign_shortcuts_match_the_lattice_on_the_corpus():
                 for i in datum.nodes:
                     reflected, theta_bar = reflect(rep, i, neg)
                     assert stability_check(reflected, theta_bar) is True
-                    assert _stability_by_lattice(
-                        reflected, theta_bar, DEFAULT_LATTICE_CAP
-                    ) is True
+                    assert _stability_by_lattice(reflected, theta_bar) is True
                     counts["reflected"] += 1
     assert counts == {"points": 3603, ("stable", -1): 17, ("stable", 1): 5,
                       "reflected": 32}
@@ -405,7 +399,7 @@ def _quiver_mixed_searches():
         for op in group:
             flags = dict(zip(op.args[1:-1:2], op.args[2:-1:2]))
             datum = build_cartan(flags["--type"])
-            theta = _parse_theta(op.args[-1].removeprefix("--theta="), datum.rank)
+            theta = _parse_theta(op.args[-1].removeprefix("--theta="), datum)
             yield datum, parse_dims(flags["--v"]), parse_dims(flags["--w"]), theta
 
 
@@ -424,8 +418,6 @@ def test_stability_matches_the_full_lattice_on_quiver_mixed():
 def test_lattice_walk_reaches_every_member_of_the_full_lattice():
     # the skip of contained generators may change the order of the walk,
     # never its members: both lattices of every quiver-mixed point
-    import qcharlab.quiver as quiver
-
     members = 0
     for datum, v, w, _ in _quiver_mixed_searches():
         for point in exhaustive_search(datum, v, w, F2):
@@ -437,10 +429,10 @@ def test_lattice_walk_reaches_every_member_of_the_full_lattice():
                 (base, cyclics),
             ]:
                 walked = [quiver._sub_key(sub) for sub in
-                          quiver._lattice(rep, start, gens, DEFAULT_LATTICE_CAP)]
+                          quiver._lattice(rep, start, gens, LATTICE_CAP)]
                 assert len(walked) == len(set(walked))
                 assert set(walked) == {quiver._sub_key(sub) for sub in full_lattice(
-                    rep, start, gens, DEFAULT_LATTICE_CAP)}
+                    rep, start, gens, LATTICE_CAP)}
                 members += len(walked)
     assert members == 35599
 
@@ -469,8 +461,6 @@ def _two_plane_point():
 
 
 def _counting_joins(monkeypatch, check=None):
-    import qcharlab.quiver as quiver
-
     calls = []
     real = quiver._join
 
@@ -507,11 +497,12 @@ def test_mixed_walk_never_joins_a_contained_generator(monkeypatch):
     assert len(calls) == 9524
 
 
-def test_early_witness_is_found_before_the_lattice_cap():
+def test_early_witness_is_found_before_the_lattice_cap(monkeypatch):
     # the one change of the early exit: a witness that comes before the cap
     # decides the point, where the whole lattice would exceed it
     rep, theta = _two_plane_point()
-    assert stability_check(rep, theta, lattice_cap=2) is False
+    monkeypatch.setattr(quiver, "LATTICE_CAP", 2)
+    assert stability_check(rep, theta) is False
     with pytest.raises(CapExceeded):
         stability_by_full_lattice(rep, (theta,), 2)
 
@@ -525,9 +516,7 @@ def test_framed_stability_equivalence_everywhere():
         ({(2, 2): 1, (1, 4): 1}, {(2, 0): 1}),
     ]:
         for point in exhaustive_search(datum, v, w, F2, thetas=(NEG2,)):
-            assert point.stable[0] == _stability_by_lattice(
-                point.rep, NEG2, DEFAULT_LATTICE_CAP
-            )
+            assert point.stable[0] == _stability_by_lattice(point.rep, NEG2)
 
 
 def _span_one_at_a_time(fld, rows):
