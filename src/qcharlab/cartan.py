@@ -228,19 +228,21 @@ def reflect_weight(datum, i, theta):
 
 
 def _lower(datum, weight):
-    """The antidominant W-conjugate of ``weight``, and the A-height down to it.
+    """The antidominant W-conjugate of ``weight``, the A-height down to it,
+    and the nodes reflected at, in order.
 
     Each step reflects at the first node with a positive coordinate, which
     lowers the weight by that coordinate times alpha_i and leaves one fewer
     positive root pairing positively with it, so the walk ends; the height
     is the sum of the coordinates reflected away.
     """
-    height = 0
+    height, word = 0, []
     while True:
         i = next((i for i in datum.nodes if weight[i - 1] > 0), None)
         if i is None:
-            return weight, height
+            return weight, height, tuple(word)
         height += weight[i - 1]
+        word.append(i)
         weight = reflect_weight(datum, i, weight)
 
 

@@ -363,7 +363,7 @@ def _cmd_quiver_reflect(args):
     theta = _parse_theta(args.theta, rep.datum)
     if theta[args.node - 1] >= 0:
         raise _UsageError(f"reflection at node {args.node} needs theta_{args.node} < 0")
-    reflected, theta_bar = reflect(rep, args.node, theta, trusted=args.trusted)
+    reflected, theta_bar = reflect(rep, args.node, theta)
     if args.out:
         obj = reflected.to_json_obj()
         obj["theta_bar"] = [str(t) for t in theta_bar]
@@ -462,8 +462,6 @@ def _build_parser():
     p.add_argument("--theta", required=True,
                    help="comma-separated weights, or one value for all nodes; "
                         "use --theta=-1,-2 for negative lists")
-    p.add_argument("--trusted", action="store_true",
-                   help="skip the stability pre-check")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_quiver_reflect)
 

@@ -278,17 +278,3 @@ def vstack(blocks):
         out.extend(mat_copy(block))
     return out
 
-
-def nonzero_vectors(fld, dim):
-    """Projective representatives: first nonzero coordinate equals 1."""
-    if dim == 0:
-        return
-    if not fld.is_finite:
-        raise FieldNotFinite("vector enumeration needs a finite field")
-    from itertools import product
-
-    for tup in product(list(fld.elements()), repeat=dim):
-        first = next((x for x in tup if x != fld.zero()), None)
-        if first is None or first != fld.one():
-            continue
-        yield list(tup)

@@ -28,13 +28,11 @@ ascending) so serialized reflected points are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import lcm
 
 from .braid import _reflection_table, reflect_dimensions
-from .cartan import is_generic, reflect_weight
+from .cartan import _lower, reflect_weight
 from .errors import (
     CapExceeded,
     DimensionMismatch,
@@ -52,19 +50,13 @@ from .linalg import (
     is_zero_matrix,
     kernel_basis,
     mat_mul_shaped,
-    mat_rank,
-    nonzero_vectors,
     rref,
     solve_exact,
     vstack,
     zeros,
 )
 
-# stability is decided by enumeration, so only up to this total dimension
-STABILITY_DIM_CAP = 14
 DEFAULT_SEARCH_ENTRY_CAP = 22
-# the submodule lattices of a mixed-sign stability check stop at this many members
-LATTICE_CAP = 100000
 
 
 class GradedQuiverRep:
@@ -352,7 +344,7 @@ def validate_n(rep, node, xi):
 
 
 # ---------------------------------------------------------------------------
-# submodule machinery and stability
+# submodule closures and stability
 
 
 def _span(fld, rows):
@@ -367,11 +359,14 @@ def _images(fld, mat, rows):
                           len(mat))
 
 
-def _closure(rep, seeds):
+def _closure(rep, seeds, backward=False):
     """Smallest subrepresentation containing the seed vectors.
 
     Closed under every arrow and loop (framing maps do not act).  Returns a
-    dict (node, grade) -> canonical tuple of echelon basis rows.
+    dict (node, grade) -> canonical tuple of echelon basis rows.  With
+    ``backward`` the seeds are row functionals, carried back along the
+    transposed arrows: the result is then the annihilator of the largest
+    subrepresentation that every seed kills.
     """
     fld = rep.field
     spans = {}
@@ -379,112 +374,30 @@ def _closure(rep, seeds):
         rows = _span(fld, vectors)
         if rows:
             spans[key] = rows
-    moves = []  # (source, target, matrix) per arrow, slots as (node, grade)
+    moves = []  # (from, to, factor) per arrow: a row r moves to r * factor
     for key, mat in rep.arrows.items():
-        source, target = _map_ends(rep.datum, "arrow", key)
-        moves.append((source[1:], target[1:], mat))
+        source, target = (end[1:] for end in _map_ends(rep.datum, "arrow", key))
+        moves.append((target, source, mat) if backward
+                     else (source, target, list(zip(*mat))))
     changed = True
     while changed:
         changed = False
-        for source, target, mat in moves:
+        for source, target, factor in moves:
             rows = spans.get(source)
             if not rows:
                 continue
             trows = spans.get(target, ())
-            grown = _span(fld, [*trows, *_images(fld, mat, rows)])
+            image = mat_mul_shaped(fld, rows, factor, len(rows), len(factor),
+                                   len(factor[0]))
+            grown = _span(fld, [*trows, *image])
             if len(grown) > len(trows):
                 spans[target] = grown
                 changed = True
     return spans
 
 
-def _sub_key(sub):
-    return tuple(sorted(sub.items()))
-
-
 def _sub_dims(sub):
     return {key: len(rows) for key, rows in sub.items()}
-
-
-def _join(fld, left, right):
-    out = dict(left)
-    for key, rows in right.items():
-        out[key] = _span(fld, out.get(key, ()) + rows)
-    return out
-
-
-def _in_span(fld, basis, vec):
-    """True iff ``vec`` reduces to zero against the echelon rows ``basis``."""
-    vec = list(vec)
-    for row in basis:
-        pivot = next(c for c, x in enumerate(row) if x)
-        coeff = vec[pivot]
-        if coeff:
-            vec = [fld.sub(x, fld.mul(coeff, y)) for x, y in zip(vec, row)]
-    return not any(vec)
-
-
-def _contains(fld, sub, gen):
-    """True iff the submodule ``gen`` lies in ``sub``, slot by slot."""
-    for key, rows in gen.items():
-        basis = sub.get(key, ())
-        if len(rows) > len(basis):
-            return False
-        if not all(_in_span(fld, basis, row) for row in rows):
-            return False
-    return True
-
-
-def _contained_in_ker_b(rep, sub):
-    fld = rep.field
-    for key, mat in rep.coframing.items():
-        source, _ = _map_ends(rep.datum, "B", key)
-        rows = sub.get(source[1:])
-        if rows and not is_zero_matrix(fld, _images(fld, mat, rows)):
-            return False
-    return True
-
-
-def _cyclic_closures(rep):
-    """The closure of each nonzero vector (one per line) of each slot of V."""
-    for (i, a), dim in sorted(rep.v.items()):
-        for vec in nonzero_vectors(rep.field, dim):
-            yield _closure(rep, {(i, a): [vec]})
-
-
-def _cyclic_submodules(rep):
-    seen = {}
-    for sub in _cyclic_closures(rep):
-        seen.setdefault(_sub_key(sub), sub)
-    return list(seen.values())
-
-
-def _lattice(rep, base, generators, cap):
-    """Yield ``base``, then each new join of it with a subset of ``generators``.
-
-    A generator already inside the current submodule is not joined: the join
-    would be the current submodule itself, so the members reached are the
-    same.  Raises CapExceeded before yielding a member beyond ``cap``.
-    """
-    fld = rep.field
-    seen = {_sub_key(base)}
-    queue = [base]
-    yield base
-    while queue:
-        current = queue.pop()
-        for gen in generators:
-            if _contains(fld, current, gen):
-                continue
-            joined = _join(fld, current, gen)
-            key = _sub_key(joined)
-            if key not in seen:
-                if len(seen) >= cap:
-                    raise CapExceeded(
-                        f"submodule lattice exceeds cap {cap}", cap=cap
-                    )
-                seen.add(key)
-                queue.append(joined)
-                yield joined
 
 
 def _framing_image_seeds(rep):
@@ -498,20 +411,22 @@ def _framing_image_seeds(rep):
 
 
 @lru_cache(maxsize=1024)
-def _generic(datum, theta):
-    """``is_generic`` once per (datum, theta); ``theta`` is a tuple."""
-    return is_generic(datum, theta)
+def _walk(datum, theta):
+    """(word, generic) for the tuple ``theta``: ``cartan._lower`` on -theta.
 
-
-@lru_cache(maxsize=1024)
-def _weights(datum, theta):
-    """Integer weights d_i theta_i L of the tuple ``theta``.
-
-    L > 0 is the lcm of theta's denominators, so every pairing keeps its sign.
+    The word's nodes are theta's first negative node at each step of the
+    walk up to the positive chamber; theta is generic iff the antidominant
+    conjugate of -theta has no zero coordinate.
     """
-    scale = lcm(*(Fraction(t).denominator for t in theta))
-    return tuple(int(datum.di(i) * Fraction(theta[i - 1]) * scale)
-                 for i in datum.nodes)
+    top, _, word = _lower(datum, tuple(-t for t in theta))
+    return word, all(top)
+
+
+def _word(datum, theta):
+    word, generic = _walk(datum, tuple(theta))
+    if not generic:
+        raise NonGenericTheta(f"{theta} lies on a root hyperplane")
+    return word
 
 
 def stability_check(rep, theta):
@@ -519,61 +434,64 @@ def stability_check(rep, theta):
 
     True iff every subrepresentation inside Ker B pairs <= 0 with theta and
     every subrepresentation containing Im A leaves a complement pairing >= 0.
-    Only decidable over a finite field within ``STABILITY_DIM_CAP``.  After the
-    guards, the sign of theta picks one of three paths:
+    A dimension vector u pairs <theta, u> = sum_j d_j theta_j |u_j|, with
+    |u_j| the total dimension at node j.  Raises NonGenericTheta on a root
+    hyperplane.  Nothing is enumerated, so every field and every dimension
+    is decided.  The sign of theta picks the path:
 
-    * every theta_i < 0: :func:`is_framed_stable`.  Proof: every submodule
-      pairs <= 0, so the Ker B half is vacuous; a complement pairs >= 0 only
-      if it is zero, so the Im A half says the closure of Im A is V.
-    * every theta_i > 0: no cyclic submodule lies in Ker B.  Proof: every
-      complement pairs >= 0, so the Im A half is vacuous; a submodule pairs
-      <= 0 only if it is zero, and a nonzero one inside Ker B contains the
-      closure of any of its nonzero vectors, again inside Ker B.
-    * mixed signs: :func:`_stability_by_lattice`, which walks the submodule
-      lattice and alone can raise the ``LATTICE_CAP`` CapExceeded.  It stops
-      at the first submodule that breaks the slope condition, so an unstable
-      point whose witness comes before ``LATTICE_CAP`` members is False, not
-      CapExceeded.
+    * every theta_i < 0: :func:`is_framed_stable`.  Every submodule pairs
+      <= 0, so the Ker B half is vacuous; a complement pairs >= 0 only if it
+      is zero, so the Im A half says the closure of Im A is V.
+    * every theta_i > 0: :func:`_is_coframed_stable`.  Every complement
+      pairs >= 0, so the Im A half is vacuous; a submodule pairs <= 0 only
+      if it is zero, and the largest submodule inside Ker B is the
+      annihilator of the rows of B closed backwards along the arrows.
+    * otherwise theta walks up: at its first negative node i the point
+      becomes S_i x (:func:`_reflect_kernel`) and theta becomes s_i theta,
+      until every coordinate is positive.  The nodes are those of
+      ``cartan._lower`` on -theta.  A step at which some Phi is not onto
+      gives False.
+
+    The walk rests on this: for theta_i < 0, x is theta-stable iff Phi_i^a
+    is onto at every grade a and S_i x is s_i theta-stable.
+
+    Forward.  Put Im Phi_i^a in place of each V_i^{a+d_ii}.  Phi's one-map
+    blocks are the maps into V_i from its neighbours and from W, and the
+    loop carries Im Phi_i^a into Im Phi_i^{a-d_ii} (Phi_i^{a-d_ii} Upsilon
+    = loop Phi_i^a), so this is a subrepresentation containing Im A.  Its complement lies at node i
+    and pairs d_i theta_i (|V_i| - sum_a rank Phi_i^a), which is < 0 unless
+    every Phi is onto.  That S_i x is then s_i theta-stable is Nakajima's
+    theorem (Reflection functors for quiver varieties and Weyl group
+    actions, Math. Ann. 327 (2003); Lusztig, Ann. Inst. Fourier 50 (2000)).
+
+    Converse.  Let every Phi be onto and let S destabilise x.  Let D_S^a be
+    Phi_i^a's domain on S's slots: each neighbour block on S_j, and the W
+    block if S is an Im A witness (it contains Im A), not if S is a Ker B
+    witness.  Put S'_i^a = Ker Phi_i^a ∩ D_S^a and S'_j = S_j for j != i.
+    S' is a subrepresentation of S_i x: the maps out of Ker Phi_i^a project
+    onto blocks of D_S, and the comparison map Upsilon keeps D_S.  A map
+    into V_i^a lands in S_i^a, and Psi sends S_i^a into Ker Phi_i^a ∩ D_S^a;
+    Psi's W block is B, which kills S_i for a Ker B witness.  For a Ker B
+    witness S' lies in Ker B-bar, since B-bar at node i is the W block.  For
+    an Im A witness S' contains Im A-bar = Psi(Im A).  Phi maps D_S^a into
+    S_i^{a+d_ii}, so |S'_i| >= sum_a dim D_S^a - |S_i| = [w_i] + (s_i|S|)_i,
+    where s_i u = u - (sum_j c_ij u_j) e_i and [w_i] counts the W block.
+    As every Phi is onto, |(S_i x)_i| = w_i + (s_i|V|)_i, so the complement
+    of S' has dimension at most s_i(|V| - |S|) at node i and equal to it
+    elsewhere.  Neither bound carries a W term, and the pairing is
+    W-invariant: <s_i theta, s_i u> = <theta, u>, as d_j c_ji = d_i c_ij.
+    Since (s_i theta)_i > 0, the excess at node i moves the pairing the
+    destabilising way.  So S' pairs > 0 inside Ker B-bar, or its complement
+    pairs < 0, and S_i x is not s_i theta-stable.
     """
-    if not rep.field.is_finite:
-        raise FieldNotFinite("stability enumeration needs a finite field")
-    if rep.total_dim() > STABILITY_DIM_CAP:
-        raise CapExceeded(
-            f"total dimension {rep.total_dim()} exceeds stability cap "
-            f"{STABILITY_DIM_CAP}",
-            cap=STABILITY_DIM_CAP,
-        )
-    if not _generic(rep.datum, tuple(theta)):
-        raise NonGenericTheta(f"{theta} lies on a root hyperplane")
+    word = _word(rep.datum, theta)
     if all(t < 0 for t in theta):
         return is_framed_stable(rep)
-    if all(t > 0 for t in theta):
-        return not any(
-            _contained_in_ker_b(rep, sub) for sub in _cyclic_closures(rep)
-        )
-    return _stability_by_lattice(rep, theta)
-
-
-def _stability_by_lattice(rep, theta):
-    """The slope condition on the two lattices, up to the first witness."""
-    weights = _weights(rep.datum, tuple(theta))
-
-    def pairing(sub):
-        return sum(weights[i - 1] * len(rows) for (i, _), rows in sub.items())
-
-    cyclics = _cyclic_submodules(rep)
-    ker_b_gens = [c for c in cyclics if _contained_in_ker_b(rep, c)]
-    for sub in _lattice(rep, {}, ker_b_gens, LATTICE_CAP):
-        if pairing(sub) > 0:
+    for i in word:
+        rep = _reflect_kernel(rep, i)
+        if rep is None:
             return False
-
-    # a complement's pairing is V's minus the submodule's
-    whole = sum(weights[i - 1] * n for (i, _), n in rep.v.items())
-    base = _closure(rep, _framing_image_seeds(rep))
-    for sub in _lattice(rep, base, cyclics, LATTICE_CAP):
-        if whole - pairing(sub) < 0:
-            return False
-    return True
+    return _is_coframed_stable(rep)
 
 
 def is_framed_stable(rep):
@@ -585,26 +503,39 @@ def is_framed_stable(rep):
     return _sub_dims(base) == dict(rep.v)
 
 
+def _is_coframed_stable(rep):
+    """The all-positive-chamber notion: no nonzero subrepresentation lies in Ker B.
+
+    Equivalent to the rows of every B, closed backwards along the arrows,
+    spanning the dual of every V slot.
+    """
+    seeds = {_map_ends(rep.datum, "B", key)[0][1:]: mat
+             for key, mat in rep.coframing.items()}
+    return _sub_dims(_closure(rep, seeds, backward=True)) == rep.v
+
+
 # ---------------------------------------------------------------------------
 # the reflection at a node
 
 
+@lru_cache(maxsize=1024)
 def phi_blocks(datum, i, a):
     """Summand layout of the Phi/Psi domain at (i, a): W first, then (j, t).
 
     Its slots are the terms of the closed form of ``braid._reflect_rows``.
     """
     di, neighbours = _reflection_table(datum, i)
-    return [("W", i, a + di, 0)] + [
+    return (("W", i, a + di, 0),) + tuple(
         ("V", j, a + offset, t)
         for j, offsets in neighbours for t, offset in enumerate(offsets, 1)
-    ]
+    )
 
 
 def _block_dims(rep, blocks):
     return [rep.slot_dim(block[:3]) for block in blocks]
 
 
+@lru_cache(maxsize=1024)
 def _block_paths(datum, i, a):
     """Per block of :func:`phi_blocks` at (i, a): (block, phi, psi, upsilon).
 
@@ -620,15 +551,15 @@ def _block_paths(datum, i, a):
     for block in phi_blocks(datum, i, a):
         space, j, _, t = block
         if space == "W":
-            table.append((block, [at], [("W", i)], None))
+            table.append((block, (at,), (("W", i),), None))
             continue
         c = -datum.c(i, j)
         if t < c:  # the same slot, one step later in the lower layout
-            upsilon = ([], t + 1, False)
+            upsilon = ((), t + 1, False)
         else:  # the top slot, through minus the full loop composite at j
-            upsilon = ([("V", j)] * -datum.c(j, i), 1, True)
-        table.append((block, [at] * t, [at] * (c - t) + [("V", j)], upsilon))
-    return table
+            upsilon = ((("V", j),) * -datum.c(j, i), 1, True)
+        table.append((block, (at,) * t, (at,) * (c - t) + (("V", j),), upsilon))
+    return tuple(table)
 
 
 def phi_map(rep, i, a):
@@ -643,6 +574,11 @@ def phi_map(rep, i, a):
                    for block, phi, _, _ in _block_paths(rep.datum, i, a)], rows)
 
 
+def _psi(rep, i, a):
+    return vstack([_dense(rep, ("V", i, a), path, rep.slot_dim(block[:3]))
+                   for block, _, path, _ in _block_paths(rep.datum, i, a)])
+
+
 def psi_map(rep, i, a):
     """The companion map V_i^a into the Phi domain; Phi o Psi must vanish.
 
@@ -651,12 +587,9 @@ def psi_map(rep, i, a):
     Raises RelationViolated when the composite with Phi is nonzero.
     """
     fld = rep.field
-    table = _block_paths(rep.datum, i, a)
-    dims = _block_dims(rep, [block for block, _, _, _ in table])
-    psi = vstack([_dense(rep, ("V", i, a), path, dim)
-                  for (_, _, path, _), dim in zip(table, dims)])
+    psi = _psi(rep, i, a)
     composite = mat_mul_shaped(fld, phi_map(rep, i, a), psi,
-                               rep.vdim(i, a + 2 * rep.datum.di(i)), sum(dims),
+                               rep.vdim(i, a + 2 * rep.datum.di(i)), len(psi),
                                rep.vdim(i, a))
     if not is_zero_matrix(fld, composite):
         raise RelationViolated(
@@ -697,58 +630,32 @@ def upsilon_map(rep, i, a):
     return out
 
 
-def reflect(rep, i, theta, *, trusted=False):
-    """The reflection functor at node i applied to a theta-stable point.
+def _reflect_kernel(rep, i):
+    """S_i x for a relation-satisfying point x, or None when some Phi is not onto.
 
-    Requires theta_i < 0 and generic theta.  Stability of the input is
-    verified when the field is finite and the total dimension fits the cap;
-    otherwise ``trusted=True`` must be passed.  Returns (new point, s_i theta).
-    Postconditions (surjectivity of every Phi, relations on the output,
-    dimension bookkeeping, stability of the output when decidable) are
-    enforced, not assumed.
+    By the lemma of :func:`stability_check`, None means x is unstable for
+    every theta with theta_i < 0.  Nothing is validated here: :func:`reflect`
+    checks its input and output around this, and the stability walk reaches
+    it only from valid points.
     """
     datum, fld = rep.datum, rep.field
-    if theta[i - 1] >= 0:
-        raise ValueError(f"reflection at node {i} needs theta_{i} < 0")
-    if not _generic(datum, tuple(theta)):
-        raise NonGenericTheta(f"{theta} lies on a root hyperplane")
-    bad = validate_relations(rep)
-    if bad:
-        raise RelationViolated(f"input point invalid: {bad[0]}")
-    if not trusted:
-        if not rep.field.is_finite:
-            raise FieldNotFinite(
-                "stability is undecidable over an infinite field; "
-                "pass trusted=True to proceed"
-            )
-        if rep.total_dim() > STABILITY_DIM_CAP:
-            raise CapExceeded(
-                f"total dimension {rep.total_dim()} exceeds the stability cap "
-                f"{STABILITY_DIM_CAP}; pass trusted=True to proceed",
-                cap=STABILITY_DIM_CAP,
-            )
-        if not stability_check(rep, theta):
-            raise StabilityViolated(f"input point is not stable for {theta}")
-
     dii = 2 * datum.di(i)
     # every grade the closed form reaches, zero-width ones too: Phi must be
     # onto there as well
-    predicted = reflect_dimensions(datum, i, rep.v, rep.w)
+    grades = sorted(a for node, a in reflect_dimensions(datum, i, rep.v, rep.w)
+                    if node == i)
     kernels = {}  # grade -> (kernel basis, its width, Phi block dims)
-    for a in sorted(a for node, a in predicted if node == i):
+    for a in grades:
         dims = _block_dims(rep, phi_blocks(datum, i, a))
         dom = sum(dims)
         target = rep.vdim(i, a + dii)
         if dom == 0 and target == 0:
             continue
-        phi = phi_map(rep, i, a)
-        if mat_rank(fld, phi) != target:
-            raise NotSurjective(
-                f"Phi at node {i}, grade {a} is not onto; "
-                "the stability hypothesis fails upstream"
-            )
-        basis = kernel_basis(fld, phi, cols=dom)
-        kernels[a] = (basis, len(basis[0]) if basis else 0, dims)
+        basis = kernel_basis(fld, phi_map(rep, i, a), cols=dom)
+        width = len(basis[0]) if basis else 0
+        if dom - width != target:  # the rank of Phi
+            return None
+        kernels[a] = (basis, width, dims)
 
     new_v = {key: n for key, n in rep.v.items() if key[0] != i}
     new_v.update({(i, a): width for a, (_, width, _) in kernels.items() if width})
@@ -765,7 +672,7 @@ def reflect(rep, i, theta, *, trusted=False):
 
     def psi_at(a):
         if a not in psis:
-            psis[a] = psi_map(rep, i, a)
+            psis[a] = _psi(rep, i, a)
         return psis[a]
 
     for a, (basis, width, dims) in kernels.items():
@@ -781,23 +688,13 @@ def reflect(rep, i, theta, *, trusted=False):
                 new_maps[kind][key] = [list(row) for row in basis[offset:offset + dim]]
             offset += dim
 
-        # the new loop, induced by the comparison map
-        ups = upsilon_map(rep, i, a)
-        dom = sum(dims)
-        lower_dom = sum(_block_dims(rep, phi_blocks(datum, i, a - dii)))
-        image = mat_mul_shaped(fld, ups, basis, lower_dom, dom, width)
-        lower, lower_width, _ = kernels.get(a - dii, ([], 0, None))
+        # the new loop, induced by the comparison map, which carries the
+        # kernel at a into the kernel at a - d_ii
+        lower, lower_width, lower_dims = kernels.get(a - dii, (None, 0, None))
         if lower_width:
-            coords = solve_exact(fld, lower, image)
-            if coords is None:
-                raise RelationViolated(
-                    f"comparison map leaves the kernel at node {i}, grade {a}"
-                )
-            new_arrows[(i, a, i)] = coords
-        elif not is_zero_matrix(fld, image):
-            raise RelationViolated(
-                f"comparison map leaves the zero kernel at node {i}, grade {a}"
-            )
+            image = mat_mul_shaped(fld, upsilon_map(rep, i, a), basis,
+                                   sum(lower_dims), sum(dims), width)
+            new_arrows[(i, a, i)] = solve_exact(fld, lower, image)
 
         # incoming arrows and the new framing: the maps into V_i^a are the
         # one-map blocks of Phi at a - d_ii, and each factors through Psi
@@ -808,39 +705,52 @@ def reflect(rep, i, theta, *, trusted=False):
             kind, key = _map_from(datum, source, path[0])
             mapped = mat_mul_shaped(
                 fld, psi_at(a), _dense(rep, source, path, rep.vdim(i, a)),
-                dom, rep.vdim(i, a), rep.slot_dim(source),
+                sum(dims), rep.vdim(i, a), rep.slot_dim(source),
             )
-            coords = solve_exact(fld, basis, mapped)
-            if coords is None:
-                what = "framing image" if kind == "A" else "incoming arrow"
-                raise RelationViolated(
-                    f"{what} misses the kernel at node {i}, grade {a}"
-                )
-            new_maps[kind][key] = coords
+            new_maps[kind][key] = solve_exact(fld, basis, mapped)
 
-    reflected = GradedQuiverRep(datum, fld, new_v, rep.w, new_arrows,
-                                new_framing, new_coframing)
+    return GradedQuiverRep(datum, fld, new_v, rep.w, new_arrows, new_framing,
+                           new_coframing, check=False)
 
+
+def reflect(rep, i, theta):
+    """The reflection functor at node i applied to a theta-stable point.
+
+    Requires theta_i < 0 and generic theta.  Returns (new point, s_i theta).
+    :func:`_reflect_kernel` does the work; around it the input's relations
+    and stability, and the output's relations, dimensions (against
+    ``reflect_dimensions``) and stability are enforced, not assumed.
+    """
+    datum = rep.datum
+    if theta[i - 1] >= 0:
+        raise ValueError(f"reflection at node {i} needs theta_{i} < 0")
+    bad = validate_relations(rep)
+    if bad:
+        raise RelationViolated(f"input point invalid: {bad[0]}")
+    if not stability_check(rep, theta):
+        raise StabilityViolated(f"input point is not stable for {theta}")
+    reflected = _reflect_kernel(rep, i)
+    if reflected is None:
+        raise NotSurjective(
+            f"some Phi at node {i} is not onto, though the input is stable"
+        )
     bad = validate_relations(reflected)
     if bad:
         raise RelationViolated(f"reflected point invalid: {bad[0]}")
-    predicted = {key: n for key, n in predicted.items() if n}
+    predicted = {key: n for key, n in reflect_dimensions(datum, i, rep.v, rep.w).items()
+                 if n}
     if predicted != reflected.v:
         raise DimensionMismatch(
             f"reflected dims {sorted(reflected.v.items())} != "
             f"predicted {sorted(predicted.items())}"
         )
     theta_bar = reflect_weight(datum, i, theta)
-    if (not trusted and reflected.field.is_finite
-            and reflected.total_dim() <= STABILITY_DIM_CAP):
-        if not stability_check(reflected, theta_bar):
-            raise StabilityViolated(
-                f"reflected point is not stable for {theta_bar}"
-            )
+    if not stability_check(reflected, theta_bar):
+        raise StabilityViolated(f"reflected point is not stable for {theta_bar}")
     return reflected, theta_bar
 
 
-def chain_reflect(rep, theta, word, *, trusted=False):
+def chain_reflect(rep, theta, word):
     """Sequential reflections along a reduced word (first letter first).
 
     For theta in the negative chamber the sign precondition at each step
@@ -848,7 +758,7 @@ def chain_reflect(rep, theta, word, *, trusted=False):
     point and the transported weight.
     """
     for i in word:
-        rep, theta = reflect(rep, i, theta, trusted=trusted)
+        rep, theta = reflect(rep, i, theta)
     return rep, theta
 
 

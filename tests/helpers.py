@@ -6,7 +6,7 @@ property check, the per-word replay
 oracle of the cone verifier, the expected cone-vertex count, the closure
 oracle that expands every monomial, the exhaustive quiver corpus, the
 per-relation oracle of the quiver relation checks, and the
-eager submodule lattice that decides mixed-sign stability."""
+full submodule lattice that decides stability by enumeration."""
 
 import importlib
 import random
@@ -15,6 +15,8 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
+from math import lcm
 from pathlib import Path
 
 from qcharlab import quiver
@@ -38,12 +40,7 @@ from qcharlab.linalg import (
 )
 from qcharlab.lweights import AMonomialVector, LaurentMonomial, expand_to_y
 from qcharlab.qchar import QChar, fm_qchar, sl2_expansion
-from qcharlab.quiver import (
-    LATTICE_CAP,
-    RelationViolation,
-    _map_ends,
-    exhaustive_search,
-)
+from qcharlab.quiver import RelationViolation, _map_ends, exhaustive_search
 
 
 def perfbench_module(name):
@@ -462,7 +459,58 @@ def validate_n_oracle(rep, node, xi):
 
 
 # ---------------------------------------------------------------------------
-# the eager submodule lattice: the oracle of quiver._stability_by_lattice
+# the full submodule lattice: the oracle of quiver.stability_check
+
+
+def nonzero_vectors(fld, dim):
+    """Projective representatives: first nonzero coordinate equals 1."""
+    for tup in product(list(fld.elements()), repeat=dim):
+        first = next((x for x in tup if x != fld.zero()), None)
+        if first == fld.one():
+            yield list(tup)
+
+
+def _sub_key(sub):
+    return tuple(sorted(sub.items()))
+
+
+def _join(fld, left, right):
+    out = dict(left)
+    for key, rows in right.items():
+        out[key] = quiver._span(fld, out.get(key, ()) + rows)
+    return out
+
+
+def _in_span(fld, basis, vec):
+    """True iff ``vec`` reduces to zero against the echelon rows ``basis``."""
+    vec = list(vec)
+    for row in basis:
+        pivot = next(c for c, x in enumerate(row) if x)
+        coeff = vec[pivot]
+        if coeff:
+            vec = [fld.sub(x, fld.mul(coeff, y)) for x, y in zip(vec, row)]
+    return not any(vec)
+
+
+def _contained_in_ker_b(rep, sub):
+    fld = rep.field
+    for key, mat in rep.coframing.items():
+        source, _ = _map_ends(rep.datum, "B", key)
+        rows = sub.get(source[1:])
+        if rows and not is_zero_matrix(fld, quiver._images(fld, mat, rows)):
+            return False
+    return True
+
+
+def cyclic_submodules(rep):
+    """(slot, vector, closure) per distinct closure of a nonzero vector (one
+    per line) of a V slot."""
+    seen = {}
+    for (i, a), dim in sorted(rep.v.items()):
+        for vec in nonzero_vectors(rep.field, dim):
+            sub = quiver._closure(rep, {(i, a): [vec]})
+            seen.setdefault(_sub_key(sub), ((i, a), vec, sub))
+    return list(seen.values())
 
 
 def _sub_totals(datum, sub):
@@ -472,50 +520,49 @@ def _sub_totals(datum, sub):
     return totals
 
 
-def _pairing(datum, theta, totals):
-    return sum(datum.di(i) * theta[i - 1] * totals[i - 1] for i in datum.nodes)
+def _weights(datum, theta):
+    """Integer multiples d_i theta_i L of theta, L > 0 the lcm of its denominators."""
+    scale = lcm(*(Fraction(t).denominator for t in theta))
+    return [int(datum.di(i) * Fraction(theta[i - 1]) * scale) for i in datum.nodes]
 
 
-def full_lattice(rep, base, generators, cap):
-    """All joins of ``base`` with subsets of ``generators`` (BFS, deduplicated).
+def _pairing(weights, totals):
+    return sum(x * n for x, n in zip(weights, totals))
 
-    Joins every generator into every member, contained or not; ``_join`` is
-    looked up on the module, so a test that patches it sees these calls too.
+
+def full_lattice(rep, base, generators):
+    """All joins of ``base`` with subsets of the cyclic ``generators``.
+
+    Each generator in turn is joined into every member found so far, so the
+    members after k generators are the joins with subsets of the first k.
+    A member that already holds a generator's seed vector holds the
+    generator, and the join would be the member itself, so it is skipped.
     """
     fld = rep.field
-    seen = {quiver._sub_key(base): base}
-    queue = [base]
-    while queue:
-        current = queue.pop()
-        for gen in generators:
-            joined = quiver._join(fld, current, gen)
-            key = quiver._sub_key(joined)
-            if key not in seen:
-                if len(seen) >= cap:
-                    raise CapExceeded(
-                        f"submodule lattice exceeds cap {cap}", cap=cap
-                    )
-                seen[key] = joined
-                queue.append(joined)
-    return seen.values()
+    members = {_sub_key(base): base}
+    for slot, vec, gen in generators:
+        for current in list(members.values()):
+            if not _in_span(fld, current.get(slot, ()), vec):
+                joined = _join(fld, current, gen)
+                members.setdefault(_sub_key(joined), joined)
+    return members.values()
 
 
-def stability_by_full_lattice(rep, thetas, lattice_cap=LATTICE_CAP):
+def stability_by_full_lattice(rep, thetas):
     """The slope condition at each theta, on every member of both lattices.
 
-    Each lattice is built in full before any of its pairings is read, and the
-    pairings are Fractions: the differential oracle of the early-exit walk in
-    ``stability_check``.  Returns one verdict per theta, like
-    ``SearchPoint.stable``; the lattice over Im A is built only if some theta
-    passes the Ker B half, as for a single theta before the early exit.
+    Enumerates the submodules over a finite field: the Ker B lattice is
+    joined from the cyclic submodules inside Ker B, the Im A lattice from
+    the closure of Im A and every cyclic submodule.  The differential oracle of the walk in ``stability_check``.
+    Returns one verdict per theta, like ``SearchPoint.stable``; the lattice
+    over Im A is built only if some theta passes the Ker B half.
     """
     datum = rep.datum
-    cyclics = quiver._cyclic_submodules(rep)
-    ker_b_gens = [c for c in cyclics if quiver._contained_in_ker_b(rep, c)]
-    subs = [_sub_totals(datum, sub)
-            for sub in full_lattice(rep, {}, ker_b_gens, lattice_cap)]
-    stable = [all(_pairing(datum, theta, totals) <= 0 for totals in subs)
-              for theta in thetas]
+    weights = [_weights(datum, theta) for theta in thetas]
+    cyclics = cyclic_submodules(rep)
+    ker_b_gens = [c for c in cyclics if _contained_in_ker_b(rep, c[2])]
+    subs = [_sub_totals(datum, sub) for sub in full_lattice(rep, {}, ker_b_gens)]
+    stable = [all(_pairing(ws, totals) <= 0 for totals in subs) for ws in weights]
     if any(stable):
         v_totals = [0] * datum.rank
         for (i, _), n in rep.v.items():
@@ -523,9 +570,8 @@ def stability_by_full_lattice(rep, thetas, lattice_cap=LATTICE_CAP):
         base = quiver._closure(rep, quiver._framing_image_seeds(rep))
         complements = [
             [whole - part for whole, part in zip(v_totals, _sub_totals(datum, sub))]
-            for sub in full_lattice(rep, base, cyclics, lattice_cap)
+            for sub in full_lattice(rep, base, cyclics)
         ]
-        stable = [ok and all(_pairing(datum, theta, diff) >= 0
-                             for diff in complements)
-                  for ok, theta in zip(stable, thetas)]
+        stable = [ok and all(_pairing(ws, diff) >= 0 for diff in complements)
+                  for ok, ws in zip(stable, weights)]
     return tuple(stable)

@@ -239,9 +239,13 @@ def test_quiver_reflect_over_q_needs_trusted(tmp_path, capsys):
     rational = dict(POINT_A1)
     rational["field"] = "Q"
     point.write_text(json.dumps(rational))
-    assert run("quiver-reflect", "--node", "1", "--theta", "-1", str(point)) == 1
+    # stability is decided over Q too, so the point reflects with no flag,
+    # and --trusted is an unknown flag
+    assert run("quiver-reflect", "--node", "1", "--theta", "-1", str(point)) == 0
+    assert "new dims v: []" in capsys.readouterr().out
     assert run("quiver-reflect", "--node", "1", "--theta", "-1", "--trusted",
-               str(point)) == 0
+               str(point)) == 1
+    assert "--trusted" in capsys.readouterr().err
 
 
 def test_quiver_search(tmp_path, capsys):

@@ -11,7 +11,6 @@ from qcharlab.cartan import build_cartan, reflect_weight
 from qcharlab.cli import _parse_theta, parse_dims
 from qcharlab.errors import (
     CapExceeded,
-    FieldNotFinite,
     NonGenericTheta,
     NotSurjective,
     RelationViolated,
@@ -30,10 +29,9 @@ from qcharlab.linalg import (
     solve_exact,
 )
 from qcharlab.quiver import (
-    LATTICE_CAP,
     GradedQuiverRep,
+    _reflect_kernel,
     _span,
-    _stability_by_lattice,
     chain_reflect,
     exhaustive_search,
     phi_map,
@@ -47,7 +45,6 @@ from qcharlab.quiver import (
 )
 
 from helpers import (
-    full_lattice,
     loop_power,
     perfbench_module,
     quiver_corpus_cases,
@@ -330,42 +327,33 @@ def test_stability_a1_hand_cases():
 
 
 def test_stability_preconditions():
-    rep = a1_point(QQ)
-    with pytest.raises(FieldNotFinite):
-        stability_check(rep, NEG)
     with pytest.raises(NonGenericTheta):
         stability_check(a1_point(), (Fraction(0),))
-    big = GradedQuiverRep(build_cartan("A1"), F2, {(1, 1): 15}, {})
-    with pytest.raises(CapExceeded):
-        stability_check(big, NEG)
+    # nothing is enumerated: a point over Q and one of total dimension 15
+    # get a verdict
+    assert stability_check(a1_point(QQ), NEG) is True
+    assert stability_check(a1_point(QQ), (Fraction(1),)) is False
+    datum = build_cartan("A1")
+    big = GradedQuiverRep(datum, F2, {(1, 1): 15}, {(1, 0): 15},
+                          framing={(1, 0): [[int(r == c) for c in range(15)]
+                                            for r in range(15)]})
+    assert big.total_dim() == 15
+    assert stability_check(big, NEG) is True
+    assert stability_check(GradedQuiverRep(datum, F2, {(1, 1): 15}, {}), NEG) is False
 
 
 @pytest.mark.parametrize("theta", [NEG2, POS2], ids=["negative", "positive"])
 def test_same_sign_guards_still_fire(theta):
     datum = build_cartan("A2")
-    with pytest.raises(FieldNotFinite):
-        stability_check(GradedQuiverRep(datum, QQ, {(1, 1): 1}, {}), theta)
+    # the whole of V_1^1 lies in Ker B = V and misses the closure of Im A = 0:
+    # unstable in both chambers, over Q and at total dimension 15 alike
+    assert stability_check(GradedQuiverRep(datum, QQ, {(1, 1): 1}, {}), theta) is False
     big = GradedQuiverRep(datum, F2, {(1, 1): 8, (2, 2): 7}, {})
-    with pytest.raises(CapExceeded):
-        stability_check(big, theta)
+    assert stability_check(big, theta) is False
     # a same-sign theta with a zero entry lies on the hyperplane of a simple root
     on_wall = (Fraction(0), theta[1])
     with pytest.raises(NonGenericTheta):
         stability_check(GradedQuiverRep(datum, F2, {(1, 1): 1}, {}), on_wall)
-
-
-def test_lattice_cap_only_reaches_mixed_theta(monkeypatch):
-    # V_1^1 = W_1^0 = k with A the identity: its lattices have two members
-    datum = build_cartan("A2")
-    rep = GradedQuiverRep(datum, F2, {(1, 1): 1}, {(1, 0): 1},
-                          framing={(1, 0): [[1]]})
-    monkeypatch.setattr(quiver, "LATTICE_CAP", 1)
-    assert stability_check(rep, NEG2) is True
-    assert stability_check(rep, POS2) is False
-    with pytest.raises(CapExceeded):
-        _stability_by_lattice(rep, NEG2)
-    with pytest.raises(CapExceeded):
-        stability_check(rep, (Fraction(-1), Fraction(3)))
 
 
 def test_same_sign_shortcuts_match_the_lattice_on_the_corpus():
@@ -377,17 +365,17 @@ def test_same_sign_shortcuts_match_the_lattice_on_the_corpus():
             pos = tuple(-t for t in neg)
             for point in points:
                 rep = point.rep
-                for theta, stable in [(neg, point.stable[0]),
-                                      (pos, stability_check(rep, pos))]:
-                    assert stable == _stability_by_lattice(rep, theta)
-                    counts["stable", theta[0]] += stable
+                stable = (point.stable[0], stability_check(rep, pos))
+                assert stable == stability_by_full_lattice(rep, (neg, pos))
+                counts["stable", -1] += stable[0]
+                counts["stable", 1] += stable[1]
                 counts["points"] += 1
                 if not point.stable[0]:
                     continue
                 for i in datum.nodes:
                     reflected, theta_bar = reflect(rep, i, neg)
                     assert stability_check(reflected, theta_bar) is True
-                    assert _stability_by_lattice(reflected, theta_bar) is True
+                    assert stability_by_full_lattice(reflected, (theta_bar,)) == (True,)
                     counts["reflected"] += 1
     assert counts == {"points": 3603, ("stable", -1): 17, ("stable", 1): 5,
                       "reflected": 32}
@@ -415,28 +403,6 @@ def test_stability_matches_the_full_lattice_on_quiver_mixed():
     assert counts == {"searches": 126, "points": 1263, "stable": 131}
 
 
-def test_lattice_walk_reaches_every_member_of_the_full_lattice():
-    # the skip of contained generators may change the order of the walk,
-    # never its members: both lattices of every quiver-mixed point
-    members = 0
-    for datum, v, w, _ in _quiver_mixed_searches():
-        for point in exhaustive_search(datum, v, w, F2):
-            rep = point.rep
-            cyclics = quiver._cyclic_submodules(rep)
-            base = quiver._closure(rep, quiver._framing_image_seeds(rep))
-            for start, gens in [
-                ({}, [c for c in cyclics if quiver._contained_in_ker_b(rep, c)]),
-                (base, cyclics),
-            ]:
-                walked = [quiver._sub_key(sub) for sub in
-                          quiver._lattice(rep, start, gens, LATTICE_CAP)]
-                assert len(walked) == len(set(walked))
-                assert set(walked) == {quiver._sub_key(sub) for sub in full_lattice(
-                    rep, start, gens, LATTICE_CAP)}
-                members += len(walked)
-    assert members == 35599
-
-
 def test_stability_matches_the_full_lattice_at_mixed_theta_on_the_corpus():
     # the criterion-7 corpus at each theta = s_i(-1,...,-1); for A1 that is
     # (1), which has one sign, so only the rank-two types count
@@ -453,58 +419,38 @@ def test_stability_matches_the_full_lattice_at_mixed_theta_on_the_corpus():
     assert counts == {"points": 3596, "stable": 19}
 
 
-def _two_plane_point():
-    # V_1^1 = k^2 and no maps: every line is a submodule inside Ker B, and at
-    # theta = (1, -2) each pairs 1 > 0, while the Ker B lattice has 5 members
-    datum = build_cartan("A2")
-    return GradedQuiverRep(datum, F2, {(1, 1): 2}, {}), (Fraction(1), Fraction(-2))
-
-
-def _counting_joins(monkeypatch, check=None):
-    calls = []
-    real = quiver._join
-
-    def join(fld, left, right):
-        if check is not None:
-            check(fld, left, right)
-        calls.append(1)
-        return real(fld, left, right)
-
-    monkeypatch.setattr(quiver, "_join", join)
-    return calls
-
-
-def test_mixed_walk_stops_at_the_first_witness(monkeypatch):
-    rep, theta = _two_plane_point()
-    calls = _counting_joins(monkeypatch)
-    assert stability_check(rep, theta) is False
-    walked = len(calls)
-    assert stability_by_full_lattice(rep, (theta,)) == (False,)
-    # the oracle joins each of the 3 lines into each of the 5 members
-    assert (walked, len(calls) - walked) == (1, 15)
-
-
-def test_mixed_walk_never_joins_a_contained_generator(monkeypatch):
-    def grows(fld, current, gen):
-        joined = {key: _span(fld, current.get(key, ()) + rows)
-                  for key, rows in gen.items()}
-        assert any(len(rows) > len(current.get(key, ()))
-                   for key, rows in joined.items())
-
-    calls = _counting_joins(monkeypatch, grows)
+def _walk_cases():
+    """(point, theta) per quiver-mixed point and per point of the rank-two
+    criterion-7 corpus at each s_i(-1,...,-1)."""
     for datum, v, w, theta in _quiver_mixed_searches():
-        exhaustive_search(datum, v, w, F2, thetas=(theta,))
-    assert len(calls) == 9524
+        for point in exhaustive_search(datum, v, w, F2):
+            yield point.rep, theta
+    for label in ["A2", "B2"]:
+        for datum, _, _, _, neg, points in quiver_corpus_cases(label, sums=True):
+            for i in datum.nodes:
+                theta = reflect_weight(datum, i, neg)
+                for point in points:
+                    yield point.rep, theta
 
 
-def test_early_witness_is_found_before_the_lattice_cap(monkeypatch):
-    # the one change of the early exit: a witness that comes before the cap
-    # decides the point, where the whole lattice would exceed it
-    rep, theta = _two_plane_point()
-    monkeypatch.setattr(quiver, "LATTICE_CAP", 2)
-    assert stability_check(rep, theta) is False
-    with pytest.raises(CapExceeded):
-        stability_by_full_lattice(rep, (theta,), 2)
+def test_every_walk_step_keeps_the_relations_and_the_dimensions():
+    # the kernel validates nothing itself: each step of the stability walk
+    # must give a valid point with the dims of the closed form
+    counts = Counter()
+    for rep, theta in _walk_cases():
+        for i in quiver._word(rep.datum, theta):
+            image = _reflect_kernel(rep, i)
+            if image is None:
+                counts["stopped"] += 1
+                break
+            assert validate_relations(image) == []
+            predicted = reflect_dimensions(rep.datum, i, rep.v, rep.w)
+            assert image.v == {key: n for key, n in predicted.items() if n}
+            counts["steps"] += 1
+            rep = image
+        counts["walks"] += 1
+    # 1263 quiver-mixed points, and 3596 corpus points at two thetas each
+    assert counts == {"walks": 8455, "stopped": 8141, "steps": 2815}
 
 
 def test_framed_stability_equivalence_everywhere():
@@ -516,7 +462,7 @@ def test_framed_stability_equivalence_everywhere():
         ({(2, 2): 1, (1, 4): 1}, {(2, 0): 1}),
     ]:
         for point in exhaustive_search(datum, v, w, F2, thetas=(NEG2,)):
-            assert point.stable[0] == _stability_by_lattice(point.rep, NEG2)
+            assert point.stable == stability_by_full_lattice(point.rep, (NEG2,))
 
 
 def _span_one_at_a_time(fld, rows):
@@ -634,19 +580,21 @@ def test_reflect_rejects_unstable_input():
         reflect(unstable, 1, NEG)
 
 
-def test_reflect_unstable_input_not_surjective():
-    # the same point, pushed through with trusted=True, fails surjectivity
+def test_reflect_unstable_input_not_surjective(monkeypatch):
+    # the same point: Phi at grade -1 is the zero map onto V_1^1, so the
+    # kernel gives up, and reflect with its stability pre-check patched out
+    # fails surjectivity
     datum = build_cartan("A1")
     unstable = GradedQuiverRep(datum, F2, {(1, 1): 1}, {(1, 0): 1})
+    assert _reflect_kernel(unstable, 1) is None
+    monkeypatch.setattr(quiver, "stability_check", lambda rep, theta: True)
     with pytest.raises(NotSurjective):
-        reflect(unstable, 1, NEG, trusted=True)
+        reflect(unstable, 1, NEG)
 
 
 def test_reflect_over_rationals_needs_trusted():
-    rep = a1_point(QQ)
-    with pytest.raises(FieldNotFinite):
-        reflect(rep, 1, NEG)
-    reflected, theta_bar = reflect(rep, 1, NEG, trusted=True)
+    # stability is decided over Q as well, so the point reflects as it is
+    reflected, theta_bar = reflect(a1_point(QQ), 1, NEG)
     assert reflected.v == {} and theta_bar == (Fraction(1),)
 
 
