@@ -7,6 +7,7 @@ arithmetic is exact; no floating point appears anywhere.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import FieldNotFinite, UnsupportedType
@@ -21,9 +22,6 @@ class RationalField:
 
     def one(self):
         return Fraction(1)
-
-    def of(self, n):
-        return Fraction(n)
 
     def add(self, a, b):
         return a + b
@@ -47,9 +45,12 @@ class RationalField:
         return int(a) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
 
     def from_json(self, value):
-        if isinstance(value, str):
+        """An int, or a "p/q" string; anything else is a ValueError naming it."""
+        if isinstance(value, str) and re.fullmatch("-?[0-9]+/[0-9]+", value):
             num, den = value.split("/")
             return Fraction(int(num), int(den))
+        if type(value) is not int:
+            raise ValueError(f"{value!r} is not an exact element of Q")
         return Fraction(value)
 
     def __repr__(self):
@@ -73,9 +74,6 @@ class PrimeField:
     def one(self):
         return 1
 
-    def of(self, n):
-        return n % self.p
-
     def add(self, a, b):
         return (a + b) % self.p
 
@@ -98,7 +96,10 @@ class PrimeField:
         return a
 
     def from_json(self, value):
-        return int(value) % self.p
+        """An int; anything else (a float, a bool) is a ValueError naming it."""
+        if type(value) is not int:
+            raise ValueError(f"{value!r} is not an exact element of {self.name}")
+        return value % self.p
 
     def __repr__(self):
         return self.name

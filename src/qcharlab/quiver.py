@@ -1,11 +1,13 @@
 """Graded (co)framed quiver representations, stability, and the reflection map.
 
-Grading conventions.  Spaces V_i^a and W_i^a sit on (node, integer) slots.
-Loops descend: the loop at node i maps V_i^a -> V_i^{a - d_ii}.  Arrows
-between adjacent nodes ascend: V_i^a -> V_j^{a - d_ij} with d_ij < 0.  The
-framing A_i^a : W_i^a -> V_i^{a + d_i} and coframing B_i^a : V_i^{a - d_i}
--> W_i^a both ascend by d_i.  Arrows between non-adjacent distinct nodes are
-omitted; no relation constrains them.
+Grading conventions.  Spaces V_i^a and W_i^a sit on ("V"|"W", node, grade)
+slots, and a point keys each map by its (source, target) slots.  Loops
+descend: the loop at node i maps V_i^a -> V_i^{a - d_ii}.  Arrows between
+adjacent nodes ascend: V_i^a -> V_j^{a - d_ij} with d_ij < 0.  The framing
+A_i^a : W_i^a -> V_i^{a + d_i} and coframing B_i^a : V_i^{a - d_i} -> W_i^a
+both ascend by d_i.  :func:`_step` is the one statement of this grading.
+Arrows between non-adjacent distinct nodes are omitted; no relation
+constrains them.
 
 The defining relations, checked by :func:`validate_relations`.  Each is a
 sum of path composites out of one slot that must vanish (see
@@ -59,35 +61,29 @@ from .linalg import (
 DEFAULT_SEARCH_ENTRY_CAP = 22
 
 
+# the "kind" a point file gives a map, by the spaces of its two ends
+_KINDS = {("V", "V"): "arrow", ("W", "V"): "A", ("V", "W"): "B"}
+
+
 class GradedQuiverRep:
     """A point of the (co)framed representation space for fixed dims v, w.
 
-    ``arrows`` is keyed by (i, a, j) for the map V_i^a -> V_j^{a - d_ij}
-    (loops use i == j); ``framing`` by (i, a) for A_i^a and ``coframing`` by
-    (i, a) for B_i^a.  Matrices are (target rows) x (source cols); maps with
-    a zero-dimensional end are never stored.
+    ``maps`` is keyed by (source, target), two ("V"|"W", node, grade) slots:
+    arrows and loops go V to V, A_i goes W_i to V_i and B_i goes V_i to W_i,
+    and each lands where :func:`_step` says.  Matrices are (target rows) x
+    (source cols); maps with a zero-dimensional end are never stored.
     """
 
-    def __init__(self, datum, field, v, w, arrows=None, framing=None,
-                 coframing=None, check=True):
-        if check:
-            _check_dims(datum, v, w)
+    def __init__(self, datum, field, v, w, maps=None, check=True):
         self.datum = datum
         self.field = field
-        self.v = {key: n for key, n in dict(v).items() if n}
-        self.w = {key: n for key, n in dict(w).items() if n}
-        self.arrows = dict(arrows or {})
-        self.framing = dict(framing or {})
-        self.coframing = dict(coframing or {})
+        self.v, self.w, self.maps = dict(v), dict(w), dict(maps or {})
         if check:
-            self._check_shapes()
-        # a map with a zero-dimensional end has no entries to store
-        for maps in self._maps_by_kind().values():
-            for key in [key for key, mat in maps.items() if not (mat and mat[0])]:
-                del maps[key]
-
-    def _maps_by_kind(self):
-        return {"arrow": self.arrows, "A": self.framing, "B": self.coframing}
+            self._check()
+        # zero dimensions, and the maps with a zero-dimensional end, hold nothing
+        self.v = {key: n for key, n in self.v.items() if n}
+        self.w = {key: n for key, n in self.w.items() if n}
+        self.maps = {ends: mat for ends, mat in self.maps.items() if mat and mat[0]}
 
     # -- dimensions ---------------------------------------------------
 
@@ -99,46 +95,50 @@ class GradedQuiverRep:
         space, i, a = slot
         return (self.v if space == "V" else self.w).get((i, a), 0)
 
-    def _map_shape(self, kind, key):
-        """(rows, cols) of a map: the dimensions of its target and its source."""
-        source, target = _map_ends(self.datum, kind, key)
-        return self.slot_dim(target), self.slot_dim(source)
-
     def total_dim(self):
         return sum(self.v.values())
 
-    def _check_shapes(self):
+    def _check(self):
         datum = self.datum
-        for kind, maps in self._maps_by_kind().items():
-            for key, mat in maps.items():
-                i = key[0]
-                j = key[2] if kind == "arrow" else i
-                if i not in datum.nodes or j not in datum.nodes:
-                    raise ShapeMismatch(f"{kind} map {key} is not valid in {datum.label}")
-                if i != j and datum.c(i, j) == 0:
-                    raise ShapeMismatch(f"arrow {key} joins non-adjacent nodes")
-                rows, cols = self._map_shape(kind, key)
-                if len(mat) != rows or any(len(row) != cols for row in mat):
-                    raise ShapeMismatch(f"{kind} map {key}: expected {rows}x{cols}")
+        for (i, a), n in [*self.v.items(), *self.w.items()]:
+            if i not in datum.nodes or n < 0:
+                raise ShapeMismatch(
+                    f"dimension {n} at slot {(i, a)} is not valid in {datum.label}")
+        for (source, target), mat in self.maps.items():
+            kind = _KINDS.get((source[0], target[0]))
+            i, j = source[1], target[1]
+            # nodes outside the datum, W to W, A or B across two nodes, and
+            # arrows between non-adjacent nodes
+            if (kind is None or i not in datum.nodes or j not in datum.nodes
+                    or i != j and (kind != "arrow" or datum.c(i, j) == 0)):
+                raise ShapeMismatch(
+                    f"no map goes from {source} to {target} in {datum.label}")
+            where = f"{kind} map from {source[1:]} to {target[1:]}"
+            expected = _step(datum, source, target[:2])
+            if target != expected:
+                raise ShapeMismatch(
+                    f"{where} contradicts its key; it goes to {expected[1:]}")
+            rows, cols = self.slot_dim(target), self.slot_dim(source)
+            if len(mat) != rows or any(len(row) != cols for row in mat):
+                raise ShapeMismatch(f"{where}: expected {rows}x{cols}")
 
     # -- serialization --------------------------------------------------
 
     def to_json_obj(self):
         fld = self.field
-        maps = []
-        for kind, table in self._maps_by_kind().items():
-            for key in sorted(table):
-                source, target = _map_ends(self.datum, kind, key)
-                maps.append({
-                    "kind": kind, "from": list(source[1:]), "to": list(target[1:]),
-                    "matrix": [[fld.to_json(x) for x in row] for row in table[key]],
-                })
+        # arrows, A maps, then B maps (the target spaces sort V, V, W and the
+        # source spaces V, W), each kind in the order of its ends
+        ordered = sorted(self.maps.items(), key=lambda item: (item[0][1][0], item[0]))
         return {
             "field": fld.name,
             "type": self.datum.label,
             "v": [[i, a, n] for (i, a), n in sorted(self.v.items())],
             "w": [[i, a, n] for (i, a), n in sorted(self.w.items())],
-            "maps": maps,
+            "maps": [{
+                "kind": _KINDS[source[0], target[0]],
+                "from": list(source[1:]), "to": list(target[1:]),
+                "matrix": [[fld.to_json(x) for x in row] for row in mat],
+            } for (source, target), mat in ordered],
         }
 
     @classmethod
@@ -147,106 +147,106 @@ class GradedQuiverRep:
 
         datum = datum or build_cartan(obj["type"])
         fld = field_by_name(obj["field"])
-        v = {(int(i), int(a)): int(n) for i, a, n in obj["v"]}
-        w = {(int(i), int(a)): int(n) for i, a, n in obj["w"]}
-        tables = {"arrow": {}, "A": {}, "B": {}}
+        v, w = (_read_dims(obj[name], name) for name in ("v", "w"))
+        spaces = {kind: pair for pair, kind in _KINDS.items()}
+        maps = {}
         for entry in obj.get("maps", []):
-            mat = [[fld.from_json(x) for x in row] for row in entry["matrix"]]
-            i, a = int(entry["from"][0]), int(entry["from"][1])
-            j, b = int(entry["to"][0]), int(entry["to"][1])
             kind = entry["kind"]
-            if kind not in tables:
+            if kind not in spaces:
                 raise ShapeMismatch(f"unknown map kind {kind!r}")
-            for node in (i, j):
-                if node not in datum.nodes:
-                    raise ShapeMismatch(
-                        f"{kind} map end at node {node} is not in {datum.label}"
-                    )
-            # the key this map is stored under, and the ends to_json_obj writes for it
-            key = {"arrow": (i, a, j), "A": (i, a), "B": (j, b)}[kind]
-            ends = tuple(slot[1:] for slot in _map_ends(datum, kind, key))
-            if ((i, a), (j, b)) != ends:
+            ends = tuple((space, *_ints(entry[end], 2, f"{kind} map {end!r}"))
+                         for space, end in zip(spaces[kind], ("from", "to")))
+            if ends in maps:
                 raise ShapeMismatch(
-                    f"{kind} map from {(i, a)} to {(j, b)} contradicts its key; "
-                    f"expected from {ends[0]} to {ends[1]}"
-                )
-            if key in tables[kind]:
-                raise ShapeMismatch(f"two {kind} maps for the key {key}")
-            tables[kind][key] = mat
-        return cls(datum, fld, v, w, tables["arrow"], tables["A"], tables["B"])
+                    f"two {kind} maps from {ends[0][1:]} to {ends[1][1:]}")
+            maps[ends] = [[fld.from_json(x) for x in row] for row in entry["matrix"]]
+        return cls(datum, fld, v, w, maps)
 
 
-def _check_dims(datum, v, w):
-    for (i, a), n in [*dict(v).items(), *dict(w).items()]:
-        if i not in datum.nodes or n < 0:
-            raise ShapeMismatch(
-                f"dimension {n} at slot {(i, a)} is not valid in {datum.label}"
-            )
+def _ints(entry, count, what):
+    """A point file's list of ``count`` ints, as a tuple; else a ValueError."""
+    if not (isinstance(entry, list) and len(entry) == count
+            and all(type(x) is int for x in entry)):
+        raise ValueError(f"{what} {entry!r} is not {count} exact integers")
+    return tuple(entry)
 
 
-def _map_ends(datum, kind, key):
-    """The (source, target) slots, each ("V"|"W", node, grade), of a map.
+def _read_dims(entries, name):
+    """The dims {(node, grade): n} of a point file's ``v`` or ``w`` list."""
+    dims = {}
+    for entry in entries:
+        i, a, n = _ints(entry, 3, f"{name} entry")
+        if (i, a) in dims:
+            raise ShapeMismatch(f"{name} entry {entry!r} repeats the slot {(i, a)}")
+        dims[i, a] = n
+    return dims
 
-    The one statement of the grading: an arrow (i, a, j) goes V_i^a ->
-    V_j^{a - d_ij}, A (i, a) goes W_i^a -> V_i^{a + d_i}, and B (i, a) goes
-    V_i^{a - d_i} -> W_i^a.
+
+def _step(datum, slot, to):
+    """The slot where the map out of ``slot`` toward ("V"|"W", node) lands.
+
+    The one statement of the grading: an arrow goes V_i^a -> V_j^{a - d_ij}
+    (the loop when j == i), and A_i^a : W_i^a -> V_i^{a + d_i} and B :
+    V_i^a -> W_i^{a + d_i} both ascend by d_i.
     """
-    if kind == "arrow":
-        i, a, j = key
-        return ("V", i, a), ("V", j, a - datum.b(i, j))
-    i, a = key
-    if kind == "A":
-        return ("W", i, a), ("V", i, a + datum.di(i))
-    return ("V", i, a - datum.di(i)), ("W", i, a)
-
-
-def _map_from(datum, slot, to):
-    """The (kind, key) of the map out of ``slot`` toward ("V"|"W", node)."""
     space, i, a = slot
-    if space == "W":
-        return "A", (i, a)
-    if to[0] == "W":
-        return "B", (i, a + datum.di(i))
-    return "arrow", (i, a, to[1])
+    target, j = to
+    if space == target == "V":
+        return "V", j, a - datum.b(i, j)
+    return target, j, a + datum.di(i)
 
 
-def _composite(rep, start, path):
-    """The composite of the maps along ``path`` out of the slot ``start``.
+def _path(datum, start, targets):
+    """The slots a path visits: ``start``, then one per ("V"|"W", node) of ``targets``."""
+    path = [start]
+    for to in targets:
+        path.append(_step(datum, path[-1], to))
+    return tuple(path)
 
-    ``path`` lists the targets ("V"|"W", node) in order: V to V is an arrow,
-    V to W a B map, W to V an A map.  Returns None when a map on the path is
-    absent, since the composite is then zero; the empty path is the identity.
+
+def _composite(rep, path):
+    """The composite of the maps along ``path``, a tuple of slots.
+
+    Returns None when a map on the path is absent, since the composite is
+    then zero; a path of one slot is that slot's identity.
     """
-    maps = rep._maps_by_kind()
-    mat, slot = None, start
-    for to in path:
-        kind, key = _map_from(rep.datum, slot, to)
-        step = maps[kind].get(key)
+    mat = None
+    for ends in zip(path, path[1:]):
+        step = rep.maps.get(ends)
         if step is None:
             return None
         mat = step if mat is None else mat_mul_shaped(
             rep.field, step, mat, len(step), len(mat), len(mat[0]))
-        slot = _map_ends(rep.datum, kind, key)[1]
-    return identity(rep.field, rep.slot_dim(start)) if mat is None else mat
+    return identity(rep.field, rep.slot_dim(path[0])) if mat is None else mat
 
 
-def _dense(rep, start, path, rows):
+def _dense(rep, path):
     """The composite along ``path`` as a matrix, zero where a map is absent."""
-    mat = _composite(rep, start, path)
-    return zeros(rep.field, rows, rep.slot_dim(start)) if mat is None else mat
+    mat = _composite(rep, path)
+    if mat is None:
+        return zeros(rep.field, rep.slot_dim(path[-1]), rep.slot_dim(path[0]))
+    return mat
 
 
 def valid_map_keys(datum, v, w):
-    """All (kind, key) slots carrying free matrix entries for dims (v, w)."""
-    dims = {"V": v, "W": w}
-    keys = []
-    for (i, a) in sorted(k for k, n in v.items() if n):
-        keys += [("arrow", (i, a, j)) for j in (i, *sorted(datum.neighbors(i)))]
-    for (i, a) in sorted(k for k, n in w.items() if n):
-        keys += [("A", (i, a)), ("B", (i, a))]
-    return [(kind, key) for kind, key in keys
-            if all(dims[space].get((node, grade), 0)
-                   for space, node, grade in _map_ends(datum, kind, key))]
+    """Every (source, target) carrying free matrix entries for dims (v, w).
+
+    In search order: the loop and then the arrows out of each V slot, then
+    the A map out of and the B map into each W slot.
+    """
+    slots = ({("V", *key) for key, n in v.items() if n}
+             | {("W", *key) for key, n in w.items() if n})
+    pairs = []
+    into = {}  # W slot -> the V slot whose B map lands there
+    for slot in sorted(slots):
+        space, i, _ = slot
+        if space == "V":
+            pairs += [(slot, _step(datum, slot, ("V", j)))
+                      for j in (i, *sorted(datum.neighbors(i)))]
+            into[_step(datum, slot, ("W", i))] = slot
+        else:
+            pairs += [(slot, _step(datum, slot, ("V", i))), (into.get(slot), slot)]
+    return [ends for ends in pairs if slots.issuperset(ends)]
 
 
 # ---------------------------------------------------------------------------
@@ -266,15 +266,15 @@ class RelationViolation:
 
 
 def _relation_table(rep, framed=True):
-    """Every relation on ``rep`` as a row (name, i, j, a, start, paths).
+    """Every relation on ``rep`` as a row (name, i, j, a, paths).
 
-    The composites along ``paths`` out of the slot ``start`` must add up to
-    zero.  Rows come in the order E1bis, E2, then E4 and E5 per W slot.  With
-    ``framed=False`` the loop relation drops its AB term and is named E1, and
-    E4/E5 are left out.
+    The composites along ``paths``, each a tuple of slots out of one start
+    slot, must add up to zero.  Rows come in the order E1bis, E2, then E4 and
+    E5 per W slot.  With ``framed=False`` the loop relation drops its AB term
+    and is named E1, and E4/E5 are left out.
     """
     datum = rep.datum
-    table = []
+    table = []  # rows with each path as its start and its targets
     for (i, a) in sorted(rep.v):
         at = ("V", i)
         paths = []
@@ -296,16 +296,17 @@ def _relation_table(rep, framed=True):
             table.append(("E4", i, i, a, ("W", i, a), [[("V", i)] * 2]))
             table.append(("E5", i, i, a, ("V", i, a + datum.di(i)),
                           [[("V", i), ("W", i)]]))
-    return table
+    return [(name, i, j, a, [_path(datum, start, targets) for targets in paths])
+            for name, i, j, a, start, paths in table]
 
 
 def _violations(rep, table):
     fld = rep.field
     out = []
-    for name, i, j, a, start, paths in table:
+    for name, i, j, a, paths in table:
         total = None
         for path in paths:
-            term = _composite(rep, start, path)
+            term = _composite(rep, path)
             if term is None:
                 continue
             total = term if total is None else [
@@ -329,14 +330,14 @@ def validate_n(rep, node, xi):
     relation, the mixed relation E2, and that the single descending loop
     kills xi.
     """
-    if rep.coframing:
+    if any(target[0] == "W" for _, target in rep.maps):
         raise ValueError("validate_n expects a point with all B maps zero")
     dk = rep.datum.di(node)
     dim = rep.vdim(node, dk)
     if len(xi) != dim:
         raise ShapeMismatch(f"xi must live in V_{node}^{dk} (dim {dim})")
     out = _violations(rep, _relation_table(rep, framed=False))
-    loop = _composite(rep, ("V", node, dk), [("V", node)])
+    loop = _composite(rep, _path(rep.datum, ("V", node, dk), [("V", node)]))
     if loop is not None and not is_zero_matrix(rep.field,
                                                _images(rep.field, loop, [xi])):
         out.append(RelationViolation("loop-kills-xi", node, node, dk))
@@ -375,10 +376,11 @@ def _closure(rep, seeds, backward=False):
         if rows:
             spans[key] = rows
     moves = []  # (from, to, factor) per arrow: a row r moves to r * factor
-    for key, mat in rep.arrows.items():
-        source, target = (end[1:] for end in _map_ends(rep.datum, "arrow", key))
-        moves.append((target, source, mat) if backward
-                     else (source, target, list(zip(*mat))))
+    for (source, target), mat in rep.maps.items():
+        if source[0] == target[0] == "V":
+            source, target = source[1:], target[1:]
+            moves.append((target, source, mat) if backward
+                         else (source, target, list(zip(*mat))))
     changed = True
     while changed:
         changed = False
@@ -402,11 +404,9 @@ def _sub_dims(sub):
 
 def _framing_image_seeds(rep):
     seeds = {}
-    for key, mat in rep.framing.items():
-        _, target = _map_ends(rep.datum, "A", key)
-        cols = len(mat[0]) if mat else 0
-        for c in range(cols):
-            seeds.setdefault(target[1:], []).append([mat[r][c] for r in range(len(mat))])
+    for (source, target), mat in rep.maps.items():
+        if source[0] == "W":
+            seeds.setdefault(target[1:], []).extend(map(list, zip(*mat)))
     return seeds
 
 
@@ -509,8 +509,8 @@ def _is_coframed_stable(rep):
     Equivalent to the rows of every B, closed backwards along the arrows,
     spanning the dual of every V slot.
     """
-    seeds = {_map_ends(rep.datum, "B", key)[0][1:]: mat
-             for key, mat in rep.coframing.items()}
+    seeds = {source[1:]: mat for (source, target), mat in rep.maps.items()
+             if target[0] == "W"}
     return _sub_dims(_closure(rep, seeds, backward=True)) == rep.v
 
 
@@ -539,26 +539,30 @@ def _block_dims(rep, blocks):
 def _block_paths(datum, i, a):
     """Per block of :func:`phi_blocks` at (i, a): (block, phi, psi, upsilon).
 
-    ``phi`` is the path of Phi's block, out of the block's slot into
-    V_i^{a+d_ii}; ``psi`` the path of Psi's block, out of V_i^a into the
-    block's slot.  ``upsilon`` is None for the W block, which Upsilon kills;
-    otherwise (path, t, negate): Upsilon sends the block's slot along the
-    path, negated or not, to the block of the same neighbor with step t in
-    the layout at (i, a - d_ii).
+    Each path is the tuple of slots it visits, resolved here once per
+    (datum, i, a).  ``phi`` is the path of Phi's block, out of the block's
+    slot into V_i^{a+d_ii}; ``psi`` the path of Psi's block, out of V_i^a
+    into the block's slot.  ``upsilon`` is None for the W block, which
+    Upsilon kills; otherwise (path, t, negate): Upsilon sends the block's
+    slot along the path, negated or not, to the block of the same neighbor
+    with step t in the layout at (i, a - d_ii).
     """
-    at = ("V", i)
+    at, start = ("V", i), ("V", i, a)
     table = []
     for block in phi_blocks(datum, i, a):
         space, j, _, t = block
+        slot = block[:3]
         if space == "W":
-            table.append((block, (at,), (("W", i),), None))
+            table.append((block, _path(datum, slot, [at]),
+                          _path(datum, start, [("W", i)]), None))
             continue
         c = -datum.c(i, j)
         if t < c:  # the same slot, one step later in the lower layout
-            upsilon = ((), t + 1, False)
+            upsilon = ((slot,), t + 1, False)
         else:  # the top slot, through minus the full loop composite at j
-            upsilon = ((("V", j),) * -datum.c(j, i), 1, True)
-        table.append((block, (at,) * t, (at,) * (c - t) + (("V", j),), upsilon))
+            upsilon = (_path(datum, slot, [("V", j)] * -datum.c(j, i)), 1, True)
+        table.append((block, _path(datum, slot, [at] * t),
+                      _path(datum, start, [at] * (c - t) + [("V", j)]), upsilon))
     return tuple(table)
 
 
@@ -569,14 +573,12 @@ def phi_map(rep, i, a):
     A_i^{a+d_i}, then for each neighbor slot the arrow into node i followed by
     t-1 descending loops.
     """
-    rows = rep.vdim(i, a + 2 * rep.datum.di(i))
-    return hstack([_dense(rep, block[:3], phi, rows)
-                   for block, phi, _, _ in _block_paths(rep.datum, i, a)], rows)
+    blocks = [_dense(rep, phi) for _, phi, _, _ in _block_paths(rep.datum, i, a)]
+    return hstack(blocks, len(blocks[0]))  # each block has V_i^{a+d_ii}'s rows
 
 
 def _psi(rep, i, a):
-    return vstack([_dense(rep, ("V", i, a), path, rep.slot_dim(block[:3]))
-                   for block, _, path, _ in _block_paths(rep.datum, i, a)])
+    return vstack([_dense(rep, psi) for _, _, psi, _ in _block_paths(rep.datum, i, a)])
 
 
 def psi_map(rep, i, a):
@@ -587,10 +589,8 @@ def psi_map(rep, i, a):
     Raises RelationViolated when the composite with Phi is nonzero.
     """
     fld = rep.field
-    psi = _psi(rep, i, a)
-    composite = mat_mul_shaped(fld, phi_map(rep, i, a), psi,
-                               rep.vdim(i, a + 2 * rep.datum.di(i)), len(psi),
-                               rep.vdim(i, a))
+    phi, psi = phi_map(rep, i, a), _psi(rep, i, a)
+    composite = mat_mul_shaped(fld, phi, psi, len(phi), len(psi), rep.vdim(i, a))
     if not is_zero_matrix(fld, composite):
         raise RelationViolated(
             f"Phi o Psi nonzero at node {i}, grade {a}: input violates relations"
@@ -623,7 +623,7 @@ def upsilon_map(rep, i, a):
         if upsilon is not None:
             path, t, negate = upsilon
             row0 = dst_offset[block[1], t]
-            for r, row in enumerate(_composite(rep, block[:3], path) or ()):
+            for r, row in enumerate(_composite(rep, path) or ()):
                 for c, x in enumerate(row):
                     out[row0 + r][col + c] = fld.neg(x) if negate else x
         col += dim
@@ -660,13 +660,8 @@ def _reflect_kernel(rep, i):
     new_v = {key: n for key, n in rep.v.items() if key[0] != i}
     new_v.update({(i, a): width for a, (_, width, _) in kernels.items() if width})
 
-    new_arrows = {
-        key: mat for key, mat in rep.arrows.items()
-        if key[0] != i and key[2] != i
-    }
-    new_framing = {key: mat for key, mat in rep.framing.items() if key[0] != i}
-    new_coframing = {key: mat for key, mat in rep.coframing.items() if key[0] != i}
-    new_maps = {"arrow": new_arrows, "A": new_framing, "B": new_coframing}
+    new_maps = {ends: mat for ends, mat in rep.maps.items()
+                if all(end[:2] != ("V", i) for end in ends)}
 
     psis = {}
 
@@ -683,34 +678,31 @@ def _reflect_kernel(rep, i):
         # the one-map blocks of Psi at a, and each new one projects the kernel
         offset = 0
         for (_, _, path, _), dim in zip(_block_paths(datum, i, a), dims):
-            if len(path) == 1 and dim:
-                kind, key = _map_from(datum, ("V", i, a), path[0])
-                new_maps[kind][key] = [list(row) for row in basis[offset:offset + dim]]
+            if len(path) == 2 and dim:
+                new_maps[path] = [list(row) for row in basis[offset:offset + dim]]
             offset += dim
 
         # the new loop, induced by the comparison map, which carries the
         # kernel at a into the kernel at a - d_ii
-        lower, lower_width, lower_dims = kernels.get(a - dii, (None, 0, None))
+        loop = _path(datum, ("V", i, a), [("V", i)])
+        lower, lower_width, lower_dims = kernels.get(loop[1][2], (None, 0, None))
         if lower_width:
             image = mat_mul_shaped(fld, upsilon_map(rep, i, a), basis,
                                    sum(lower_dims), sum(dims), width)
-            new_arrows[(i, a, i)] = solve_exact(fld, lower, image)
+            new_maps[loop] = solve_exact(fld, lower, image)
 
         # incoming arrows and the new framing: the maps into V_i^a are the
         # one-map blocks of Phi at a - d_ii, and each factors through Psi
-        for block, path, _, _ in _block_paths(datum, i, a - dii):
-            source = block[:3]
-            if len(path) != 1 or not rep.slot_dim(source):
+        for _, path, _, _ in _block_paths(datum, i, a - dii):
+            if len(path) != 2 or not rep.slot_dim(path[0]):
                 continue
-            kind, key = _map_from(datum, source, path[0])
             mapped = mat_mul_shaped(
-                fld, psi_at(a), _dense(rep, source, path, rep.vdim(i, a)),
-                sum(dims), rep.vdim(i, a), rep.slot_dim(source),
+                fld, psi_at(a), _dense(rep, path),
+                sum(dims), rep.vdim(i, a), rep.slot_dim(path[0]),
             )
-            new_maps[kind][key] = solve_exact(fld, basis, mapped)
+            new_maps[path] = solve_exact(fld, basis, mapped)
 
-    return GradedQuiverRep(datum, fld, new_v, rep.w, new_arrows, new_framing,
-                           new_coframing, check=False)
+    return GradedQuiverRep(datum, fld, new_v, rep.w, new_maps, check=False)
 
 
 def reflect(rep, i, theta):
@@ -783,7 +775,8 @@ def exhaustive_search(datum, v, w, field, thetas=(),
         raise FieldNotFinite("exhaustive search needs a finite field")
     empty = GradedQuiverRep(datum, field, v, w)
     slots = valid_map_keys(datum, empty.v, empty.w)
-    shapes = [empty._map_shape(kind, key) for kind, key in slots]
+    shapes = [(empty.slot_dim(target), empty.slot_dim(source))
+              for source, target in slots]
     total_entries = sum(r * c for r, c in shapes)
     if total_entries > cap_entries:
         raise CapExceeded(
@@ -796,15 +789,14 @@ def exhaustive_search(datum, v, w, field, thetas=(),
     results = []
     for assignment in product(elements, repeat=total_entries):
         pos = 0
-        maps = {"arrow": {}, "A": {}, "B": {}}
-        for (kind, key), (rows, cols) in zip(slots, shapes):
-            maps[kind][key] = [
+        maps = {}
+        for ends, (rows, cols) in zip(slots, shapes):
+            maps[ends] = [
                 list(assignment[pos + r * cols: pos + (r + 1) * cols])
                 for r in range(rows)
             ]
             pos += rows * cols
-        rep = GradedQuiverRep(datum, field, empty.v, empty.w, maps["arrow"],
-                              maps["A"], maps["B"], check=False)
+        rep = GradedQuiverRep(datum, field, empty.v, empty.w, maps, check=False)
         if _violations(rep, table):
             continue
         stable = tuple(stability_check(rep, theta) for theta in thetas)

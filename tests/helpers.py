@@ -40,7 +40,7 @@ from qcharlab.linalg import (
 )
 from qcharlab.lweights import AMonomialVector, LaurentMonomial, expand_to_y
 from qcharlab.qchar import QChar, fm_qchar, sl2_expansion
-from qcharlab.quiver import RelationViolation, _map_ends, exhaustive_search
+from qcharlab.quiver import RelationViolation, exhaustive_search
 
 
 def perfbench_module(name):
@@ -324,12 +324,41 @@ def wdim(rep, i, a):
     return rep.w.get((i, a), 0)
 
 
+def _map_ends(datum, kind, key):
+    """The (source, target) slots, each ("V"|"W", node, grade), of a map.
+
+    The grading stated per kind, the oracle of ``quiver._step``: an arrow
+    (i, a, j) goes V_i^a -> V_j^{a - d_ij}, A (i, a) goes
+    W_i^a -> V_i^{a + d_i}, and B (i, a) goes V_i^{a - d_i} -> W_i^a.
+    """
+    if kind == "arrow":
+        i, a, j = key
+        return ("V", i, a), ("V", j, a - datum.b(i, j))
+    i, a = key
+    if kind == "A":
+        return ("W", i, a), ("V", i, a + datum.di(i))
+    return ("V", i, a - datum.di(i)), ("W", i, a)
+
+
+def kind_and_key(ends):
+    """The (kind, key) of a map by its (source, target), inverse to ``_map_ends``."""
+    (space, i, a), (to, j, b) = ends
+    if space == to:
+        return "arrow", (i, a, j)
+    return ("A", (i, a)) if space == "W" else ("B", (j, b))
+
+
+def without_b(rep):
+    """The maps of ``rep`` but its B maps."""
+    return {ends: mat for ends, mat in rep.maps.items() if ends[1][0] != "W"}
+
+
 def stored_or_zero(rep, kind, key):
     """The stored map, or the zero matrix of its shape where none is stored."""
-    mat = rep._maps_by_kind()[kind].get(key)
+    source, target = _map_ends(rep.datum, kind, key)
+    mat = rep.maps.get((source, target))
     if mat is not None:
         return mat
-    source, target = _map_ends(rep.datum, kind, key)
     return zeros(rep.field, rep.slot_dim(target), rep.slot_dim(source))
 
 
@@ -494,9 +523,8 @@ def _in_span(fld, basis, vec):
 
 def _contained_in_ker_b(rep, sub):
     fld = rep.field
-    for key, mat in rep.coframing.items():
-        source, _ = _map_ends(rep.datum, "B", key)
-        rows = sub.get(source[1:])
+    for (source, target), mat in rep.maps.items():
+        rows = sub.get(source[1:]) if target[0] == "W" else None
         if rows and not is_zero_matrix(fld, quiver._images(fld, mat, rows)):
             return False
     return True

@@ -184,6 +184,49 @@ def test_quiver_search_and_reflect_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(twice.read_bytes()).hexdigest() == A2_REFLECTED_AT_1_2
 
 
+# sha256 of a B2 search whose 16 points carry A maps, a loop, an arrow, and
+# B maps at both nodes (d_1 = 2, d_2 = 1), as written when each map kind was
+# stored under its own key
+B2_SEARCH_EVERY_KIND = "cfb23a9db307bfc274135f5190e317d8c44a3ecb59a18a9b1f8c296f6a59b772"
+
+
+def test_quiver_search_with_every_map_kind_is_pinned(tmp_path):
+    out = tmp_path / "search.json"
+    assert run("quiver-search", "--type", "B2", "--v", "1@(1,1),1@(1,3),1@(2,2)",
+               "--w", "1@(1,0),1@(1,2),1@(2,4)", "--theta=-1",
+               "--out", str(out)) == 0
+    points = json.loads(out.read_text())["points"]
+    assert len(points) == 16
+    kinds = {(m["kind"], m["to"][0]) for point in points for m in point["point"]["maps"]}
+    assert {("A", 1), ("arrow", 1), ("B", 1), ("B", 2)} <= kinds
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == B2_SEARCH_EVERY_KIND
+
+
+# each fault a point file was once read past, with exit 0: an inexact value
+# read as an int or a float, a rational string that is not "p/q", or a
+# repeated slot overwritten.  The error must name the entry.
+@pytest.mark.parametrize("field, v, w, value, named", [
+    ("F2", [[1, 1, 1]], [[1, 0, 1]], 1.5, "1.5"),
+    ("Q", [[1, 1, 1]], [[1, 0, 1]], 0.1, "0.1"),
+    ("Q", [[1, 1, 1]], [[1, 0, 1]], " 1_0/+3", "1_0/+3"),
+    ("F2", [[1, 1, 1.7]], [[1, 0, 1]], 1, "[1, 1, 1.7]"),
+    ("F2", [[1, 1, 1]], [[1, 0, 1]], True, "True"),
+    ("F2", [[1, 1, True]], [[1, 0, 1]], 1, "[1, 1, True]"),
+    ("F2", [[1, 1, 1], [1, 1, 1]], [[1, 0, 1]], 1, "repeats the slot (1, 1)"),
+    ("F2", [[1, 1, 1]], [[1, 0, 1], [1, 0, 1]], 1, "repeats the slot (1, 0)"),
+], ids=["fraction over F2", "float over Q", "loose p/q over Q", "fractional dim",
+        "true entry", "true dim", "repeated v slot", "repeated w slot"])
+def test_point_file_with_an_inexact_value_is_usage_error(
+        tmp_path, capsys, field, v, w, value, named):
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps(dict(POINT_A1, field=field, v=v, w=w, maps=[
+        dict(POINT_A1["maps"][0], matrix=[[value]])])))
+    for command in (("quiver-check",), ("quiver-reflect", "--node", "1", "--theta=-1")):
+        assert run(*command, str(point)) == 1, command
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err, command
+
+
 def test_quiver_check(tmp_path):
     point = tmp_path / "point.json"
     point.write_text(json.dumps(POINT_A1))

@@ -45,6 +45,8 @@ from qcharlab.quiver import (
 )
 
 from helpers import (
+    _map_ends,
+    kind_and_key,
     loop_power,
     perfbench_module,
     quiver_corpus_cases,
@@ -52,6 +54,7 @@ from helpers import (
     sorted_entries,
     stability_by_full_lattice,
     validate_n_oracle,
+    without_b,
 )
 
 NEG = (Fraction(-1),)
@@ -63,7 +66,8 @@ def a1_point(field=F2):
     # V_1^1 = W_1^0 = k with the framing map the identity
     datum = build_cartan("A1")
     return GradedQuiverRep(
-        datum, field, {(1, 1): 1}, {(1, 0): 1}, framing={(1, 0): [[field.one()]]}
+        datum, field, {(1, 1): 1}, {(1, 0): 1},
+        maps={(("W", 1, 0), ("V", 1, 1)): [[field.one()]]},
     )
 
 
@@ -127,7 +131,7 @@ def test_e4_violation_detected():
     datum = build_cartan("A1")
     rep = GradedQuiverRep(
         datum, F2, {(1, 1): 1, (1, -1): 1}, {(1, 0): 1},
-        arrows={(1, 1, 1): [[1]]}, framing={(1, 0): [[1]]},
+        maps={(("V", 1, 1), ("V", 1, -1)): [[1]], (("W", 1, 0), ("V", 1, 1)): [[1]]},
     )
     names = {v.relation for v in validate_relations(rep)}
     assert "E4" in names
@@ -137,33 +141,33 @@ def test_shape_mismatch_rejected():
     datum = build_cartan("A1")
     with pytest.raises(ShapeMismatch):
         GradedQuiverRep(
-            datum, F2, {(1, 1): 2}, {(1, 0): 1}, framing={(1, 0): [[1]]}
+            datum, F2, {(1, 1): 2}, {(1, 0): 1},
+            maps={(("W", 1, 0), ("V", 1, 1)): [[1]]},
         )
 
 
 def test_wrong_shaped_arrow_and_coframing_rejected():
     datum = build_cartan("A2")
     v, w = {(1, 1): 1, (2, 2): 1}, {(1, 2): 1}
-    for maps in [{"arrows": {(1, 1, 2): [[1, 0]]}},
-                 {"coframing": {(1, 2): [[1], [0]]}}]:
+    arrow, b_map = (("V", 1, 1), ("V", 2, 2)), (("V", 1, 1), ("W", 1, 2))
+    for maps in [{arrow: [[1, 0]]}, {b_map: [[1], [0]]}]:
         with pytest.raises(ShapeMismatch):
-            GradedQuiverRep(datum, F2, v, w, **maps)
+            GradedQuiverRep(datum, F2, v, w, maps)
     # the same maps in their right shapes are accepted
-    GradedQuiverRep(datum, F2, v, w, arrows={(1, 1, 2): [[1]]},
-                    coframing={(1, 2): [[1]]})
+    GradedQuiverRep(datum, F2, v, w, {arrow: [[1]], b_map: [[1]]})
 
 
 def test_maps_and_dims_outside_the_datum_rejected():
     datum = build_cartan("A1")
-    for v, w, framing in [
+    for v, w, maps in [
         ({(2, 1): 1}, {}, {}),
         ({(1, 1): -1}, {}, {}),
         ({(1, 1): 1}, {(0, 0): 1}, {}),
         # a map on a zero-dimensional slot still has to fit it
-        ({}, {(1, 0): 1}, {(1, 0): [[1]]}),
+        ({}, {(1, 0): 1}, {(("W", 1, 0), ("V", 1, 1)): [[1]]}),
     ]:
         with pytest.raises(ShapeMismatch):
-            GradedQuiverRep(datum, F2, v, w, framing=framing)
+            GradedQuiverRep(datum, F2, v, w, maps)
 
 
 def test_non_adjacent_arrow_rejected():
@@ -171,7 +175,7 @@ def test_non_adjacent_arrow_rejected():
     with pytest.raises(ShapeMismatch):
         GradedQuiverRep(
             datum, F2, {(1, 0): 1, (3, 2): 1}, {},
-            arrows={(1, 0, 3): [[1]]},
+            maps={(("V", 1, 0), ("V", 3, 0)): [[1]]},
         )
 
 
@@ -183,7 +187,8 @@ def test_validate_n_examples():
     assert validate_n(zero, 1, []) == []
     with pytest.raises(ValueError):
         bad = GradedQuiverRep(
-            datum, F2, {(1, -1): 1}, {(1, 0): 1}, coframing={(1, 0): [[1]]}
+            datum, F2, {(1, -1): 1}, {(1, 0): 1},
+            maps={(("V", 1, -1), ("W", 1, 0)): [[1]]},
         )
         validate_n(bad, 1, [])
 
@@ -193,7 +198,7 @@ def test_validate_n_flags_surviving_framing_vector():
     datum = build_cartan("A1")
     rep = GradedQuiverRep(
         datum, F2, {(1, 1): 1, (1, -1): 1}, {},
-        arrows={(1, 1, 1): [[1]]},
+        maps={(("V", 1, 1), ("V", 1, -1)): [[1]]},
     )
     violations = validate_n(rep, 1, [1])
     assert any(v.relation == "loop-kills-xi" for v in violations)
@@ -204,7 +209,7 @@ def test_validate_n_adds_in_the_field():
     datum = build_cartan("A1")
     rep = GradedQuiverRep(
         datum, F2, {(1, 1): 2, (1, -1): 1}, {},
-        arrows={(1, 1, 1): [[1, 1]]},
+        maps={(("V", 1, 1), ("V", 1, -1)): [[1, 1]]},
     )
     assert validate_n(rep, 1, [1, 1]) == []
 
@@ -225,11 +230,10 @@ def test_b_zero_slice_passes_validate_n():
                 if not point.stable[0]:
                     continue
                 rep0 = GradedQuiverRep(
-                    datum, F2, point.rep.v, point.rep.w,
-                    point.rep.arrows, point.rep.framing, {},
+                    datum, F2, point.rep.v, point.rep.w, without_b(point.rep),
                 )
-                a_map = rep0.framing.get((node, 0))
                 dk = datum.di(node)
+                a_map = rep0.maps.get((("W", node, 0), ("V", node, dk)))
                 xi = (
                     [row[0] for row in a_map]
                     if a_map
@@ -261,15 +265,15 @@ def _random_point(draw):
     w = {(k, 0): 1}
     empty = GradedQuiverRep(datum, fld, v, w)
     entry = st.sampled_from(list(fld.elements()))
-    maps = {"arrow": {}, "A": {}, "B": {}}
-    for kind, key in valid_map_keys(datum, v, w):
-        rows, cols = empty._map_shape(kind, key)
+    maps = {}
+    for source, target in valid_map_keys(datum, v, w):
+        rows, cols = empty.slot_dim(target), empty.slot_dim(source)
         row = st.lists(entry, min_size=cols, max_size=cols)
-        maps[kind][key] = draw(st.lists(row, min_size=rows, max_size=rows))
+        maps[source, target] = draw(st.lists(row, min_size=rows, max_size=rows))
     node = draw(st.sampled_from(datum.nodes))
     dim = empty.vdim(node, datum.di(node))
     xi = draw(st.lists(entry, min_size=dim, max_size=dim))
-    rep = GradedQuiverRep(datum, fld, v, w, maps["arrow"], maps["A"], maps["B"])
+    rep = GradedQuiverRep(datum, fld, v, w, maps)
     return rep, node, xi
 
 
@@ -279,8 +283,7 @@ def test_relation_checks_match_the_per_relation_oracle(case):
     # the violation paths; the oracle builds each relation with zero matrices
     rep, node, xi = case
     assert validate_relations(rep) == relation_violations_oracle(rep)
-    framed = GradedQuiverRep(rep.datum, rep.field, rep.v, rep.w, rep.arrows,
-                             rep.framing, {})
+    framed = GradedQuiverRep(rep.datum, rep.field, rep.v, rep.w, without_b(rep))
     assert validate_n(framed, node, xi) == validate_n_oracle(framed, node, xi)
 
 
@@ -300,17 +303,54 @@ def test_relation_checks_build_no_zero_matrix(monkeypatch):
 
 
 def test_search_builds_the_relation_table_once(monkeypatch):
-    # the table reads only datum, v and w, which every point of one search shares
-    calls = []
-    real = quiver._relation_table
+    # the table reads only datum, v and w, which every point of one search
+    # shares; so do the slots of each path, resolved by _step only while the
+    # table and the list of map slots are built
+    calls, steps = [], []
+    real, real_step = quiver._relation_table, quiver._step
     monkeypatch.setattr(quiver, "_relation_table",
                         lambda *args, **kwargs: calls.append(args)
                         or real(*args, **kwargs))
+    monkeypatch.setattr(quiver, "_step",
+                        lambda *args: steps.append(args) or real_step(*args))
     datum = build_cartan("B2")
-    v = {(1, 2): 1, (1, 4): 2, (2, 2): 2, (2, 4): 1}
-    points = exhaustive_search(datum, v, {(2, 0): 1}, F2)
+    v, w = {(1, 2): 1, (1, 4): 2, (2, 2): 2, (2, 4): 1}, {(2, 0): 1}
+    real(GradedQuiverRep(datum, F2, v, w))
+    valid_map_keys(datum, v, w)
+    once = len(steps)
+    steps.clear()
+    points = exhaustive_search(datum, v, w, F2)
     assert len(points) == 512
     assert len(calls) == 1
+    assert len(steps) == once > 0
+
+
+def test_step_matches_the_per_kind_grading_on_the_corpus():
+    # _map_ends states the grading once per map kind; every map of every
+    # criterion-7 corpus point, and of its reflections (which carry the B
+    # maps), must sit where both it and _step say, and the search must list
+    # the map slots in the per-kind order
+    seen = Counter()
+    for label in ["A1", "A2", "B2"]:
+        for datum, _, v, w, _, points in quiver_corpus_cases(label, sums=True):
+            keys = [("arrow", (i, a, j)) for i, a in sorted(v)
+                    for j in (i, *sorted(datum.neighbors(i)))]
+            keys += [(kind, key) for key in sorted(w) for kind in ("A", "B")]
+            ends = [_map_ends(datum, kind, key) for kind, key in keys]
+            assert valid_map_keys(datum, v, w) == [
+                (source, target) for source, target in ends
+                if (v if source[0] == "V" else w).get(source[1:])
+                and (v if target[0] == "V" else w).get(target[1:])]
+            reps = [point.rep for point in points]
+            reps += [_reflect_kernel(point.rep, i) for point in points
+                     if point.stable[0] for i in datum.nodes]
+            for rep in filter(None, reps):
+                for source, target in rep.maps:
+                    kind, key = kind_and_key((source, target))
+                    assert _map_ends(datum, kind, key) == (source, target)
+                    assert quiver._step(datum, source, target[:2]) == target
+                    seen[kind] += 1
+    assert min(seen[kind] for kind in ("arrow", "A", "B")) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +375,8 @@ def test_stability_preconditions():
     assert stability_check(a1_point(QQ), (Fraction(1),)) is False
     datum = build_cartan("A1")
     big = GradedQuiverRep(datum, F2, {(1, 1): 15}, {(1, 0): 15},
-                          framing={(1, 0): [[int(r == c) for c in range(15)]
-                                            for r in range(15)]})
+                          {(("W", 1, 0), ("V", 1, 1)): [[int(r == c) for c in range(15)]
+                                                        for r in range(15)]})
     assert big.total_dim() == 15
     assert stability_check(big, NEG) is True
     assert stability_check(GradedQuiverRep(datum, F2, {(1, 1): 15}, {}), NEG) is False
@@ -538,7 +578,7 @@ def test_psi_raises_on_invalid_point():
     # E1bis fails: AB != 0 with no loops to cancel it
     rep = GradedQuiverRep(
         datum, F2, {(1, 1): 1, (1, -1): 1}, {(1, 0): 1},
-        framing={(1, 0): [[1]]}, coframing={(1, 0): [[1]]},
+        maps={(("W", 1, 0), ("V", 1, 1)): [[1]], (("V", 1, -1), ("W", 1, 0)): [[1]]},
     )
     assert validate_relations(rep)
     with pytest.raises(RelationViolated):
@@ -557,7 +597,7 @@ def test_reflect_zero_rep_grows_kernel():
     reflected, theta_bar = reflect(zero, 2, NEG2)
     # kernel of the empty-target map is the whole framing slot
     assert reflected.v == {(2, -2): 1}
-    assert (2, 0) in reflected.coframing
+    assert (("V", 2, -2), ("W", 2, 0)) in reflected.maps
     assert validate_relations(reflected) == []
 
 
@@ -703,11 +743,13 @@ def test_reflected_coframing_is_kernel_projection():
     ]
     assert stable
     for point in stable:
-        assert not point.rep.coframing  # search found it with B = 0
+        # the search found it with B = 0
+        assert all(target[0] == "V" for _, target in point.rep.maps)
         reflected, _ = reflect(point.rep, 1, theta)
-        for (i, grade), mat in reflected.coframing.items():
+        for ((_, i, a), (space, _, _)), mat in reflected.maps.items():
+            if space != "W":
+                continue
             assert i == 1
-            a = grade - datum.di(1)
             blocks = phi_blocks(datum, 1, a)
             dims = _block_dims(point.rep, blocks)
             basis = kb(F2, phi_map(point.rep, 1, a), cols=sum(dims))
@@ -837,8 +879,8 @@ def test_simply_laced_stable_points_have_zero_loops():
                 continue
             for point in exhaustive_search(datum, v, w, F2, thetas=(theta,)):
                 has_loop = any(
-                    i == j and any(x for row in mat for x in row)
-                    for (i, a, j), mat in point.rep.arrows.items()
+                    source[:2] == target[:2] and any(x for row in mat for x in row)
+                    for (source, target), mat in point.rep.maps.items()
                 )
                 loops_seen += has_loop
                 if not point.stable[0]:
@@ -857,7 +899,7 @@ def test_point_json_round_trip():
     obj = json.loads(json.dumps(rep.to_json_obj()))
     again = GradedQuiverRep.from_json_obj(obj)
     assert again.v == rep.v and again.w == rep.w
-    assert again.framing == rep.framing
+    assert again.maps == rep.maps
     assert validate_relations(again) == []
 
 
@@ -871,9 +913,7 @@ def test_point_json_round_trip_on_the_corpus():
                 obj = json.loads(json.dumps(rep.to_json_obj()))
                 again = GradedQuiverRep.from_json_obj(obj)
                 assert (again.v, again.w) == (rep.v, rep.w)
-                assert (again.arrows, again.framing, again.coframing) == (
-                    rep.arrows, rep.framing, rep.coframing
-                )
+                assert again.maps == rep.maps
                 assert again.to_json_obj() == obj
                 count += 1
     assert count == 3603
@@ -883,9 +923,9 @@ def test_point_json_round_trip_over_q():
     datum = build_cartan("A1")
     rep = GradedQuiverRep(
         datum, QQ, {(1, 1): 1}, {(1, 0): 1},
-        framing={(1, 0): [[Fraction(2, 3)]]},
+        maps={(("W", 1, 0), ("V", 1, 1)): [[Fraction(2, 3)]]},
     )
     obj = json.loads(json.dumps(rep.to_json_obj()))
     assert obj["maps"][0]["matrix"] == [["2/3"]]
     again = GradedQuiverRep.from_json_obj(obj)
-    assert again.framing[(1, 0)] == [[Fraction(2, 3)]]
+    assert again.maps[("W", 1, 0), ("V", 1, 1)] == [[Fraction(2, 3)]]
