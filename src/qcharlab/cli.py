@@ -205,7 +205,9 @@ def parse_dims(text):
         if not match:
             raise _UsageError(f"cannot parse dimension entry {chunk!r}")
         n, i, a = (int(match.group(k)) for k in (1, 2, 3))
-        dims[(i, a)] = dims.get((i, a), 0) + n
+        if (i, a) in dims:
+            raise _UsageError(f"dimension entry {chunk!r} repeats the slot {(i, a)}")
+        dims[(i, a)] = n
     return dims
 
 

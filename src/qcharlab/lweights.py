@@ -155,18 +155,20 @@ class AMonomialVector:
         return sum(self._v.values())
 
     @classmethod
-    def _trusted(cls, anchor, data):
-        """The vector of ``data``, which has no zero entry and is not used after."""
+    def _trusted(cls, anchor, items):
+        """The vector of ``items``: ((node, param), mult) pairs already sorted
+        by (node, param), none with mult 0, as :meth:`items` returns them."""
         result = cls.__new__(cls)
         object.__setattr__(result, "anchor", anchor)
-        object.__setattr__(result, "_v", data)
-        object.__setattr__(result, "_key", (anchor, tuple(sorted(data.items()))))
+        object.__setattr__(result, "_v", dict(items))
+        object.__setattr__(result, "_key", (anchor, items))
         return result
 
     def add_entries(self, entries):
         """New vector with (node, param) -> mult increments applied."""
         items = entries.items() if hasattr(entries, "items") else entries
-        return self._trusted(self.anchor, _accumulate(dict(self._v), items))
+        data = _accumulate(dict(self._v), items)
+        return self._trusted(self.anchor, tuple(sorted(data.items())))
 
     def __add__(self, other):
         if not isinstance(other, AMonomialVector):

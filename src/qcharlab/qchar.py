@@ -10,16 +10,23 @@ Y-exponents: they name v, because the A_{i,a} are algebraically
 independent, and they have a few times fewer entries than v.  They are
 carried, not expanded: a target's exponents are its parent's times the few
 A^{-1} factors that produced it, read from the shared table of
-:mod:`qcharlab.lweights`.  Each AMonomialVector is built once, when its
-level is processed, and each level is processed in sorted order, so the
-entries come out in the canonical order of :class:`QChar` without a sort
-of their own.  Within a level the processing order is irrelevant, which
-the determinism tests check by shuffling it.
+:mod:`qcharlab.lweights`.  A pending v is held as its sorted items, the
+tuple ``AMonomialVector.items()`` returns.  When a key is first seen, the
+target's tuple is its parent's with the pattern's few (i, a) entries raised
+in place, each found by bisection; entries only grow, so the tuple stays
+sorted and free of zeros, and ``AMonomialVector._trusted(anchor, items)``
+takes it with no sort.  Each AMonomialVector is built once, when its level
+is processed, and each level is processed in the order of those tuples, so
+the entries come out in the canonical order of :class:`QChar` without a
+sort of their own.  Within a level the processing order is irrelevant,
+which the determinism tests check by shuffling it.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
+from operator import itemgetter
 
 from .cartan import fundamental_weight, lowest_weight_height, simple_root_weight_coords
 from .conventions import CONVENTIONS_VERSION
@@ -122,7 +129,10 @@ class QChar:
         return sum(self.entries.values())
 
     def max_height(self):
-        return max(vec.height() for vec in self.entries)
+        """The height of the last entry: entries run by increasing height."""
+        if not self.entries:
+            raise ValueError("an empty q-character has no height")
+        return next(reversed(self.entries)).height()
 
     def __eq__(self, other):
         return (
@@ -201,10 +211,10 @@ def fm_qchar(
     # sl2_expansion patterns, rise being the pattern's exponent sum
     shapes = {}
     entries = {}
-    # levels[h]: key of Y(v) -> (v as a dict, Y(v), {direction: requirement})
-    # for each pending v of A-height h
+    # levels[h]: key of Y(v) -> (v as its sorted items, Y(v), {direction:
+    # requirement}) for each pending v of A-height h
     top = {(node, 0): 1}
-    levels = {0: {frozenset(top.items()): ({}, top, {0: 1})}}
+    levels = {0: {frozenset(top.items()): ((), top, {0: 1})}}
     height = 0
     while levels:
         if height > max_height:
@@ -214,16 +224,13 @@ def fm_qchar(
                 monomials=len(entries),
                 height=height,
             )
-        level = [
-            (AMonomialVector._trusted(node, v), exps, requirement)
-            for v, exps, requirement in levels.pop(height, {}).values()
-        ]
-        level.sort(key=lambda item: item[0].items())
+        level = list(levels.pop(height, {}).values())
+        level.sort(key=itemgetter(0))
         if shuffle_rng is not None:
             shuffle_rng.shuffle(level)
-        for vec, exps, requirement in level:
+        for items, exps, requirement in level:
             mu = max(requirement.values())
-            entries[vec] = mu
+            entries[AMonomialVector._trusted(node, items)] = mu
             if len(entries) > max_monomials:
                 raise CapExceeded(
                     f"monomial cap {max_monomials} exceeded computing "
@@ -260,13 +267,27 @@ def fm_qchar(
                     level_up = levels.setdefault(height + rise, {})
                     slot = level_up.get(target_key)
                     if slot is None:
-                        target_v = vec.as_dict()
-                        for p, r in pattern:
-                            target_v[i, low + p] = target_v.get((i, low + p), 0) + r
-                        slot = level_up[target_key] = (target_v, target_exps, {})
+                        slot = level_up[target_key] = (
+                            _raised(items, i, low, pattern), target_exps, {})
                     slot[2][i] = slot[2].get(i, 0) + excess * coeff
         height += 1
     return QChar._trusted(datum, node, entries)
+
+
+def _raised(items, i, low, pattern):
+    """The sorted items of v raised by r at each (i, low + p) of ``pattern``.
+
+    Entries only grow, so no zero appears and the result stays canonical.
+    """
+    raised = list(items)
+    for p, r in pattern:
+        cell = (i, low + p)
+        at = bisect_left(raised, (cell,))
+        if at < len(raised) and raised[at][0] == cell:
+            raised[at] = (cell, raised[at][1] + r)
+        else:
+            raised.insert(at, (cell, r))
+    return tuple(raised)
 
 
 def classical_character(qchar):

@@ -227,6 +227,17 @@ def test_point_file_with_an_inexact_value_is_usage_error(
         assert named in err and "Traceback" not in err, command
 
 
+@pytest.mark.parametrize("flag, slot", [("--v", "(1, 1)"), ("--w", "(1, 0)")])
+def test_a_slot_repeated_in_a_dims_flag_is_usage_error(capsys, flag, slot):
+    # as in a point file: a slot typed twice is not one slot of the summed dim
+    dims = {"--v": "1@(1,1)", "--w": "1@(1,0)"}
+    dims[flag] += "," + dims[flag]
+    assert run("quiver-search", "--type", "A1", "--v", dims["--v"],
+               "--w", dims["--w"]) == 1
+    err = capsys.readouterr().err
+    assert f"repeats the slot {slot}" in err and "Traceback" not in err
+
+
 def test_quiver_check(tmp_path):
     point = tmp_path / "point.json"
     point.write_text(json.dumps(POINT_A1))
@@ -649,6 +660,28 @@ def test_reordered_cache_entries_fail_the_checksum(tmp_path, capsys):
     stored = json.loads(text)
     stored["payload"]["entries"].reverse()
     (cache / name).write_text(json.dumps(stored))
+    assert run("qchar", "--type", "A2", "--node", "1",
+               "--cache-dir", str(cache)) == 2
+    assert "checksum mismatch" in capsys.readouterr().err
+
+
+def test_cache_cells_out_of_order_fail_the_checksum(tmp_path, capsys):
+    # a payload listing one vector's cells in reverse order, checksummed as it
+    # stands: the reader builds each vector in sorted order, so the text it
+    # writes back differs, and the hit is refused
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    name, text = A2_NODE_1_CACHE_FILE
+    payload = json.loads(text)["payload"]
+    cells = payload["entries"][-1]["v"]
+    assert len(cells) == 2
+    cells.reverse()
+    payload_text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    (cache / name).write_text(json.dumps({
+        "checksum": hashlib.sha256(payload_text.encode()).hexdigest(),
+        "conventions": CONVENTIONS_VERSION,
+        "payload": payload,
+    }, sort_keys=True, separators=(",", ":")))
     assert run("qchar", "--type", "A2", "--node", "1",
                "--cache-dir", str(cache)) == 2
     assert "checksum mismatch" in capsys.readouterr().err

@@ -241,6 +241,27 @@ def test_d4_adjoint_slot_carries_multiplicity_two():
     assert max(q.entries.values()) == 2
 
 
+@pytest.mark.parametrize("label,node", [
+    ("A1", 1), ("B2", 2), ("G2", 2), ("C3", 2), ("F4", 3), ("E6", 4),
+])
+def test_max_height_is_the_highest_entry(label, node):
+    # read off the last entry, against a scan over every entry
+    datum = build_cartan(label)
+    computed = [fm_qchar(datum, node),
+                fm_qchar(datum, node, shuffle_rng=random.Random(label))]
+    items = list(computed[0].entries.items())
+    random.Random(node).shuffle(items)
+    computed.append(QChar(datum, node, dict(items)))
+    computed.append(QChar.from_json_obj(datum, json.loads(computed[0].to_json_text())))
+    for q in computed:
+        assert q.max_height() == max(vec.height() for vec in q.entries)
+
+
+def test_max_height_of_an_empty_character_is_an_error():
+    with pytest.raises(ValueError):
+        QChar(build_cartan("A2"), 1, {}).max_height()
+
+
 def test_shuffled_processing_order_is_irrelevant():
     for label, node in [("B2", 2), ("G2", 2), ("C3", 2)]:
         datum = build_cartan(label)
@@ -319,6 +340,22 @@ def test_closure_builds_each_vector_once(monkeypatch):
     monkeypatch.undo()
     assert q == expected
     assert len(built) == q.monomial_count()
+
+
+@pytest.mark.parametrize("label,node", [
+    ("A3", 2), ("C3", 3), ("D4", 1), ("G2", 2), ("F4", 1), ("E6", 1),
+])
+def test_closure_vectors_match_the_public_constructor(label, node):
+    # the closure hands AMonomialVector._trusted each v as sorted items, with
+    # no sort of its own, so each must be the vector the constructor makes
+    datum = build_cartan(label)
+    for rng in (None, random.Random(label)):
+        for vec in fm_qchar(datum, node, shuffle_rng=rng).entries:
+            v = vec.as_dict()
+            assert vec.items() == tuple(sorted(v.items()))
+            public = AMonomialVector(node, v)
+            assert vec == public
+            assert hash(vec) == hash(public)
 
 
 @pytest.mark.parametrize("label,node", [
