@@ -19,7 +19,9 @@ takes it with no sort.  Each AMonomialVector is built once, when its level
 is processed, and each level is processed in the order of those tuples, so
 the entries come out in the canonical order of :class:`QChar` without a
 sort of their own.  Within a level the processing order is irrelevant,
-which the determinism tests check by shuffling it.
+which the determinism tests check by shuffling it; a shuffled closure
+hands its entries to the sorting ``QChar`` constructor, so it writes the
+same canonical text.
 """
 
 from __future__ import annotations
@@ -271,6 +273,8 @@ def fm_qchar(
                             _raised(items, i, low, pattern), target_exps, {})
                     slot[2][i] = slot[2].get(i, 0) + excess * coeff
         height += 1
+    if shuffle_rng is not None:  # a shuffled level leaves its height out of order
+        return QChar(datum, node, entries)
     return QChar._trusted(datum, node, entries)
 
 

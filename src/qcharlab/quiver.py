@@ -429,6 +429,47 @@ def _word(datum, theta):
     return word
 
 
+@lru_cache(maxsize=1024)
+def _route(datum, theta):
+    """How :func:`stability_check` decides the tuple ``theta``.
+
+    None in the negative chamber.  Otherwise (dual, word): the walk up from
+    theta, or with ``dual`` the walk up from -theta on the transposed point,
+    whichever word is strictly shorter, theta's on a tie.  A word's length
+    counts the positive roots theta pairs < 0 with, so the two lengths add up
+    to l(w_0) and the walk taken has min(l, l(w_0) - l) steps.
+    """
+    up = _word(datum, theta)
+    if all(t < 0 for t in theta):
+        return None
+    down, _ = _walk(datum, tuple(-t for t in theta))
+    return (True, down) if len(down) < len(up) else (False, up)
+
+
+def _dual(rep):
+    """The transposed point x^T on negated grades.
+
+    Each V/W slot (s, i, a) becomes (s, i, -a), and each map M from source
+    to target becomes M^T from target' to source', so A and B trade places
+    and the arrows reverse.  That is the grading of :func:`_step` again, as
+    ``datum.b`` is symmetric, and each relation goes to a relation: E1bis at
+    (i, a) to E1bis at (i, -a - d_ii) with l -> -c_ij - 1 - l and AB -> A'B',
+    E2 at (i, j) to E2 at (j, i), and E4 to E5.
+    """
+    def flip(slot):
+        space, i, a = slot
+        return space, i, -a
+
+    return GradedQuiverRep(
+        rep.datum, rep.field,
+        {(i, -a): n for (i, a), n in rep.v.items()},
+        {(i, -a): n for (i, a), n in rep.w.items()},
+        {(flip(target), flip(source)): [list(col) for col in zip(*mat)]
+         for (source, target), mat in rep.maps.items()},
+        check=False,
+    )
+
+
 def stability_check(rep, theta):
     """Two-sided slope condition: is ``rep`` theta-stable?
 
@@ -446,14 +487,21 @@ def stability_check(rep, theta):
       pairs >= 0, so the Im A half is vacuous; a submodule pairs <= 0 only
       if it is zero, and the largest submodule inside Ker B is the
       annihilator of the rows of B closed backwards along the arrows.
-    * otherwise theta walks up: at its first negative node i the point
+    * otherwise one cached route (:func:`_route`) walks up from (x, theta)
+      or from (x^T, -theta) (:func:`_dual`), whichever word is strictly
+      shorter, (x, theta) on a tie.  At the first negative node i the point
       becomes S_i x (:func:`_reflect_kernel`) and theta becomes s_i theta,
-      until every coordinate is positive.  The nodes are those of
-      ``cartan._lower`` on -theta.  A step at which some Phi is not onto
-      gives False.
+      until every coordinate is positive; the walk ends in the positive
+      chamber's test.  The nodes are those of ``cartan._lower`` on minus
+      the walk's start.  A step at which some Phi is not onto gives False.
+      A word's length is the number of positive roots its start pairs < 0
+      with, so the two lengths add up to l(w_0), and the walk taken has
+      min(l, l(w_0) - l) steps: one at every s_i(-1, ..., -1).
 
-    The walk rests on this: for theta_i < 0, x is theta-stable iff Phi_i^a
-    is onto at every grade a and S_i x is s_i theta-stable.
+    The walk rests on two lemmas.  The S_i lemma: for theta_i < 0, x is
+    theta-stable iff Phi_i^a is onto at every grade a and S_i x is s_i
+    theta-stable.  The duality lemma: x is theta-stable iff x^T is
+    (-theta)-stable.
 
     Forward.  Put Im Phi_i^a in place of each V_i^{a+d_ii}.  Phi's one-map
     blocks are the maps into V_i from its neighbours and from W, and the
@@ -483,10 +531,27 @@ def stability_check(rep, theta):
     Since (s_i theta)_i > 0, the excess at node i moves the pairing the
     destabilising way.  So S' pairs > 0 inside Ker B-bar, or its complement
     pairs < 0, and S_i x is not s_i theta-stable.
+
+    Duality.  x^T has V'_i^{-a} = (V_i^a)* and the transposed maps, so S ->
+    S^perp, the annihilator slot by slot, is an inclusion-reversing
+    bijection from the graded subspaces of V to those of V', with |S^perp|
+    = |V| - |S| at every node (negating grades keeps node totals).  A map M
+    carries S_s into S_t iff M^T carries S_t^perp into S_s^perp, so S is a
+    subrepresentation of x iff S^perp is one of x^T.  A' = B^T, so S lies in
+    Ker B iff S^perp contains Im B^T = Im A'; and B' = A^T, so S contains Im
+    A iff S^perp lies in (Im A)^perp = Ker B'.  A Ker B witness of x at
+    theta, <theta, |S|> > 0, is thus an Im A witness of x^T at -theta, whose
+    complement |V| - |S^perp| = |S| pairs -<theta, |S|> < 0 with -theta; and
+    an Im A witness T of x, <theta, |V| - |T|> < 0, is a Ker B' witness
+    T^perp, which pairs -<theta, |V| - |T|> > 0 with -theta.  Both ways
+    round, so x has a witness at theta iff x^T has one at -theta.
     """
-    word = _word(rep.datum, theta)
-    if all(t < 0 for t in theta):
+    route = _route(rep.datum, tuple(theta))
+    if route is None:
         return is_framed_stable(rep)
+    dual, word = route
+    if dual:
+        rep = _dual(rep)
     for i in word:
         rep = _reflect_kernel(rep, i)
         if rep is None:

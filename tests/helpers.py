@@ -5,8 +5,9 @@ and JSON object tree of a q-character, random monomials, the braid-relation
 property check, the per-word replay
 oracle of the cone verifier, the expected cone-vertex count, the closure
 oracle that expands every monomial, the exhaustive quiver corpus, the
-per-relation oracle of the quiver relation checks, and the
-full submodule lattice that decides stability by enumeration."""
+per-relation oracle of the quiver relation checks, the
+full submodule lattice that decides stability by enumeration, and the
+chamber walk that always walks up from theta."""
 
 import importlib
 import random
@@ -603,3 +604,18 @@ def stability_by_full_lattice(rep, thetas):
         stable = [ok and all(_pairing(ws, diff) >= 0 for diff in complements)
                   for ok, ws in zip(stable, weights)]
     return tuple(stable)
+
+
+def stability_by_walking_up(rep, theta):
+    """``stability_check`` without the dual route: the walk always starts at
+    (rep, theta), whichever of theta and -theta lies nearer the positive
+    chamber.  The differential oracle of ``quiver._route``.
+    """
+    word = quiver._word(rep.datum, theta)
+    if all(t < 0 for t in theta):
+        return quiver.is_framed_stable(rep)
+    for i in word:
+        rep = quiver._reflect_kernel(rep, i)
+        if rep is None:
+            return False
+    return quiver._is_coframed_stable(rep)

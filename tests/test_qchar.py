@@ -271,6 +271,17 @@ def test_shuffled_processing_order_is_irrelevant():
             assert shuffled.entries == reference.entries
 
 
+@pytest.mark.parametrize("label,node", [("C3", 2), ("D4", 1), ("G2", 2), ("F4", 1)])
+def test_shuffled_closure_writes_the_canonical_text(label, node):
+    # a character that compares equal must write the same bytes, however its
+    # levels were processed
+    datum = build_cartan(label)
+    text = fm_qchar(datum, node).to_json_text()
+    for seed in range(2):
+        shuffled = fm_qchar(datum, node, shuffle_rng=random.Random(seed))
+        assert shuffled.to_json_text() == text
+
+
 # ---------------------------------------------------------------------------
 # the carried Y-exponents against the closure that expands every monomial
 

@@ -1,6 +1,8 @@
 import json
+import random
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
@@ -46,13 +48,16 @@ from qcharlab.quiver import (
 
 from helpers import (
     _map_ends,
+    is_generic_by_roots,
     kind_and_key,
     loop_power,
     perfbench_module,
+    positive_roots,
     quiver_corpus_cases,
     relation_violations_oracle,
     sorted_entries,
     stability_by_full_lattice,
+    stability_by_walking_up,
     validate_n_oracle,
     without_b,
 )
@@ -491,6 +496,149 @@ def test_every_walk_step_keeps_the_relations_and_the_dimensions():
         counts["walks"] += 1
     # 1263 quiver-mixed points, and 3596 corpus points at two thetas each
     assert counts == {"walks": 8455, "stopped": 8141, "steps": 2815}
+
+
+@lru_cache(maxsize=None)
+def _point_groups():
+    """(datum, reps) per search of the quiver-mixed workload and per
+    dimension vector of the criterion-7 corpus (A1, A2, B2, with sums)."""
+    groups = []
+    for datum, v, w, _ in _quiver_mixed_searches():
+        groups.append((datum, tuple(p.rep for p in exhaustive_search(datum, v, w, F2))))
+    for label in ["A1", "A2", "B2"]:
+        for datum, _, _, _, _, points in quiver_corpus_cases(label, sums=True):
+            groups.append((datum, tuple(p.rep for p in points)))
+    return tuple(groups)
+
+
+def _chamber_thetas(datum):
+    """(-1,...,-1), each s_i(-1,...,-1), and their negatives, (1,...,1) among them."""
+    neg = tuple(Fraction(-1) for _ in datum.nodes)
+    thetas = [neg, *(reflect_weight(datum, i, neg) for i in datum.nodes)]
+    return list(dict.fromkeys([*thetas, *(tuple(-t for t in theta) for theta in thetas)]))
+
+
+def _mixed(theta):
+    return min(theta) < 0 < max(theta)
+
+
+def test_every_quiver_mixed_theta_routes_to_one_step():
+    # theta' = s_i(-1,...,-1) is l(w_0) - 1 steps below C+ and one above C-
+    for datum, _, _, theta in _quiver_mixed_searches():
+        dual, word = quiver._route(datum, theta)
+        assert dual is True and len(word) == 1
+        assert len(quiver._word(datum, theta)) == len(positive_roots(datum)) - 1
+
+
+@pytest.mark.parametrize("label,ties", [
+    ("A2", 0), ("B2", 2), ("G2", 0), ("A3", 1), ("C3", 0), ("D4", 0),
+])
+def test_route_takes_the_shorter_word(label, ties):
+    # the two words add up to l(w_0); the route takes the strictly shorter
+    # one and theta's on a tie, and is None only in the negative chamber
+    datum = build_cartan(label)
+    rng = random.Random(label)
+    thetas = _chamber_thetas(datum)
+    while len(thetas) < 60:
+        theta = tuple(Fraction(rng.choice([-3, -2, -1, 1, 2, 3])) for _ in datum.nodes)
+        if is_generic_by_roots(datum, theta):
+            thetas.append(theta)
+    seen_ties = 0
+    for theta in thetas:
+        minus = tuple(-t for t in theta)
+        up, down = quiver._word(datum, theta), quiver._word(datum, minus)
+        assert len(up) + len(down) == len(positive_roots(datum))
+        route = quiver._route(datum, theta)
+        if max(theta) < 0:
+            assert route is None
+            continue
+        assert route == ((True, down) if len(down) < len(up) else (False, up))
+        seen_ties += len(up) == len(down)
+    # the tie rule is exercised where l(w_0) is even and a drawn theta sits
+    # half way
+    assert seen_ties == ties
+    with pytest.raises(NonGenericTheta):
+        quiver._route(datum, tuple(Fraction(0) for _ in datum.nodes))
+
+
+def test_stability_matches_walking_up_at_mixed_theta():
+    # the route against the walk that always starts at (rep, theta), at
+    # every mixed theta of the quiver-mixed points and the rank-two corpus
+    counts = Counter()
+    for datum, reps in _point_groups():
+        for theta in filter(_mixed, _chamber_thetas(datum)):
+            dual = quiver._route(datum, theta)[0]
+            for rep in reps:
+                stable = stability_check(rep, theta)
+                assert stable == stability_by_walking_up(rep, theta)
+                counts["dual" if dual else "up"] += 1
+                counts["stable"] += stable
+    # 4866 points: each mixed theta and its negative, one route each way
+    assert counts == {"dual": 9973, "up": 9973, "stable": 303}
+
+
+@given(_random_point())
+def test_the_dual_point_keeps_the_grading_and_the_relations(case):
+    # each relation of x^T is the transpose of one of x, so a random point
+    # and its dual fail the same number of relations
+    rep = case[0]
+    dual = quiver._dual(rep)
+    GradedQuiverRep(dual.datum, dual.field, dual.v, dual.w, dual.maps)
+    assert len(validate_relations(dual)) == len(validate_relations(rep))
+
+
+def test_the_dual_point_is_an_involution_on_the_corpus():
+    for _, reps in _point_groups():
+        for rep in reps:
+            dual = quiver._dual(rep)
+            GradedQuiverRep(dual.datum, dual.field, dual.v, dual.w, dual.maps)
+            assert validate_relations(dual) == []
+            back = quiver._dual(dual)
+            assert (back.v, back.w, back.maps) == (rep.v, rep.w, rep.maps)
+
+
+def test_duality_of_stability_on_the_corpus():
+    # x is theta-stable iff x^T is (-theta)-stable; the walks up from the
+    # two starts are different walks, so they check the lemma, not the route
+    counts = Counter()
+    for datum, reps in _point_groups():
+        thetas = _chamber_thetas(datum)
+        for rep in reps:
+            dual = quiver._dual(rep)
+            for theta in thetas:
+                minus = tuple(-t for t in theta)
+                stable = stability_check(rep, theta)
+                assert stability_check(dual, minus) == stable
+                assert (stability_by_walking_up(dual, minus)
+                        == stability_by_walking_up(rep, theta))
+                counts["checks"] += 1
+                counts["stable"] += stable
+    assert counts == {"checks": 29678, "stable": 440}
+
+
+def test_every_dual_walk_step_keeps_the_relations_and_the_dimensions():
+    # the walks the route takes at every mixed theta, from x^T where -theta
+    # lies nearer C+
+    counts = Counter()
+    for datum, reps in _point_groups():
+        for theta in filter(_mixed, _chamber_thetas(datum)):
+            dual, word = quiver._route(datum, theta)
+            for rep in reps:
+                if dual:
+                    rep = quiver._dual(rep)
+                for i in word:
+                    image = _reflect_kernel(rep, i)
+                    if image is None:
+                        counts["stopped"] += 1
+                        break
+                    assert validate_relations(image) == []
+                    predicted = reflect_dimensions(datum, i, rep.v, rep.w)
+                    assert image.v == {key: n for key, n in predicted.items() if n}
+                    counts["steps"] += 1
+                    rep = image
+                counts["dual walks" if dual else "walks"] += 1
+    assert counts == {"dual walks": 9973, "walks": 9973, "stopped": 16365,
+                      "steps": 3581}
 
 
 def test_framed_stability_equivalence_everywhere():
