@@ -3,34 +3,57 @@
 Monomials are stored as anchored A-monomial vectors.  The closure processes
 them in increasing A-height (sum of the vector entries), expanding every
 node direction in which the monomial is dominant through the rank-one
-string decomposition below.  Pending work is held in one level per height,
-and a target goes straight into the level of its parent's height plus its
-pattern's exponent sum.  Each level is keyed by Y(v), the target's
-Y-exponents: they name v, because the A_{i,a} are algebraically
-independent, and they have a few times fewer entries than v.  They are
-carried, not expanded: a target's exponents are its parent's times the few
-A^{-1} factors that produced it, read from the shared table of
-:mod:`qcharlab.lweights`.  A pending v is held as its sorted items, the
-tuple ``AMonomialVector.items()`` returns.  When a key is first seen, the
-target's tuple is its parent's with the pattern's few (i, a) entries raised
-in place, each found by bisection; entries only grow, so the tuple stays
-sorted and free of zeros, and ``AMonomialVector._trusted(anchor, items)``
-takes it with no sort.  Each AMonomialVector is built once, when its level
-is processed, and each level is processed in the order of those tuples, so
-the entries come out in the canonical order of :class:`QChar` without a
-sort of their own.  Within a level the processing order is irrelevant,
-which the determinism tests check by shuffling it; a shuffled closure
-hands its entries to the sorting ``QChar`` constructor, so it writes the
-same canonical text.
+string decomposition below.  It runs only up to L = floor(H/2), H being the
+height ht(omega_k - w_0 omega_k) of the lowest monomial, and mirrors the
+rest.  The lowest monomial is the extremal monomial T_{w_0}(Y_{k,0}) =
+Y_{kbar,c}^{-1}, c = r^v h^v (Frenkel-Mukhin, Combinatorics of q-characters
+of finite-dimensional representations of quantum affine algebras, CMP 216,
+2001), and V(omega_k)* is again fundamental (Frenkel-Reshetikhin, The
+q-characters of representations of quantum affine algebras, 1998), so the
+q-character is invariant under v -> v_low - tau(v), tau(i, a) = (ibar,
+c - a), with the same multiplicity; the map sends height h to H - h.
+Every piece comes from the root datum, and nothing is expanded: v_low is
+the S-push of the zero vector along the word of ``cartan._lower`` from
+omega_k to w_0 omega_k (``braid.reflect_dimensions``, framing Y_{k,0}),
+with its parameters negated; ibar is read off w_0 omega_i = -omega_ibar;
+and c is the smallest plus the largest parameter of v_low.
+
+Pending work is held in one level per height, and a target goes straight
+into the level of its parent's height plus its pattern's exponent sum;
+targets above L are left to the mirror.  Each level is keyed by v packed
+into one exact int, a field of H.bit_length() bits per (i, a): every entry
+lies between 0 and the height, at most H, so no field carries into the next
+and the key names v.  A target's key is its parent's plus a delta cached
+per (i, i-part, pattern), so a target already pending costs one addition
+and one lookup.  Only a new target gets its Y-exponents, its parent's
+times the few A^{-1} factors of the pattern, read from the shared table of
+:mod:`qcharlab.lweights`, and its sorted items, the tuple
+``AMonomialVector.items()`` returns: its parent's with the pattern's few
+(i, a) entries raised in place, each found by bisection.  Entries only grow,
+so the tuple stays sorted and free of zeros, and
+``AMonomialVector._trusted(anchor, items)`` takes it with no sort.  Each
+AMonomialVector is built once, when its level is processed or mirrored, and
+each level is processed in the order of those tuples, so the entries come
+out in the canonical order of :class:`QChar` without a sort of their own.
+Within a level the processing order is irrelevant, which the determinism
+tests check by shuffling it; a shuffled closure hands its entries to the
+sorting ``QChar`` constructor, so it writes the same canonical text.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left
+from itertools import compress
 from operator import itemgetter
 
-from .cartan import fundamental_weight, lowest_weight_height, simple_root_weight_coords
+from .braid import reflect_dimensions, unit_framing
+from .cartan import (
+    _lower,
+    fundamental_weight,
+    lowest_weight_height,
+    simple_root_weight_coords,
+)
 from .conventions import CONVENTIONS_VERSION
 from .errors import CapExceeded
 from .lweights import AMonomialVector, _a_inverse_table, _accumulate
@@ -200,25 +223,38 @@ def fm_qchar(
 
     Frenkel-Mukhin closure: a monomial's multiplicity mu is the max over
     directions i of the multiplicity its i-strings already explain; processed
-    in height order, it starts new strings with the excess only.  Caps are
-    hard errors (a truncated character would corrupt downstream checks); the
-    height cap defaults to the exact bound ht(omega_k - w_0 omega_k).
+    in height order, it starts new strings with the excess only.  The closure
+    stops at half the lowest height H = ht(omega_k - w_0 omega_k), and each
+    height H - h above it is the mirror of height h (see :func:`_mirror`).
+    Caps are hard errors (a truncated character would corrupt downstream
+    checks), raised where and as a closure over every height raises them;
+    the height cap defaults to H.
     """
     if node not in datum.nodes:
         raise ValueError(f"node {node} not in {datum.label}")
+    bound = lowest_weight_height(datum, node)
     if max_height is None:
-        max_height = lowest_weight_height(datum, node)
+        max_height = bound
+    half = bound // 2
+    cells, mirrored = _mirror_map(datum, node)
+    # a pending v is keyed by its entries packed into one int, a field of
+    # bound.bit_length() bits per cell of v_low: every v lies below v_low,
+    # and no entry passes the height, so no field carries into the next and
+    # the key names v
+    width = bound.bit_length()
+    offsets = {cell: n * width for n, cell in enumerate(cells)}
     table = _a_inverse_table(datum)
-    # (d_i, shifted i-part) -> (pattern, coeff, rise) for its nonempty
-    # sl2_expansion patterns, rise being the pattern's exponent sum
+    # (i, i-part) -> its moves, see _moves; (d_i, shifted i-part) -> its
+    # nonempty sl2_expansion patterns
+    moves = {}
     shapes = {}
     entries = {}
-    # levels[h]: key of Y(v) -> (v as its sorted items, Y(v), {direction:
-    # requirement}) for each pending v of A-height h
-    top = {(node, 0): 1}
-    levels = {0: {frozenset(top.items()): ((), top, {0: 1})}}
-    height = 0
-    while levels:
+    # rows[h]: (v as its sorted items, mu) for each v of A-height h <= half
+    rows = []
+    # levels[h]: key of v -> (v as its sorted items, key, Y(v), {direction:
+    # requirement}) for each pending v of A-height h <= half
+    levels = {0: {0: ((), 0, {(node, 0): 1}, {0: 1})}}
+    for height in range(bound + 1):
         if height > max_height:
             raise CapExceeded(
                 f"height cap {max_height} exceeded computing {datum.label} "
@@ -226,20 +262,28 @@ def fm_qchar(
                 monomials=len(entries),
                 height=height,
             )
-        level = list(levels.pop(height, {}).values())
-        level.sort(key=itemgetter(0))
-        if shuffle_rng is not None:
-            shuffle_rng.shuffle(level)
-        for items, exps, requirement in level:
-            mu = max(requirement.values())
+        if height > half:
+            row = mirrored(rows[bound - height])
+        else:
+            level = sorted(levels.pop(height, {}).values(), key=itemgetter(0))
+            if shuffle_rng is not None:
+                shuffle_rng.shuffle(level)
+            row = [(items, max(requirement.values()))
+                   for items, _, _, requirement in level]
+            rows.append(row)
+        if len(entries) + len(row) > max_monomials:
+            raise CapExceeded(
+                f"monomial cap {max_monomials} exceeded computing "
+                f"{datum.label} node {node} at height {height}",
+                monomials=max_monomials + 1,
+                height=height,
+            )
+        for items, mu in row:
             entries[AMonomialVector._trusted(node, items)] = mu
-            if len(entries) > max_monomials:
-                raise CapExceeded(
-                    f"monomial cap {max_monomials} exceeded computing "
-                    f"{datum.label} node {node} at height {height}",
-                    monomials=len(entries),
-                    height=height,
-                )
+        if height >= half:
+            continue  # every target lies above half, where the mirror gives it
+        room = half - height
+        for (items, key, exps, requirement), (_, mu) in zip(level, row):
             parts = {}
             for (j, p), e in exps.items():
                 parts.setdefault(j, {})[p] = e
@@ -248,50 +292,125 @@ def fm_qchar(
                 # skip unless the monomial is i-dominant
                 if not excess or min(part.values()) < 0:
                     continue
-                # the expansion commutes with shifting the i-part, so it is
-                # computed once per (d_i, i-part shifted to start at 0)
-                low = min(part)
-                key = (datum.di(i),
-                       tuple(sorted((p - low, e) for p, e in part.items())))
-                shape = shapes.get(key)
-                if shape is None:
-                    shape = shapes[key] = [
-                        (tuple(pattern.items()), coeff, sum(pattern.values()))
-                        for pattern, coeff in sl2_expansion(key[0], dict(key[1]))
-                        if pattern  # the top term regenerates vec itself
-                    ]
-                for pattern, coeff, rise in shape:
-                    target_exps = dict(exps)
-                    for p, r in pattern:
-                        _accumulate(target_exps, table[i, low + p], r)
-                    # Y(target) names target and is the smaller key
-                    target_key = frozenset(target_exps.items())
+                move_key = (i, tuple(sorted(part.items())))
+                targets = moves.get(move_key)
+                if targets is None:
+                    targets = moves[move_key] = _moves(
+                        datum, table, shapes, offsets, *move_key)
+                for rise, delta, coeff, change, raise_cells in targets:
+                    if rise > room:
+                        break  # the mirror gives this target and the rest
                     level_up = levels.setdefault(height + rise, {})
-                    slot = level_up.get(target_key)
+                    target = key + delta
+                    slot = level_up.get(target)
                     if slot is None:
-                        slot = level_up[target_key] = (
-                            _raised(items, i, low, pattern), target_exps, {})
-                    slot[2][i] = slot[2].get(i, 0) + excess * coeff
-        height += 1
+                        slot = level_up[target] = (
+                            _raised(items, raise_cells), target,
+                            _accumulate(dict(exps), change), {})
+                    slot[3][i] = slot[3].get(i, 0) + excess * coeff
     if shuffle_rng is not None:  # a shuffled level leaves its height out of order
         return QChar(datum, node, entries)
     return QChar._trusted(datum, node, entries)
 
 
-def _raised(items, i, low, pattern):
-    """The sorted items of v raised by r at each (i, low + p) of ``pattern``.
+def _moves(datum, table, shapes, offsets, i, part):
+    """The targets of the i-part ``part`` (sorted (a, exponent) pairs), by rise.
+
+    One (rise, delta, coeff, change, cells) per nonempty ``sl2_expansion``
+    pattern: ``cells`` the ((i, a), r) entries the pattern raises, ``rise``
+    their sum, ``delta`` what they add to a packed key (``offsets`` maps a
+    cell to its field), and ``change`` what their A^{-r} factors multiply
+    into Y(v).  The expansion commutes with shifting the i-part, so it is
+    asked once per (d_i, i-part shifted to start at 0).
+    """
+    low = part[0][0]
+    shape_key = (datum.di(i), tuple((p - low, e) for p, e in part))
+    shape = shapes.get(shape_key)
+    if shape is None:
+        shape = shapes[shape_key] = [
+            (tuple(pattern.items()), coeff)
+            for pattern, coeff in sl2_expansion(shape_key[0], dict(shape_key[1]))
+            if pattern  # the top term regenerates vec itself
+        ]
+    targets = []
+    for pattern, coeff in shape:
+        cells = tuple(((i, low + p), r) for p, r in pattern)
+        change = {}
+        for cell, r in cells:
+            _accumulate(change, table[cell], r)
+        targets.append((sum(r for _, r in cells),
+                        sum(r << offsets[cell] for cell, r in cells),
+                        coeff, tuple(change.items()), cells))
+    targets.sort(key=itemgetter(0))
+    return targets
+
+
+def _raised(items, cells):
+    """The sorted items of v raised by r at each (cell, r) of ``cells``.
 
     Entries only grow, so no zero appears and the result stays canonical.
     """
     raised = list(items)
-    for p, r in pattern:
-        cell = (i, low + p)
+    for cell, r in cells:
         at = bisect_left(raised, (cell,))
         if at < len(raised) and raised[at][0] == cell:
             raised[at] = (cell, raised[at][1] + r)
         else:
             raised.insert(at, (cell, r))
     return tuple(raised)
+
+
+def _mirror(datum, node):
+    """(v_low, bar, c): the data of the mirror v -> v_low - tau(v).
+
+    v_low is the vector of the lowest monomial Y_{kbar,c}^{-1}, the S-push of
+    the anchor along the word of ``cartan._lower`` from omega_k to w_0 omega_k
+    on dimension vectors (zero v, framing Y_{k,0}), with its parameters
+    negated.  bar maps each node i to ibar, where w_0 omega_i = -omega_ibar,
+    and c = r^v h^v is the smallest plus the largest parameter of v_low.
+    tau(i, a) = (ibar, c - a).  V(omega_k)* is again fundamental, so the
+    q-character is invariant under v -> v_low - tau(v), multiplicities
+    included, which sends height h to H - h.
+    """
+    dims = {}
+    for i in _lower(datum, fundamental_weight(datum, node))[2]:
+        dims = reflect_dimensions(datum, i, dims, unit_framing(node))
+    lowest = {(i, -a): m for (i, a), m in dims.items() if m}
+    bar = {i: _lower(datum, fundamental_weight(datum, i))[0].index(-1) + 1
+           for i in datum.nodes}
+    params = [a for _, a in lowest]
+    return lowest, bar, min(params) + max(params)
+
+
+def _mirror_map(datum, node):
+    """v_low's cells, sorted, and the map from the (items, mu) of a height h
+    to those of height H - h, sorted by items.
+
+    Every v lies below v_low: v_low - tau(v) lies in the cone, and tau fixes
+    v_low.  So each image is read off v_low's cells in their sorted order:
+    one value per cell, and one shared ((i, a), m) tuple per cell and value,
+    so equal entries of two images are one object and the level sort
+    compares them by identity.
+    """
+    lowest, bar, centre = _mirror(datum, node)
+    cells = sorted(lowest)
+    base = [lowest[cell] for cell in cells]
+    # tau is an involution of the cells: at[cell] is the index of tau(cell)
+    at = {(bar[i], centre - a): n for n, (i, a) in enumerate(cells)}
+    shared = [[(cell, m) for m in range(top + 1)] for cell, top in zip(cells, base)]
+
+    def mirrored(row):
+        level = []
+        for items, mu in row:
+            values = base.copy()
+            for cell, m in items:
+                values[at[cell]] -= m
+            level.append(
+                (tuple(compress(map(list.__getitem__, shared, values), values)), mu))
+        level.sort(key=itemgetter(0))
+        return level
+
+    return cells, mirrored
 
 
 def classical_character(qchar):

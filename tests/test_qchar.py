@@ -5,7 +5,14 @@ import sys
 import pytest
 
 from qcharlab import lweights
-from qcharlab.cartan import build_cartan, lowest_weight_height, reflect_weight
+from qcharlab.braid import unit_framing
+from qcharlab.cartan import (
+    build_cartan,
+    fundamental_weight,
+    lowest_weight_height,
+    reflect_weight,
+    weyl_elements,
+)
 from qcharlab.cli import _canonical_json, load_or_compute_qchar
 from qcharlab.errors import CapExceeded
 from qcharlab.lweights import (
@@ -17,12 +24,14 @@ from qcharlab.lweights import (
 from qcharlab.qchar import (
     DEFAULT_MAX_MONOMIALS,
     QChar,
+    _mirror,
     classical_character,
     fm_qchar,
     sl2_expansion,
 )
 
 from helpers import (
+    apply_s_on_v,
     fm_qchar_by_expansion,
     i_dominant,
     in_cone,
@@ -122,6 +131,80 @@ def test_caps_are_hard_errors():
     assert info.value.diagnostics["monomials"] >= 2
     with pytest.raises(CapExceeded):
         fm_qchar(datum, 2, max_height=1)
+
+
+def _expected_cap_error(label, node, counts, max_monomials, max_height):
+    """The (message, diagnostics) of the first cap a closure over every
+    height trips, from the monomial count of each height: the height cap at
+    max_height + 1, the monomial cap at the first height whose running count
+    passes it; None if neither trips."""
+    total = 0
+    for height, count in enumerate(counts):
+        if height > max_height:
+            return (f"height cap {max_height} exceeded computing {label} node "
+                    f"{node} ({total} monomials so far)",
+                    {"monomials": total, "height": height})
+        total += count
+        if total > max_monomials:
+            return (f"monomial cap {max_monomials} exceeded computing {label} "
+                    f"node {node} at height {height}",
+                    {"monomials": max_monomials + 1, "height": height})
+    return None
+
+
+def _cap_error(datum, node, **caps):
+    try:
+        fm_qchar(datum, node, **caps)
+    except CapExceeded as exc:
+        return str(exc), exc.diagnostics
+    return None
+
+
+def _level_counts(q):
+    counts = [0] * (q.max_height() + 1)
+    for vec in q.entries:
+        counts[vec.height()] += 1
+    return counts
+
+
+@pytest.mark.parametrize("label,node", [
+    ("B2", 2), ("G2", 2), ("C3", 2), ("F4", 1), ("E6", 1),
+])
+def test_caps_trip_where_the_full_closure_trips_them(label, node):
+    # the closure stops at half the height and mirrors the rest, yet a cap
+    # reports what a closure over every height reports: both caps, every
+    # height cap below H, every monomial count, and the two together
+    datum = build_cartan(label)
+    counts = _level_counts(fm_qchar_by_expansion(datum, node))
+    bound = lowest_weight_height(datum, node)
+    assert len(counts) == bound + 1
+    total = sum(counts)
+    for max_height in range(bound + 2):
+        expected = _expected_cap_error(label, node, counts, total, max_height)
+        assert (expected is None) == (max_height >= bound)
+        assert _cap_error(datum, node, max_height=max_height) == expected
+    for max_monomials in range(1, total + 2):
+        for max_height in (bound // 2, bound - 1, bound):
+            expected = _expected_cap_error(label, node, counts, max_monomials,
+                                           max_height)
+            assert _cap_error(datum, node, max_monomials=max_monomials,
+                              max_height=max_height) == expected
+        expected = _expected_cap_error(label, node, counts, max_monomials, bound)
+        assert (expected is None) == (max_monomials >= total)
+        assert _cap_error(datum, node, max_monomials=max_monomials) == expected
+
+
+def test_caps_in_the_mirrored_half_on_e6_node_4():
+    # H = 42: both caps trip above 21, where the closure stops and the
+    # mirror gives every height
+    datum = build_cartan("E6")
+    assert lowest_weight_height(datum, 4) == 42
+    assert _cap_error(datum, 4, max_height=41) == (
+        "height cap 41 exceeded computing E6 node 4 (2924 monomials so far)",
+        {"monomials": 2924, "height": 42})
+    assert _cap_error(datum, 4, max_monomials=2000) == (
+        "monomial cap 2000 exceeded computing E6 node 4 at height 24",
+        {"monomials": 2001, "height": 24})
 
 
 @pytest.mark.parametrize(
@@ -308,6 +391,68 @@ def test_shuffled_closure_matches_the_expansion_oracle(label, node):
         ) == expected
 
 
+# ---------------------------------------------------------------------------
+# the mirror v -> v_low - tau(v) that gives every height above half
+
+# r^v h^v, the lacing number times the dual Coxeter number, by family
+_CENTRES = {"A": lambda n: n + 1, "B": lambda n: 2 * (2 * n - 1),
+            "C": lambda n: 2 * (n + 1), "D": lambda n: 2 * n - 2,
+            "E": lambda n: {6: 12, 7: 18, 8: 30}[n], "F": lambda n: 18,
+            "G": lambda n: 12}
+
+
+@pytest.mark.parametrize("label,node", [
+    (label, node) for label in ORACLE_LABELS for node in build_cartan(label).nodes
+])
+def test_the_oracle_is_invariant_under_the_mirror(label, node):
+    datum = build_cartan(label)
+    q = fm_qchar_by_expansion(datum, node)
+    lowest, bar, centre = _mirror(datum, node)
+    bound = lowest_weight_height(datum, node)
+    for vec, mu in q.entries.items():
+        image = dict(lowest)
+        for (i, a), m in vec.items():
+            image[bar[i], centre - a] = image.get((bar[i], centre - a), 0) - m
+        image = AMonomialVector(node, image)
+        assert image.height() == bound - vec.height()
+        assert q.multiplicity(image) == mu, (vec, image)
+
+
+def _longest_element(datum):
+    return max(weyl_elements(datum), key=lambda element: element.length)
+
+
+@pytest.mark.parametrize("label", ORACLE_LABELS)
+def test_the_mirror_data_come_from_the_root_datum(label):
+    datum = build_cartan(label)
+    longest = _longest_element(datum)
+    family, rank = label[0], int(label[1:])
+    for node in datum.nodes:
+        lowest, bar, centre = _mirror(datum, node)
+        # v_low is the lowest entry of the oracle, the S-push of the anchor
+        # along a reduced word of w_0 with its parameters negated, and the
+        # vector of Y_{kbar,c}^{-1}
+        q = fm_qchar_by_expansion(datum, node)
+        assert next(reversed(q.entries)).as_dict() == lowest
+        pushed = AMonomialVector(node)
+        for i in longest.word:
+            pushed = apply_s_on_v(datum, i, pushed, unit_framing(node))
+        assert {(i, -a): m for (i, a), m in pushed.items()} == lowest
+        assert expand_to_y(datum, AMonomialVector(node, lowest)) == Y(
+            bar[node], centre, -1)
+        assert centre == _CENTRES[family](rank)
+        # kbar is the -w_0 involution: w_0 omega_i = -omega_ibar, and it is a
+        # symmetry of the Dynkin diagram
+        for i in datum.nodes:
+            weight = fundamental_weight(datum, i)
+            for j in longest.word:
+                weight = reflect_weight(datum, j, weight)
+            assert weight == tuple(-x for x in fundamental_weight(datum, bar[i]))
+            assert bar[bar[i]] == i
+            for j in datum.nodes:
+                assert datum.c(bar[i], bar[j]) == datum.c(i, j)
+
+
 def test_closure_never_expands_a_monomial(monkeypatch):
     datum = build_cartan("F4")
     expected = fm_qchar_by_expansion(datum, 1)
@@ -467,3 +612,30 @@ def test_entries_given_in_any_order_are_written_canonically(label, node):
     text = shuffled.to_json_text()
     assert text == _canonical_json(qchar_json_obj(shuffled))[:-1]
     assert text == q.to_json_text()
+
+
+# ---------------------------------------------------------------------------
+# opt-in heavy tier: pytest -m heavy
+
+
+@pytest.mark.heavy
+@pytest.mark.parametrize("label,node", [
+    ("E7", 1), ("E7", 2), ("E7", 7), ("E8", 1), ("E8", 8),
+])
+def test_large_closures_match_the_expansion_oracle(label, node):
+    datum = build_cartan(label)
+    expected = fm_qchar_by_expansion(datum, node)
+    q = fm_qchar(datum, node)
+    assert q == expected
+    assert list(q.entries) == list(expected.entries)
+    assert fm_qchar(datum, node, shuffle_rng=random.Random(label)) == expected
+
+
+@pytest.mark.heavy
+def test_e7_node_4_trips_the_default_monomial_cap_in_the_mirrored_half():
+    # H = 96: the cap trips at height 50, above the closure's half
+    datum = build_cartan("E7")
+    assert lowest_weight_height(datum, 4) == 96
+    assert _cap_error(datum, 4) == (
+        "monomial cap 200000 exceeded computing E7 node 4 at height 50",
+        {"monomials": 200001, "height": 50})
