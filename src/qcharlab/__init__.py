@@ -14,16 +14,10 @@ from .cartan import (
 from .lweights import (
     AMonomialVector,
     LaurentMonomial,
-    a_monomial_inverse,
     classical_weight,
     expand_to_y,
-    factor_to_a,
 )
-from .braid import (
-    apply_s,
-    apply_s_inverse,
-    unit_framing,
-)
+from .braid import unit_framing
 from .qchar import QChar, classical_character, fm_qchar, sl2_expansion
 from .extremal import (
     cone_vertices,
@@ -51,12 +45,8 @@ __all__ = [
     "weyl_elements",
     "AMonomialVector",
     "LaurentMonomial",
-    "a_monomial_inverse",
     "classical_weight",
     "expand_to_y",
-    "factor_to_a",
-    "apply_s",
-    "apply_s_inverse",
     "unit_framing",
     "QChar",
     "classical_character",

@@ -1,46 +1,18 @@
-"""Braid-group operators on l-weight monomials and on dimension vectors.
+"""Chari's braid-group operators, computed on dimension vectors.
 
-The single source of truth is the generator rule
+The convention is the generator rule on l-weight monomials
 
     S_i(Y_{j,x}) = Y_{j,x} * A_{i, x - d_i}^{-delta_ij}
 
 extended multiplicatively; see :mod:`qcharlab.conventions` for why the shift
-is downward.  Everything else (the closed form on dimension vectors, and the
-A-level action the tests build from it) is a derived consequence, asserted
-by tests.
+is downward.  The program computes with its closed form on A-monomial
+vectors, :func:`_reflect_rows`; the tests hold the rule itself on Laurent
+monomials as the oracle of that closed form.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-
-from .lweights import a_monomial_inverse
-
-
-def apply_s(datum, i, monomial):
-    """S_i: multiply by A_{i, b - d_i}^{-u} for each Y_{i,b}^{u} factor."""
-    di = datum.di(i)
-    out = monomial
-    for b, u in monomial.node_exponents(i).items():
-        out = out * a_monomial_inverse(datum, i, b - di) ** u
-    return out
-
-
-def apply_s_inverse(datum, i, monomial):
-    """Two-sided inverse of S_i: the shift goes up instead of down."""
-    di = datum.di(i)
-    out = monomial
-    for b, u in monomial.node_exponents(i).items():
-        out = out * a_monomial_inverse(datum, i, b + di) ** u
-    return out
-
-
-def apply_s_word_inverse(datum, word, monomial):
-    """S_w^{-1} for w = s_{i_t} ... s_{i_1} and word (i_1, ..., i_t): S_{i_t}^{-1}
-    acts first."""
-    for i in reversed(word):
-        monomial = apply_s_inverse(datum, i, monomial)
-    return monomial
 
 
 @lru_cache(maxsize=None)

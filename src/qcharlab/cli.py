@@ -18,7 +18,6 @@ import re
 import sys
 from fractions import Fraction
 
-from .braid import apply_s_word_inverse
 from .cartan import (
     DEFAULT_WEYL_CAP,
     build_cartan,
@@ -35,8 +34,8 @@ from .errors import (
     ShapeMismatch,
     UnsupportedType,
 )
-from .extremal import cone_vertices, coset_weight, verify_theorem_main
-from .lweights import LaurentMonomial, expand_to_y, factor_to_a
+from .extremal import cone_vertices, coset_weight, verify_theorem_main, word_vertex
+from .lweights import expand_to_y
 from .qchar import CLOSURE_REVISION, DEFAULT_MAX_MONOMIALS, QChar, fm_qchar
 from .quiver import (
     DEFAULT_SEARCH_ENTRY_CAP,
@@ -309,14 +308,14 @@ def _cmd_braid_orbit(args):
     if args.word is not None:
         word = _parse_word(args.word)
         _check_nodes(datum, word)
-        image = apply_s_word_inverse(datum, word, LaurentMonomial.y(args.node, 0))
-        rows = [(word, image, factor_to_a(datum, args.node, image))]
+        orbit = [(word, word_vertex(datum, args.node, word))]
     else:
+        # the cap is checked before any vertex is built
+        elements = weyl_elements(datum, args.cap_w)
         vertices = cone_vertices(datum, args.node)
-        rows = []
-        for element in weyl_elements(datum, args.cap_w):
-            vec = vertices[coset_weight(datum, args.node, element.word)]
-            rows.append((element.word, expand_to_y(datum, vec), vec))
+        orbit = [(element.word, vertices[coset_weight(datum, args.node, element.word)])
+                 for element in elements]
+    rows = [(word, expand_to_y(datum, vec), vec) for word, vec in orbit]
     print(f"braid orbit of Y[{args.node},0] in {datum.label}")
     for word, image, vec in rows:
         label = ",".join(map(str, word)) or "e"

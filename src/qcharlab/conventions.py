@@ -29,8 +29,10 @@ be tagged and stale caches rejected.
    Y_{j,x} * A_{i, x + d_i}^{-delta_ij}.  The downward shift x - d_i is the
    one under which S_i(A_{i,x}^{-1}) = A_{i, x-2d_i} holds exactly and the
    rank-one extremal checks pass; the upward-shift variant fails both.
-   A-level formulas are derived consequences used as test assertions, never
-   as definitions.
+   The rule is the convention, and the tests check the program against it
+   through an oracle that applies it to Laurent monomials; the program
+   itself computes with the closed form the rule induces on A-monomial
+   vectors (``braid._reflect_rows``).
 
 Bump the tag whenever any of the above changes: caches and reports carry it.
 """

@@ -17,10 +17,6 @@ class CapExceeded(QCharLabError):
         self.diagnostics = diagnostics
 
 
-class NotFactorable(QCharLabError):
-    """A Laurent monomial admits no integer A-monomial factorization in the search window."""
-
-
 class NonGenericTheta(QCharLabError):
     """The stability weight lies on a root hyperplane."""
 

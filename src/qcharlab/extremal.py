@@ -15,13 +15,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .braid import (
-    _reflect_rows,
-    _reflection_table,
-    apply_s_inverse,
-    reflect_dimensions,
-    unit_framing,
-)
+from .braid import _reflect_rows, _reflection_table, reflect_dimensions, unit_framing
 from .cartan import (
     DEFAULT_WEYL_CAP,
     _orbit_walk,
@@ -31,7 +25,7 @@ from .cartan import (
     weyl_elements,
 )
 from .errors import CapExceeded
-from .lweights import LaurentMonomial, factor_to_a
+from .lweights import AMonomialVector
 
 
 @dataclass(frozen=True)
@@ -343,25 +337,53 @@ def verify_theorem_main(qchar, weyl_cap=DEFAULT_WEYL_CAP):
     )
 
 
+def _negated(node, dims):
+    """The vector of sigma(Y_{k,0} prod A_{i,a}^{-v_i^a}), v = ``dims``: a -> -a."""
+    return AMonomialVector(node, {(i, -a): m for (i, a), m in dims.items()})
+
+
 def cone_vertices(datum, node):
     """The vertex S_w^{-1}(anchor) of each Weyl cone, keyed by w^{-1} omega_k.
 
     S_j^{-1} fixes the anchor Y_{k,0} for j != k, so the vertex depends only
     on the coset w W_J, i.e. on the weight w^{-1} omega_k (see
-    :func:`coset_weight`).  The omega_k-orbit is walked breadth first by
-    ``cartan._orbit_walk``, with one inverse braid reflection per step.
-    Propagates NotFactorable, which would indicate convention breakage: the
-    inverse-braid images of the anchor always factor.
+    :func:`coset_weight`).
+
+    Let sigma(Y_{i,a}) = Y_{i,-a}.  The A-monomial dictionary is symmetric
+    about a, so sigma(A_{i,a}) = A_{i,-a}, hence sigma S_i sigma = S_i^{-1},
+    and for every word (i_1, ..., i_t), reduced or not,
+
+        S_{i_t}^{-1} ... S_{i_1}^{-1}(Y_{k,0})
+            = sigma(S_{i_t} ... S_{i_1}(Y_{k,0})).
+
+    The omega_k-orbit is walked breadth first by ``cartan._orbit_walk``; each
+    orbit point takes one :func:`braid.reflect_dimensions` step from its
+    parent's S-push of the zero vector (framing Y_{k,0}), and its vertex is
+    that push with the parameters negated.
     """
-    images = {}
+    framing = unit_framing(node)
+    pushed = {}
     for word, weight in _orbit_walk(datum, fundamental_weight(datum, node)):
         if word:
             i = word[-1]
-            parent = images[reflect_weight(datum, i, weight)]
-            images[weight] = apply_s_inverse(datum, i, parent)
+            dims = reflect_dimensions(
+                datum, i, pushed[reflect_weight(datum, i, weight)], framing)
+            pushed[weight] = {key: mult for key, mult in dims.items() if mult}
         else:
-            images[weight] = LaurentMonomial.y(node, 0)
-    return {weight: factor_to_a(datum, node, image) for weight, image in images.items()}
+            pushed[weight] = {}
+    return {weight: _negated(node, dims) for weight, dims in pushed.items()}
+
+
+def word_vertex(datum, node, word):
+    """S_w^{-1}(Y_{k,0}) for w = s_{i_t} ... s_{i_1} and word (i_1, ..., i_t),
+    reduced or not, as its A-monomial vector.
+
+    S_{i_t}^{-1} acts first, so by the sigma lemma of :func:`cone_vertices`
+    this is the S-push of the zero vector along the reversed word with its
+    parameters negated.
+    """
+    dims = _push_dims(datum, reversed(word), {}, unit_framing(node))
+    return _negated(node, dims)
 
 
 def coset_weight(datum, node, word):

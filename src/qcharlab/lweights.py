@@ -1,16 +1,14 @@
 """Sparse Laurent calculus for l-weights in the Y variables.
 
 A monomial is a finitely supported exponent map (node, integer spectral
-parameter) -> nonzero integer.  The A-monomial dictionary, its inverse
-factorization, and the classical-weight shadow live here.  The index
-conventions are spelled out in :mod:`qcharlab.conventions`.
+parameter) -> nonzero integer.  The A-monomial dictionary, the expansion of
+an A-monomial vector into Y variables, and the classical-weight shadow live
+here.  The index conventions are spelled out in :mod:`qcharlab.conventions`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-
-from .errors import NotFactorable
 
 
 def _accumulate(data, items, scale=1):
@@ -25,29 +23,17 @@ def _accumulate(data, items, scale=1):
 
 
 class LaurentMonomial:
-    """Immutable product of Y_{i,a}^{e} factors, stored as a sparse map."""
+    """Immutable product of Y_{i,a}^{e} factors, stored as its sorted entries.
 
-    __slots__ = ("_exps", "_key")
+    The constructor accumulates: a key given twice gets the sum of its
+    exponents, so a product is the monomial of both factors' entries.
+    """
 
-    def __init__(self, exps=None):
-        data = {}
-        if exps is not None:
-            items = exps.items() if hasattr(exps, "items") else exps
-            for key, exp in items:
-                if not exp:
-                    continue
-                node, param = key
-                total = data.get((node, param), 0) + exp
-                if total:
-                    data[(node, param)] = total
-                elif (node, param) in data:
-                    del data[(node, param)]
-        object.__setattr__(self, "_exps", data)
-        object.__setattr__(self, "_key", tuple(sorted(data.items())))
+    __slots__ = ("_key",)
 
-    @classmethod
-    def one(cls):
-        return _ONE
+    def __init__(self, exps=()):
+        items = exps.items() if hasattr(exps, "items") else exps
+        object.__setattr__(self, "_key", tuple(sorted(_accumulate({}, items).items())))
 
     @classmethod
     def y(cls, node, param, exp=1):
@@ -56,38 +42,6 @@ class LaurentMonomial:
     def items(self):
         """Entries ((node, param), exp) in canonical (node, param) order."""
         return self._key
-
-    def exponent(self, node, param):
-        return self._exps.get((node, param), 0)
-
-    def node_exponents(self, node):
-        return {param: e for (n, param), e in self._exps.items() if n == node}
-
-    def support(self):
-        return self._exps.keys()
-
-    def is_one(self):
-        return not self._exps
-
-    def __mul__(self, other):
-        if not isinstance(other, LaurentMonomial):
-            return NotImplemented
-        small, large = self._exps, other._exps
-        if len(small) > len(large):
-            small, large = large, small
-        data = _accumulate(dict(large), small.items())
-        result = LaurentMonomial.__new__(LaurentMonomial)
-        object.__setattr__(result, "_exps", data)
-        object.__setattr__(result, "_key", tuple(sorted(data.items())))
-        return result
-
-    def __pow__(self, power):
-        if power == 1:
-            return self
-        return LaurentMonomial({key: e * power for key, e in self._exps.items()})
-
-    def inverse(self):
-        return self ** -1
 
     def __eq__(self, other):
         return isinstance(other, LaurentMonomial) and self._key == other._key
@@ -108,9 +62,6 @@ class LaurentMonomial:
 
     def to_pairs(self):
         return [[node, param, exp] for (node, param), exp in self._key]
-
-
-_ONE = LaurentMonomial()
 
 
 class AMonomialVector:
@@ -231,11 +182,6 @@ def _a_inverse_table(datum):
     return _AInverseTable(datum)
 
 
-def a_monomial_inverse(datum, i, a):
-    """The Y-expansion of A_{i,a}^{-1}, read from :func:`_a_inverse_table`."""
-    return LaurentMonomial(_a_inverse_table(datum)[i, a])
-
-
 def expand_to_y(datum, vec):
     """Y_{anchor,0} times the product of A_{i,a}^{-v_i^a} over the support."""
     table = _a_inverse_table(datum)
@@ -243,41 +189,6 @@ def expand_to_y(datum, vec):
     for key, mult in vec.items():
         _accumulate(exps, table[key], mult)
     return LaurentMonomial(exps)
-
-
-def factor_to_a(datum, anchor, monomial):
-    """Invert :func:`expand_to_y`: the unique v with expansion equal to the input.
-
-    Works top-down: the highest surviving parameter b of the residual can only
-    be produced by the leading Y_{i, a+d_i}^{-1} factor of A_{i, b-d_i}, so
-    each step is forced.  The search window extends the input's parameter
-    range downward by twice the pad R = (1 + max |c_ij|) * max d_i; if the
-    residual is still nonempty there, no integer solution exists and
-    NotFactorable is raised.
-    """
-    residual = monomial * LaurentMonomial.y(anchor, 0, -1)
-    if residual.is_one():
-        return AMonomialVector(anchor)
-    params = [a for (_, a) in monomial.support()]
-    params.append(0)
-    pad = (1 + max(abs(c) for row in datum.cartan for c in row)) * max(datum.d)
-    cutoff = min(params) - 2 * pad
-    v = {}
-    while not residual.is_one():
-        top = max(a for (_, a) in residual.support())
-        for i in datum.nodes:
-            exp = residual.exponent(i, top)
-            if not exp:
-                continue
-            a = top - datum.di(i)
-            if a < cutoff:
-                raise NotFactorable(
-                    f"no A-monomial factorization of {monomial!r} with anchor "
-                    f"{anchor} within the doubled window (floor {cutoff})"
-                )
-            v[(i, a)] = v.get((i, a), 0) - exp
-            residual = residual * a_monomial_inverse(datum, i, a) ** exp
-    return AMonomialVector(anchor, v)
 
 
 def classical_weight(datum, monomial):

@@ -1,6 +1,7 @@
 """Shared test helpers: the small predicates and parsers only the tests use,
-the weight orbit, the root system and its genericity test, the word and
-A-level braid actions, the sorted entries
+the weight orbit, the root system and its genericity test, the braid action
+on Laurent monomials with the A-monomial factorization (the oracle of the
+closed form on A-monomial vectors), the A-level braid action, the sorted entries
 and JSON object tree of a q-character, random monomials, the braid-relation
 property check, the per-word replay
 oracle of the cone verifier, the expected cone-vertex count, the closure
@@ -21,7 +22,7 @@ from math import lcm
 from pathlib import Path
 
 from qcharlab import quiver
-from qcharlab.braid import apply_s, reflect_dimensions, unit_framing
+from qcharlab.braid import reflect_dimensions, unit_framing
 from qcharlab.cartan import (
     _orbit_walk,
     build_cartan,
@@ -39,7 +40,7 @@ from qcharlab.linalg import (
     mat_mul_shaped,
     zeros,
 )
-from qcharlab.lweights import AMonomialVector, LaurentMonomial, expand_to_y
+from qcharlab.lweights import AMonomialVector, LaurentMonomial, _accumulate, expand_to_y
 from qcharlab.qchar import QChar, fm_qchar, sl2_expansion
 from qcharlab.quiver import RelationViolation, exhaustive_search
 
@@ -69,7 +70,7 @@ def in_cone(vec):
 
 def i_dominant(datum, monomial, i):
     """True iff every Y_{i,.} exponent of the monomial is nonnegative."""
-    return all(e >= 0 for e in monomial.node_exponents(i).values())
+    return all(e >= 0 for e in node_exponents(monomial, i).values())
 
 
 def weight_orbit(datum, theta):
@@ -134,11 +135,121 @@ def is_generic_by_roots(datum, theta):
     return all(root_pairing(datum, theta, r) != 0 for r in positive_roots(datum))
 
 
+# ---------------------------------------------------------------------------
+# the braid action on Laurent monomials: the generator rule of
+# qcharlab.conventions item 3 itself, the oracle of the closed form on
+# A-monomial vectors that the program computes with
+
+
+class NotFactorable(Exception):
+    """A Laurent monomial has no integer A-monomial factorization in the window."""
+
+
+def times(*monomials):
+    """The product of Laurent monomials, by the accumulating constructor."""
+    return LaurentMonomial([item for m in monomials for item in m.items()])
+
+
+def power(monomial, exp):
+    """The ``exp``-th power of a Laurent monomial."""
+    return LaurentMonomial([(key, e * exp) for key, e in monomial.items()])
+
+
+def node_exponents(monomial, node):
+    """param -> exp over the Y_{node,param}^{exp} factors of a monomial."""
+    return {param: e for (n, param), e in monomial.items() if n == node}
+
+
+def a_monomial_inverse(datum, i, a):
+    """A_{i,a}^{-1} as a Y-monomial, written from qcharlab.conventions item 2
+    apart from the table that ``expand_to_y`` reads."""
+    exps = [((i, a + datum.di(i)), -1), ((i, a - datum.di(i)), -1)]
+    for j in datum.neighbors(i):
+        cji = datum.c(j, i)
+        exps.extend(((j, a + s), 1) for s in range(cji + 1, -cji, 2))
+    return LaurentMonomial(exps)
+
+
+def apply_s(datum, i, monomial):
+    """S_i: multiply by A_{i, b - d_i}^{-u} for each Y_{i,b}^{u} factor."""
+    di = datum.di(i)
+    return times(monomial, *(power(a_monomial_inverse(datum, i, b - di), u)
+                             for b, u in node_exponents(monomial, i).items()))
+
+
+def apply_s_inverse(datum, i, monomial):
+    """Two-sided inverse of S_i: the shift goes up instead of down."""
+    di = datum.di(i)
+    return times(monomial, *(power(a_monomial_inverse(datum, i, b + di), u)
+                             for b, u in node_exponents(monomial, i).items()))
+
+
 def apply_s_word(datum, word, monomial):
     """S_w for w = s_{i_t} ... s_{i_1} and word (i_1, ..., i_t): i_1 acts first."""
     for i in word:
         monomial = apply_s(datum, i, monomial)
     return monomial
+
+
+def apply_s_word_inverse(datum, word, monomial):
+    """S_w^{-1} for w = s_{i_t} ... s_{i_1} and word (i_1, ..., i_t): S_{i_t}^{-1}
+    acts first."""
+    for i in reversed(word):
+        monomial = apply_s_inverse(datum, i, monomial)
+    return monomial
+
+
+def factor_to_a(datum, anchor, monomial):
+    """Invert ``expand_to_y``: the unique v with expansion equal to the input.
+
+    Works top-down: the highest surviving parameter b of the residual can only
+    be produced by the leading Y_{i, a+d_i}^{-1} factor of A_{i, b-d_i}, so
+    each step is forced.  The search window extends the input's parameter
+    range downward by twice the pad R = (1 + max |c_ij|) * max d_i; if the
+    residual is still nonempty there, no integer solution exists and
+    NotFactorable is raised.
+    """
+    residual = dict(times(monomial, LaurentMonomial.y(anchor, 0, -1)).items())
+    params = [a for (_, a), _ in monomial.items()] + [0]
+    pad = (1 + max(abs(c) for row in datum.cartan for c in row)) * max(datum.d)
+    cutoff = min(params) - 2 * pad
+    v = {}
+    while residual:
+        top = max(a for _, a in residual)
+        for i in datum.nodes:
+            exp = residual.get((i, top), 0)
+            if not exp:
+                continue
+            a = top - datum.di(i)
+            if a < cutoff:
+                raise NotFactorable(
+                    f"no A-monomial factorization of {monomial!r} with anchor "
+                    f"{anchor} within the doubled window (floor {cutoff})"
+                )
+            v[(i, a)] = v.get((i, a), 0) - exp
+            _accumulate(residual, a_monomial_inverse(datum, i, a).items(), exp)
+    return AMonomialVector(anchor, v)
+
+
+def oracle_cone_vertices(datum, node):
+    """``extremal.cone_vertices`` by the generator rule: one S_i^{-1} on Laurent
+    monomials per orbit point, from its parent's image, and then factored."""
+    images = {}
+    for word, weight in _orbit_walk(datum, fundamental_weight(datum, node)):
+        if word:
+            i = word[-1]
+            parent = images[reflect_weight(datum, i, weight)]
+            images[weight] = apply_s_inverse(datum, i, parent)
+        else:
+            images[weight] = LaurentMonomial.y(node, 0)
+    return {weight: factor_to_a(datum, node, image) for weight, image in images.items()}
+
+
+def oracle_vertex(datum, node, word):
+    """S_w^{-1}(Y_{k,0}) for the word of w, by the generator rule and then
+    factored: the oracle of ``extremal.cone_vertices`` and ``word_vertex``."""
+    image = apply_s_word_inverse(datum, word, LaurentMonomial.y(node, 0))
+    return factor_to_a(datum, node, image)
 
 
 def apply_s_on_v(datum, i, vec, framing):
@@ -252,7 +363,7 @@ def fm_qchar_by_expansion(datum, node, shuffle_rng=None):
             monomial = expand_to_y(datum, vec)
             for i in datum.nodes:
                 excess = mu - requirement.get(i, 0)
-                part = monomial.node_exponents(i)
+                part = node_exponents(monomial, i)
                 if not excess or not part or not i_dominant(datum, monomial, i):
                     continue
                 for pattern, coeff in sl2_expansion(datum.di(i), part):

@@ -7,7 +7,7 @@ import random
 import time
 from collections import Counter
 
-from qcharlab.braid import apply_s, unit_framing
+from qcharlab.braid import unit_framing
 from qcharlab.cartan import (
     all_reduced_words,
     build_cartan,
@@ -20,7 +20,6 @@ from qcharlab.lweights import (
     AMonomialVector,
     classical_weight,
     expand_to_y,
-    factor_to_a,
 )
 from qcharlab.linalg import F2
 from qcharlab.qchar import QChar, classical_character, fm_qchar
@@ -32,10 +31,12 @@ from qcharlab.quiver import (
 )
 
 from helpers import (
+    apply_s,
     apply_s_on_v,
     apply_s_word,
     braid_relation_check,
     extremal_check,
+    factor_to_a,
     in_cone,
     quiver_corpus_cases,
     random_monomial,

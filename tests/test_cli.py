@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import string
 import subprocess
 import sys
@@ -11,8 +12,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcharlab.cli import main
+from qcharlab import cli
+from qcharlab.cartan import build_cartan
+from qcharlab.cli import _canonical_json, main
 from qcharlab.conventions import CONVENTIONS_VERSION
+from qcharlab.lweights import LaurentMonomial
+
+from helpers import apply_s_word_inverse, factor_to_a
 
 
 def run(*argv):
@@ -146,6 +152,47 @@ def test_braid_orbit_bytes_are_pinned(tmp_path):
         "braid-orbit", "--type", "B3", "--node", "2", "--out", str(out)
     ) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == B3_NODE_2_ORBIT
+
+
+def test_braid_orbit_word_prints_what_the_generator_rule_gives(tmp_path, capsys):
+    # random words, non-reduced ones included: the A-vector push prints and
+    # writes what S_w^{-1} on Laurent monomials, then factored, gives
+    rng = random.Random(7)
+    out = tmp_path / "orbit.json"
+    for label in ["A2", "B2", "G2", "C3", "D4", "F4"]:
+        datum = build_cartan(label)
+        for _ in range(12):
+            node = rng.choice(datum.nodes)
+            word = tuple(rng.choice(datum.nodes) for _ in range(rng.randint(0, 8)))
+            text = ",".join(map(str, word))
+            assert run("braid-orbit", "--type", label, "--node", str(node),
+                       f"--word={text}", "--out", str(out)) == 0
+            image = apply_s_word_inverse(datum, word, LaurentMonomial.y(node, 0))
+            vec = factor_to_a(datum, node, image)
+            assert capsys.readouterr().out == (
+                f"braid orbit of Y[{node},0] in {label}\n"
+                f"  w = {text or 'e':<16} S_w^-1(psi) = {image!r:<32} v = {vec!r}\n"
+            )
+            assert out.read_text() == _canonical_json({
+                "type": label,
+                "node": node,
+                "orbit": [{
+                    "word": list(word),
+                    "monomial": image.to_pairs(),
+                    "v": [[i, a, m] for (i, a), m in vec.items()],
+                }],
+                "conventions": CONVENTIONS_VERSION,
+            })
+
+
+def test_braid_orbit_checks_the_weyl_cap_before_any_vertex(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("cone vertices built before the Weyl cap was checked")
+
+    monkeypatch.setattr(cli, "cone_vertices", refuse)
+    assert run("braid-orbit", "--type", "F4", "--node", "1", "--cap-w", "1151") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "resource error: Weyl group of F4 exceeds cap 1151"
 
 
 POINT_A1 = {

@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from qcharlab.braid import apply_s_word_inverse, unit_framing
+from qcharlab.braid import unit_framing
 from qcharlab.cartan import (
     all_reduced_words,
     build_cartan,
@@ -19,19 +19,15 @@ from qcharlab.extremal import (
     coset_weight,
     verify_theorem_main,
 )
-from qcharlab.lweights import (
-    AMonomialVector,
-    LaurentMonomial,
-    classical_weight,
-    expand_to_y,
-    factor_to_a,
-)
+from qcharlab.lweights import AMonomialVector, classical_weight, expand_to_y
 from qcharlab.qchar import QChar, fm_qchar
 
 from helpers import (
     apply_s_on_v,
     extremal_check,
     in_cone,
+    oracle_cone_vertices,
+    oracle_vertex,
     vertex_orbit_size,
     weight_orbit,
 )
@@ -149,17 +145,16 @@ def test_vertices_present_with_multiplicity_one(label):
 
 @pytest.mark.parametrize("label", ["A2", "B2", "B3", "A3", "C3", "D4", "G2", "F4"])
 def test_vertex_map_factors_through_stabilizer_cosets(label):
-    # S_w^{-1}(anchor), replayed per element, is the vertex of the coset w W_J,
-    # and S_w^{-1} intertwines with w^{-1}, so the vertex has weight w^{-1} omega_k
+    # S_w^{-1}(anchor), replayed per element by the generator rule on Laurent
+    # monomials, is the vertex of the coset w W_J, and S_w^{-1} intertwines
+    # with w^{-1}, so the vertex has weight w^{-1} omega_k
     datum = build_cartan(label)
     for node in datum.nodes:
         vertices = cone_vertices(datum, node)
         for weight, vertex in vertices.items():
             assert classical_weight(datum, expand_to_y(datum, vertex)) == weight
-        anchor = LaurentMonomial.y(node, 0)
         for element in weyl_elements(datum):
-            image = apply_s_word_inverse(datum, element.word, anchor)
-            assert factor_to_a(datum, node, image) == vertices[
+            assert oracle_vertex(datum, node, element.word) == vertices[
                 coset_weight(datum, node, element.word)
             ], (label, node, element.word)
 
@@ -355,3 +350,11 @@ def test_e7_node_7_theorem_over_all_of_w():
     assert summary.checks == 56 * 2903040
     assert summary.simple_reflection_violations == 0
     assert summary.longest_element_violations == 0
+
+
+@pytest.mark.heavy
+def test_e7_node_4_cone_vertices_equal_the_oracle():
+    datum = build_cartan("E7")
+    vertices = cone_vertices(datum, 4)
+    assert len(vertices) == 10080
+    assert vertices == oracle_cone_vertices(datum, 4)

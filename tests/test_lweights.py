@@ -5,17 +5,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qcharlab.cartan import build_cartan, simple_root_weight_coords
-from qcharlab.errors import NotFactorable
 from qcharlab.lweights import (
     AMonomialVector,
     LaurentMonomial,
-    a_monomial_inverse,
     classical_weight,
     expand_to_y,
-    factor_to_a,
 )
 
-from helpers import laurent_from_pairs
+from helpers import (
+    NotFactorable,
+    a_monomial_inverse,
+    factor_to_a,
+    laurent_from_pairs,
+    power,
+    times,
+)
 
 Y = LaurentMonomial.y
 
@@ -32,7 +36,8 @@ def _random_vector(datum, rng, anchor=None, max_terms=6):
 
 
 # ---------------------------------------------------------------------------
-# monomial algebra
+# monomial algebra: the constructor accumulates, and the tests' product and
+# power are built on it
 
 monomial_entries = st.dictionaries(
     st.tuples(st.integers(1, 3), st.integers(-4, 4)),
@@ -44,22 +49,24 @@ monomial_entries = st.dictionaries(
 @given(monomial_entries, monomial_entries, monomial_entries)
 def test_multiplication_monoid_laws(e1, e2, e3):
     m1, m2, m3 = (LaurentMonomial(e) for e in (e1, e2, e3))
-    assert m1 * m2 == m2 * m1
-    assert (m1 * m2) * m3 == m1 * (m2 * m3)
-    assert m1 * LaurentMonomial.one() == m1
-    assert m1 * m1 ** -1 == LaurentMonomial.one()
+    one = LaurentMonomial()
+    assert times(m1, m2) == times(m2, m1)
+    assert times(times(m1, m2), m3) == times(m1, times(m2, m3))
+    assert times(m1, one) == m1
+    assert times(m1, power(m1, -1)) == one
 
 
 def test_no_zero_exponents_stored():
     m = LaurentMonomial({(1, 0): 2, (2, 1): 0})
     assert m.items() == (((1, 0), 2),)
-    assert Y(1, 0) * Y(1, 0, -1) == LaurentMonomial.one()
+    assert LaurentMonomial([((1, 0), 1), ((1, 0), -1)]) == LaurentMonomial()
+    assert LaurentMonomial().items() == ()
 
 
 def test_equality_is_map_equality():
-    assert Y(1, 0) * Y(2, 3) == LaurentMonomial([((2, 3), 1), ((1, 0), 1)])
+    assert times(Y(1, 0), Y(2, 3)) == LaurentMonomial([((2, 3), 1), ((1, 0), 1)])
     assert Y(1, 0) != Y(1, 1)
-    assert hash(Y(1, 2) * Y(1, 2)) == hash(Y(1, 2) ** 2)
+    assert hash(times(Y(1, 2), Y(1, 2))) == hash(Y(1, 2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -68,24 +75,21 @@ def test_equality_is_map_equality():
 
 def test_a_inverse_a1():
     datum = build_cartan("A1")
-    assert a_monomial_inverse(datum, 1, 1) == Y(1, 2, -1) * Y(1, 0, -1)
+    assert a_monomial_inverse(datum, 1, 1) == times(Y(1, 2, -1), Y(1, 0, -1))
 
 
 def test_a_inverse_b2_long_node():
     datum = build_cartan("B2")
     for a in (-3, 0, 2):
-        expected = (
-            Y(2, a + 2, -1) * Y(2, a - 2, -1) * Y(1, a + 1) * Y(1, a - 1)
-        )
+        expected = times(Y(2, a + 2, -1), Y(2, a - 2, -1), Y(1, a + 1), Y(1, a - 1))
         assert a_monomial_inverse(datum, 2, a) == expected
 
 
 def test_a_inverse_g2_long_node():
     datum = build_cartan("G2")
     for a in (0, 5):
-        expected = (
-            Y(2, a + 3, -1) * Y(2, a - 3, -1)
-            * Y(1, a + 2) * Y(1, a) * Y(1, a - 2)
+        expected = times(
+            Y(2, a + 3, -1), Y(2, a - 3, -1), Y(1, a + 2), Y(1, a), Y(1, a - 2)
         )
         assert a_monomial_inverse(datum, 2, a) == expected
 
@@ -124,7 +128,8 @@ def test_expand_empty_vector():
 
 def test_expand_a2_hand_values():
     datum = build_cartan("A2")
-    assert expand_to_y(datum, AMonomialVector(1, {(1, 1): 1})) == Y(1, 2, -1) * Y(2, 1)
+    assert expand_to_y(datum, AMonomialVector(1, {(1, 1): 1})) == times(
+        Y(1, 2, -1), Y(2, 1))
     assert expand_to_y(
         datum, AMonomialVector(1, {(1, 1): 1, (2, 2): 1})
     ) == Y(2, 3, -1)
@@ -136,24 +141,24 @@ def test_expand_is_multiplicative():
     for _ in range(100):
         v1 = _random_vector(datum, rng, anchor=1)
         v2 = _random_vector(datum, rng, anchor=1)
-        lhs = expand_to_y(datum, v1 + v2) * Y(1, 0, -1)
-        rhs = (
-            expand_to_y(datum, v1) * expand_to_y(datum, v2)
-            * Y(1, 0, -1) * Y(1, 0, -1)
+        lhs = times(expand_to_y(datum, v1 + v2), Y(1, 0, -1))
+        rhs = times(
+            expand_to_y(datum, v1), expand_to_y(datum, v2), Y(1, 0, -2)
         )
         assert lhs == rhs
 
 
 @pytest.mark.parametrize("label", ALL_LABELS)
 def test_expand_is_the_product_of_a_inverses(label):
-    # expand_to_y sums table entries; the product of A^{-1} powers defines it
+    # expand_to_y sums entries of its table; the product of A^{-1} powers,
+    # each written from the conventions apart from that table, defines it
     datum = build_cartan(label)
     rng = random.Random(len(label) * 31 + datum.rank)
     for _ in range(60):
         vec = _random_vector(datum, rng)
-        product = Y(vec.anchor, 0)
-        for (i, a), mult in vec.items():
-            product = product * a_monomial_inverse(datum, i, a) ** mult
+        product = times(Y(vec.anchor, 0), *(
+            power(a_monomial_inverse(datum, i, a), mult)
+            for (i, a), mult in vec.items()))
         assert expand_to_y(datum, vec) == product
 
 
@@ -200,7 +205,7 @@ def test_classical_weight_examples():
     a2 = build_cartan("A2")
     assert classical_weight(a2, Y(1, 0)) == (1, 0)
     assert classical_weight(a2, Y(2, 3, -1)) == (0, -1)
-    assert classical_weight(a2, LaurentMonomial.one()) == (0, 0)
+    assert classical_weight(a2, LaurentMonomial()) == (0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +213,7 @@ def test_classical_weight_examples():
 
 
 def test_monomial_json_round_trip():
-    m = Y(2, -3, 2) * Y(1, 0, -1)
+    m = times(Y(2, -3, 2), Y(1, 0, -1))
     pairs = m.to_pairs()
     assert pairs == [[1, 0, -1], [2, -3, 2]]  # sorted by (node, param)
     assert laurent_from_pairs(json.loads(json.dumps(pairs))) == m
