@@ -152,8 +152,11 @@ def _positive_int(text):
 
 
 def _parse_word(text):
+    """Comma-separated nodes; blank text is the identity, an empty part an error."""
+    if not text.strip():
+        return ()
     try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise _UsageError(f"cannot parse word {text!r}") from None
 

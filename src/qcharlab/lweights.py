@@ -8,7 +8,9 @@ here.  The index conventions are spelled out in :mod:`qcharlab.conventions`.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
+from operator import itemgetter
 
 
 def _accumulate(data, items, scale=1):
@@ -33,7 +35,7 @@ class LaurentMonomial:
 
     def __init__(self, exps=()):
         items = exps.items() if hasattr(exps, "items") else exps
-        object.__setattr__(self, "_key", tuple(sorted(_accumulate({}, items).items())))
+        self._key = tuple(sorted(_accumulate({}, items).items()))
 
     @classmethod
     def y(cls, node, param, exp=1):
@@ -68,57 +70,52 @@ class AMonomialVector:
     """Anchor node k plus a sparse integer vector v over (node, parameter).
 
     Represents Y_{k,0} * prod A_{i,a}^{-v_i^a}; negative entries are allowed
-    (cone membership is exactly "all entries >= 0").
+    (cone membership is exactly "all entries >= 0").  The one stored form of
+    v is its sorted items tuple, ((node, param), mult) with no mult 0, held
+    in ``_key`` beside the anchor.
     """
 
-    __slots__ = ("anchor", "_v", "_key")
+    __slots__ = ("anchor", "_key")
 
     def __init__(self, anchor, v=None):
-        data = {}
-        if v is not None:
-            items = v.items() if hasattr(v, "items") else v
-            for key, mult in items:
-                if not mult:
-                    continue
-                node, param = key
-                total = data.get((node, param), 0) + mult
-                if total:
-                    data[(node, param)] = total
-                elif (node, param) in data:
-                    del data[(node, param)]
-        object.__setattr__(self, "anchor", anchor)
-        object.__setattr__(self, "_v", data)
-        object.__setattr__(self, "_key", (anchor, tuple(sorted(data.items()))))
+        items = () if v is None else v.items() if hasattr(v, "items") else v
+        data = _accumulate({}, (((node, param), mult) for (node, param), mult in items))
+        self.anchor = anchor
+        self._key = (anchor, tuple(sorted(data.items())))
 
     def items(self):
         return self._key[1]
 
     def entry(self, node, param):
-        return self._v.get((node, param), 0)
+        items = self._key[1]
+        k = bisect_left(items, ((node, param),))
+        if k < len(items) and items[k][0] == (node, param):
+            return items[k][1]
+        return 0
 
     def support(self):
-        return self._v.keys()
+        """The (node, param) keys with a nonzero entry, in sorted order."""
+        return tuple(map(itemgetter(0), self._key[1]))
 
     def as_dict(self):
-        return dict(self._v)
+        return dict(self._key[1])
 
     def height(self):
-        return sum(self._v.values())
+        return sum(map(itemgetter(1), self._key[1]))
 
     @classmethod
     def _trusted(cls, anchor, items):
         """The vector of ``items``: ((node, param), mult) pairs already sorted
         by (node, param), none with mult 0, as :meth:`items` returns them."""
         result = cls.__new__(cls)
-        object.__setattr__(result, "anchor", anchor)
-        object.__setattr__(result, "_v", dict(items))
-        object.__setattr__(result, "_key", (anchor, items))
+        result.anchor = anchor
+        result._key = (anchor, items)
         return result
 
     def add_entries(self, entries):
         """New vector with (node, param) -> mult increments applied."""
         items = entries.items() if hasattr(entries, "items") else entries
-        data = _accumulate(dict(self._v), items)
+        data = _accumulate(dict(self._key[1]), items)
         return self._trusted(self.anchor, tuple(sorted(data.items())))
 
     def __add__(self, other):
@@ -126,7 +123,7 @@ class AMonomialVector:
             return NotImplemented
         if other.anchor != self.anchor:
             raise ValueError("cannot add vectors with different anchors")
-        return self.add_entries(other._v)
+        return self.add_entries(other._key[1])
 
     def __eq__(self, other):
         return isinstance(other, AMonomialVector) and self._key == other._key

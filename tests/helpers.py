@@ -1,7 +1,8 @@
 """Shared test helpers: the small predicates and parsers only the tests use,
 the weight orbit, the root system and its genericity test, the braid action
 on Laurent monomials with the A-monomial factorization (the oracle of the
-closed form on A-monomial vectors), the A-level braid action, the sorted entries
+closed form on A-monomial vectors), the plain-dict model of an A-monomial
+vector, the A-level braid action, the sorted entries
 and JSON object tree of a q-character, random monomials, the braid-relation
 property check, the per-word replay
 oracle of the cone verifier, the expected cone-vertex count, the closure
@@ -250,6 +251,39 @@ def oracle_vertex(datum, node, word):
     factored: the oracle of ``extremal.cone_vertices`` and ``word_vertex``."""
     image = apply_s_word_inverse(datum, word, LaurentMonomial.y(node, 0))
     return factor_to_a(datum, node, image)
+
+
+class DictVector:
+    """An anchored A-monomial vector kept as a plain dict (node, param) ->
+    nonzero mult: the model of the methods that ``AMonomialVector`` answers
+    from its sorted items tuple."""
+
+    def __init__(self, anchor, entries=()):
+        totals = {}
+        for key, mult in entries:
+            totals[key] = totals.get(key, 0) + mult
+        self.anchor = anchor
+        self.v = {key: mult for key, mult in totals.items() if mult}
+
+    def entry(self, node, param):
+        return self.v.get((node, param), 0)
+
+    def support(self):
+        return set(self.v)
+
+    def height(self):
+        return sum(self.v.values())
+
+    def add_entries(self, entries):
+        return DictVector(self.anchor, [*self.v.items(), *entries])
+
+    def __add__(self, other):
+        if other.anchor != self.anchor:
+            raise ValueError("cannot add vectors with different anchors")
+        return self.add_entries(other.v.items())
+
+    def __eq__(self, other):
+        return self.anchor == other.anchor and self.v == other.v
 
 
 def apply_s_on_v(datum, i, vec, framing):

@@ -185,6 +185,22 @@ def test_braid_orbit_word_prints_what_the_generator_rule_gives(tmp_path, capsys)
             })
 
 
+@pytest.mark.parametrize("text", ["1,,2", ",", "1,"])
+def test_braid_orbit_word_with_an_empty_part_is_a_usage_error(text, capsys):
+    assert run("braid-orbit", "--type", "A2", "--node", "1", f"--word={text}") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: cannot parse word {text!r}\n"
+
+
+def test_braid_orbit_empty_word_is_the_identity(capsys):
+    assert run("braid-orbit", "--type", "A2", "--node", "1", "--word=") == 0
+    assert capsys.readouterr().out == (
+        "braid orbit of Y[1,0] in A2\n"
+        f"  w = {'e':<16} S_w^-1(psi) = {'Y[1,0]':<32} v = AVec[1|0]\n"
+    )
+
+
 def test_braid_orbit_checks_the_weyl_cap_before_any_vertex(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("cone vertices built before the Weyl cap was checked")

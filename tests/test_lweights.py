@@ -11,8 +11,10 @@ from qcharlab.lweights import (
     classical_weight,
     expand_to_y,
 )
+from qcharlab.qchar import fm_qchar
 
 from helpers import (
+    DictVector,
     NotFactorable,
     a_monomial_inverse,
     factor_to_a,
@@ -174,6 +176,70 @@ def test_add_entries_matches_the_constructor():
         result = vec.add_entries(entries)
         assert result == expected and hash(result) == hash(expected)
         assert result.as_dict() == expected.as_dict()
+
+
+# ---------------------------------------------------------------------------
+# the sorted items tuple is the one stored form: every method against a
+# plain-dict model
+
+# few cells and small entries, so that keys repeat and sums cancel to zero
+vector_entries = st.lists(
+    st.tuples(st.tuples(st.integers(1, 3), st.integers(-3, 3)), st.integers(-3, 3)),
+    max_size=8,
+)
+
+
+def _assert_matches_model(vec, model):
+    assert vec.anchor == model.anchor
+    for node in range(0, 5):
+        for param in range(-4, 5):
+            assert vec.entry(node, param) == model.entry(node, param)
+    assert vec.support() == tuple(sorted(model.support()))
+    assert vec.as_dict() == model.v
+    assert vec.items() == tuple(sorted(model.v.items()))
+    assert vec.height() == model.height()
+
+
+@given(st.integers(1, 3), vector_entries, vector_entries, st.data())
+def test_vector_methods_match_the_dict_model(anchor, first, second, data):
+    vec, model = AMonomialVector(anchor, first), DictVector(anchor, first)
+    _assert_matches_model(vec, model)
+    # the increments take back some of the entries exactly, so cells cancel
+    taken = data.draw(st.lists(st.sampled_from(first), unique=True)) if first else []
+    increments = [(key, -mult) for key, mult in taken] + second
+    expected = model.add_entries(increments)
+    for given_as in (increments, dict(DictVector(anchor, increments).v)):
+        _assert_matches_model(vec.add_entries(given_as), expected)
+    other = AMonomialVector(anchor, increments)
+    _assert_matches_model(vec + other, model + DictVector(anchor, increments))
+    with pytest.raises(ValueError):
+        vec + AMonomialVector(anchor + 1, second)
+    for left, right in [(vec, other), (vec, vec.add_entries(())),
+                        (vec + other, other + vec),
+                        (vec, AMonomialVector(anchor + 1, first))]:
+        left_model = DictVector(left.anchor, left.items())
+        right_model = DictVector(right.anchor, right.items())
+        assert (left == right) == (left_model == right_model)
+        if left == right:
+            assert hash(left) == hash(right)
+
+
+def test_trusted_vectors_equal_the_constructed_ones():
+    q = fm_qchar(build_cartan("E6"), 4)
+    for vec in q.entries:
+        items = vec.items()
+        trusted = AMonomialVector._trusted(4, items)
+        built = AMonomialVector(4, dict(items))
+        assert trusted == built and hash(trusted) == hash(built)
+    assert q.monomial_count() == 2925
+
+
+def test_a_vector_stores_only_its_anchor_and_items():
+    assert AMonomialVector.__slots__ == ("anchor", "_key")
+    for vec in (AMonomialVector(2, {(1, 0): 1}), AMonomialVector._trusted(2, ())):
+        assert not hasattr(vec, "__dict__")
+        with pytest.raises(AttributeError):
+            vec.extra = 1
 
 
 def test_factor_identity():

@@ -1,6 +1,9 @@
 import json
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -644,3 +647,40 @@ def test_e7_node_4_trips_the_default_monomial_cap_in_the_mirrored_half():
     assert _cap_error(datum, 4) == (
         "monomial cap 200000 exceeded computing E7 node 4 at height 50",
         {"monomials": 200001, "height": 50})
+
+
+# E8 node 2 as the closure wrote it when every vector also kept a dict copy
+# of its entries; that closure peaked at about 405 MB, the tuple alone at 126
+E8_NODE_2_SHA256 = "2124d66a7beed95fe5920afbd1aa78b516f39b7af2d50324b2db7ff7568836b0"
+E8_NODE_2_PEAK_MB = 250
+
+_E8_NODE_2_SCRIPT = r"""
+import hashlib, json
+from qcharlab.cartan import build_cartan
+from qcharlab.qchar import fm_qchar
+q = fm_qchar(build_cartan("E8"), 2)
+# the closure's peak, read before the text adds its own
+with open("/proc/self/status") as status:
+    peak_kb = next(int(line.split()[1]) for line in status
+                   if line.startswith("VmHWM:"))
+# the bytes that qchar --out writes: the text and a newline
+digest = hashlib.sha256((q.to_json_text() + "\n").encode()).hexdigest()
+print(json.dumps([q.monomial_count(), q.total_multiplicity(), q.max_height(),
+                  digest, peak_kb]))
+"""
+
+
+@pytest.mark.heavy
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="the peak is read from /proc/self/status")
+def test_e8_node_2_bytes_and_peak_memory():
+    # a fresh interpreter, so the peak is the closure's own
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", _E8_NODE_2_SCRIPT],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    count, total, height, digest, peak_kb = json.loads(done.stdout)
+    assert (count, total, height) == (147250, 185877, 136)
+    assert digest == E8_NODE_2_SHA256
+    assert peak_kb < E8_NODE_2_PEAK_MB * 1024, f"peak {peak_kb / 1024:.0f} MB"
