@@ -1,7 +1,7 @@
 """Command-line front end: q-character runs, cone verification, braid orbits,
 and quiver point checking / reflection / search.
 
-Exit codes: 0 success, 1 usage error, 2 resource or cache problem,
+Exit codes: 0 success, 1 usage error, 2 a resource cap or an I/O error,
 3 mathematical violation (a falsified check, never an infrastructure
 failure).  Human-readable tables go to stdout; machine JSON goes to files,
 never mixed.
@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -22,12 +20,10 @@ from .cartan import (
     DEFAULT_WEYL_CAP,
     build_cartan,
     is_generic,
-    lowest_weight_height,
     weyl_elements,
 )
 from .conventions import CONVENTIONS_VERSION
 from .errors import (
-    CacheIntegrityError,
     CapExceeded,
     FieldNotFinite,
     QCharLabError,
@@ -36,7 +32,7 @@ from .errors import (
 )
 from .extremal import cone_vertices, coset_weight, verify_theorem_main, word_vertex
 from .lweights import expand_to_y
-from .qchar import CLOSURE_REVISION, DEFAULT_MAX_MONOMIALS, QChar, fm_qchar
+from .qchar import DEFAULT_MAX_MONOMIALS, fm_qchar
 from .quiver import (
     DEFAULT_SEARCH_ENTRY_CAP,
     GradedQuiverRep,
@@ -45,8 +41,6 @@ from .quiver import (
     validate_relations,
 )
 from .linalg import field_by_name
-
-CACHE_DIR_ENV = "QCHARLAB_CACHE_DIR"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -72,68 +66,6 @@ def _write_artifact(path, obj):
     payload["conventions"] = CONVENTIONS_VERSION
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(_canonical_json(payload))
-
-
-# ---------------------------------------------------------------------------
-# q-character cache
-
-
-def _qchar_cache_key(label, node, cap_monomials, cap_height):
-    blob = (f"{CONVENTIONS_VERSION}|{CLOSURE_REVISION}|{label}|{node}|"
-            f"{cap_monomials}|{cap_height}")
-    return hashlib.sha256(blob.encode()).hexdigest()[:24]
-
-
-def _checksum(text):
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def load_or_compute_qchar(datum, node, cache_dir, cap_monomials, cap_height):
-    """fm_qchar behind a content-checked disk cache; hits never change results.
-
-    The cache file is {"checksum", "conventions", "payload"} in canonical
-    JSON, the payload being ``QChar.to_json_text()`` and the checksum its
-    sha256.  A hit is checked against the text of what was read back, so the
-    checksum covers every value and the order of the entries it returns.
-    """
-    if cap_height is None:  # the exact bound, resolved so the key names it
-        cap_height = lowest_weight_height(datum, node)
-    if not cache_dir:
-        return fm_qchar(datum, node, cap_monomials, cap_height)
-    key = _qchar_cache_key(datum.label, node, cap_monomials, cap_height)
-    path = os.path.join(cache_dir, f"qchar-{key}.json")
-    if os.path.exists(path):
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                stored = json.load(handle)
-            payload = stored["payload"]
-            if stored.get("conventions") != CONVENTIONS_VERSION:
-                raise CacheIntegrityError(f"{path}: conventions tag mismatch")
-            qchar = QChar.from_json_obj(datum, payload)
-            if stored.get("checksum") != _checksum(qchar.to_json_text()):
-                raise CacheIntegrityError(f"{path}: checksum mismatch")
-            return qchar
-        except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
-            raise CacheIntegrityError(f"{path}: unreadable cache file ({exc})")
-    qchar = fm_qchar(datum, node, cap_monomials, cap_height)
-    text = qchar.to_json_text()
-    os.makedirs(cache_dir, exist_ok=True)
-    # write a temp file beside the target and rename it into place, so a
-    # crash mid-write never leaves a partial file at the cache path
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            # the bytes _canonical_json writes for the same object
-            handle.write(f'{{"checksum":{json.dumps(_checksum(text))},'
-                         f'"conventions":{json.dumps(CONVENTIONS_VERSION)},'
-                         f'"payload":')
-            handle.write(text)
-            handle.write("}\n")
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    return qchar
 
 
 # ---------------------------------------------------------------------------
@@ -192,17 +124,19 @@ def _split_dims_text(text):
             current = []
         else:
             current.append(ch)
-    if current:
-        parts.append("".join(current))
+    parts.append("".join(current))
     return parts
 
 
 def parse_dims(text):
+    """{(i, a): n} of 'n@(i,a),...'; blank text is no entries, an empty part an error."""
     dims = {}
+    if not text.strip():
+        return dims
     for chunk in _split_dims_text(text):
         chunk = chunk.strip()
         if not chunk:
-            continue
+            raise _UsageError(f"empty dimension entry in {text!r}")
         match = _DIMS_RE.match(chunk)
         if not match:
             raise _UsageError(f"cannot parse dimension entry {chunk!r}")
@@ -220,7 +154,7 @@ def _check_nodes(datum, nodes):
 
 
 # settings a --config file may give; each goes in as its subcommand's flag
-_CONFIG_KEYS = ("type", "node", "cache_dir", "cap_monomials", "cap_height", "cap_w")
+_CONFIG_KEYS = ("type", "node", "cap_monomials", "cap_height", "cap_w")
 
 
 def _load_config_file(path, command):
@@ -257,8 +191,7 @@ def _load_config_file(path, command):
 def _load_qchar(args):
     datum = build_cartan(args.type)
     _check_nodes(datum, [args.node])
-    return load_or_compute_qchar(datum, args.node, args.cache_dir,
-                                 args.cap_monomials, args.cap_height)
+    return fm_qchar(datum, args.node, args.cap_monomials, args.cap_height)
 
 
 def _cmd_qchar(args):
@@ -417,8 +350,8 @@ def _build_parser():
     """The parser, and its subcommand parsers by name.
 
     Built on the first ``main`` call and shared by every later one, so
-    nothing may change it after it is built: config-file values and
-    ``$QCHARLAB_CACHE_DIR`` are applied to each call's arguments instead.
+    nothing may change it after it is built: config-file values are applied
+    to each call's arguments instead.
     """
     parser = _Parser(prog="qcharlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -431,8 +364,6 @@ def _build_parser():
         if not closure:
             return
         # the settings of the q-character closure
-        # None: $QCHARLAB_CACHE_DIR, read when main runs
-        p.add_argument("--cache-dir")
         p.add_argument("--cap-monomials", type=_positive_int,
                        default=DEFAULT_MAX_MONOMIALS)
         # None: the exact height of the lowest weight
@@ -497,8 +428,6 @@ def main(argv=None):
             argv[at:at] = [f"--{name.replace('_', '-')}={value}"
                            for name, value in values.items()]
             args = parser.parse_args(argv)
-        if getattr(args, "cache_dir", "") is None:
-            args.cache_dir = os.environ.get(CACHE_DIR_ENV)
         for name in ("type", "node"):
             if getattr(args, name, "") is None:
                 raise _UsageError(f"--{name} is required (flag or config file)")
@@ -509,7 +438,7 @@ def main(argv=None):
     except (UnsupportedType, FieldNotFinite, ShapeMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CapExceeded, CacheIntegrityError, OSError) as exc:
+    except (CapExceeded, OSError) as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         if isinstance(exc, CapExceeded) and exc.diagnostics:
             print("  " + " ".join(f"{key}={value}" for key, value

@@ -3,7 +3,7 @@
 The literature contains more than one way to spell the dictionary between
 A-monomials and Y-variables, and more than one shift in the braid operators.
 This module records the exact choices made here, so serialized artifacts can
-be tagged and stale caches rejected.
+be tagged with them.
 
 1. Spectral parameters live on the integer lattice; short roots are
    normalized to d_i = 1 so that every shift below is an integer.
@@ -34,7 +34,7 @@ be tagged and stale caches rejected.
    itself computes with the closed form the rule induces on A-monomial
    vectors (``braid._reflect_rows``).
 
-Bump the tag whenever any of the above changes: caches and reports carry it.
+Bump the tag whenever any of the above changes: every artifact carries it.
 """
 
 CONVENTIONS_VERSION = "qcharlab-conventions-1"

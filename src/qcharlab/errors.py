@@ -43,7 +43,3 @@ class DimensionMismatch(QCharLabError):
 
 class StabilityViolated(QCharLabError):
     """A point required to be stable (input or reflected output) is not."""
-
-
-class CacheIntegrityError(QCharLabError):
-    """A cache file is corrupt or was written under different conventions."""

@@ -59,8 +59,6 @@ from .errors import CapExceeded
 from .lweights import AMonomialVector, _a_inverse_table, _accumulate
 
 DEFAULT_MAX_MONOMIALS = 200000
-# names the closure rule in cache keys, so no cache serves another rule's output
-CLOSURE_REVISION = "fm-excess"
 
 
 def sl2_expansion(d_i, multiset):
@@ -192,15 +190,15 @@ class QChar:
 
     @classmethod
     def from_json_obj(cls, datum, obj):
-        """The q-character of a parsed ``to_json_text``; entries keep their
-        order, which the cache's checksum over that text vouches for."""
+        """The q-character of a parsed ``to_json_text``, in canonical order
+        whatever the order of the entries and cells read."""
         entries = {}
         for item in obj["entries"]:
             vec = AMonomialVector(
                 int(obj["node"]), {(int(i), int(a)): int(m) for i, a, m in item["v"]}
             )
             entries[vec] = int(item["mu"])
-        return cls._trusted(datum, int(obj["node"]), entries)
+        return cls(datum, int(obj["node"]), entries)
 
 
 class _Cells(dict):

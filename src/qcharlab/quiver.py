@@ -714,8 +714,6 @@ def _reflect_kernel(rep, i):
         dims = _block_dims(rep, phi_blocks(datum, i, a))
         dom = sum(dims)
         target = rep.vdim(i, a + dii)
-        if dom == 0 and target == 0:
-            continue
         basis = kernel_basis(fld, phi_map(rep, i, a), cols=dom)
         width = len(basis[0]) if basis else 0
         if dom - width != target:  # the rank of Phi

@@ -16,7 +16,8 @@ from qcharlab import cli
 from qcharlab.cartan import build_cartan
 from qcharlab.cli import _canonical_json, main
 from qcharlab.conventions import CONVENTIONS_VERSION
-from qcharlab.lweights import LaurentMonomial
+from qcharlab.lweights import AMonomialVector, LaurentMonomial
+from qcharlab.qchar import QChar
 
 from helpers import apply_s_word_inverse, factor_to_a
 
@@ -49,6 +50,7 @@ QCHAR_ARTIFACTS = {
     ("E7", 6, ()): "9e5c4ee7a62f7d9ca79a13b152a6c7587ada5515168564d52f923ca26c94de75",
     ("E8", 1, ("--cap-height", "92")):
         "588c9eac8cdf694dee20e8d0398db57224b81838caa5bb82c6369c92ca76f873",
+    ("F4", 3, ()): "bea4cbb1f5fd7a62ac6f731ae687c92b5094d8a2cf79e314fe3a4ab5d6310e3e",
 }
 QCHAR_CASES = sorted(QCHAR_ARTIFACTS)
 
@@ -65,6 +67,21 @@ def test_qchar_bytes_are_pinned(tmp_path, label, node, extra):
     ) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == QCHAR_ARTIFACTS[label, node, extra]
+
+
+# qchar --out for A2 node 1, as written when the payload was encoded from a
+# JSON object tree
+A2_NODE_1_QCHAR = (
+    '{"conventions":"qcharlab-conventions-1","entries":[{"mu":1,"v":[]},'
+    '{"mu":1,"v":[[1,1,1]]},{"mu":1,"v":[[1,1,1],[2,2,1]]}],"node":1,'
+    '"type":"A2"}\n'
+)
+
+
+def test_qchar_a2_text_is_pinned(tmp_path):
+    out = tmp_path / "a2.json"
+    assert run("qchar", "--type", "A2", "--node", "1", "--out", str(out)) == 0
+    assert out.read_text() == A2_NODE_1_QCHAR
 
 
 def test_unknown_type_is_usage_error(capsys):
@@ -87,31 +104,6 @@ def test_extremal_check_exit_codes(tmp_path):
         "longest_element": 0,
     }
     assert run("extremal-check", "--type", "A2", "--node", "2") == 0
-
-
-def test_corrupted_cache_is_resource_error(tmp_path, capsys):
-    cache = tmp_path / "cache"
-    assert run(
-        "qchar", "--type", "A2", "--node", "1", "--cache-dir", str(cache)
-    ) == 0
-    (cached,) = list(cache.iterdir())
-    text = cached.read_text()
-    assert '"mu":1' in text
-    cached.write_text(text.replace('"mu":1', '"mu":2', 1))
-    assert run(
-        "qchar", "--type", "A2", "--node", "1", "--cache-dir", str(cache)
-    ) == 2
-    assert "cache" in capsys.readouterr().err
-
-
-def test_cache_hit_preserves_output(tmp_path):
-    cache = tmp_path / "cache"
-    out1, out2 = tmp_path / "one.json", tmp_path / "two.json"
-    run("qchar", "--type", "B2", "--node", "2", "--cache-dir", str(cache),
-        "--out", str(out1))
-    run("qchar", "--type", "B2", "--node", "2", "--cache-dir", str(cache),
-        "--out", str(out2))
-    assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -301,20 +293,60 @@ def test_a_slot_repeated_in_a_dims_flag_is_usage_error(capsys, flag, slot):
     assert f"repeats the slot {slot}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag", ["--v", "--w"])
+@pytest.mark.parametrize("text", [",", "1@(1,1),", "1@(1,1),,1@(2,2)"])
+def test_an_empty_part_in_a_dims_flag_is_usage_error(capsys, flag, text):
+    dims = {"--v": "1@(1,1)", "--w": "1@(1,0)", flag: text}
+    assert run("quiver-search", "--type", "A2", "--v", dims["--v"],
+               "--w", dims["--w"], "--theta=-1") == 1
+    err = capsys.readouterr().err
+    assert err == f"usage error: empty dimension entry in {text!r}\n"
+
+
+def test_blank_dims_are_no_entries():
+    assert cli.parse_dims("") == cli.parse_dims("  ") == {}
+
+
+def test_quiver_search_over_q_is_usage_error(capsys):
+    assert run("quiver-search", "--type", "A1", "--v", "1@(1,1)",
+               "--w", "1@(1,0)", "--field", "Q") == 1
+    err = capsys.readouterr().err
+    assert "needs a finite field" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("theta", ["-1,-1", "-1,-1,-1"])
+def test_theta_with_the_wrong_number_of_entries_is_usage_error(
+        tmp_path, capsys, theta):
+    # A1 takes 1 entry, A2 takes 1 or 2
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps(POINT_A1))
+    assert run("quiver-reflect", "--node", "1", f"--theta={theta}",
+               str(point)) == 1
+    assert run("quiver-search", "--type", "A2", "--v", "1@(1,1)",
+               "--w", "1@(1,0)", f"--theta={theta},-1") == 1
+    err = capsys.readouterr().err.splitlines()
+    count = len(theta.split(","))
+    assert err[0].startswith("usage error: theta needs 1 or")
+    assert err[0].endswith(f"entries, got {count}")
+    assert err[1] == f"usage error: theta needs 1 or 2 entries, got {count + 1}"
+
+
 def test_quiver_check(tmp_path):
     point = tmp_path / "point.json"
     point.write_text(json.dumps(POINT_A1))
     assert run("quiver-check", str(point)) == 0
 
 
-def test_quiver_check_flags_violations(tmp_path, capsys):
-    bad = dict(POINT_A1)
-    bad["v"] = [[1, 1, 1], [1, -1, 1]]
-    bad["maps"] = POINT_A1["maps"] + [
+# POINT_A1 with a second slot and an arrow into it, which fails relation E4
+POINT_A1_FAILING_E4 = dict(
+    POINT_A1, v=[[1, 1, 1], [1, -1, 1]], maps=POINT_A1["maps"] + [
         {"kind": "arrow", "from": [1, 1], "to": [1, -1], "matrix": [[1]]}
-    ]
+    ])
+
+
+def test_quiver_check_flags_violations(tmp_path, capsys):
     point = tmp_path / "bad.json"
-    point.write_text(json.dumps(bad))
+    point.write_text(json.dumps(POINT_A1_FAILING_E4))
     assert run("quiver-check", str(point)) == 3
     assert "E4" in capsys.readouterr().out
 
@@ -331,6 +363,16 @@ def test_quiver_reflect(tmp_path, capsys):
     assert "new dims v: []" in text
     payload = json.loads(out.read_text())
     assert payload["v"] == [] and payload["theta_bar"] == ["1"]
+
+
+def test_quiver_reflect_of_an_invalid_point_is_violation(tmp_path, capsys):
+    point, out = tmp_path / "bad.json", tmp_path / "reflected.json"
+    point.write_text(json.dumps(POINT_A1_FAILING_E4))
+    assert run("quiver-reflect", "--node", "1", "--theta=-1", str(point),
+               "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("violation: input point invalid: E4")
+    assert not out.exists()
 
 
 def test_quiver_reflect_unstable_is_violation(tmp_path):
@@ -460,20 +502,34 @@ def test_every_cap_must_be_a_positive_integer(tmp_path, capsys, command,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("setting", ["cache_dir", "cap_monomials", "cap_height"])
+@pytest.mark.parametrize("setting", ["cap_monomials", "cap_height"])
 def test_braid_orbit_takes_no_closure_setting(tmp_path, capsys, setting):
     # valid values, refused because braid-orbit computes no q-character
-    cache = tmp_path / "cache"
-    value = str(cache) if setting == "cache_dir" else "64"
     out = tmp_path / "orbit.json"
     command = ("braid-orbit", "--type", "A2", "--node", "1", "--out", str(out))
     flag = f"--{setting.replace('_', '-')}"
-    assert run(*command, flag, value) == 1
+    assert run(*command, flag, "64") == 1
     assert flag in capsys.readouterr().err
     config = tmp_path / "run.cfg"
-    config.write_text(f"{setting} = {value}\n")
+    config.write_text(f"{setting} = 64\n")
     assert run(*command, "--config", str(config)) == 1
     assert repr(setting) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, out_flag", [
+    ("qchar", "--out"), ("extremal-check", "--report"), ("braid-orbit", "--out"),
+], ids=["qchar", "extremal-check", "braid-orbit"])
+def test_there_is_no_cache_dir_setting(tmp_path, capsys, command, out_flag):
+    # every q-character is computed; no flag or config key names a cache
+    cache, out = tmp_path / "cache", tmp_path / "artifact.json"
+    argv = (command, "--type", "A2", "--node", "1", out_flag, str(out))
+    assert run(*argv, "--cache-dir", str(cache)) == 1
+    assert "--cache-dir" in capsys.readouterr().err
+    config = tmp_path / "run.cfg"
+    config.write_text(f"cache_dir = {cache}\n")
+    assert run(*argv, "--config", str(config)) == 1
+    assert "'cache_dir'" in capsys.readouterr().err
     assert not out.exists() and not cache.exists()
 
 
@@ -490,32 +546,11 @@ def test_qchar_takes_no_weyl_cap(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cache_dir_env_override(tmp_path, monkeypatch):
-    cache = tmp_path / "envcache"
-    monkeypatch.setenv("QCHARLAB_CACHE_DIR", str(cache))
-    assert run("qchar", "--type", "A1", "--node", "1") == 0
-    assert cache.exists() and list(cache.iterdir())
-
-
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("type = A2\nnode = 1\ncap_hieght = 1\n")
     assert run("qchar", "--config", str(config)) == 1
     assert "cap_hieght" in capsys.readouterr().err
-
-
-def test_cache_dir_flag_then_config_then_env(tmp_path, monkeypatch):
-    env, filed, flag = (tmp_path / name for name in ("env", "file", "flag"))
-    monkeypatch.setenv("QCHARLAB_CACHE_DIR", str(env))
-    config = tmp_path / "run.cfg"
-    config.write_text(f"type = A1\nnode = 1\ncache_dir = {filed}\n")
-    assert run("qchar", "--config", str(config)) == 0
-    assert filed.exists() and not env.exists()
-    assert run("qchar", "--config", str(config), "--cache-dir", str(flag)) == 0
-    assert flag.exists() and not env.exists()
-    config.write_text("type = A1\nnode = 1\n")
-    assert run("qchar", "--config", str(config)) == 0
-    assert env.exists()
 
 
 def test_point_file_with_contradicting_maps_is_usage_error(tmp_path, capsys):
@@ -589,6 +624,26 @@ def test_extremal_timing_goes_to_stderr_not_the_report(tmp_path, capsys):
     assert hashlib.sha256(report.read_bytes()).hexdigest() == B3_NODE_2_REPORT
 
 
+def test_extremal_check_prints_violations_and_exits_3(tmp_path, monkeypatch,
+                                                      capsys):
+    # the negative control of test_extremal: an A1 character with a monomial
+    # injected, which s_1 pushes out of the cone
+    real = cli.fm_qchar
+
+    def corrupted(datum, node, *args, **kwargs):
+        q = real(datum, node, *args, **kwargs)
+        return QChar(datum, node, {**q.entries, AMonomialVector(node, {(1, 3): 1}): 1})
+
+    monkeypatch.setattr(cli, "fm_qchar", corrupted)
+    report = tmp_path / "report.json"
+    assert run("extremal-check", "--type", "A1", "--node", "1",
+               "--report", str(report)) == 3
+    out = capsys.readouterr().out.splitlines()
+    assert "  violations     : 1" in out
+    assert out[-1] == "  VIOLATION word=[1] vector=AVec[1|(1,3):1] at ((1, 1),)"
+    assert len(json.loads(report.read_text())["violations"]) == 1
+
+
 def test_extremal_check_computes_the_qchar_once(tmp_path, monkeypatch):
     from qcharlab import qchar as qchar_module
 
@@ -602,15 +657,9 @@ def test_extremal_check_computes_the_qchar_once(tmp_path, monkeypatch):
     for module in list(sys.modules.values()):
         if getattr(module, "fm_qchar", None) is real:
             monkeypatch.setattr(module, "fm_qchar", counting)
-    cache = ["--cache-dir", str(tmp_path / "cache")]
-    reports = []
-    # no cache, a cold cache, then a warm cache that computes nothing
-    for extra, expected_calls in [([], 1), (cache, 2), (cache, 2)]:
-        reports.append(tmp_path / f"report{len(reports)}.json")
-        assert run("extremal-check", "--type", "B2", "--node", "1", *extra,
-                   "--report", str(reports[-1])) == 0
-        assert len(calls) == expected_calls
-    assert len({report.read_bytes() for report in reports}) == 1
+    assert run("extremal-check", "--type", "B2", "--node", "1",
+               "--report", str(tmp_path / "report.json")) == 0
+    assert len(calls) == 1
 
 
 def test_config_file_caps_are_honoured(tmp_path, capsys):
@@ -624,135 +673,9 @@ def test_config_file_caps_are_honoured(tmp_path, capsys):
     assert run("qchar", "--config", str(config)) == 1
 
 
-def test_failed_cache_write_leaves_no_file(tmp_path, monkeypatch):
-    from qcharlab import cli
-
-    writes = []
-
-    class FailingHandle:
-        """A file whose second write fails, after the first has landed."""
-
-        def __init__(self, handle):
-            self.handle = handle
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            self.handle.close()
-
-        def write(self, text):
-            writes.append(text)
-            if len(writes) == 2:
-                raise OSError("disk full")
-            return self.handle.write(text)
-
-    def failing_open(path, mode="r", **kwargs):
-        handle = open(path, mode, **kwargs)
-        return FailingHandle(handle) if "w" in mode else handle
-
-    cache = tmp_path / "cache"
-    monkeypatch.setattr(cli, "open", failing_open, raising=False)
-    assert run("qchar", "--type", "A2", "--node", "1",
-               "--cache-dir", str(cache)) == 2
-    assert len(writes) == 2  # the write failed partway through the file
-    assert list(cache.iterdir()) == []
-    monkeypatch.undo()
-    # the next run recomputes, writes the cache, and a third run reads it
-    for _ in range(2):
-        assert run("qchar", "--type", "A2", "--node", "1",
-                   "--cache-dir", str(cache)) == 0
-    assert len(list(cache.iterdir())) == 1
-
-
-# sha256 of the cache file for F4 node 3, as written when the cache payload
-# was encoded from a JSON object tree
-F4_NODE_3_CACHE_FILE = (
-    "qchar-7ef426ca711b1ce799eb5773.json",
-    "305976037f17f15d5cd435cb2d309b373f6c4b3d1a0275952a67e5f6af9b9b94",
-)
-# the cache file for A2 node 1 as that encoder wrote it
-A2_NODE_1_CACHE_FILE = (
-    "qchar-170e219499c51389cbd0e798.json",
-    '{"checksum":"857c43e8d4495566edc384df31860d8dc71b1c22a42829d88e02d666e85e0a21",'
-    '"conventions":"qcharlab-conventions-1","payload":{"conventions":'
-    '"qcharlab-conventions-1","entries":[{"mu":1,"v":[]},{"mu":1,"v":[[1,1,1]]},'
-    '{"mu":1,"v":[[1,1,1],[2,2,1]]}],"node":1,"type":"A2"}}\n',
-)
-
-
-def _refuse_to_compute(monkeypatch):
-    from qcharlab import cli
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a cache hit computed the q-character")
-
-    monkeypatch.setattr(cli, "fm_qchar", refuse)
-
-
-def test_cache_file_bytes_are_pinned_and_read_back(tmp_path, monkeypatch):
-    cache, out = tmp_path / "cache", tmp_path / "f4.json"
-    assert run("qchar", "--type", "F4", "--node", "3",
-               "--cache-dir", str(cache)) == 0
-    name, digest = F4_NODE_3_CACHE_FILE
-    assert [path.name for path in cache.iterdir()] == [name]
-    assert hashlib.sha256((cache / name).read_bytes()).hexdigest() == digest
-    _refuse_to_compute(monkeypatch)
-    assert run("qchar", "--type", "F4", "--node", "3",
-               "--cache-dir", str(cache), "--out", str(out)) == 0
-    assert out.stat().st_size > 0
-
-
-def test_an_older_cache_file_is_a_hit(tmp_path, monkeypatch):
-    cache, out = tmp_path / "cache", tmp_path / "a2.json"
-    cache.mkdir()
-    name, text = A2_NODE_1_CACHE_FILE
-    (cache / name).write_text(text)
-    _refuse_to_compute(monkeypatch)
-    assert run("qchar", "--type", "A2", "--node", "1",
-               "--cache-dir", str(cache), "--out", str(out)) == 0
-    # the artifact is the payload, which sits between "payload": and "}\n"
-    assert out.read_text() == text[text.index('{"conventions"'):-2] + "\n"
-    assert (cache / name).read_text() == text
-
-
-def test_reordered_cache_entries_fail_the_checksum(tmp_path, capsys):
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    name, text = A2_NODE_1_CACHE_FILE
-    stored = json.loads(text)
-    stored["payload"]["entries"].reverse()
-    (cache / name).write_text(json.dumps(stored))
-    assert run("qchar", "--type", "A2", "--node", "1",
-               "--cache-dir", str(cache)) == 2
-    assert "checksum mismatch" in capsys.readouterr().err
-
-
-def test_cache_cells_out_of_order_fail_the_checksum(tmp_path, capsys):
-    # a payload listing one vector's cells in reverse order, checksummed as it
-    # stands: the reader builds each vector in sorted order, so the text it
-    # writes back differs, and the hit is refused
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    name, text = A2_NODE_1_CACHE_FILE
-    payload = json.loads(text)["payload"]
-    cells = payload["entries"][-1]["v"]
-    assert len(cells) == 2
-    cells.reverse()
-    payload_text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    (cache / name).write_text(json.dumps({
-        "checksum": hashlib.sha256(payload_text.encode()).hexdigest(),
-        "conventions": CONVENTIONS_VERSION,
-        "payload": payload,
-    }, sort_keys=True, separators=(",", ":")))
-    assert run("qchar", "--type", "A2", "--node", "1",
-               "--cache-dir", str(cache)) == 2
-    assert "checksum mismatch" in capsys.readouterr().err
-
-
 def test_qchar_writes_no_json_object_tree(tmp_path, monkeypatch):
-    # the artifact and the cache file are written from one canonical text, so
-    # json.dumps only ever escapes the few strings around it
+    # the artifact is written from one canonical text, so json.dumps only
+    # ever escapes the few strings around it
     handed = []
     real = json.dumps
 
@@ -761,9 +684,8 @@ def test_qchar_writes_no_json_object_tree(tmp_path, monkeypatch):
         return real(obj, *args, **kwargs)
 
     monkeypatch.setattr(json, "dumps", recording)
-    for extra in ([], ["--cache-dir", str(tmp_path / "cache")]):
-        assert run("qchar", "--type", "B3", "--node", "1", *extra,
-                   "--out", str(tmp_path / "b3.json")) == 0
+    assert run("qchar", "--type", "B3", "--node", "1",
+               "--out", str(tmp_path / "b3.json")) == 0
     assert handed and set(handed) == {str}
 
 
@@ -937,11 +859,9 @@ def _parses_as_int(text):
 # every subcommand, with the config keys it takes; the quiver ones take no
 # --config at all.  The argv is complete but for --type/--node.
 _CONFIG_TAKERS = {
-    "qchar": (("qchar",), ("type", "node", "cache_dir", "cap_monomials",
-                           "cap_height")),
-    "extremal-check": (("extremal-check",), ("type", "node", "cache_dir",
-                                             "cap_monomials", "cap_height",
-                                             "cap_w")),
+    "qchar": (("qchar",), ("type", "node", "cap_monomials", "cap_height")),
+    "extremal-check": (("extremal-check",), ("type", "node", "cap_monomials",
+                                             "cap_height", "cap_w")),
     "braid-orbit": (("braid-orbit",), ("type", "node", "cap_w")),
     "quiver-check": (("quiver-check", "point.json"), ()),
     "quiver-reflect": (("quiver-reflect", "point.json", "--node", "1",
@@ -989,7 +909,7 @@ def _malformed_config(draw):
             st.integers(max_value=0).map(str),
             _LINE.filter(lambda t: not _parses_as_int(t))))
     else:
-        others = [key for key in ("type", "node", "cache_dir", *_CAPS)
+        others = [key for key in ("type", "node", *_CAPS)
                   if key not in takes]
         name = draw(st.one_of(st.sampled_from(others or ["cap_entries"]),
                               st.sampled_from(["cap_entries", "field", "word",
