@@ -74,6 +74,13 @@ def reflect_dimensions(datum, i, v, w):
     return out
 
 
+def _push_dims(datum, word, dims, framing):
+    """S_w on one dimension vector by replaying the whole word; zeros dropped."""
+    for i in word:
+        dims = reflect_dimensions(datum, i, dims, framing)
+    return {key: mult for key, mult in dims.items() if mult}
+
+
 def unit_framing(k):
     """The framing of the fundamental anchor Y_{k,0}."""
     return {(k, 0): 1}

@@ -102,7 +102,8 @@ def _parse_theta(text, datum):
     if len(parts) == 1:
         parts = parts * datum.rank
     if len(parts) != datum.rank:
-        raise _UsageError(f"theta needs 1 or {datum.rank} entries, got {len(parts)}")
+        counts = "1 entry" if datum.rank == 1 else f"1 or {datum.rank} entries"
+        raise _UsageError(f"theta needs {counts}, got {len(parts)}")
     if not is_generic(datum, parts):
         raise _UsageError(f"theta {text!r} lies on a root hyperplane")
     return tuple(parts)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .braid import _reflect_rows, _reflection_table, reflect_dimensions, unit_framing
+from .braid import _push_dims, _reflect_rows, _reflection_table, unit_framing
 from .cartan import (
     DEFAULT_WEYL_CAP,
     _orbit_walk,
@@ -34,13 +34,6 @@ class ConeViolation:
     vector: object
     image: object
     positions: tuple
-
-
-def _push_dims(datum, word, dims, framing):
-    """S_w on one dimension vector by replaying the whole word; zeros dropped."""
-    for i in word:
-        dims = reflect_dimensions(datum, i, dims, framing)
-    return {key: mult for key, mult in dims.items() if mult}
 
 
 def _violation(word, vec, image):
@@ -357,20 +350,15 @@ def cone_vertices(datum, node):
             = sigma(S_{i_t} ... S_{i_1}(Y_{k,0})).
 
     The omega_k-orbit is walked breadth first by ``cartan._orbit_walk``; each
-    orbit point takes one :func:`braid.reflect_dimensions` step from its
+    orbit point takes one :func:`braid._push_dims` step from its
     parent's S-push of the zero vector (framing Y_{k,0}), and its vertex is
     that push with the parameters negated.
     """
     framing = unit_framing(node)
     pushed = {}
     for word, weight in _orbit_walk(datum, fundamental_weight(datum, node)):
-        if word:
-            i = word[-1]
-            dims = reflect_dimensions(
-                datum, i, pushed[reflect_weight(datum, i, weight)], framing)
-            pushed[weight] = {key: mult for key, mult in dims.items() if mult}
-        else:
-            pushed[weight] = {}
+        parent = pushed[reflect_weight(datum, word[-1], weight)] if word else {}
+        pushed[weight] = _push_dims(datum, word[-1:], parent, framing)
     return {weight: _negated(node, dims) for weight, dims in pushed.items()}
 
 

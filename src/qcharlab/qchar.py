@@ -14,7 +14,7 @@ q-character is invariant under v -> v_low - tau(v), tau(i, a) = (ibar,
 c - a), with the same multiplicity; the map sends height h to H - h.
 Every piece comes from the root datum, and nothing is expanded: v_low is
 the S-push of the zero vector along the word of ``cartan._lower`` from
-omega_k to w_0 omega_k (``braid.reflect_dimensions``, framing Y_{k,0}),
+omega_k to w_0 omega_k (``braid._push_dims``, framing Y_{k,0}),
 with its parameters negated; ibar is read off w_0 omega_i = -omega_ibar;
 and c is the smallest plus the largest parameter of v_low.
 
@@ -47,7 +47,7 @@ from bisect import bisect_left
 from itertools import compress
 from operator import itemgetter
 
-from .braid import reflect_dimensions, unit_framing
+from .braid import _push_dims, unit_framing
 from .cartan import (
     _lower,
     fundamental_weight,
@@ -370,10 +370,9 @@ def _mirror(datum, node):
     q-character is invariant under v -> v_low - tau(v), multiplicities
     included, which sends height h to H - h.
     """
-    dims = {}
-    for i in _lower(datum, fundamental_weight(datum, node))[2]:
-        dims = reflect_dimensions(datum, i, dims, unit_framing(node))
-    lowest = {(i, -a): m for (i, a), m in dims.items() if m}
+    word = _lower(datum, fundamental_weight(datum, node))[2]
+    dims = _push_dims(datum, word, {}, unit_framing(node))
+    lowest = {(i, -a): m for (i, a), m in dims.items()}
     bar = {i: _lower(datum, fundamental_weight(datum, i))[0].index(-1) + 1
            for i in datum.nodes}
     params = [a for _, a in lowest]

@@ -13,9 +13,10 @@ The defining relations, checked by :func:`validate_relations`.  Each is a
 sum of path composites out of one slot that must vanish (see
 :func:`_relation_table`):
 
-  E1bis  sum over neighbors j and l = 0..-c_ij-1 of
-         loop_i^{-c_ij-1-l} o (i<-j) o (j<-i) o loop_i^l,
-         plus A_i^{a+d_i} B_i^{a+d_i}, vanishes as a map V_i^a -> V_i^{a+d_ii};
+  E1bis  Phi_i^a o Psi_i^a = 0 as a map V_i^a -> V_i^{a+d_ii}: the sum over
+         neighbors j and t = 1..-c_ij of
+         loop_i^{t-1} o (i<-j) o (j<-i) o loop_i^{-c_ij-t},
+         plus A_i^{a+d_i} B_i^{a+d_i} (:func:`_block_paths`);
   E2     loop_j^{-c_ji} o (j<-i)  +  (j<-i) o loop_i^{-c_ij} = 0
          as a map V_i^a -> V_j^{a+d_ij}, for adjacent i != j;
   E4     loop_i o A_i^a = 0;
@@ -33,8 +34,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .braid import _reflection_table, reflect_dimensions
-from .cartan import _lower, reflect_weight
+from .braid import _push_dims, _reflection_table, reflect_dimensions
+from .cartan import _lower, build_cartan, is_generic, reflect_weight
 from .errors import (
     CapExceeded,
     DimensionMismatch,
@@ -142,10 +143,8 @@ class GradedQuiverRep:
         }
 
     @classmethod
-    def from_json_obj(cls, obj, datum=None):
-        from .cartan import build_cartan
-
-        datum = datum or build_cartan(obj["type"])
+    def from_json_obj(cls, obj):
+        datum = build_cartan(obj["type"])
         fld = field_by_name(obj["field"])
         v, w = (_read_dims(obj[name], name) for name in ("v", "w"))
         spaces = {kind: pair for pair, kind in _KINDS.items()}
@@ -270,34 +269,29 @@ def _relation_table(rep, framed=True):
 
     The composites along ``paths``, each a tuple of slots out of one start
     slot, must add up to zero.  Rows come in the order E1bis, E2, then E4 and
-    E5 per W slot.  With ``framed=False`` the loop relation drops its AB term
-    and is named E1, and E4/E5 are left out.
+    E5 per W slot.  E1bis at (i, a) is Phi_i^a Psi_i^a = 0: one path per
+    block of :func:`_block_paths`, Psi's into the block's slot and then
+    Phi's out of it.  With ``framed=False`` the loop relation drops the W
+    block, its AB term, and is named E1, and E4/E5 are left out.
     """
     datum = rep.datum
-    table = []  # rows with each path as its start and its targets
+    table = [("E1bis" if framed else "E1", i, i, a,
+              [psi + phi[1:] for block, phi, psi, _ in _block_paths(datum, i, a)
+               if framed or block[0] == "V"])
+             for (i, a) in sorted(rep.v)]
     for (i, a) in sorted(rep.v):
-        at = ("V", i)
-        paths = []
+        start = ("V", i, a)
         for j in datum.neighbors(i):
-            c = -datum.c(i, j)
-            paths += [[at] * l + [("V", j), at] + [at] * (c - 1 - l)
-                      for l in range(c)]
-        if framed:
-            paths.append([("W", i), at])
-        table.append(("E1bis" if framed else "E1", i, i, a, ("V", i, a), paths))
-    for (i, a) in sorted(rep.v):
-        for j in datum.neighbors(i):
-            table.append(("E2", i, j, a, ("V", i, a), [
-                [("V", j)] * (1 - datum.c(j, i)),
-                [("V", i)] * -datum.c(i, j) + [("V", j)],
+            table.append(("E2", i, j, a, [
+                _path(datum, start, [("V", j)] * (1 - datum.c(j, i))),
+                _path(datum, start, [("V", i)] * -datum.c(i, j) + [("V", j)]),
             ]))
     if framed:
         for (i, a) in sorted(rep.w):
-            table.append(("E4", i, i, a, ("W", i, a), [[("V", i)] * 2]))
-            table.append(("E5", i, i, a, ("V", i, a + datum.di(i)),
-                          [[("V", i), ("W", i)]]))
-    return [(name, i, j, a, [_path(datum, start, targets) for targets in paths])
-            for name, i, j, a, start, paths in table]
+            table.append(("E4", i, i, a, [_path(datum, ("W", i, a), [("V", i)] * 2)]))
+            table.append(("E5", i, i, a, [
+                _path(datum, ("V", i, a + datum.di(i)), [("V", i), ("W", i)])]))
+    return table
 
 
 def _violations(rep, table):
@@ -410,39 +404,30 @@ def _framing_image_seeds(rep):
     return seeds
 
 
-@lru_cache(maxsize=1024)
-def _walk(datum, theta):
-    """(word, generic) for the tuple ``theta``: ``cartan._lower`` on -theta.
-
-    The word's nodes are theta's first negative node at each step of the
-    walk up to the positive chamber; theta is generic iff the antidominant
-    conjugate of -theta has no zero coordinate.
-    """
-    top, _, word = _lower(datum, tuple(-t for t in theta))
-    return word, all(top)
-
-
-def _word(datum, theta):
-    word, generic = _walk(datum, tuple(theta))
-    if not generic:
-        raise NonGenericTheta(f"{theta} lies on a root hyperplane")
-    return word
+def _theta_text(theta):
+    """``theta`` as its ``--theta`` text: its entries joined by commas."""
+    return ",".join(map(str, theta))
 
 
 @lru_cache(maxsize=1024)
 def _route(datum, theta):
     """How :func:`stability_check` decides the tuple ``theta``.
 
-    None in the negative chamber.  Otherwise (dual, word): the walk up from
-    theta, or with ``dual`` the walk up from -theta on the transposed point,
-    whichever word is strictly shorter, theta's on a tie.  A word's length
-    counts the positive roots theta pairs < 0 with, so the two lengths add up
-    to l(w_0) and the walk taken has min(l, l(w_0) - l) steps.
+    Raises NonGenericTheta on a root hyperplane.  None in the negative
+    chamber.  Otherwise (dual, word): the walk up from theta, or with
+    ``dual`` the walk up from -theta on the transposed point, whichever word
+    is strictly shorter, theta's on a tie.  The walk up from theta takes the
+    word of ``cartan._lower`` on -theta: theta's first negative node at each
+    step.  A word's length counts the positive roots theta pairs < 0 with,
+    so the two lengths add up to l(w_0) and the walk taken has
+    min(l, l(w_0) - l) steps.
     """
-    up = _word(datum, theta)
+    if not is_generic(datum, theta):
+        raise NonGenericTheta(f"{_theta_text(theta)} lies on a root hyperplane")
     if all(t < 0 for t in theta):
         return None
-    down, _ = _walk(datum, tuple(-t for t in theta))
+    up = _lower(datum, tuple(-t for t in theta))[2]
+    down = _lower(datum, theta)[2]
     return (True, down) if len(down) < len(up) else (False, up)
 
 
@@ -774,7 +759,7 @@ def reflect(rep, i, theta):
     Requires theta_i < 0 and generic theta.  Returns (new point, s_i theta).
     :func:`_reflect_kernel` does the work; around it the input's relations
     and stability, and the output's relations, dimensions (against
-    ``reflect_dimensions``) and stability are enforced, not assumed.
+    ``braid._push_dims``) and stability are enforced, not assumed.
     """
     datum = rep.datum
     if theta[i - 1] >= 0:
@@ -783,7 +768,8 @@ def reflect(rep, i, theta):
     if bad:
         raise RelationViolated(f"input point invalid: {bad[0]}")
     if not stability_check(rep, theta):
-        raise StabilityViolated(f"input point is not stable for {theta}")
+        raise StabilityViolated(
+            f"input point is not stable for {_theta_text(theta)}")
     reflected = _reflect_kernel(rep, i)
     if reflected is None:
         raise NotSurjective(
@@ -792,8 +778,7 @@ def reflect(rep, i, theta):
     bad = validate_relations(reflected)
     if bad:
         raise RelationViolated(f"reflected point invalid: {bad[0]}")
-    predicted = {key: n for key, n in reflect_dimensions(datum, i, rep.v, rep.w).items()
-                 if n}
+    predicted = _push_dims(datum, (i,), rep.v, rep.w)
     if predicted != reflected.v:
         raise DimensionMismatch(
             f"reflected dims {sorted(reflected.v.items())} != "
@@ -801,7 +786,8 @@ def reflect(rep, i, theta):
         )
     theta_bar = reflect_weight(datum, i, theta)
     if not stability_check(reflected, theta_bar):
-        raise StabilityViolated(f"reflected point is not stable for {theta_bar}")
+        raise StabilityViolated(
+            f"reflected point is not stable for {_theta_text(theta_bar)}")
     return reflected, theta_bar
 
 

@@ -25,6 +25,7 @@ from pathlib import Path
 from qcharlab import quiver
 from qcharlab.braid import reflect_dimensions, unit_framing
 from qcharlab.cartan import (
+    _lower,
     _orbit_walk,
     build_cartan,
     fundamental_weight,
@@ -44,6 +45,13 @@ from qcharlab.linalg import (
 from qcharlab.lweights import AMonomialVector, LaurentMonomial, _accumulate, expand_to_y
 from qcharlab.qchar import QChar, fm_qchar, sl2_expansion
 from qcharlab.quiver import RelationViolation, exhaustive_search
+
+# every type build_cartan accepts
+SUPPORTED_LABELS = (
+    [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
 
 
 def perfbench_module(name):
@@ -533,6 +541,24 @@ def _mat_sum(fld, mats, rows, cols):
     return total
 
 
+def e1bis_paths_oracle(datum, i, a, framed):
+    """The paths of E1bis at (i, a), or of E1 without ``framed``, term by term.
+
+    Per neighbour j and l = 0..-c_ij-1 the path of
+    loop_i^{-c_ij-1-l} o (i<-j) o (j<-i) o loop_i^l out of V_i^a, then the
+    path of A_i^{a+d_i} B_i^{a+d_i} if ``framed``.  The oracle of the
+    Phi o Psi rows of ``quiver._relation_table``.
+    """
+    at = ("V", i)
+    paths = []
+    for j in datum.neighbors(i):
+        c = -datum.c(i, j)
+        paths += [[at] * l + [("V", j), at] + [at] * (c - 1 - l) for l in range(c)]
+    if framed:
+        paths.append([("W", i), at])
+    return [quiver._path(datum, ("V", i, a), targets) for targets in paths]
+
+
 def _e1bis_violations(rep, include_ab):
     datum, fld = rep.datum, rep.field
     out = []
@@ -756,10 +782,9 @@ def stability_by_walking_up(rep, theta):
     (rep, theta), whichever of theta and -theta lies nearer the positive
     chamber.  The differential oracle of ``quiver._route``.
     """
-    word = quiver._word(rep.datum, theta)
     if all(t < 0 for t in theta):
         return quiver.is_framed_stable(rep)
-    for i in word:
+    for i in _lower(rep.datum, tuple(-t for t in theta))[2]:
         rep = quiver._reflect_kernel(rep, i)
         if rep is None:
             return False

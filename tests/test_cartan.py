@@ -16,6 +16,7 @@ from qcharlab.cartan import (
 from qcharlab.errors import CapExceeded, UnsupportedType
 
 from helpers import (
+    SUPPORTED_LABELS,
     all_roots,
     apply_root_matrix,
     is_generic_by_roots,
@@ -31,13 +32,6 @@ ALL_LABELS = [
 ]
 
 SMALL_LABELS = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2", "D4"]
-
-# every type build_cartan accepts
-SUPPORTED_LABELS = (
-    [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
-    + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(4, 9)]
-    + ["E6", "E7", "E8", "F4", "G2"]
-)
 
 
 def _identity_matrix(n):

@@ -307,7 +307,7 @@ def test_one_row_rewrite_per_element(label, node, recheck_limit, monkeypatch):
         raise AssertionError("the walk replays no word")
 
     monkeypatch.setattr(extremal, "_reflect_rows", counting)
-    monkeypatch.setattr(extremal, "reflect_dimensions", no_replay)
+    monkeypatch.setattr(extremal, "_push_dims", no_replay)
     monkeypatch.setattr(extremal, "RECHECK_LIMIT", recheck_limit)
     summary = verify_theorem_main(fm_qchar(build_cartan(label), node))
     assert summary.group_order > recheck_limit

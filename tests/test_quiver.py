@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from qcharlab import quiver
 from qcharlab.braid import reflect_dimensions
-from qcharlab.cartan import build_cartan, reflect_weight
+from qcharlab.cartan import _lower, build_cartan, reflect_weight
 from qcharlab.cli import _parse_theta, parse_dims
 from qcharlab.errors import (
     CapExceeded,
@@ -47,7 +47,9 @@ from qcharlab.quiver import (
 )
 
 from helpers import (
+    SUPPORTED_LABELS,
     _map_ends,
+    e1bis_paths_oracle,
     is_generic_by_roots,
     kind_and_key,
     loop_power,
@@ -254,7 +256,7 @@ def _random_point(draw):
     V slots are drawn among those a chain of maps links to the framing slot
     W_k^0, so that most relations compose maps that are present.
     """
-    datum = build_cartan(draw(st.sampled_from(["A2", "B2", "G2"])))
+    datum = build_cartan(draw(st.sampled_from(["A2", "B2", "C2", "G2", "A3"])))
     fld = draw(st.sampled_from([F2, PrimeField(3)]))
     k = draw(st.sampled_from(datum.nodes))
     linked, todo = set(), [(k, datum.di(k))]
@@ -280,6 +282,23 @@ def _random_point(draw):
     xi = draw(st.lists(entry, min_size=dim, max_size=dim))
     rep = GradedQuiverRep(datum, fld, v, w, maps)
     return rep, node, xi
+
+
+@pytest.mark.parametrize("label", SUPPORTED_LABELS)
+def test_loop_relation_is_phi_after_psi(label):
+    # each E1bis (E1) row is Psi's path into a block of the Phi domain and
+    # Phi's out of it, one per block (the W block left out unframed); as a
+    # multiset of paths it must be the relation spelled term by term
+    datum = build_cartan(label)
+    v = {(i, a): 1 for i in datum.nodes for a in range(-6, 7)}
+    rep = GradedQuiverRep(datum, F2, v, {})
+    for framed in (True, False):
+        rows = [row for row in quiver._relation_table(rep, framed)
+                if row[0] in ("E1bis", "E1")]
+        assert len(rows) == len(v)
+        for name, i, _, a, paths in rows:
+            assert name == ("E1bis" if framed else "E1")
+            assert Counter(paths) == Counter(e1bis_paths_oracle(datum, i, a, framed))
 
 
 @given(_random_point())
@@ -483,7 +502,7 @@ def test_every_walk_step_keeps_the_relations_and_the_dimensions():
     # must give a valid point with the dims of the closed form
     counts = Counter()
     for rep, theta in _walk_cases():
-        for i in quiver._word(rep.datum, theta):
+        for i in _lower(rep.datum, tuple(-t for t in theta))[2]:
             image = _reflect_kernel(rep, i)
             if image is None:
                 counts["stopped"] += 1
@@ -527,7 +546,8 @@ def test_every_quiver_mixed_theta_routes_to_one_step():
     for datum, _, _, theta in _quiver_mixed_searches():
         dual, word = quiver._route(datum, theta)
         assert dual is True and len(word) == 1
-        assert len(quiver._word(datum, theta)) == len(positive_roots(datum)) - 1
+        up = _lower(datum, tuple(-t for t in theta))[2]
+        assert len(up) == len(positive_roots(datum)) - 1
 
 
 @pytest.mark.parametrize("label,ties", [
@@ -546,7 +566,7 @@ def test_route_takes_the_shorter_word(label, ties):
     seen_ties = 0
     for theta in thetas:
         minus = tuple(-t for t in theta)
-        up, down = quiver._word(datum, theta), quiver._word(datum, minus)
+        up, down = _lower(datum, minus)[2], _lower(datum, theta)[2]
         assert len(up) + len(down) == len(positive_roots(datum))
         route = quiver._route(datum, theta)
         if max(theta) < 0:
@@ -757,7 +777,8 @@ def test_reflect_requires_negative_coefficient():
 def test_reflect_requires_generic_theta():
     datum = build_cartan("A2")
     rep = GradedQuiverRep(datum, F2, {}, {(1, 0): 1})
-    with pytest.raises(NonGenericTheta):
+    # theta is named as its --theta text
+    with pytest.raises(NonGenericTheta, match="^-1,1 lies on a root hyperplane$"):
         reflect(rep, 1, (Fraction(-1), Fraction(1)))
 
 
