@@ -198,9 +198,10 @@ def _load_qchar(args):
 def _cmd_qchar(args):
     qchar = _load_qchar(args)
     if args.out:
-        # the payload carries its conventions tag, as _write_artifact's do
+        # the payload carries its conventions tag, as _write_artifact's do;
+        # it is written a height at a time, so the whole text is never held
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(qchar.to_json_text())
+            handle.writelines(qchar._json_chunks())
             handle.write("\n")
     print(f"q-character  {qchar.datum.label}  node {args.node}")
     print(f"  monomials : {qchar.monomial_count()}")

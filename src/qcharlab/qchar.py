@@ -29,21 +29,23 @@ and one lookup.  Only a new target gets its Y-exponents, its parent's
 times the few A^{-1} factors of the pattern, read from the shared table of
 :mod:`qcharlab.lweights`, and its sorted items, the tuple
 ``AMonomialVector.items()`` returns: its parent's with the pattern's few
-(i, a) entries raised in place, each found by bisection.  Entries only grow,
-so the tuple stays sorted and free of zeros, and
-``AMonomialVector._trusted(anchor, items)`` takes it with no sort.  Each
-AMonomialVector is built once, when its level is processed or mirrored, and
-each level is processed in the order of those tuples, so the entries come
-out in the canonical order of :class:`QChar` without a sort of their own.
-Within a level the processing order is irrelevant, which the determinism
-tests check by shuffling it; a shuffled closure hands its entries to the
-sorting ``QChar`` constructor, so it writes the same canonical text.
+(i, a) entries raised in place, each found by bisection and taken from the
+character's one pool of ((i, a), m) tuples, which the mirror reads too.
+Entries only grow, so the tuple stays sorted and free of zeros.  The
+closure builds no AMonomialVector and no dict: each height's (items, mu)
+row, processed or mirrored, is appended to one list, and each level is
+processed in the order of its tuples, so the rows come out in the
+canonical order of :class:`QChar` without a sort of their own.  Within a
+level the processing order is irrelevant, which the determinism tests
+check by shuffling it; a shuffled closure sorts its rows, so it writes the
+same canonical text.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from functools import cached_property
 from itertools import compress
 from operator import itemgetter
 
@@ -121,48 +123,55 @@ def sl2_expansion(d_i, multiset):
 class QChar:
     """A q-character: anchor node plus multiplicities over A-monomial vectors.
 
-    ``entries`` is kept in canonical order, by A-height and then by the
-    vectors' sorted entries, which is the order ``to_json_text`` writes.
+    It is stored as ``_rows``, one (items, mu) pair per monomial, items being
+    the sorted items tuple of its A-vector, in canonical order: by A-height,
+    then by items.  That is the order ``to_json_text`` writes and the order
+    of ``entries``, the {AMonomialVector: mu} dict built on first read.
     """
 
     def __init__(self, datum, anchor, entries):
         self.datum = datum
         self.anchor = anchor
-        self.entries = dict(
-            sorted(entries.items(), key=lambda kv: (kv[0].height(), kv[0].items()))
-        )
+        self._rows = sorted(
+            ((vec.items(), mu) for vec, mu in entries.items()), key=_row_order)
 
     @classmethod
-    def _trusted(cls, datum, anchor, entries):
-        """The q-character of ``entries``, already in canonical order and not
-        used after."""
+    def _trusted(cls, datum, anchor, rows):
+        """The q-character of ``rows``, (items, mu) pairs already in canonical
+        order, with no two items equal, and not used after."""
         result = cls.__new__(cls)
         result.datum = datum
         result.anchor = anchor
-        result.entries = entries
+        result._rows = rows
         return result
+
+    @cached_property
+    def entries(self):
+        """{AMonomialVector: mu} in canonical order, one vector per row."""
+        anchor = self.anchor
+        return {AMonomialVector._trusted(anchor, items): mu for items, mu in self._rows}
 
     def multiplicity(self, vec):
         return self.entries.get(vec, 0)
 
     def monomial_count(self):
-        return len(self.entries)
+        return len(self._rows)
 
     def total_multiplicity(self):
-        return sum(self.entries.values())
+        return sum(map(itemgetter(1), self._rows))
 
     def max_height(self):
-        """The height of the last entry: entries run by increasing height."""
-        if not self.entries:
+        """The height of the last row: rows run by increasing height."""
+        if not self._rows:
             raise ValueError("an empty q-character has no height")
-        return next(reversed(self.entries)).height()
+        return _row_height(self._rows[-1])
 
     def __eq__(self, other):
         return (
             isinstance(other, QChar)
             and self.datum.label == other.datum.label
             and self.anchor == other.anchor
-            and self.entries == other.entries
+            and self._rows == other._rows
         )
 
     def __repr__(self):
@@ -176,17 +185,30 @@ class QChar:
 
         It is what ``json.dumps`` writes with sorted keys and no spaces for
         {"conventions", "entries": [{"mu", "v": [[i, a, m], ...]}, ...],
-        "node", "type"}, built as text: the few distinct "[i,a,m]" cells are
+        "node", "type"}, the join of :meth:`_json_chunks`.
+        """
+        return "".join(self._json_chunks())
+
+    def _json_chunks(self):
+        """The text of :meth:`to_json_text` in pieces: the envelope's head,
+        one chunk per height (its rows joined, led by a comma after the
+        first), and the envelope's tail.  Writing the pieces one by one
+        never holds the whole text.  The few distinct "[i,a,m]" cells are
         formatted once each, and no object tree is built.
         """
+        yield f'{{"conventions":{json.dumps(CONVENTIONS_VERSION)},"entries":['
         cells = _Cells()
-        rows = ",".join([
-            f'{{"mu":{mu},"v":[{",".join(map(cells.__getitem__, vec.items()))}]}}'
-            for vec, mu in self.entries.items()
-        ])
-        return (f'{{"conventions":{json.dumps(CONVENTIONS_VERSION)},'
-                f'"entries":[{rows}],"node":{self.anchor},'
-                f'"type":{json.dumps(self.datum.label)}}}')
+        rows = self._rows
+        start, lead = 0, ""
+        while start < len(rows):
+            end = bisect_right(rows, _row_height(rows[start]), lo=start,
+                               key=_row_height)
+            yield lead + ",".join([
+                f'{{"mu":{mu},"v":[{",".join(map(cells.__getitem__, items))}]}}'
+                for items, mu in rows[start:end]
+            ])
+            start, lead = end, ","
+        yield f'],"node":{self.anchor},"type":{json.dumps(self.datum.label)}}}'
 
     @classmethod
     def from_json_obj(cls, datum, obj):
@@ -199,6 +221,16 @@ class QChar:
             )
             entries[vec] = int(item["mu"])
         return cls(datum, int(obj["node"]), entries)
+
+
+def _row_height(row):
+    """The A-height of an (items, mu) row: the sum of its entries."""
+    return sum(map(itemgetter(1), row[0]))
+
+
+def _row_order(row):
+    """The canonical sort key of a row: its height, then its items."""
+    return _row_height(row), row[0]
 
 
 class _Cells(dict):
@@ -234,21 +266,22 @@ def fm_qchar(
     if max_height is None:
         max_height = bound
     half = bound // 2
-    cells, mirrored = _mirror_map(datum, node)
+    pool, mirrored = _mirror_map(datum, node)
     # a pending v is keyed by its entries packed into one int, a field of
     # bound.bit_length() bits per cell of v_low: every v lies below v_low,
     # and no entry passes the height, so no field carries into the next and
     # the key names v
     width = bound.bit_length()
-    offsets = {cell: n * width for n, cell in enumerate(cells)}
+    offsets = {cell: n * width for n, cell in enumerate(pool)}
     table = _a_inverse_table(datum)
     # (i, i-part) -> its moves, see _moves; (d_i, shifted i-part) -> its
     # nonempty sl2_expansion patterns
     moves = {}
     shapes = {}
-    entries = {}
-    # rows[h]: (v as its sorted items, mu) for each v of A-height h <= half
+    # (v as its sorted items, mu) for each v, by height and then by items
     rows = []
+    # closed[h]: the part of rows of A-height h <= half
+    closed = []
     # levels[h]: key of v -> (v as its sorted items, key, Y(v), {direction:
     # requirement}) for each pending v of A-height h <= half
     levels = {0: {0: ((), 0, {(node, 0): 1}, {0: 1})}}
@@ -256,28 +289,27 @@ def fm_qchar(
         if height > max_height:
             raise CapExceeded(
                 f"height cap {max_height} exceeded computing {datum.label} "
-                f"node {node} ({len(entries)} monomials so far)",
-                monomials=len(entries),
+                f"node {node} ({len(rows)} monomials so far)",
+                monomials=len(rows),
                 height=height,
             )
         if height > half:
-            row = mirrored(rows[bound - height])
+            row = mirrored(closed[bound - height])
         else:
             level = sorted(levels.pop(height, {}).values(), key=itemgetter(0))
             if shuffle_rng is not None:
                 shuffle_rng.shuffle(level)
             row = [(items, max(requirement.values()))
                    for items, _, _, requirement in level]
-            rows.append(row)
-        if len(entries) + len(row) > max_monomials:
+            closed.append(row)
+        if len(rows) + len(row) > max_monomials:
             raise CapExceeded(
                 f"monomial cap {max_monomials} exceeded computing "
                 f"{datum.label} node {node} at height {height}",
                 monomials=max_monomials + 1,
                 height=height,
             )
-        for items, mu in row:
-            entries[AMonomialVector._trusted(node, items)] = mu
+        rows += row
         if height >= half:
             continue  # every target lies above half, where the mirror gives it
         room = half - height
@@ -294,7 +326,7 @@ def fm_qchar(
                 targets = moves.get(move_key)
                 if targets is None:
                     targets = moves[move_key] = _moves(
-                        datum, table, shapes, offsets, *move_key)
+                        datum, table, shapes, offsets, pool, *move_key)
                 for rise, delta, coeff, change, raise_cells in targets:
                     if rise > room:
                         break  # the mirror gives this target and the rest
@@ -307,19 +339,21 @@ def fm_qchar(
                             _accumulate(dict(exps), change), {})
                     slot[3][i] = slot[3].get(i, 0) + excess * coeff
     if shuffle_rng is not None:  # a shuffled level leaves its height out of order
-        return QChar(datum, node, entries)
-    return QChar._trusted(datum, node, entries)
+        rows.sort(key=_row_order)
+    return QChar._trusted(datum, node, rows)
 
 
-def _moves(datum, table, shapes, offsets, i, part):
+def _moves(datum, table, shapes, offsets, pool, i, part):
     """The targets of the i-part ``part`` (sorted (a, exponent) pairs), by rise.
 
     One (rise, delta, coeff, change, cells) per nonempty ``sl2_expansion``
-    pattern: ``cells`` the ((i, a), r) entries the pattern raises, ``rise``
-    their sum, ``delta`` what they add to a packed key (``offsets`` maps a
-    cell to its field), and ``change`` what their A^{-r} factors multiply
-    into Y(v).  The expansion commutes with shifting the i-part, so it is
-    asked once per (d_i, i-part shifted to start at 0).
+    pattern: ``cells`` the ((i, a), r, shared) entries the pattern raises,
+    ``shared`` being the cell's list in ``pool`` (see :func:`_mirror_map`)
+    and (i, a) its own cell object, ``rise`` the sum of the r, ``delta``
+    what they add to a packed key (``offsets`` maps a cell to its field),
+    and ``change`` what their A^{-r} factors multiply into Y(v).  The
+    expansion commutes with shifting the i-part, so it is asked once per
+    (d_i, i-part shifted to start at 0).
     """
     low = part[0][0]
     shape_key = (datum.di(i), tuple((p - low, e) for p, e in part))
@@ -332,29 +366,34 @@ def _moves(datum, table, shapes, offsets, i, part):
         ]
     targets = []
     for pattern, coeff in shape:
-        cells = tuple(((i, low + p), r) for p, r in pattern)
+        cells = []
+        for p, r in pattern:
+            shared = pool[i, low + p]
+            cells.append((shared[0][0], r, shared))
         change = {}
-        for cell, r in cells:
+        for cell, r, _ in cells:
             _accumulate(change, table[cell], r)
-        targets.append((sum(r for _, r in cells),
-                        sum(r << offsets[cell] for cell, r in cells),
-                        coeff, tuple(change.items()), cells))
+        targets.append((sum(r for _, r, _ in cells),
+                        sum(r << offsets[cell] for cell, r, _ in cells),
+                        coeff, tuple(change.items()), tuple(cells)))
     targets.sort(key=itemgetter(0))
     return targets
 
 
 def _raised(items, cells):
-    """The sorted items of v raised by r at each (cell, r) of ``cells``.
+    """The sorted items of v raised by r at each (cell, r, shared) of ``cells``.
 
-    Entries only grow, so no zero appears and the result stays canonical.
+    Each new entry is taken from ``shared``, the cell's pool list, never
+    built.  Entries only grow, so no zero appears and the result stays
+    canonical.
     """
     raised = list(items)
-    for cell, r in cells:
+    for cell, r, shared in cells:
         at = bisect_left(raised, (cell,))
         if at < len(raised) and raised[at][0] == cell:
-            raised[at] = (cell, raised[at][1] + r)
+            raised[at] = shared[raised[at][1] + r]
         else:
-            raised.insert(at, (cell, r))
+            raised.insert(at, shared[r])
     return tuple(raised)
 
 
@@ -380,20 +419,25 @@ def _mirror(datum, node):
 
 
 def _mirror_map(datum, node):
-    """v_low's cells, sorted, and the map from the (items, mu) of a height h
-    to those of height H - h, sorted by items.
+    """The character's cell pool, and the map from the (items, mu) of a
+    height h to those of height H - h, sorted by items.
 
     Every v lies below v_low: v_low - tau(v) lies in the cone, and tau fixes
-    v_low.  So each image is read off v_low's cells in their sorted order:
-    one value per cell, and one shared ((i, a), m) tuple per cell and value,
-    so equal entries of two images are one object and the level sort
-    compares them by identity.
+    v_low.  So every entry ((i, a), m) of every v is found in the pool,
+    which maps each cell (i, a) of v_low, in sorted order, to its list
+    [((i, a), m) for m = 0 .. v_low's entry], one tuple per cell and value
+    over one cell object.  The mirror reads each image off those lists, and
+    the closure raises its entries to them, so equal entries are one object
+    and sorts and lookups compare them by identity first.  No result
+    depends on it: every comparison is by ``==``.
     """
     lowest, bar, centre = _mirror(datum, node)
     cells = sorted(lowest)
     base = [lowest[cell] for cell in cells]
-    # tau is an involution of the cells: at[cell] is the index of tau(cell)
-    at = {(bar[i], centre - a): n for n, (i, a) in enumerate(cells)}
+    index = {cell: n for n, cell in enumerate(cells)}
+    # tau is an involution of the cells: at[cell] is the index of tau(cell),
+    # keyed by the pool's own cell objects
+    at = {cell: index[bar[cell[0]], centre - cell[1]] for cell in cells}
     shared = [[(cell, m) for m in range(top + 1)] for cell, top in zip(cells, base)]
 
     def mirrored(row):
@@ -407,7 +451,7 @@ def _mirror_map(datum, node):
         level.sort(key=itemgetter(0))
         return level
 
-    return cells, mirrored
+    return dict(zip(cells, shared)), mirrored
 
 
 def classical_character(qchar):
@@ -419,9 +463,9 @@ def classical_character(qchar):
     top = fundamental_weight(datum, qchar.anchor)
     alphas = [simple_root_weight_coords(datum, i) for i in datum.nodes]
     out = {}
-    for vec, mu in qchar.entries.items():
+    for items, mu in qchar._rows:
         weight = list(top)
-        for (i, _), mult in vec.items():
+        for (i, _), mult in items:
             for j, c in enumerate(alphas[i - 1]):
                 weight[j] -= mult * c
         weight = tuple(weight)

@@ -475,9 +475,10 @@ def test_closure_never_expands_a_monomial(monkeypatch):
 
 
 def test_closure_builds_each_vector_once(monkeypatch):
-    # the closure keys pending work by v packed into one int and makes each
-    # AMonomialVector once, when its height is processed, never by extending
-    # a parent
+    # the closure keys pending work by v packed into one int and builds no
+    # AMonomialVector at all: the character keeps each v as its sorted items,
+    # and the first read of entries makes one vector per monomial, never by
+    # extending a parent
     datum = build_cartan("F4")
     expected = fm_qchar_by_expansion(datum, 1)
     built = []
@@ -500,9 +501,13 @@ def test_closure_builds_each_vector_once(monkeypatch):
     monkeypatch.setattr(AMonomialVector, "__init__", counting_init)
     monkeypatch.setattr(AMonomialVector, "_trusted", classmethod(counting_trusted))
     q = fm_qchar(datum, 1)
+    assert built == []
+    entries = q.entries
+    assert len(built) == q.monomial_count()
+    assert q.entries is entries
+    assert len(built) == q.monomial_count()
     monkeypatch.undo()
     assert q == expected
-    assert len(built) == q.monomial_count()
 
 
 @pytest.mark.parametrize("label,node", [
@@ -635,6 +640,49 @@ def test_entries_given_in_any_order_are_written_canonically(label, node):
 
 
 # ---------------------------------------------------------------------------
+# the rows a character keeps, against the entries dict built from them
+
+# every node of every type up to rank 4
+RANK_FOUR_CASES = [(label, node) for label in ORACLE_LABELS
+                   for node in build_cartan(label).nodes]
+
+
+@pytest.mark.parametrize("label,node", [("A3", 2), ("F4", 1), ("E6", 4)])
+def test_equal_cells_are_one_object(label, node):
+    # the closure raises and mirrors every ((i, a), m) entry to one tuple of
+    # the character's pool, so equal cells across its rows are one object
+    datum = build_cartan(label)
+    for rng in (None, random.Random(label)):
+        q = fm_qchar(datum, node, shuffle_rng=rng)
+        cells = [cell for items, _ in q._rows for cell in items]
+        assert len({id(cell) for cell in cells}) == len(set(cells))
+
+
+@pytest.mark.parametrize("label,node", RANK_FOUR_CASES)
+def test_row_readers_match_the_entries(label, node):
+    # classical_character against the entries is
+    # test_classical_character_matches_the_expanded_weights
+    q = fm_qchar(build_cartan(label), node)
+    entries = q.entries
+    assert q.monomial_count() == len(entries)
+    assert q.total_multiplicity() == sum(entries.values())
+    assert q.max_height() == max(vec.height() for vec in entries)
+
+
+@pytest.mark.parametrize("label,node", RANK_FOUR_CASES)
+def test_entries_rebuild_the_character(label, node):
+    datum = build_cartan(label)
+    q = fm_qchar(datum, node)
+    rebuilt = QChar(datum, node, dict(q.entries))
+    assert rebuilt == q
+    text = q.to_json_text()
+    assert rebuilt.to_json_text() == text
+    # the envelope's head and tail around one chunk per height
+    heights = {vec.height() for vec in q.entries}
+    assert len(list(q._json_chunks())) == len(heights) + 2
+
+
+# ---------------------------------------------------------------------------
 # opt-in heavy tier: pytest -m heavy
 
 
@@ -667,32 +715,50 @@ E8_NODE_2_SHA256 = "2124d66a7beed95fe5920afbd1aa78b516f39b7af2d50324b2db7ff75688
 E8_NODE_2_PEAK_MB = 250
 
 _E8_NODE_2_SCRIPT = r"""
-import hashlib, json
+import hashlib, json, sys
 from qcharlab.cartan import build_cartan
 from qcharlab.qchar import fm_qchar
+
+def peak_kb():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status
+                    if line.startswith("VmHWM:"))
+
 q = fm_qchar(build_cartan("E8"), 2)
 # the closure's peak, read before the text adds its own
-with open("/proc/self/status") as status:
-    peak_kb = next(int(line.split()[1]) for line in status
-                   if line.startswith("VmHWM:"))
-# the bytes that qchar --out writes: the text and a newline
+closure_kb = peak_kb()
+# the bytes that qchar --out writes, as it writes them: the chunks and a newline
+with open(sys.argv[1], "w", encoding="utf-8") as handle:
+    handle.writelines(q._json_chunks())
+    handle.write("\n")
+write_kb = peak_kb()
+with open(sys.argv[1], "rb") as handle:
+    file_digest = hashlib.sha256(handle.read()).hexdigest()
 digest = hashlib.sha256((q.to_json_text() + "\n").encode()).hexdigest()
 print(json.dumps([q.monomial_count(), q.total_multiplicity(), q.max_height(),
-                  digest, peak_kb]))
+                  digest, file_digest, closure_kb, write_kb]))
 """
+# the peak after writing the file chunk by chunk; holding the whole text
+# took it to about 284 MB
+E8_NODE_2_WRITE_PEAK_MB = 160
 
 
 @pytest.mark.heavy
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                     reason="the peak is read from /proc/self/status")
-def test_e8_node_2_bytes_and_peak_memory():
+def test_e8_node_2_bytes_and_peak_memory(tmp_path):
     # a fresh interpreter, so the peak is the closure's own
     src = str(Path(__file__).resolve().parents[1] / "src")
-    done = subprocess.run([sys.executable, "-c", _E8_NODE_2_SCRIPT],
+    done = subprocess.run([sys.executable, "-c", _E8_NODE_2_SCRIPT,
+                           str(tmp_path / "e8-2.json")],
                           env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr
-    count, total, height, digest, peak_kb = json.loads(done.stdout)
+    (count, total, height, digest, file_digest,
+     peak_kb, write_kb) = json.loads(done.stdout)
     assert (count, total, height) == (147250, 185877, 136)
     assert digest == E8_NODE_2_SHA256
+    assert file_digest == E8_NODE_2_SHA256
     assert peak_kb < E8_NODE_2_PEAK_MB * 1024, f"peak {peak_kb / 1024:.0f} MB"
+    assert write_kb < E8_NODE_2_WRITE_PEAK_MB * 1024, (
+        f"peak after the write {write_kb / 1024:.0f} MB")
