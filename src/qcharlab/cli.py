@@ -68,6 +68,44 @@ def _write_artifact(path, obj):
         handle.write(_canonical_json(payload))
 
 
+# a value no artifact holds: it marks a place left open in a text template
+_OPEN = "\0"
+_OPEN_TEXT = json.dumps(_OPEN)
+_VERDICTS = ("false", "true")
+
+
+def _write_search_artifact(path, obj, points):
+    """:func:`_write_artifact` of ``obj`` with ``points``, the search's
+    points, as its "points" list, written one point at a time.
+
+    Every point of one search has the same type, field, dims and map ends,
+    so each entry {"point", "stable"} has one text but for its matrix
+    entries and verdicts.  That text is taken once from the first point's
+    ``to_json_obj``, with each entry and verdict left open, and each point
+    fills it in: its maps in ``json_order``, row by row, then its verdicts.
+    """
+    payload = dict(obj, points=[_OPEN], conventions=CONVENTIONS_VERSION)
+    head, tail = _canonical_json(payload).split(_OPEN_TEXT)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(head)
+        if points:
+            rep = points[0].rep
+            entry = {"point": rep.to_json_obj(), "stable": [_OPEN] * len(points[0].stable)}
+            for item in entry["point"]["maps"]:
+                item["matrix"] = [[_OPEN] * len(row) for row in item["matrix"]]
+            template = "{}".join(
+                part.replace("{", "{{").replace("}", "}}")
+                for part in _canonical_json(entry)[:-1].split(_OPEN_TEXT))
+            order = rep.json_order()
+            texts = {x: json.dumps(rep.field.to_json(x)) for x in rep.field.elements()}
+            for k, point in enumerate(points):
+                maps = point.rep.maps
+                values = [texts[x] for ends in order for row in maps[ends] for x in row]
+                values += [_VERDICTS[stable] for stable in point.stable]
+                handle.write(("," if k else "") + template.format(*values))
+        handle.write(tail)
+
+
 # ---------------------------------------------------------------------------
 # small parsers
 
@@ -330,16 +368,12 @@ def _cmd_quiver_search(args):
     if thetas:
         print(f"  theta-stable points        : {stable_count}")
     if args.out:
-        _write_artifact(args.out, {
+        _write_search_artifact(args.out, {
             "type": datum.label,
             "field": field.name,
             "v": [[i, a, n] for (i, a), n in sorted(v.items())],
             "w": [[i, a, n] for (i, a), n in sorted(w.items())],
-            "points": [
-                {"point": point.rep.to_json_obj(), "stable": list(point.stable)}
-                for point in results
-            ],
-        })
+        }, results)
     return EXIT_OK
 
 

@@ -50,9 +50,10 @@ def _violation(word, vec, image):
 # the row walk
 
 
-# the first lane width tried; entries of fundamental q-characters stay far
-# below its bound of 2**(16-1-guard)
-_LANE_BITS = 16
+# the first lane width tried; the walks of the fundamental q-characters
+# measured (F4/1 and /3, C4/2 and /3, D5/1, G2/1 and /2, B4/2, E6/3) stay
+# below its bound of 2**(8-1-guard), and a row that outgrows it widens
+_LANE_BITS = 8
 
 
 class _LaneOverflow(Exception):
@@ -155,11 +156,12 @@ def _packed_walk(datum, lanes, rows, framing, cap):
                           child_negative))
 
 
-def _row_walk(datum, vectors, framing, cap=None):
+def _row_walk(datum, columns, framing, cap=None):
     """Yield (weight, length, image, negative) for every element w of W.
 
-    ``weight`` is w.rho, ``length`` is l(w), and ``image`` holds S_w(v) for
-    the ``vectors`` as packed rows (read a column back with
+    ``columns`` holds one vector v per column as its items, ((node, param),
+    mult) pairs.  ``weight`` is w.rho, ``length`` is l(w), and ``image``
+    holds S_w(v) for every column as packed rows (read a column back with
     :func:`_column`); ``negative`` maps each node whose rows hold a negative
     entry to those columns, so a column leaves the cone under w exactly when
     it appears in some value.  Rows of nodes other than i are shared with
@@ -172,23 +174,23 @@ def _row_walk(datum, vectors, framing, cap=None):
     wide and goes on from the element it had reached.  Raises CapExceeded
     once more than ``cap`` elements have been walked.
     """
-    width = len(vectors)
-    columns = [{} for _ in datum.nodes]
-    for col, vec in enumerate(vectors):
-        for (j, a), mult in vec.items():
-            columns[j - 1].setdefault(a, [0] * width)[col] = mult
+    width = len(columns)
+    by_node = [{} for _ in datum.nodes]
+    for col, items in enumerate(columns):
+        for (j, a), mult in items:
+            by_node[j - 1].setdefault(a, [0] * width)[col] = mult
     # 2**guard exceeds the terms of one reflection: neighbour rows, own row, framing
     terms = max(-sum(datum.c(i, j) for j in datum.neighbors(i)) for i in datum.nodes)
     guard = (terms + 2).bit_length()
     largest = max([abs(m) for m in framing.values()]
-                  + [abs(m) for vec in vectors for _, m in vec.items()])
+                  + [abs(m) for items in columns for _, m in items])
     bits, yielded = _LANE_BITS, 0
     while True:
         lanes = _Lanes(width, bits, guard)
         if largest >= lanes.half:
             bits *= 2
             continue
-        rows = tuple({a: lanes.pack(row) for a, row in node.items()} for node in columns)
+        rows = tuple({a: lanes.pack(row) for a, row in node.items()} for node in by_node)
         try:
             walk = _packed_walk(datum, lanes, rows, framing, cap)
             for k, (weight, length, rows, negative) in enumerate(walk):
@@ -274,14 +276,15 @@ def verify_theorem_main(qchar, weyl_cap=DEFAULT_WEYL_CAP):
     datum, node = qchar.datum, qchar.anchor
     framing = unit_framing(node)
     longest = (-1,) * datum.rank  # w_0 rho = -rho
-    vectors = list(qchar.entries)
+    # one column per row of the character; a vector is built only for a violation
+    columns = [items for items, _ in qchar._rows]
 
     found = []
     simple_bad = 0
     longest_bad = 0
     kept = {}
     group_order = 0
-    for weight, length, image, negative in _row_walk(datum, vectors, framing, weyl_cap):
+    for weight, length, image, negative in _row_walk(datum, columns, framing, weyl_cap):
         group_order += 1
         if group_order <= RECHECK_LIMIT:
             kept[weight] = image
@@ -300,7 +303,8 @@ def verify_theorem_main(qchar, weyl_cap=DEFAULT_WEYL_CAP):
         found.sort(key=lambda item: (order[item[0]], item[1]))
         for weight, col, image in found:
             word = elements[order[weight]].word
-            violations.append(_violation(word, vectors[col], _column(image, col)))
+            vec = AMonomialVector._trusted(node, columns[col])
+            violations.append(_violation(word, vec, _column(image, col)))
 
     word_mismatches = 0
     if group_order <= RECHECK_LIMIT:
@@ -312,8 +316,8 @@ def verify_theorem_main(qchar, weyl_cap=DEFAULT_WEYL_CAP):
             if alt_word is None:
                 continue
             image = kept[element.weight]
-            for col, vec in enumerate(vectors):
-                other = _push_dims(datum, alt_word, vec.as_dict(), framing)
+            for col, items in enumerate(columns):
+                other = _push_dims(datum, alt_word, dict(items), framing)
                 if other != _column(image, col):
                     word_mismatches += 1
     return TheoremSummary(
@@ -321,7 +325,7 @@ def verify_theorem_main(qchar, weyl_cap=DEFAULT_WEYL_CAP):
         node=node,
         monomial_count=qchar.monomial_count(),
         group_order=group_order,
-        checks=group_order * len(vectors),
+        checks=group_order * len(columns),
         violations=violations,
         word_mismatches=word_mismatches,
         simple_reflection_violations=simple_bad,

@@ -26,6 +26,14 @@ The reflection at node i replaces V_i^a by the kernel of the assembled map
 Phi_i^a out of W_i^{a+d_i} and the neighboring V slots; summand order is
 fixed globally (W first, then neighbors ascending, then the step index t
 ascending) so serialized reflected points are reproducible.
+
+Plans.  All that a check reads besides the matrix entries is fixed by the
+point's dims (and theta): the relation paths, the stability route, and per
+reflection step the Phi blocks, their dims and the dims after the step.
+These are built once per (datum, v, w, theta) into cached plans
+(:func:`_walk_plan`, :func:`_step_plan`, up to 1024 entries each), so a
+search's points, which all share v and w, run only field arithmetic, and
+the points a plan builds (:meth:`GradedQuiverRep._trusted`) share its dims.
 """
 
 from __future__ import annotations
@@ -75,16 +83,25 @@ class GradedQuiverRep:
     (source cols); maps with a zero-dimensional end are never stored.
     """
 
-    def __init__(self, datum, field, v, w, maps=None, check=True):
+    def __init__(self, datum, field, v, w, maps=None):
         self.datum = datum
         self.field = field
         self.v, self.w, self.maps = dict(v), dict(w), dict(maps or {})
-        if check:
-            self._check()
+        self._check()
         # zero dimensions, and the maps with a zero-dimensional end, hold nothing
         self.v = {key: n for key, n in self.v.items() if n}
         self.w = {key: n for key, n in self.w.items() if n}
         self.maps = {ends: mat for ends, mat in self.maps.items() if mat and mat[0]}
+
+    @classmethod
+    def _trusted(cls, datum, field, v, w, maps):
+        """The point of ``v``, ``w`` and ``maps`` as given, checked, copied and
+        filtered nowhere: every dim is nonzero, every map has two nonzero
+        ends and the shape they give, and none of the three dicts is
+        changed after, so points may share them."""
+        rep = cls.__new__(cls)
+        rep.datum, rep.field, rep.v, rep.w, rep.maps = datum, field, v, w, maps
+        return rep
 
     # -- dimensions ---------------------------------------------------
 
@@ -125,11 +142,14 @@ class GradedQuiverRep:
 
     # -- serialization --------------------------------------------------
 
+    def json_order(self):
+        """The ends of the maps in the order a point file lists them: arrows,
+        A maps, then B maps (the target spaces sort V, V, W and the source
+        spaces V, W), each kind in the order of its ends."""
+        return sorted(self.maps, key=lambda ends: (ends[1][0], ends))
+
     def to_json_obj(self):
         fld = self.field
-        # arrows, A maps, then B maps (the target spaces sort V, V, W and the
-        # source spaces V, W), each kind in the order of its ends
-        ordered = sorted(self.maps.items(), key=lambda item: (item[0][1][0], item[0]))
         return {
             "field": fld.name,
             "type": self.datum.label,
@@ -138,8 +158,9 @@ class GradedQuiverRep:
             "maps": [{
                 "kind": _KINDS[source[0], target[0]],
                 "from": list(source[1:]), "to": list(target[1:]),
-                "matrix": [[fld.to_json(x) for x in row] for row in mat],
-            } for (source, target), mat in ordered],
+                "matrix": [[fld.to_json(x) for x in row]
+                           for row in self.maps[source, target]],
+            } for source, target in self.json_order()],
         }
 
     @classmethod
@@ -203,28 +224,31 @@ def _path(datum, start, targets):
     return tuple(path)
 
 
-def _composite(rep, path):
-    """The composite of the maps along ``path``, a tuple of slots.
+def _pairs(path):
+    """The (source, target) ends of each step along ``path``."""
+    return tuple(zip(path, path[1:]))
 
-    Returns None when a map on the path is absent, since the composite is
-    then zero; a path of one slot is that slot's identity.
+
+def _product(fld, maps, pairs, dim):
+    """The composite of the maps at ``pairs``, the steps of a path in order.
+
+    None when a map on the path is absent, since the composite is then
+    zero; no steps give the identity of the start slot, of dimension ``dim``.
     """
     mat = None
-    for ends in zip(path, path[1:]):
-        step = rep.maps.get(ends)
+    for ends in pairs:
+        step = maps.get(ends)
         if step is None:
             return None
         mat = step if mat is None else mat_mul_shaped(
-            rep.field, step, mat, len(step), len(mat), len(mat[0]))
-    return identity(rep.field, rep.slot_dim(path[0])) if mat is None else mat
+            fld, step, mat, len(step), len(mat), len(mat[0]))
+    return identity(fld, dim) if mat is None else mat
 
 
-def _dense(rep, path):
-    """The composite along ``path`` as a matrix, zero where a map is absent."""
-    mat = _composite(rep, path)
-    if mat is None:
-        return zeros(rep.field, rep.slot_dim(path[-1]), rep.slot_dim(path[0]))
-    return mat
+def _along(fld, maps, pairs, rows, cols):
+    """:func:`_product` as a rows x cols matrix, zero where a map is absent."""
+    mat = _product(fld, maps, pairs, cols)
+    return zeros(fld, rows, cols) if mat is None else mat
 
 
 def valid_map_keys(datum, v, w):
@@ -294,13 +318,20 @@ def _relation_table(rep, framed=True):
     return table
 
 
-def _violations(rep, table):
-    fld = rep.field
+def _relation_steps(table):
+    """The rows of a :func:`_relation_table` with each path as its
+    :func:`_pairs`, the form :func:`_violations` reads."""
+    return [(name, i, j, a, [_pairs(path) for path in paths])
+            for name, i, j, a, paths in table]
+
+
+def _violations(rep, steps):
+    fld, maps = rep.field, rep.maps
     out = []
-    for name, i, j, a, paths in table:
+    for name, i, j, a, paths in steps:
         total = None
-        for path in paths:
-            term = _composite(rep, path)
+        for pairs in paths:
+            term = _product(fld, maps, pairs, None)
             if term is None:
                 continue
             total = term if total is None else [
@@ -314,7 +345,7 @@ def _violations(rep, table):
 
 def validate_relations(rep):
     """All relation failures of a (co)framed point; empty means valid."""
-    return _violations(rep, _relation_table(rep))
+    return _violations(rep, _relation_steps(_relation_table(rep)))
 
 
 def validate_n(rep, node, xi):
@@ -330,8 +361,9 @@ def validate_n(rep, node, xi):
     dim = rep.vdim(node, dk)
     if len(xi) != dim:
         raise ShapeMismatch(f"xi must live in V_{node}^{dk} (dim {dim})")
-    out = _violations(rep, _relation_table(rep, framed=False))
-    loop = _composite(rep, _path(rep.datum, ("V", node, dk), [("V", node)]))
+    out = _violations(rep, _relation_steps(_relation_table(rep, framed=False)))
+    loop = _product(rep.field, rep.maps,
+                    _pairs(_path(rep.datum, ("V", node, dk), [("V", node)])), None)
     if loop is not None and not is_zero_matrix(rep.field,
                                                _images(rep.field, loop, [xi])):
         out.append(RelationViolation("loop-kills-xi", node, node, dk))
@@ -431,7 +463,25 @@ def _route(datum, theta):
     return (True, down) if len(down) < len(up) else (False, up)
 
 
-def _dual(rep):
+def _dims_key(dims):
+    """``dims`` as the sorted items tuple that keys the cached plans."""
+    return tuple(sorted(dims.items()))
+
+
+@lru_cache(maxsize=1024)
+def _dual_layout(datum, v, w):
+    """(v', w', flips): the dims of the transposed point of dims ``v`` and
+    ``w`` (sorted items tuples), and the new ends of each map it can hold."""
+    def flip(slot):
+        space, i, a = slot
+        return space, i, -a
+
+    flips = {(source, target): (flip(target), flip(source))
+             for source, target in valid_map_keys(datum, dict(v), dict(w))}
+    return ({(i, -a): n for (i, a), n in v}, {(i, -a): n for (i, a), n in w}, flips)
+
+
+def _dual(rep, layout=None):
     """The transposed point x^T on negated grades.
 
     Each V/W slot (s, i, a) becomes (s, i, -a), and each map M from source
@@ -439,20 +489,59 @@ def _dual(rep):
     and the arrows reverse.  That is the grading of :func:`_step` again, as
     ``datum.b`` is symmetric, and each relation goes to a relation: E1bis at
     (i, a) to E1bis at (i, -a - d_ii) with l -> -c_ij - 1 - l and AB -> A'B',
-    E2 at (i, j) to E2 at (j, i), and E4 to E5.
+    E2 at (i, j) to E2 at (j, i), and E4 to E5.  ``layout`` is
+    :func:`_dual_layout` of x's dims, when the caller holds it.
     """
-    def flip(slot):
-        space, i, a = slot
-        return space, i, -a
+    v, w, flips = layout or _dual_layout(rep.datum, _dims_key(rep.v), _dims_key(rep.w))
+    return GradedQuiverRep._trusted(
+        rep.datum, rep.field, v, w,
+        {flips[ends]: [list(col) for col in zip(*mat)] for ends, mat in rep.maps.items()})
 
-    return GradedQuiverRep(
-        rep.datum, rep.field,
-        {(i, -a): n for (i, a), n in rep.v.items()},
-        {(i, -a): n for (i, a), n in rep.w.items()},
-        {(flip(target), flip(source)): [list(col) for col in zip(*mat)]
-         for (source, target), mat in rep.maps.items()},
-        check=False,
-    )
+
+@lru_cache(maxsize=1024)
+def _walk_plan(datum, v, w, theta):
+    """How :func:`stability_check` decides the points of dims ``v`` and
+    ``w`` (sorted items tuples) at the tuple ``theta``, less their entries.
+
+    None in the negative chamber.  False when the walk stops at a step for
+    the dims alone, by the dims lemma of :func:`_step_plan`: then no such
+    point is stable.  Otherwise (layout, steps): the :func:`_dual_layout`
+    when :func:`_route` starts from the transposed point, else None, and
+    the :func:`_step_plan` of each step of the route's word, each on the
+    dims the step before leaves.  Raises NonGenericTheta as _route does.
+    """
+    route = _route(datum, theta)
+    if route is None:
+        return None
+    dual, word = route
+    layout = None
+    if dual:
+        layout = _dual_layout(datum, v, w)
+        v, w = _dims_key(layout[0]), _dims_key(layout[1])
+    steps = []
+    for i in word:
+        step = _step_plan(datum, i, v, w)
+        if step is None:
+            return False
+        steps.append(step)
+        v = _dims_key(step.v)
+    return layout, tuple(steps)
+
+
+def _walk(plan, rep):
+    """Decide ``rep`` by the :func:`_walk_plan` of its dims and a theta."""
+    if plan is None:
+        return is_framed_stable(rep)
+    if plan is False:
+        return False
+    layout, steps = plan
+    if layout is not None:
+        rep = _dual(rep, layout)
+    for step in steps:
+        rep = _apply_step(step, rep)
+        if rep is None:
+            return False
+    return _is_coframed_stable(rep)
 
 
 def stability_check(rep, theta):
@@ -482,6 +571,13 @@ def stability_check(rep, theta):
       A word's length is the number of positive roots its start pairs < 0
       with, so the two lengths add up to l(w_0), and the walk taken has
       min(l, l(w_0) - l) steps: one at every s_i(-1, ..., -1).
+
+    Everything but the matrix entries is fixed by (datum, v, w, theta): the
+    route, the transposed layout, and per step the Phi blocks, their dims
+    and the dims after the step.  :func:`_walk_plan` holds them, cached,
+    and :func:`_walk` runs one point through them; a search looks its plan
+    up once per theta.  Where some Phi's domain is smaller than its target
+    the plan is False for the dims alone (see :func:`_step_plan`).
 
     The walk rests on two lemmas.  The S_i lemma: for theta_i < 0, x is
     theta-stable iff Phi_i^a is onto at every grade a and S_i x is s_i
@@ -531,17 +627,8 @@ def stability_check(rep, theta):
     T^perp, which pairs -<theta, |V| - |T|> > 0 with -theta.  Both ways
     round, so x has a witness at theta iff x^T has one at -theta.
     """
-    route = _route(rep.datum, tuple(theta))
-    if route is None:
-        return is_framed_stable(rep)
-    dual, word = route
-    if dual:
-        rep = _dual(rep)
-    for i in word:
-        rep = _reflect_kernel(rep, i)
-        if rep is None:
-            return False
-    return _is_coframed_stable(rep)
+    plan = _walk_plan(rep.datum, _dims_key(rep.v), _dims_key(rep.w), tuple(theta))
+    return _walk(plan, rep)
 
 
 def is_framed_stable(rep):
@@ -581,10 +668,6 @@ def phi_blocks(datum, i, a):
     )
 
 
-def _block_dims(rep, blocks):
-    return [rep.slot_dim(block[:3]) for block in blocks]
-
-
 @lru_cache(maxsize=1024)
 def _block_paths(datum, i, a):
     """Per block of :func:`phi_blocks` at (i, a): (block, phi, psi, upsilon).
@@ -616,6 +699,64 @@ def _block_paths(datum, i, a):
     return tuple(table)
 
 
+class _Grade:
+    """Phi_i^a, Psi_i^a and Upsilon_i^a on the points of some fixed dims,
+    less their matrix entries.
+
+    ``blocks`` holds (node, dim, first column, phi, psi, upsilon) per block
+    of :func:`_block_paths` of nonzero dim, each path as the pairs of its
+    steps; ``offsets`` maps each block's (node, t) to its first column.
+    """
+
+    __slots__ = ("a", "vdim", "target", "dom", "blocks", "offsets")
+
+    def __init__(self, a, vdim, target, dom, blocks, offsets):
+        self.a = a
+        self.vdim = vdim  # V_i^a, Psi's source
+        self.target = target  # V_i^{a+d_ii}, Phi's target
+        self.dom = dom  # the sum of the block dims
+        self.blocks, self.offsets = blocks, offsets
+
+
+def _grade(shell, i, a):
+    """The :class:`_Grade` at (i, a) for the dims of the point ``shell``."""
+    blocks, offsets, dom = [], {}, 0
+    for block, phi, psi, upsilon in _block_paths(shell.datum, i, a):
+        dim = shell.slot_dim(block[:3])
+        offsets[block[1], block[3]] = dom
+        if dim:
+            if upsilon is not None:
+                path, t, negate = upsilon
+                upsilon = (_pairs(path), t, negate)
+            blocks.append((block[1], dim, dom, _pairs(phi), _pairs(psi), upsilon))
+        dom += dim
+    return _Grade(a, shell.vdim(i, a), shell.vdim(i, a + 2 * shell.datum.di(i)), dom,
+                  tuple(blocks), offsets)
+
+
+def _phi(fld, maps, grade):
+    return hstack([_along(fld, maps, phi, grade.target, dim)
+                   for _, dim, _, phi, _, _ in grade.blocks], grade.target)
+
+
+def _psi(fld, maps, grade):
+    return vstack([_along(fld, maps, psi, dim, grade.vdim)
+                   for _, dim, _, _, psi, _ in grade.blocks])
+
+
+def _upsilon(fld, maps, grade, lower):
+    out = zeros(fld, lower.dom, grade.dom)
+    for j, dim, col, _, _, upsilon in grade.blocks:
+        if upsilon is None:
+            continue
+        pairs, t, negate = upsilon
+        row0 = lower.offsets[j, t]
+        for r, row in enumerate(_product(fld, maps, pairs, dim) or ()):
+            for c, x in enumerate(row):
+                out[row0 + r][col + c] = fld.neg(x) if negate else x
+    return out
+
+
 def phi_map(rep, i, a):
     """The assembled map out of the framing slot and neighbor slots into V_i^{a+d_ii}.
 
@@ -623,12 +764,7 @@ def phi_map(rep, i, a):
     A_i^{a+d_i}, then for each neighbor slot the arrow into node i followed by
     t-1 descending loops.
     """
-    blocks = [_dense(rep, phi) for _, phi, _, _ in _block_paths(rep.datum, i, a)]
-    return hstack(blocks, len(blocks[0]))  # each block has V_i^{a+d_ii}'s rows
-
-
-def _psi(rep, i, a):
-    return vstack([_dense(rep, psi) for _, _, psi, _ in _block_paths(rep.datum, i, a)])
+    return _phi(rep.field, rep.maps, _grade(rep, i, a))
 
 
 def psi_map(rep, i, a):
@@ -638,9 +774,9 @@ def psi_map(rep, i, a):
     composite of -c_ij - t descending loops followed by the arrow out to j.
     Raises RelationViolated when the composite with Phi is nonzero.
     """
-    fld = rep.field
-    phi, psi = phi_map(rep, i, a), _psi(rep, i, a)
-    composite = mat_mul_shaped(fld, phi, psi, len(phi), len(psi), rep.vdim(i, a))
+    fld, grade = rep.field, _grade(rep, i, a)
+    phi, psi = _phi(fld, rep.maps, grade), _psi(fld, rep.maps, grade)
+    composite = mat_mul_shaped(fld, phi, psi, grade.target, grade.dom, grade.vdim)
     if not is_zero_matrix(fld, composite):
         raise RelationViolated(
             f"Phi o Psi nonzero at node {i}, grade {a}: input violates relations"
@@ -655,29 +791,107 @@ def upsilon_map(rep, i, a):
     identically one step down the layout, and sends the top slot of each
     neighbor through minus the full loop composite at that neighbor.
     """
-    datum, fld = rep.datum, rep.field
-    table = _block_paths(datum, i, a)
-    lower = phi_blocks(datum, i, a - 2 * datum.di(i))
-    src_dims = _block_dims(rep, [block for block, _, _, _ in table])
-    dst_dims = _block_dims(rep, lower)
-    out = zeros(fld, sum(dst_dims), sum(src_dims))
+    lower = _grade(rep, i, a - 2 * rep.datum.di(i))
+    return _upsilon(rep.field, rep.maps, _grade(rep, i, a), lower)
 
-    dst_offset = {}  # (node, t) -> first row of that block of the lower layout
-    pos = 0
-    for (_, j, _, t), dim in zip(lower, dst_dims):
-        dst_offset[j, t] = pos
-        pos += dim
 
-    col = 0
-    for (block, _, _, upsilon), dim in zip(table, src_dims):
-        if upsilon is not None:
-            path, t, negate = upsilon
-            row0 = dst_offset[block[1], t]
-            for r, row in enumerate(_composite(rep, path) or ()):
-                for c, x in enumerate(row):
-                    out[row0 + r][col + c] = fld.neg(x) if negate else x
-        col += dim
-    return out
+class _Step:
+    """S_i on the points of some fixed dims, less their matrix entries."""
+
+    __slots__ = ("node", "grades", "builds", "v")
+
+    def __init__(self, node, grades, builds, v):
+        self.node = node
+        self.grades = grades  # the _Grade of each grade with a nonzero Phi domain
+        self.builds = builds  # (grade, outs, loop, ins) per grade with a nonzero kernel
+        self.v = v  # the dims after the step
+
+
+@lru_cache(maxsize=1024)
+def _step_plan(datum, i, v, w):
+    """The part of S_i that reads no matrix entry, on points of dims ``v``
+    and ``w`` (each a sorted items tuple); None when no such point has every
+    Phi_i^a onto.
+
+    The dims lemma.  Where Phi_i^a is onto, its kernel has dimension dom -
+    target, its domain's dimension less V_i^{a+d_ii}'s, so once every Phi
+    is onto the dims of S_i x follow from those of x alone.  Where some
+    grade's domain is smaller than its target, that Phi is onto at no
+    point, so every such x gives None, and by the lemma of
+    :func:`stability_check` is unstable for every theta with theta_i < 0.
+    Each grade that the closed form reaches at node i is planned, zero-width
+    ones too, since Phi must be onto there as well.
+
+    Per grade with a nonzero kernel the plan lists the maps S_i x builds:
+    ``outs``, Psi's one-map blocks at a, the maps out of the new V_i^a, each
+    a slice of the kernel; ``loop``, the new loop and the lower grade whose
+    kernel it lands in, where that kernel is nonzero too; and ``ins``,
+    Phi's one-map blocks one step down, the maps into V_i^a, each factored
+    through Psi.
+    """
+    shell = GradedQuiverRep._trusted(datum, None, dict(v), dict(w), {})
+    dii = 2 * datum.di(i)
+    grades = {}
+    for a in sorted(a for node, a in reflect_dimensions(datum, i, shell.v, shell.w)
+                    if node == i):
+        grade = _grade(shell, i, a)
+        if grade.dom < grade.target:
+            return None
+        if grade.dom:
+            grades[a] = grade
+
+    new_v = {key: n for key, n in shell.v.items() if key[0] != i}
+    builds = []
+    for a, grade in grades.items():
+        width = grade.dom - grade.target
+        if not width:
+            continue
+        new_v[i, a] = width
+        outs = tuple((psi[0], col, dim) for _, dim, col, _, psi, _ in grade.blocks
+                     if len(psi) == 1)
+        loop = _path(datum, ("V", i, a), [("V", i)])
+        lower = grades.get(loop[1][2])
+        loop = (loop, lower) if lower and lower.dom > lower.target else None
+        ins = tuple((phi[0], dim) for _, dim, _, phi, _, _ in
+                    _grade(shell, i, a - dii).blocks if len(phi) == 1)
+        builds.append((grade, outs, loop, ins))
+    return _Step(i, tuple(grades.values()), tuple(builds), new_v)
+
+
+def _apply_step(step, rep):
+    """S_i x by the plan ``step`` of x's dims, or None when some Phi is not onto."""
+    fld, maps = rep.field, rep.maps
+    kernels = {}
+    for grade in step.grades:
+        basis = kernel_basis(fld, _phi(fld, maps, grade), cols=grade.dom)
+        if len(basis[0]) != grade.dom - grade.target:  # the rank of Phi
+            return None
+        kernels[grade.a] = basis
+
+    at = ("V", step.node)
+    new_maps = {ends: mat for ends, mat in maps.items()
+                if all(end[:2] != at for end in ends)}
+    for grade, outs, loop, ins in step.builds:
+        basis = kernels[grade.a]
+        # the maps out of V_i^a, and the new coframing, project the kernel
+        for ends, col, dim in outs:
+            new_maps[ends] = [list(row) for row in basis[col:col + dim]]
+        # the new loop, induced by the comparison map, which carries the
+        # kernel at a into the kernel at a - d_ii
+        if loop is not None:
+            ends, lower = loop
+            image = mat_mul_shaped(fld, _upsilon(fld, maps, grade, lower), basis,
+                                   lower.dom, grade.dom, len(basis[0]))
+            new_maps[ends] = solve_exact(fld, kernels[lower.a], image)
+        # the maps into V_i^a, and the new framing, factor through Psi
+        if ins:
+            psi = _psi(fld, maps, grade)
+            for ends, dim in ins:
+                mapped = mat_mul_shaped(
+                    fld, psi, _along(fld, maps, (ends,), grade.vdim, dim),
+                    grade.dom, grade.vdim, dim)
+                new_maps[ends] = solve_exact(fld, basis, mapped)
+    return GradedQuiverRep._trusted(rep.datum, fld, step.v, rep.w, new_maps)
 
 
 def _reflect_kernel(rep, i):
@@ -688,69 +902,8 @@ def _reflect_kernel(rep, i):
     checks its input and output around this, and the stability walk reaches
     it only from valid points.
     """
-    datum, fld = rep.datum, rep.field
-    dii = 2 * datum.di(i)
-    # every grade the closed form reaches, zero-width ones too: Phi must be
-    # onto there as well
-    grades = sorted(a for node, a in reflect_dimensions(datum, i, rep.v, rep.w)
-                    if node == i)
-    kernels = {}  # grade -> (kernel basis, its width, Phi block dims)
-    for a in grades:
-        dims = _block_dims(rep, phi_blocks(datum, i, a))
-        dom = sum(dims)
-        target = rep.vdim(i, a + dii)
-        basis = kernel_basis(fld, phi_map(rep, i, a), cols=dom)
-        width = len(basis[0]) if basis else 0
-        if dom - width != target:  # the rank of Phi
-            return None
-        kernels[a] = (basis, width, dims)
-
-    new_v = {key: n for key, n in rep.v.items() if key[0] != i}
-    new_v.update({(i, a): width for a, (_, width, _) in kernels.items() if width})
-
-    new_maps = {ends: mat for ends, mat in rep.maps.items()
-                if all(end[:2] != ("V", i) for end in ends)}
-
-    psis = {}
-
-    def psi_at(a):
-        if a not in psis:
-            psis[a] = _psi(rep, i, a)
-        return psis[a]
-
-    for a, (basis, width, dims) in kernels.items():
-        if not width:
-            continue
-
-        # outgoing arrows and the new coframing: the maps out of V_i^a are
-        # the one-map blocks of Psi at a, and each new one projects the kernel
-        offset = 0
-        for (_, _, path, _), dim in zip(_block_paths(datum, i, a), dims):
-            if len(path) == 2 and dim:
-                new_maps[path] = [list(row) for row in basis[offset:offset + dim]]
-            offset += dim
-
-        # the new loop, induced by the comparison map, which carries the
-        # kernel at a into the kernel at a - d_ii
-        loop = _path(datum, ("V", i, a), [("V", i)])
-        lower, lower_width, lower_dims = kernels.get(loop[1][2], (None, 0, None))
-        if lower_width:
-            image = mat_mul_shaped(fld, upsilon_map(rep, i, a), basis,
-                                   sum(lower_dims), sum(dims), width)
-            new_maps[loop] = solve_exact(fld, lower, image)
-
-        # incoming arrows and the new framing: the maps into V_i^a are the
-        # one-map blocks of Phi at a - d_ii, and each factors through Psi
-        for _, path, _, _ in _block_paths(datum, i, a - dii):
-            if len(path) != 2 or not rep.slot_dim(path[0]):
-                continue
-            mapped = mat_mul_shaped(
-                fld, psi_at(a), _dense(rep, path),
-                sum(dims), rep.vdim(i, a), rep.slot_dim(path[0]),
-            )
-            new_maps[path] = solve_exact(fld, basis, mapped)
-
-    return GradedQuiverRep(datum, fld, new_v, rep.w, new_maps, check=False)
+    step = _step_plan(rep.datum, i, _dims_key(rep.v), _dims_key(rep.w))
+    return None if step is None else _apply_step(step, rep)
 
 
 def reflect(rep, i, theta):
@@ -833,8 +986,11 @@ def exhaustive_search(datum, v, w, field, thetas=(),
             entries=total_entries,
         )
     elements = list(field.elements())
-    # every point shares datum, v and w, and the table reads nothing else
-    table = _relation_table(empty)
+    # every point shares datum, v and w, and the relation table and the
+    # stability plans read nothing else
+    table = _relation_steps(_relation_table(empty))
+    key_v, key_w = _dims_key(empty.v), _dims_key(empty.w)
+    plans = [_walk_plan(datum, key_v, key_w, tuple(theta)) for theta in thetas]
     results = []
     for assignment in product(elements, repeat=total_entries):
         pos = 0
@@ -845,9 +1001,9 @@ def exhaustive_search(datum, v, w, field, thetas=(),
                 for r in range(rows)
             ]
             pos += rows * cols
-        rep = GradedQuiverRep(datum, field, empty.v, empty.w, maps, check=False)
+        rep = GradedQuiverRep._trusted(datum, field, empty.v, empty.w, maps)
         if _violations(rep, table):
             continue
-        stable = tuple(stability_check(rep, theta) for theta in thetas)
+        stable = tuple(_walk(plan, rep) for plan in plans)
         results.append(SearchPoint(rep=rep, stable=stable))
     return results

@@ -7,11 +7,13 @@ and JSON object tree of a q-character, random monomials, the braid-relation
 property check, the per-word replay
 oracle of the cone verifier, the expected cone-vertex count, the closure
 oracle that expands every monomial, the exhaustive quiver corpus, the
+object-tree writer of a search artifact, the
 per-relation oracle of the quiver relation checks, the
 full submodule lattice that decides stability by enumeration, and the
 chamber walk that always walks up from theta."""
 
 import importlib
+import json
 import random
 import sys
 from collections import Counter, deque
@@ -22,7 +24,7 @@ from itertools import product
 from math import lcm
 from pathlib import Path
 
-from qcharlab import quiver
+from qcharlab import cli, quiver
 from qcharlab.braid import reflect_dimensions, unit_framing
 from qcharlab.cartan import (
     _lower,
@@ -37,6 +39,7 @@ from qcharlab.errors import CapExceeded
 from qcharlab.extremal import _push_dims, _violation
 from qcharlab.linalg import (
     F2,
+    field_by_name,
     identity,
     is_zero_matrix,
     mat_mul_shaped,
@@ -467,6 +470,30 @@ def quiver_corpus_cases(label, dim_bound=6, entry_cap=22, sums=False,
                 skipped["capped", label, node] += 1
                 continue
             yield datum, node, v, w, theta, points
+
+
+def search_artifact_oracle(argv):
+    """The text ``quiver-search`` with ``argv`` (less ``--out``) writes, made
+    as one object tree of every point's ``to_json_obj`` and dumped at once:
+    the oracle of the per-search template writer of ``cli``."""
+    args = cli._build_parser()[0].parse_args(argv)
+    datum, field = build_cartan(args.type), field_by_name(args.field)
+    v, w = cli.parse_dims(args.v), cli.parse_dims(args.w)
+    thetas = (cli._parse_theta(args.theta, datum),) if args.theta else ()
+    points = exhaustive_search(datum, v, w, field, thetas=thetas,
+                               cap_entries=args.cap_entries)
+    obj = {
+        "conventions": CONVENTIONS_VERSION,
+        "type": datum.label,
+        "field": field.name,
+        "v": [[i, a, n] for (i, a), n in sorted(v.items())],
+        "w": [[i, a, n] for (i, a), n in sorted(w.items())],
+        "points": [
+            {"point": point.rep.to_json_obj(), "stable": list(point.stable)}
+            for point in points
+        ],
+    }
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 # ---------------------------------------------------------------------------

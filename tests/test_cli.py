@@ -19,7 +19,12 @@ from qcharlab.conventions import CONVENTIONS_VERSION
 from qcharlab.lweights import AMonomialVector, LaurentMonomial
 from qcharlab.qchar import QChar
 
-from helpers import apply_s_word_inverse, factor_to_a
+from helpers import (
+    apply_s_word_inverse,
+    factor_to_a,
+    perfbench_module,
+    search_artifact_oracle,
+)
 
 
 def run(*argv):
@@ -255,6 +260,62 @@ def test_quiver_search_with_every_map_kind_is_pinned(tmp_path):
     kinds = {(m["kind"], m["to"][0]) for point in points for m in point["point"]["maps"]}
     assert {("A", 1), ("arrow", 1), ("B", 1), ("B", 2)} <= kinds
     assert hashlib.sha256(out.read_bytes()).hexdigest() == B2_SEARCH_EVERY_KIND
+
+
+# sha256 of two searches as written when every point's object tree was
+# dumped at once: 64 points at theta = -1, 18 of them stable (three free
+# orbits of GL_2(F2)), and 27 points over F3 with no theta
+A2_SEARCH_SAME_SIGN = "7f0e5e4d09b4636e31218a9c6677faece5b14b3fd363acc82932bd2c8c1bff4f"
+A2_SEARCH_F3 = "534670b12ecb93f21593dda8ba6ca56686ced4f35a87cef60437e44bd2db6909"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("--type", "A2", "--v", "2@(1,1),1@(2,2)", "--w", "2@(1,0)", "--theta=-1"),
+     A2_SEARCH_SAME_SIGN),
+    (("--type", "A2", "--v", "1@(1,1),1@(2,2)", "--w", "1@(1,0),1@(2,1)",
+      "--field", "F3"), A2_SEARCH_F3),
+], ids=["same-sign", "F3"])
+def test_search_bytes_are_pinned(tmp_path, argv, digest):
+    out = tmp_path / "search.json"
+    assert run("quiver-search", *argv, "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _workload_searches():
+    """The argv of every search of the quiver-same-sign and quiver-mixed workloads."""
+    workloads = perfbench_module("workloads").WORKLOADS
+    return [op.args for name in ("quiver-same-sign", "quiver-mixed")
+            for group in workloads[name]() for op in group
+            if op.args[0] == "quiver-search"]
+
+
+def test_every_workload_search_is_written_as_its_object_tree(tmp_path, capsys):
+    # each point's text comes from one template per search; the object tree
+    # of every point, dumped at once, is the oracle
+    searches = _workload_searches()
+    assert len(searches) == 153
+    out = tmp_path / "search.json"
+    for argv in searches:
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == search_artifact_oracle(argv), argv
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ("--type", "B2", "--v", "1@(1,2),1@(2,2)", "--w", "1@(2,0)"),
+    ("--type", "A2", "--v", "", "--w", "1@(1,0),1@(2,1)", "--theta=-1"),
+    ("--type", "A2", "--v", "1@(1,1),1@(2,2)", "--w", "1@(1,0),1@(2,1)",
+     "--field", "F3", "--theta=1,-2"),
+], ids=["no theta", "empty v", "F3"])
+def test_a_search_is_written_as_its_object_tree(tmp_path, argv):
+    out = tmp_path / "search.json"
+    assert run("quiver-search", *argv, "--out", str(out)) == 0
+    text = out.read_text(encoding="utf-8")
+    assert text == search_artifact_oracle(["quiver-search", *argv])
+    # one verdict per point with a theta, "stable": [] without
+    verdicts = 1 if any(arg.startswith("--theta") for arg in argv) else 0
+    points = json.loads(text)["points"]
+    assert points and all(len(point["stable"]) == verdicts for point in points)
 
 
 # each fault a point file was once read past, with exit 0: an inexact value

@@ -177,7 +177,8 @@ def test_framing_override():
 def _assert_walk_equals_the_replay(datum, vectors, framing):
     words = {element.weight: element.word for element in weyl_elements(datum)}
     seen, walked = set(), 0
-    for weight, length, image, negative in _row_walk(datum, vectors, framing):
+    columns = [vec.items() for vec in vectors]
+    for weight, length, image, negative in _row_walk(datum, columns, framing):
         walked += 1
         word = words[weight]
         assert length == len(word)
@@ -224,6 +225,62 @@ def _injected(label, node, *entries):
     fake = dict(q.entries)
     fake[vec(node, *entries)] = 1
     return datum, QChar(datum, node, fake)
+
+
+@pytest.mark.parametrize("label,node,entry", [
+    ("G2", 1, None), ("F4", 1, None), ("C3", 2, None), ("B3", 1, (2, 5, 1)),
+])
+def test_a_walk_restarted_on_wider_lanes_reports_as_at_16_bits(
+        label, node, entry, monkeypatch):
+    # at 5 bits these types' lanes hold entries below 2: each character's walk
+    # starts on them and outgrows them, and the walk restarts at 10 bits
+    if entry is None:
+        q = fm_qchar(build_cartan(label), node)
+    else:
+        q = _injected(label, node, entry)[1]
+    monkeypatch.setattr(extremal, "_LANE_BITS", 16)
+    expected = verify_theorem_main(q).to_json_obj()
+    widths = []
+    real = extremal._packed_walk
+
+    def recording(datum, lanes, *args):
+        widths.append(lanes.bits)
+        return real(datum, lanes, *args)
+
+    monkeypatch.setattr(extremal, "_packed_walk", recording)
+    monkeypatch.setattr(extremal, "_LANE_BITS", 5)
+    assert verify_theorem_main(q).to_json_obj() == expected
+    assert widths == [5, 10]
+    assert bool(expected["violations"]) == (entry is not None)
+
+
+@pytest.mark.parametrize("label,node,entry", [("B3", 2, None), ("G2", 2, (1, 4, 2))])
+def test_the_verifier_builds_a_vector_only_per_violation(
+        label, node, entry, monkeypatch):
+    # the walk reads the character's rows; a clean check builds no vector
+    # and never fills ``entries``, and a violation builds its own vector
+    if entry is None:
+        q = fm_qchar(build_cartan(label), node)
+    else:
+        q = _injected(label, node, entry)[1]
+    built = []
+    real_init, real_trusted = AMonomialVector.__init__, AMonomialVector._trusted.__func__
+
+    def init(self, *args):
+        built.append(args)
+        real_init(self, *args)
+
+    def trusted(cls, *args):
+        built.append(args)
+        return real_trusted(cls, *args)
+
+    monkeypatch.setattr(AMonomialVector, "__init__", init)
+    monkeypatch.setattr(AMonomialVector, "_trusted", classmethod(trusted))
+    summary = verify_theorem_main(q)
+    assert len(built) == len(summary.violations)
+    assert summary.ok == (entry is None)
+    if entry is None:
+        assert "entries" not in vars(q)
 
 
 @pytest.mark.parametrize("recheck_limit", [0, 48])

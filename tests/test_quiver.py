@@ -69,6 +69,11 @@ NEG2 = (Fraction(-1), Fraction(-1))
 POS2 = (Fraction(1), Fraction(1))
 
 
+def _block_dims(rep, blocks):
+    """The dim of each block of a ``quiver.phi_blocks`` layout on ``rep``."""
+    return [rep.slot_dim(block[:3]) for block in blocks]
+
+
 def a1_point(field=F2):
     # V_1^1 = W_1^0 = k with the framing map the identity
     datum = build_cartan("A1")
@@ -329,7 +334,8 @@ def test_relation_checks_build_no_zero_matrix(monkeypatch):
 def test_search_builds_the_relation_table_once(monkeypatch):
     # the table reads only datum, v and w, which every point of one search
     # shares; so do the slots of each path, resolved by _step only while the
-    # table and the list of map slots are built
+    # table and the list of map slots are built (each count starts from a
+    # cold cache of the block paths, so it holds whatever ran before)
     calls, steps = [], []
     real, real_step = quiver._relation_table, quiver._step
     monkeypatch.setattr(quiver, "_relation_table",
@@ -339,10 +345,12 @@ def test_search_builds_the_relation_table_once(monkeypatch):
                         lambda *args: steps.append(args) or real_step(*args))
     datum = build_cartan("B2")
     v, w = {(1, 2): 1, (1, 4): 2, (2, 2): 2, (2, 4): 1}, {(2, 0): 1}
+    quiver._block_paths.cache_clear()
     real(GradedQuiverRep(datum, F2, v, w))
     valid_map_keys(datum, v, w)
     once = len(steps)
     steps.clear()
+    quiver._block_paths.cache_clear()
     points = exhaustive_search(datum, v, w, F2)
     assert len(points) == 512
     assert len(calls) == 1
@@ -597,6 +605,63 @@ def test_stability_matches_walking_up_at_mixed_theta():
     assert counts == {"dual": 9973, "up": 9973, "stable": 303}
 
 
+def test_the_search_plans_each_theta_once(monkeypatch):
+    # the walk plan reads only datum, v, w and theta, so a search looks it
+    # up once per theta, and builds it then, whatever its point count
+    routes = []
+    real = quiver._route
+    monkeypatch.setattr(quiver, "_route",
+                        lambda *args: routes.append(args) or real(*args))
+    datum = build_cartan("B2")
+    thetas = (NEG2, *(reflect_weight(datum, i, NEG2) for i in datum.nodes), POS2)
+    for v, count in [({(1, 2): 1, (2, 2): 1}, 2),
+                     ({(1, 2): 1, (1, 4): 2, (2, 2): 2, (2, 4): 1}, 512)]:
+        quiver._walk_plan.cache_clear()
+        routes.clear()
+        points = exhaustive_search(datum, v, {(2, 0): 1}, F2, thetas=thetas)
+        assert len(points) == count
+        assert len(routes) == len(thetas)
+        info = quiver._walk_plan.cache_info()
+        assert (info.hits, info.misses) == (0, len(thetas))
+
+
+def test_a_phi_domain_below_its_target_is_unstable_for_the_dims_alone():
+    # A2 at theta = (1, -2) walks one step from x^T: there W'_1^0 and
+    # V'_1^{-1} are k, and Phi_1^{-3} maps the zero space onto V'_1^{-1}
+    datum = build_cartan("A2")
+    theta = (Fraction(1), Fraction(-2))
+    v, w = {(1, 1): 1}, {(1, 0): 1}
+    assert quiver._route(datum, theta) == (True, (1,))
+    assert quiver._step_plan(datum, 1, (((1, -1), 1),), (((1, 0), 1),)) is None
+    assert quiver._walk_plan(datum, (((1, 1), 1),), (((1, 0), 1),), theta) is False
+    for value in (0, 1):
+        rep = GradedQuiverRep(datum, F2, v, w, {(("W", 1, 0), ("V", 1, 1)): [[value]]})
+        assert stability_check(rep, theta) is False
+        assert stability_by_full_lattice(rep, (theta,)) == (False,)
+
+
+def test_every_dims_only_verdict_agrees_with_the_full_lattice():
+    # the rank-two corpus at each mixed theta: where the plan is False for
+    # the dims alone, the lattice finds the points unstable too; on B2 it
+    # checks the first 16 points of each search, as its lattices are large
+    counts = Counter()
+    for label, sample in [("A2", None), ("B2", 16)]:
+        for datum, _, _, _, _, points in quiver_corpus_cases(label, sums=True):
+            rep = points[0].rep
+            key_v, key_w = quiver._dims_key(rep.v), quiver._dims_key(rep.w)
+            for theta in filter(_mixed, _chamber_thetas(datum)):
+                if quiver._walk_plan(datum, key_v, key_w, theta) is not False:
+                    continue
+                for point in points:
+                    assert stability_check(point.rep, theta) is False
+                for point in points[:sample]:
+                    assert stability_by_full_lattice(point.rep, (theta,)) == (False,)
+                    counts["lattice"] += 1
+                counts["dims"] += 1
+                counts["points"] += len(points)
+    assert counts == {"dims": 58, "points": 7992, "lattice": 904}
+
+
 @given(_random_point())
 def test_the_dual_point_keeps_the_grading_and_the_relations(case):
     # each relation of x^T is the transpose of one of x, so a random point
@@ -834,7 +899,7 @@ def test_upsilon_squares_to_comparison():
 def test_upsilon_diagram_commutes_on_valid_points():
     # Phi at (i, a - d_ii) composed with the comparison map equals the loop
     # composed with Phi at (i, a), on every relation-satisfying point
-    from qcharlab.quiver import _block_dims, phi_blocks
+    from qcharlab.quiver import phi_blocks
 
     for label, v, w in [
         ("A2", {(1, 1): 1, (2, 2): 1}, {(1, 0): 1}),
@@ -871,7 +936,7 @@ def test_upsilon_diagram_commutes_on_valid_points():
 
 def test_phi_surjective_on_stable_points():
     # negative-chamber stable points have every assembled map onto
-    from qcharlab.quiver import _block_dims, phi_blocks
+    from qcharlab.quiver import phi_blocks
 
     for label, v, w in [
         ("A2", {(1, 1): 1, (2, 2): 1}, {(1, 0): 1}),
@@ -900,7 +965,7 @@ def test_reflected_coframing_is_kernel_projection():
     # a stable B = 0 point reflects to one whose new coframing is literally
     # the framing-slot rows of each kernel basis
     from qcharlab.linalg import kernel_basis as kb
-    from qcharlab.quiver import _block_dims, phi_blocks
+    from qcharlab.quiver import phi_blocks
 
     datum = build_cartan("B2")
     v = {(1, 1): 1, (2, 3): 1}
