@@ -28,12 +28,16 @@ fixed globally (W first, then neighbors ascending, then the step index t
 ascending) so serialized reflected points are reproducible.
 
 Plans.  All that a check reads besides the matrix entries is fixed by the
-point's dims (and theta): the relation paths, the stability route, and per
-reflection step the Phi blocks, their dims and the dims after the step.
-These are built once per (datum, v, w, theta) into cached plans
-(:func:`_walk_plan`, :func:`_step_plan`, up to 1024 entries each), so a
+point's dims (and theta): the relation paths, the stability route, per
+reflection step the Phi blocks, their dims and the dims after the step,
+and the seed maps and moves of the closing spin.  These are built once per
+(datum, v, w, theta) into cached plans (:func:`_walk_plan`,
+:func:`_step_plan`, :func:`_spin_plan`, up to 1024 entries each), so a
 search's points, which all share v and w, run only field arithmetic, and
 the points a plan builds (:meth:`GradedQuiverRep._trusted`) share its dims.
+A search also drops the relation paths through maps its points do not hold
+(:func:`_pruned`), and takes each matrix row from one table per column
+count, shared by all its points.
 """
 
 from __future__ import annotations
@@ -61,7 +65,6 @@ from .linalg import (
     is_zero_matrix,
     kernel_basis,
     mat_mul_shaped,
-    rref,
     solve_exact,
     vstack,
     zeros,
@@ -325,6 +328,20 @@ def _relation_steps(table):
             for name, i, j, a, paths in table]
 
 
+def _pruned(steps, keys):
+    """The rows of ``steps`` (:func:`_relation_steps`) on points whose maps
+    sit at ``keys`` and nowhere else: a path through a map at no key is zero
+    on every such point, so it is dropped, and so is a row that keeps no path.
+    :func:`_violations` reads the rows left as it reads ``steps``."""
+    keys = set(keys)
+    out = []
+    for name, i, j, a, paths in steps:
+        paths = [pairs for pairs in paths if keys.issuperset(pairs)]
+        if paths:
+            out.append((name, i, j, a, paths))
+    return out
+
+
 def _violations(rep, steps):
     fld, maps = rep.field, rep.maps
     out = []
@@ -374,66 +391,83 @@ def validate_n(rep, node, xi):
 # submodule closures and stability
 
 
-def _span(fld, rows):
-    """Canonical echelon basis (tuple of row tuples) of the span of ``rows``."""
-    reduced, pivots = rref(fld, rows)
-    return tuple(tuple(reduced[r]) for r in range(len(pivots)))
-
-
 def _images(fld, mat, rows):
     """The image of each row vector (``rows`` is not empty) under ``mat``."""
     return mat_mul_shaped(fld, rows, list(zip(*mat)), len(rows), len(rows[0]),
                           len(mat))
 
 
-def _closure(rep, seeds, backward=False):
-    """Smallest subrepresentation containing the seed vectors.
+@lru_cache(maxsize=1024)
+def _spin_plan(datum, v, w, backward=False):
+    """What :func:`_spin` reads on the points of dims ``v`` and ``w`` (sorted
+    items tuples), less their entries: (seeds, moves, total, backward).
 
-    Closed under every arrow and loop (framing maps do not act).  Returns a
-    dict (node, grade) -> canonical tuple of echelon basis rows.  With
-    ``backward`` the seeds are row functionals, carried back along the
-    transposed arrows: the result is then the annihilator of the largest
-    subrepresentation that every seed kills.
+    ``seeds`` holds the (ends, V slot) of each framing map, whose columns
+    seed the closure, or with ``backward`` of each coframing map, whose rows
+    do.  ``moves`` maps each V slot to the (ends, V slot) of each arrow and
+    loop out of it, or with ``backward`` into it, toward the slot a vector
+    there goes to.  ``total`` is |V|.
     """
-    fld = rep.field
-    spans = {}
-    for key, vectors in seeds.items():
-        rows = _span(fld, vectors)
-        if rows:
-            spans[key] = rows
-    moves = []  # (from, to, factor) per arrow: a row r moves to r * factor
-    for (source, target), mat in rep.maps.items():
-        if source[0] == target[0] == "V":
-            source, target = source[1:], target[1:]
-            moves.append((target, source, mat) if backward
-                         else (source, target, list(zip(*mat))))
-    changed = True
-    while changed:
-        changed = False
-        for source, target, factor in moves:
-            rows = spans.get(source)
-            if not rows:
-                continue
-            trows = spans.get(target, ())
-            image = mat_mul_shaped(fld, rows, factor, len(rows), len(factor),
-                                   len(factor[0]))
-            grown = _span(fld, [*trows, *image])
-            if len(grown) > len(trows):
-                spans[target] = grown
-                changed = True
-    return spans
+    seeds, moves = [], {}
+    for source, target in valid_map_keys(datum, dict(v), dict(w)):
+        ends = source, target
+        if source[0] == target[0]:
+            start, end = (target, source) if backward else ends
+            moves.setdefault(start[1:], []).append((ends, end[1:]))
+        elif (target if backward else source)[0] == "W":
+            seeds.append((ends, (source if backward else target)[1:]))
+    return (tuple(seeds), {slot: tuple(out) for slot, out in moves.items()},
+            sum(n for _, n in v), backward)
 
 
-def _sub_dims(sub):
-    return {key: len(rows) for key, rows in sub.items()}
+def _spin(plan, rep):
+    """Is the closure of the seeds of ``plan`` (:func:`_spin_plan` of the
+    dims of ``rep``) all of V?
+
+    Each seed is reduced against its slot's echelon rows.  A vector that is
+    new there joins them, and is pushed once along each arrow and loop out
+    of its slot (a functional, with ``backward``, once back along each one
+    into it); its images are reduced in turn.  Each basis vector thus
+    crosses each map once, and the spin stops as soon as the total rank
+    reaches |V|.  The closure lies in V, so it is all of V iff its rank is.
+    """
+    seeds, moves, total, backward = plan
+    fld, maps = rep.field, rep.maps
+    pending = []
+    for ends, slot in seeds:
+        mat = maps.get(ends)
+        if mat is not None:
+            pending += [(slot, vec) for vec in (mat if backward else zip(*mat))]
+    basis = {}  # V slot -> [(pivot, row)], each row 1 at its pivot
+    rank = 0
+    while pending:
+        slot, vec = pending.pop()
+        rows = basis.setdefault(slot, [])
+        for pivot, row in rows:
+            coeff = vec[pivot]
+            if coeff:
+                vec = [fld.sub(x, fld.mul(coeff, y)) for x, y in zip(vec, row)]
+        pivot = next((c for c, x in enumerate(vec) if x), None)
+        if pivot is None:
+            continue
+        scale = fld.inv(vec[pivot])
+        rows.append((pivot, [fld.mul(scale, x) for x in vec]))
+        rank += 1
+        if rank == total:
+            return True
+        for ends, to in moves.get(slot, ()):
+            mat = maps.get(ends)
+            if mat is not None:
+                pending.append((to, _push(fld, vec, mat, backward)))
+    return rank == total
 
 
-def _framing_image_seeds(rep):
-    seeds = {}
-    for (source, target), mat in rep.maps.items():
-        if source[0] == "W":
-            seeds.setdefault(target[1:], []).extend(map(list, zip(*mat)))
-    return seeds
+def _push(fld, vec, mat, backward):
+    """``vec`` carried along the map ``mat``: its image, or with ``backward``
+    the functional ``vec`` composed with ``mat``."""
+    if backward:
+        return mat_mul_shaped(fld, [vec], mat, 1, len(mat), len(mat[0]))[0]
+    return _images(fld, mat, [vec])[0]
 
 
 def _theta_text(theta):
@@ -503,16 +537,18 @@ def _walk_plan(datum, v, w, theta):
     """How :func:`stability_check` decides the points of dims ``v`` and
     ``w`` (sorted items tuples) at the tuple ``theta``, less their entries.
 
-    None in the negative chamber.  False when the walk stops at a step for
-    the dims alone, by the dims lemma of :func:`_step_plan`: then no such
-    point is stable.  Otherwise (layout, steps): the :func:`_dual_layout`
-    when :func:`_route` starts from the transposed point, else None, and
-    the :func:`_step_plan` of each step of the route's word, each on the
-    dims the step before leaves.  Raises NonGenericTheta as _route does.
+    False when the walk stops at a step for the dims alone, by the dims
+    lemma of :func:`_step_plan`: then no such point is stable.  Otherwise
+    (layout, steps, spin): the :func:`_dual_layout` when :func:`_route`
+    starts from the transposed point, else None; the :func:`_step_plan` of
+    each step of the route's word, each on the dims the step before leaves;
+    and the :func:`_spin_plan` of the chamber's closure on the dims the
+    walk ends on, forward in the negative chamber (no layout, no steps) and
+    backward in the positive one.  Raises NonGenericTheta as _route does.
     """
     route = _route(datum, theta)
     if route is None:
-        return None
+        return None, (), _spin_plan(datum, v, w)
     dual, word = route
     layout = None
     if dual:
@@ -525,23 +561,21 @@ def _walk_plan(datum, v, w, theta):
             return False
         steps.append(step)
         v = _dims_key(step.v)
-    return layout, tuple(steps)
+    return layout, tuple(steps), _spin_plan(datum, v, w, True)
 
 
 def _walk(plan, rep):
     """Decide ``rep`` by the :func:`_walk_plan` of its dims and a theta."""
-    if plan is None:
-        return is_framed_stable(rep)
     if plan is False:
         return False
-    layout, steps = plan
+    layout, steps, spin = plan
     if layout is not None:
         rep = _dual(rep, layout)
     for step in steps:
         rep = _apply_step(step, rep)
         if rep is None:
             return False
-    return _is_coframed_stable(rep)
+    return _spin(spin, rep)
 
 
 def stability_check(rep, theta):
@@ -573,8 +607,9 @@ def stability_check(rep, theta):
       min(l, l(w_0) - l) steps: one at every s_i(-1, ..., -1).
 
     Everything but the matrix entries is fixed by (datum, v, w, theta): the
-    route, the transposed layout, and per step the Phi blocks, their dims
-    and the dims after the step.  :func:`_walk_plan` holds them, cached,
+    route, the transposed layout, per step the Phi blocks, their dims and
+    the dims after the step, and the seeds and moves of the chamber's
+    closure (:func:`_spin_plan`).  :func:`_walk_plan` holds them, cached,
     and :func:`_walk` runs one point through them; a search looks its plan
     up once per theta.  Where some Phi's domain is smaller than its target
     the plan is False for the dims alone (see :func:`_step_plan`).
@@ -634,21 +669,21 @@ def stability_check(rep, theta):
 def is_framed_stable(rep):
     """The all-negative-chamber notion: no proper subrepresentation contains Im A.
 
-    Equivalent to the closure of the framing images being everything.
+    Equivalent to the closure of the framing images being everything: the
+    forward :func:`_spin` from the columns of every A, which stops as soon
+    as their closure's rank reaches |V|.
     """
-    base = _closure(rep, _framing_image_seeds(rep))
-    return _sub_dims(base) == dict(rep.v)
+    return _spin(_spin_plan(rep.datum, _dims_key(rep.v), _dims_key(rep.w)), rep)
 
 
 def _is_coframed_stable(rep):
     """The all-positive-chamber notion: no nonzero subrepresentation lies in Ker B.
 
     Equivalent to the rows of every B, closed backwards along the arrows,
-    spanning the dual of every V slot.
+    spanning the dual of every V slot: the backward :func:`_spin`, which
+    stops as soon as their rank reaches |V|.
     """
-    seeds = {source[1:]: mat for (source, target), mat in rep.maps.items()
-             if target[0] == "W"}
-    return _sub_dims(_closure(rep, seeds, backward=True)) == rep.v
+    return _spin(_spin_plan(rep.datum, _dims_key(rep.v), _dims_key(rep.w), True), rep)
 
 
 # ---------------------------------------------------------------------------
@@ -972,6 +1007,8 @@ def exhaustive_search(datum, v, w, field, thetas=(),
 
     Raw points: no deduplication by the graded automorphism group.  Each
     surviving point is classified against every supplied stability weight.
+    The points share their dims and their matrix rows (one list per distinct
+    row), so none of them may be changed in place.
     """
     if not field.is_finite:
         raise FieldNotFinite("exhaustive search needs a finite field")
@@ -985,22 +1022,23 @@ def exhaustive_search(datum, v, w, field, thetas=(),
             f"search space has {total_entries} free entries (cap {cap_entries})",
             entries=total_entries,
         )
-    elements = list(field.elements())
     # every point shares datum, v and w, and the relation table and the
     # stability plans read nothing else
-    table = _relation_steps(_relation_table(empty))
+    table = _pruned(_relation_steps(_relation_table(empty)), slots)
     key_v, key_w = _dims_key(empty.v), _dims_key(empty.w)
     plans = [_walk_plan(datum, key_v, key_w, tuple(theta)) for theta in thetas]
+    # a point's entries run row by row through the slots, so one table of
+    # every row per column count, shared by all points, enumerates the points
+    # in the order of product(elements, repeat=total_entries)
+    tables = {cols: [list(row) for row in product(field.elements(), repeat=cols)]
+              for cols in {cols for _, cols in shapes}}
+    row_tables, spans = [], []
+    for ends, (rows, cols) in zip(slots, shapes):
+        spans.append((ends, len(row_tables), len(row_tables) + rows))
+        row_tables += [tables[cols]] * rows
     results = []
-    for assignment in product(elements, repeat=total_entries):
-        pos = 0
-        maps = {}
-        for ends, (rows, cols) in zip(slots, shapes):
-            maps[ends] = [
-                list(assignment[pos + r * cols: pos + (r + 1) * cols])
-                for r in range(rows)
-            ]
-            pos += rows * cols
+    for combo in product(*row_tables):
+        maps = {ends: list(combo[start:stop]) for ends, start, stop in spans}
         rep = GradedQuiverRep._trusted(datum, field, empty.v, empty.w, maps)
         if _violations(rep, table):
             continue

@@ -8,7 +8,9 @@ property check, the per-word replay
 oracle of the cone verifier, the expected cone-vertex count, the closure
 oracle that expands every monomial, the exhaustive quiver corpus, the
 object-tree writer of a search artifact, the
-per-relation oracle of the quiver relation checks, the
+per-relation oracle of the quiver relation checks, the point builder that
+cuts each assignment of the search into rows, the fixpoint submodule
+closure (the oracle of the spin that decides the same-sign chambers), the
 full submodule lattice that decides stability by enumeration, and the
 chamber walk that always walks up from theta."""
 
@@ -43,6 +45,7 @@ from qcharlab.linalg import (
     identity,
     is_zero_matrix,
     mat_mul_shaped,
+    rref,
     zeros,
 )
 from qcharlab.lweights import AMonomialVector, LaurentMonomial, _accumulate, expand_to_y
@@ -690,6 +693,99 @@ def validate_n_oracle(rep, node, xi):
 # the full submodule lattice: the oracle of quiver.stability_check
 
 
+def _span(fld, rows):
+    """Canonical echelon basis (tuple of row tuples) of the span of ``rows``."""
+    reduced, pivots = rref(fld, rows)
+    return tuple(tuple(reduced[r]) for r in range(len(pivots)))
+
+
+def _closure(rep, seeds, backward=False):
+    """Smallest subrepresentation containing the seed vectors.
+
+    Closed under every arrow and loop (framing maps do not act).  Returns a
+    dict (node, grade) -> canonical tuple of echelon basis rows.  With
+    ``backward`` the seeds are row functionals, carried back along the
+    transposed arrows: the result is then the annihilator of the largest
+    subrepresentation that every seed kills.  The fixpoint that
+    ``quiver._spin`` replaced, kept as its oracle: each round carries every
+    span through every arrow and re-reduces it.
+    """
+    fld = rep.field
+    spans = {}
+    for key, vectors in seeds.items():
+        rows = _span(fld, vectors)
+        if rows:
+            spans[key] = rows
+    moves = []  # (from, to, factor) per arrow: a row r moves to r * factor
+    for (source, target), mat in rep.maps.items():
+        if source[0] == target[0] == "V":
+            source, target = source[1:], target[1:]
+            moves.append((target, source, mat) if backward
+                         else (source, target, list(zip(*mat))))
+    changed = True
+    while changed:
+        changed = False
+        for source, target, factor in moves:
+            rows = spans.get(source)
+            if not rows:
+                continue
+            trows = spans.get(target, ())
+            image = mat_mul_shaped(fld, rows, factor, len(rows), len(factor),
+                                   len(factor[0]))
+            grown = _span(fld, [*trows, *image])
+            if len(grown) > len(trows):
+                spans[target] = grown
+                changed = True
+    return spans
+
+
+def _sub_dims(sub):
+    return {key: len(rows) for key, rows in sub.items()}
+
+
+def _framing_image_seeds(rep):
+    seeds = {}
+    for (source, target), mat in rep.maps.items():
+        if source[0] == "W":
+            seeds.setdefault(target[1:], []).extend(map(list, zip(*mat)))
+    return seeds
+
+
+def closure_dims_by_fixpoint(rep, backward=False):
+    """The dims of the closure whose rank ``quiver._spin`` counts, by the
+    fixpoint :func:`_closure`: of the framing images, or with ``backward``
+    of the rows of every B.  ``is_framed_stable`` (``_is_coframed_stable``
+    with ``backward``) says whether they are ``rep.v``."""
+    if backward:
+        seeds = {source[1:]: mat for (source, target), mat in rep.maps.items()
+                 if target[0] == "W"}
+    else:
+        seeds = _framing_image_seeds(rep)
+    return _sub_dims(_closure(rep, seeds, backward))
+
+
+def points_by_assignment(datum, v, w, field):
+    """Every point of dims (v, w) over a finite ``field``, relations or not,
+    built as ``quiver.exhaustive_search`` once built them: per assignment of
+    all free entries, each map's rows cut from it as new lists.  The oracle
+    of the search's shared row tables."""
+    empty = quiver.GradedQuiverRep(datum, field, v, w)
+    slots = quiver.valid_map_keys(datum, empty.v, empty.w)
+    shapes = [(empty.slot_dim(target), empty.slot_dim(source))
+              for source, target in slots]
+    total_entries = sum(r * c for r, c in shapes)
+    for assignment in product(list(field.elements()), repeat=total_entries):
+        pos = 0
+        maps = {}
+        for ends, (rows, cols) in zip(slots, shapes):
+            maps[ends] = [
+                list(assignment[pos + r * cols: pos + (r + 1) * cols])
+                for r in range(rows)
+            ]
+            pos += rows * cols
+        yield quiver.GradedQuiverRep._trusted(datum, field, empty.v, empty.w, maps)
+
+
 def nonzero_vectors(fld, dim):
     """Projective representatives: first nonzero coordinate equals 1."""
     for tup in product(list(fld.elements()), repeat=dim):
@@ -705,7 +801,7 @@ def _sub_key(sub):
 def _join(fld, left, right):
     out = dict(left)
     for key, rows in right.items():
-        out[key] = quiver._span(fld, out.get(key, ()) + rows)
+        out[key] = _span(fld, out.get(key, ()) + rows)
     return out
 
 
@@ -735,7 +831,7 @@ def cyclic_submodules(rep):
     seen = {}
     for (i, a), dim in sorted(rep.v.items()):
         for vec in nonzero_vectors(rep.field, dim):
-            sub = quiver._closure(rep, {(i, a): [vec]})
+            sub = _closure(rep, {(i, a): [vec]})
             seen.setdefault(_sub_key(sub), ((i, a), vec, sub))
     return list(seen.values())
 
@@ -794,7 +890,7 @@ def stability_by_full_lattice(rep, thetas):
         v_totals = [0] * datum.rank
         for (i, _), n in rep.v.items():
             v_totals[i - 1] += n
-        base = quiver._closure(rep, quiver._framing_image_seeds(rep))
+        base = _closure(rep, _framing_image_seeds(rep))
         complements = [
             [whole - part for whole, part in zip(v_totals, _sub_totals(datum, sub))]
             for sub in full_lattice(rep, base, cyclics)

@@ -33,7 +33,6 @@ from qcharlab.linalg import (
 from qcharlab.quiver import (
     GradedQuiverRep,
     _reflect_kernel,
-    _span,
     chain_reflect,
     exhaustive_search,
     phi_map,
@@ -49,11 +48,14 @@ from qcharlab.quiver import (
 from helpers import (
     SUPPORTED_LABELS,
     _map_ends,
+    _span,
+    closure_dims_by_fixpoint,
     e1bis_paths_oracle,
     is_generic_by_roots,
     kind_and_key,
     loop_power,
     perfbench_module,
+    points_by_assignment,
     positive_roots,
     quiver_corpus_cases,
     relation_violations_oracle,
@@ -255,14 +257,15 @@ def test_b_zero_slice_passes_validate_n():
 
 
 @st.composite
-def _random_point(draw):
+def _random_point(draw, fields=(F2, PrimeField(3))):
     """A point with random entries on every valid map; most are not valid.
 
     V slots are drawn among those a chain of maps links to the framing slot
-    W_k^0, so that most relations compose maps that are present.
+    W_k^0, so that most relations compose maps that are present.  Over Q the
+    entries are drawn among n/d with |n| <= 2 and d <= 2.
     """
     datum = build_cartan(draw(st.sampled_from(["A2", "B2", "C2", "G2", "A3"])))
-    fld = draw(st.sampled_from([F2, PrimeField(3)]))
+    fld = draw(st.sampled_from(fields))
     k = draw(st.sampled_from(datum.nodes))
     linked, todo = set(), [(k, datum.di(k))]
     while todo:
@@ -276,7 +279,8 @@ def _random_point(draw):
     v = {slot: draw(st.integers(0, 2)) for slot in sorted(linked)}
     w = {(k, 0): 1}
     empty = GradedQuiverRep(datum, fld, v, w)
-    entry = st.sampled_from(list(fld.elements()))
+    entry = st.sampled_from(list(fld.elements()) if fld.is_finite else
+                            [Fraction(n, d) for n in range(-2, 3) for d in (1, 2)])
     maps = {}
     for source, target in valid_map_keys(datum, v, w):
         rows, cols = empty.slot_dim(target), empty.slot_dim(source)
@@ -453,10 +457,13 @@ def test_same_sign_shortcuts_match_the_lattice_on_the_corpus():
                       "reflected": 32}
 
 
-def _quiver_mixed_searches():
-    """(datum, v, w, theta) of each search of the benchmark's quiver-mixed workload."""
-    for group in perfbench_module("workloads").quiver_mixed():
+def _workload_searches(workload):
+    """(datum, v, w, theta) of each search of one of the benchmark's quiver
+    workloads, ``quiver_mixed`` or ``quiver_same_sign``."""
+    for group in getattr(perfbench_module("workloads"), workload)():
         for op in group:
+            if op.args[0] != "quiver-search":
+                continue
             flags = dict(zip(op.args[1:-1:2], op.args[2:-1:2]))
             datum = build_cartan(flags["--type"])
             theta = _parse_theta(op.args[-1].removeprefix("--theta="), datum)
@@ -465,7 +472,7 @@ def _quiver_mixed_searches():
 
 def test_stability_matches_the_full_lattice_on_quiver_mixed():
     counts = Counter()
-    for datum, v, w, theta in _quiver_mixed_searches():
+    for datum, v, w, theta in _workload_searches("quiver_mixed"):
         assert min(theta) < 0 < max(theta)
         for point in exhaustive_search(datum, v, w, F2, thetas=(theta,)):
             assert point.stable == stability_by_full_lattice(point.rep, (theta,))
@@ -494,7 +501,7 @@ def test_stability_matches_the_full_lattice_at_mixed_theta_on_the_corpus():
 def _walk_cases():
     """(point, theta) per quiver-mixed point and per point of the rank-two
     criterion-7 corpus at each s_i(-1,...,-1)."""
-    for datum, v, w, theta in _quiver_mixed_searches():
+    for datum, v, w, theta in _workload_searches("quiver_mixed"):
         for point in exhaustive_search(datum, v, w, F2):
             yield point.rep, theta
     for label in ["A2", "B2"]:
@@ -530,7 +537,7 @@ def _point_groups():
     """(datum, reps) per search of the quiver-mixed workload and per
     dimension vector of the criterion-7 corpus (A1, A2, B2, with sums)."""
     groups = []
-    for datum, v, w, _ in _quiver_mixed_searches():
+    for datum, v, w, _ in _workload_searches("quiver_mixed"):
         groups.append((datum, tuple(p.rep for p in exhaustive_search(datum, v, w, F2))))
     for label in ["A1", "A2", "B2"]:
         for datum, _, _, _, _, points in quiver_corpus_cases(label, sums=True):
@@ -551,7 +558,7 @@ def _mixed(theta):
 
 def test_every_quiver_mixed_theta_routes_to_one_step():
     # theta' = s_i(-1,...,-1) is l(w_0) - 1 steps below C+ and one above C-
-    for datum, _, _, theta in _quiver_mixed_searches():
+    for datum, _, _, theta in _workload_searches("quiver_mixed"):
         dual, word = quiver._route(datum, theta)
         assert dual is True and len(word) == 1
         up = _lower(datum, tuple(-t for t in theta))[2]
@@ -765,6 +772,104 @@ def test_span_is_canonical(case):
     assert span == _span(fld, shuffled)
     assert span == _span_one_at_a_time(fld, rows)
     assert len(span) == mat_rank(fld, rows)
+
+
+def _spin_verdicts(rep):
+    """The spin's verdict forward and backward, and the fixpoint's."""
+    spin = (quiver.is_framed_stable(rep), quiver._is_coframed_stable(rep))
+    fixpoint = tuple(closure_dims_by_fixpoint(rep, backward) == rep.v
+                     for backward in (False, True))
+    return spin, fixpoint
+
+
+def test_spin_matches_the_fixpoint_on_the_benchmark_searches():
+    # every point of every search of both quiver workloads, whatever its
+    # theta, closed forward from Im A and backward from the rows of B
+    counts = Counter()
+    for workload in ("quiver_same_sign", "quiver_mixed"):
+        for datum, v, w, _ in _workload_searches(workload):
+            for point in exhaustive_search(datum, v, w, F2):
+                spin, fixpoint = _spin_verdicts(point.rep)
+                assert spin == fixpoint
+                counts[workload] += 1
+                counts["forward", workload] += spin[0]
+                counts["backward", workload] += spin[1]
+    assert counts == {"quiver_same_sign": 1279, "quiver_mixed": 1263,
+                      ("forward", "quiver_same_sign"): 17,
+                      ("backward", "quiver_same_sign"): 5,
+                      ("forward", "quiver_mixed"): 79,
+                      ("backward", "quiver_mixed"): 36}
+
+
+@given(_random_point((F2, PrimeField(3), QQ)))
+def test_spin_matches_the_fixpoint_on_random_points(case):
+    rep, _, _ = case
+    spin, fixpoint = _spin_verdicts(rep)
+    assert spin == fixpoint
+
+
+def _out_degrees(rep, backward):
+    """Per V slot, the maps of ``rep`` a vector there is pushed along."""
+    degrees = Counter()
+    for source, target in rep.maps:
+        if source[0] == target[0] == "V":
+            degrees[(source if not backward else target)[1:]] += 1
+    return degrees
+
+
+def test_spin_pushes_each_basis_vector_once_along_each_map(monkeypatch):
+    # a vector that joins its slot's basis crosses each map out of the slot
+    # once, so a spin that runs its queue dry pushes sum(rank x out-degree)
+    # over the slots, the ranks those of the closure, and one that stops at
+    # full rank no more; a fixpoint pushes every basis row again each round
+    pushes = []
+    real = quiver._push
+    monkeypatch.setattr(quiver, "_push",
+                        lambda *args: pushes.append(args) or real(*args))
+    counts = Counter()
+    for datum, v, w, _ in _workload_searches("quiver_same_sign"):
+        for point in exhaustive_search(datum, v, w, F2):
+            rep = point.rep
+            for backward in (False, True):
+                degrees = _out_degrees(rep, backward)
+                dims = closure_dims_by_fixpoint(rep, backward)
+                bound = sum(n * degrees[slot] for slot, n in dims.items())
+                pushes.clear()
+                stable = (quiver._is_coframed_stable(rep) if backward
+                          else quiver.is_framed_stable(rep))
+                assert len(pushes) <= bound if stable else len(pushes) == bound
+                counts["pushes"] += len(pushes)
+                counts["stable"] += stable
+    assert counts == {"pushes": 1726, "stable": 22}
+
+
+def test_a_stable_point_stops_the_spin_at_full_rank(monkeypatch):
+    # A2 with V_1^1 -> V_2^2 -> V_1^3 and the loop V_1^3 -> V_1^1, all 1x1,
+    # and A_1^0 = (1 1): one seed and the two arrows reach rank 3 = |V|, so
+    # the loop out of V_1^3 is never pushed and the other seed, still on the
+    # queue, is never reduced (a reduction against a nonempty basis is the
+    # only place the spin subtracts)
+    class Counting(PrimeField):
+        def sub(self, a, b):
+            subs.append((a, b))
+            return super().sub(a, b)
+
+    pushes, subs = [], []
+    real = quiver._push
+    monkeypatch.setattr(quiver, "_push",
+                        lambda *args: pushes.append(args) or real(*args))
+    datum = build_cartan("A2")
+    rep = GradedQuiverRep(datum, Counting(2), {(1, 1): 1, (2, 2): 1, (1, 3): 1},
+                          {(1, 0): 2}, maps={
+                              (("W", 1, 0), ("V", 1, 1)): [[1, 1]],
+                              (("V", 1, 1), ("V", 2, 2)): [[1]],
+                              (("V", 2, 2), ("V", 1, 3)): [[1]],
+                              (("V", 1, 3), ("V", 1, 1)): [[1]],
+                          })
+    assert quiver.is_framed_stable(rep) is True
+    assert len(pushes) == 2 < sum(_out_degrees(rep, False).values()) == 3
+    assert subs == []
+    assert closure_dims_by_fixpoint(rep) == rep.v
 
 
 def test_mixed_theta_stability_counts_in_the_field():
@@ -1034,6 +1139,54 @@ def test_search_a1():
     points = exhaustive_search(datum, {(1, 1): 1}, {(1, 0): 1}, F2, thetas=(NEG,))
     assert len(points) == 2
     assert sorted(p.stable[0] for p in points) == [False, True]
+
+
+@pytest.mark.parametrize("label,v,w,fld,count", [
+    # three slots over F3, A_1^0 a 2x2 matrix
+    ("A2", {(1, 1): 2, (2, 2): 1}, {(1, 0): 2, (2, 1): 1}, PrimeField(3), 2187),
+    ("B2", {(1, 2): 1, (1, 4): 2, (2, 2): 2, (2, 4): 1}, {(2, 0): 1}, F2, 512),
+], ids=["A2-F3", "B2-F2"])
+def test_search_points_share_one_table_of_rows_per_column_count(label, v, w, fld,
+                                                                count):
+    # the points, their maps (in key order too) and their order are those of
+    # one assignment of all entries at a time, cut row by row; every row is
+    # one of the p^cols rows of a table for its column count
+    datum = build_cartan(label)
+    points = exhaustive_search(datum, v, w, fld)
+    expected = [rep for rep in points_by_assignment(datum, v, w, fld)
+                if not validate_relations(rep)]
+    assert [list(p.rep.maps.items()) for p in points] == [
+        list(rep.maps.items()) for rep in expected]
+    assert len(points) == count and all(p.stable == () for p in points)
+    shapes = [(len(mat), len(mat[0])) for mat in points[0].rep.maps.values()]
+    if fld is not F2:
+        assert len(shapes) >= 3 and (2, 2) in shapes
+    rows = {id(row) for p in points for mat in p.rep.maps.values() for row in mat}
+    assert len(rows) <= sum(fld.p ** cols for cols in {cols for _, cols in shapes})
+
+
+def test_the_pruned_relation_table_decides_every_raw_point():
+    # A2 with V_1^1, V_2^2 and V_1^3: the neighbour slots V_2^0 and V_2^4,
+    # V_1^-1, V_1^5 and every W slot but W_1^0 are empty, so five of the
+    # eight rows reach no map a point of these dims holds, and each of the
+    # three left keeps one of its two paths; the rows left decide each raw
+    # point, valid or not, as the whole table does
+    datum = build_cartan("A2")
+    v, w, fld = {(1, 1): 1, (2, 2): 1, (1, 3): 1}, {(1, 0): 1}, PrimeField(3)
+    empty = GradedQuiverRep(datum, fld, v, w)
+    keys = valid_map_keys(datum, empty.v, empty.w)
+    table = quiver._relation_steps(quiver._relation_table(empty))
+    pruned = quiver._pruned(table, keys)
+    assert (len(table), len(pruned)) == (8, 3)
+    assert [len(paths) for *_, paths in pruned] == [1, 1, 1]
+    assert all(set(keys).issuperset(pairs) for *_, paths in pruned for pairs in paths)
+    counts = Counter()
+    for rep in points_by_assignment(datum, v, w, fld):
+        bad = validate_relations(rep)
+        assert quiver._violations(rep, pruned) == bad
+        counts["points"] += 1
+        counts["invalid"] += bool(bad)
+    assert counts == {"points": 81, "invalid": 60}
 
 
 def test_search_zero_dims():
