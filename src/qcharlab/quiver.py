@@ -30,12 +30,13 @@ ascending) so serialized reflected points are reproducible.
 Plans.  All that a check reads besides the matrix entries is fixed by the
 point's dims (and theta): the relation paths, the stability route, per
 reflection step the Phi blocks, their dims and the dims after the step,
-and the seed maps and moves of the closing spin.  These are built once per
-(datum, v, w, theta) into cached plans (:func:`_walk_plan`,
-:func:`_step_plan`, :func:`_spin_plan`, up to 1024 entries each), so a
-search's points, which all share v and w, run only field arithmetic, and
-the points a plan builds (:meth:`GradedQuiverRep._trusted`) share its dims.
-A search also drops the relation paths through maps its points do not hold
+and the seed maps and moves of the closing spin.  One walk plan per
+(datum, v, w, theta) holds them (:func:`_walk_plan`, cached), so a
+search's points, which all share v and w, run only field arithmetic, as
+do points checked one at a time on dims already seen, and the points a
+plan builds (:meth:`GradedQuiverRep._trusted`) share its dims.  The step
+and spin plans it holds are plain functions of the dims.  A search also
+drops the relation paths through maps its points do not hold
 (:func:`_pruned`), and takes each matrix row from one table per column
 count, shared by all its points.
 """
@@ -397,10 +398,9 @@ def _images(fld, mat, rows):
                           len(mat))
 
 
-@lru_cache(maxsize=1024)
 def _spin_plan(datum, v, w, backward=False):
-    """What :func:`_spin` reads on the points of dims ``v`` and ``w`` (sorted
-    items tuples), less their entries: (seeds, moves, total, backward).
+    """What :func:`_spin` reads on the points of dims ``v`` and ``w``, less
+    their entries: (seeds, moves, total, backward).
 
     ``seeds`` holds the (ends, V slot) of each framing map, whose columns
     seed the closure, or with ``backward`` of each coframing map, whose rows
@@ -409,7 +409,7 @@ def _spin_plan(datum, v, w, backward=False):
     there goes to.  ``total`` is |V|.
     """
     seeds, moves = [], {}
-    for source, target in valid_map_keys(datum, dict(v), dict(w)):
+    for source, target in valid_map_keys(datum, v, w):
         ends = source, target
         if source[0] == target[0]:
             start, end = (target, source) if backward else ends
@@ -417,7 +417,7 @@ def _spin_plan(datum, v, w, backward=False):
         elif (target if backward else source)[0] == "W":
             seeds.append((ends, (source if backward else target)[1:]))
     return (tuple(seeds), {slot: tuple(out) for slot, out in moves.items()},
-            sum(n for _, n in v), backward)
+            sum(v.values()), backward)
 
 
 def _spin(plan, rep):
@@ -475,11 +475,19 @@ def _theta_text(theta):
     return ",".join(map(str, theta))
 
 
+def _check_length(datum, theta):
+    """Raise ValueError unless ``theta`` has one entry per node of ``datum``."""
+    if len(theta) != datum.rank:
+        raise ValueError(f"theta {_theta_text(theta)} has {len(theta)} entries, "
+                         f"but {datum.label} has rank {datum.rank}")
+
+
 @lru_cache(maxsize=1024)
 def _route(datum, theta):
     """How :func:`stability_check` decides the tuple ``theta``.
 
-    Raises NonGenericTheta on a root hyperplane.  None in the negative
+    Raises ValueError when theta's length is not the rank, and
+    NonGenericTheta on a root hyperplane.  None in the negative
     chamber.  Otherwise (dual, word): the walk up from theta, or with
     ``dual`` the walk up from -theta on the transposed point, whichever word
     is strictly shorter, theta's on a tie.  The walk up from theta takes the
@@ -488,6 +496,7 @@ def _route(datum, theta):
     so the two lengths add up to l(w_0) and the walk taken has
     min(l, l(w_0) - l) steps.
     """
+    _check_length(datum, theta)
     if not is_generic(datum, theta):
         raise NonGenericTheta(f"{_theta_text(theta)} lies on a root hyperplane")
     if all(t < 0 for t in theta):
@@ -498,21 +507,21 @@ def _route(datum, theta):
 
 
 def _dims_key(dims):
-    """``dims`` as the sorted items tuple that keys the cached plans."""
+    """``dims`` as the sorted items tuple that keys :func:`_walk_plan`."""
     return tuple(sorted(dims.items()))
 
 
-@lru_cache(maxsize=1024)
 def _dual_layout(datum, v, w):
     """(v', w', flips): the dims of the transposed point of dims ``v`` and
-    ``w`` (sorted items tuples), and the new ends of each map it can hold."""
+    ``w``, and the new ends of each map it can hold."""
     def flip(slot):
         space, i, a = slot
         return space, i, -a
 
     flips = {(source, target): (flip(target), flip(source))
-             for source, target in valid_map_keys(datum, dict(v), dict(w))}
-    return ({(i, -a): n for (i, a), n in v}, {(i, -a): n for (i, a), n in w}, flips)
+             for source, target in valid_map_keys(datum, v, w)}
+    return ({(i, -a): n for (i, a), n in v.items()},
+            {(i, -a): n for (i, a), n in w.items()}, flips)
 
 
 def _dual(rep, layout=None):
@@ -526,7 +535,7 @@ def _dual(rep, layout=None):
     E2 at (i, j) to E2 at (j, i), and E4 to E5.  ``layout`` is
     :func:`_dual_layout` of x's dims, when the caller holds it.
     """
-    v, w, flips = layout or _dual_layout(rep.datum, _dims_key(rep.v), _dims_key(rep.w))
+    v, w, flips = layout or _dual_layout(rep.datum, rep.v, rep.w)
     return GradedQuiverRep._trusted(
         rep.datum, rep.field, v, w,
         {flips[ends]: [list(col) for col in zip(*mat)] for ends, mat in rep.maps.items()})
@@ -544,23 +553,24 @@ def _walk_plan(datum, v, w, theta):
     each step of the route's word, each on the dims the step before leaves;
     and the :func:`_spin_plan` of the chamber's closure on the dims the
     walk ends on, forward in the negative chamber (no layout, no steps) and
-    backward in the positive one.  Raises NonGenericTheta as _route does.
+    backward in the positive one.  Raises as :func:`_route` does.
     """
     route = _route(datum, theta)
+    v, w = dict(v), dict(w)
     if route is None:
         return None, (), _spin_plan(datum, v, w)
     dual, word = route
     layout = None
     if dual:
         layout = _dual_layout(datum, v, w)
-        v, w = _dims_key(layout[0]), _dims_key(layout[1])
+        v, w = layout[0], layout[1]
     steps = []
     for i in word:
         step = _step_plan(datum, i, v, w)
         if step is None:
             return False
         steps.append(step)
-        v = _dims_key(step.v)
+        v = step.v
     return layout, tuple(steps), _spin_plan(datum, v, w, True)
 
 
@@ -586,19 +596,20 @@ def stability_check(rep, theta):
     A dimension vector u pairs <theta, u> = sum_j d_j theta_j |u_j|, with
     |u_j| the total dimension at node j.  Raises NonGenericTheta on a root
     hyperplane.  Nothing is enumerated, so every field and every dimension
-    is decided.  The sign of theta picks the path:
+    is decided.  Raises ValueError when theta's length is not the rank.
+    The sign of theta picks the path:
 
-    * every theta_i < 0: :func:`is_framed_stable`.  Every submodule pairs
+    * every theta_i < 0: the forward :func:`_spin`.  Every submodule pairs
       <= 0, so the Ker B half is vacuous; a complement pairs >= 0 only if it
       is zero, so the Im A half says the closure of Im A is V.
-    * every theta_i > 0: :func:`_is_coframed_stable`.  Every complement
+    * every theta_i > 0: the backward :func:`_spin`.  Every complement
       pairs >= 0, so the Im A half is vacuous; a submodule pairs <= 0 only
       if it is zero, and the largest submodule inside Ker B is the
       annihilator of the rows of B closed backwards along the arrows.
     * otherwise one cached route (:func:`_route`) walks up from (x, theta)
       or from (x^T, -theta) (:func:`_dual`), whichever word is strictly
       shorter, (x, theta) on a tie.  At the first negative node i the point
-      becomes S_i x (:func:`_reflect_kernel`) and theta becomes s_i theta,
+      becomes S_i x (:func:`_apply_step`) and theta becomes s_i theta,
       until every coordinate is positive; the walk ends in the positive
       chamber's test.  The nodes are those of ``cartan._lower`` on minus
       the walk's start.  A step at which some Phi is not onto gives False.
@@ -666,31 +677,10 @@ def stability_check(rep, theta):
     return _walk(plan, rep)
 
 
-def is_framed_stable(rep):
-    """The all-negative-chamber notion: no proper subrepresentation contains Im A.
-
-    Equivalent to the closure of the framing images being everything: the
-    forward :func:`_spin` from the columns of every A, which stops as soon
-    as their closure's rank reaches |V|.
-    """
-    return _spin(_spin_plan(rep.datum, _dims_key(rep.v), _dims_key(rep.w)), rep)
-
-
-def _is_coframed_stable(rep):
-    """The all-positive-chamber notion: no nonzero subrepresentation lies in Ker B.
-
-    Equivalent to the rows of every B, closed backwards along the arrows,
-    spanning the dual of every V slot: the backward :func:`_spin`, which
-    stops as soon as their rank reaches |V|.
-    """
-    return _spin(_spin_plan(rep.datum, _dims_key(rep.v), _dims_key(rep.w), True), rep)
-
-
 # ---------------------------------------------------------------------------
 # the reflection at a node
 
 
-@lru_cache(maxsize=1024)
 def phi_blocks(datum, i, a):
     """Summand layout of the Phi/Psi domain at (i, a): W first, then (j, t).
 
@@ -753,19 +743,18 @@ class _Grade:
         self.blocks, self.offsets = blocks, offsets
 
 
-def _grade(shell, i, a):
-    """The :class:`_Grade` at (i, a) for the dims of the point ``shell``."""
+def _grade(datum, v, w, i, a):
+    """The :class:`_Grade` at (i, a) on the points of dims ``v`` and ``w``."""
     blocks, offsets, dom = [], {}, 0
-    for block, phi, psi, upsilon in _block_paths(shell.datum, i, a):
-        dim = shell.slot_dim(block[:3])
-        offsets[block[1], block[3]] = dom
+    for (space, j, b, t), phi, psi, upsilon in _block_paths(datum, i, a):
+        dim = (v if space == "V" else w).get((j, b), 0)
+        offsets[j, t] = dom
         if dim:
             if upsilon is not None:
-                path, t, negate = upsilon
-                upsilon = (_pairs(path), t, negate)
-            blocks.append((block[1], dim, dom, _pairs(phi), _pairs(psi), upsilon))
+                upsilon = (_pairs(upsilon[0]), *upsilon[1:])
+            blocks.append((j, dim, dom, _pairs(phi), _pairs(psi), upsilon))
         dom += dim
-    return _Grade(a, shell.vdim(i, a), shell.vdim(i, a + 2 * shell.datum.di(i)), dom,
+    return _Grade(a, v.get((i, a), 0), v.get((i, a + 2 * datum.di(i)), 0), dom,
                   tuple(blocks), offsets)
 
 
@@ -799,7 +788,7 @@ def phi_map(rep, i, a):
     A_i^{a+d_i}, then for each neighbor slot the arrow into node i followed by
     t-1 descending loops.
     """
-    return _phi(rep.field, rep.maps, _grade(rep, i, a))
+    return _phi(rep.field, rep.maps, _grade(rep.datum, rep.v, rep.w, i, a))
 
 
 def psi_map(rep, i, a):
@@ -809,7 +798,7 @@ def psi_map(rep, i, a):
     composite of -c_ij - t descending loops followed by the arrow out to j.
     Raises RelationViolated when the composite with Phi is nonzero.
     """
-    fld, grade = rep.field, _grade(rep, i, a)
+    fld, grade = rep.field, _grade(rep.datum, rep.v, rep.w, i, a)
     phi, psi = _phi(fld, rep.maps, grade), _psi(fld, rep.maps, grade)
     composite = mat_mul_shaped(fld, phi, psi, grade.target, grade.dom, grade.vdim)
     if not is_zero_matrix(fld, composite):
@@ -826,8 +815,9 @@ def upsilon_map(rep, i, a):
     identically one step down the layout, and sends the top slot of each
     neighbor through minus the full loop composite at that neighbor.
     """
-    lower = _grade(rep, i, a - 2 * rep.datum.di(i))
-    return _upsilon(rep.field, rep.maps, _grade(rep, i, a), lower)
+    datum, v, w = rep.datum, rep.v, rep.w
+    lower = _grade(datum, v, w, i, a - 2 * datum.di(i))
+    return _upsilon(rep.field, rep.maps, _grade(datum, v, w, i, a), lower)
 
 
 class _Step:
@@ -842,11 +832,9 @@ class _Step:
         self.v = v  # the dims after the step
 
 
-@lru_cache(maxsize=1024)
 def _step_plan(datum, i, v, w):
     """The part of S_i that reads no matrix entry, on points of dims ``v``
-    and ``w`` (each a sorted items tuple); None when no such point has every
-    Phi_i^a onto.
+    and ``w``; None when no such point has every Phi_i^a onto.
 
     The dims lemma.  Where Phi_i^a is onto, its kernel has dimension dom -
     target, its domain's dimension less V_i^{a+d_ii}'s, so once every Phi
@@ -864,18 +852,16 @@ def _step_plan(datum, i, v, w):
     Phi's one-map blocks one step down, the maps into V_i^a, each factored
     through Psi.
     """
-    shell = GradedQuiverRep._trusted(datum, None, dict(v), dict(w), {})
     dii = 2 * datum.di(i)
     grades = {}
-    for a in sorted(a for node, a in reflect_dimensions(datum, i, shell.v, shell.w)
-                    if node == i):
-        grade = _grade(shell, i, a)
+    for a in sorted(a for node, a in reflect_dimensions(datum, i, v, w) if node == i):
+        grade = _grade(datum, v, w, i, a)
         if grade.dom < grade.target:
             return None
         if grade.dom:
             grades[a] = grade
 
-    new_v = {key: n for key, n in shell.v.items() if key[0] != i}
+    new_v = {key: n for key, n in v.items() if key[0] != i}
     builds = []
     for a, grade in grades.items():
         width = grade.dom - grade.target
@@ -888,7 +874,7 @@ def _step_plan(datum, i, v, w):
         lower = grades.get(loop[1][2])
         loop = (loop, lower) if lower and lower.dom > lower.target else None
         ins = tuple((phi[0], dim) for _, dim, _, phi, _, _ in
-                    _grade(shell, i, a - dii).blocks if len(phi) == 1)
+                    _grade(datum, v, w, i, a - dii).blocks if len(phi) == 1)
         builds.append((grade, outs, loop, ins))
     return _Step(i, tuple(grades.values()), tuple(builds), new_v)
 
@@ -937,19 +923,24 @@ def _reflect_kernel(rep, i):
     checks its input and output around this, and the stability walk reaches
     it only from valid points.
     """
-    step = _step_plan(rep.datum, i, _dims_key(rep.v), _dims_key(rep.w))
+    step = _step_plan(rep.datum, i, rep.v, rep.w)
     return None if step is None else _apply_step(step, rep)
 
 
 def reflect(rep, i, theta):
     """The reflection functor at node i applied to a theta-stable point.
 
-    Requires theta_i < 0 and generic theta.  Returns (new point, s_i theta).
-    :func:`_reflect_kernel` does the work; around it the input's relations
-    and stability, and the output's relations, dimensions (against
-    ``braid._push_dims``) and stability are enforced, not assumed.
+    Requires a node i of the datum, one theta entry per node, theta_i < 0
+    and generic theta; ValueError otherwise, NonGenericTheta on a wall.
+    Returns (new point, s_i theta).  :func:`_reflect_kernel` does the work;
+    around it the input's relations and stability, and the output's
+    relations, dimensions (against ``braid._push_dims``) and stability are
+    enforced, not assumed.
     """
     datum = rep.datum
+    if i not in datum.nodes:
+        raise ValueError(f"{i!r} is not a node of {datum.label}")
+    _check_length(datum, theta)
     if theta[i - 1] >= 0:
         raise ValueError(f"reflection at node {i} needs theta_{i} < 0")
     bad = validate_relations(rep)

@@ -754,8 +754,7 @@ def _framing_image_seeds(rep):
 def closure_dims_by_fixpoint(rep, backward=False):
     """The dims of the closure whose rank ``quiver._spin`` counts, by the
     fixpoint :func:`_closure`: of the framing images, or with ``backward``
-    of the rows of every B.  ``is_framed_stable`` (``_is_coframed_stable``
-    with ``backward``) says whether they are ``rep.v``."""
+    of the rows of every B.  :func:`spin` says whether they are ``rep.v``."""
     if backward:
         seeds = {source[1:]: mat for (source, target), mat in rep.maps.items()
                  if target[0] == "W"}
@@ -906,9 +905,15 @@ def stability_by_walking_up(rep, theta):
     chamber.  The differential oracle of ``quiver._route``.
     """
     if all(t < 0 for t in theta):
-        return quiver.is_framed_stable(rep)
+        return spin(rep)
     for i in _lower(rep.datum, tuple(-t for t in theta))[2]:
         rep = quiver._reflect_kernel(rep, i)
         if rep is None:
             return False
-    return quiver._is_coframed_stable(rep)
+    return spin(rep, backward=True)
+
+
+def spin(rep, backward=False):
+    """``quiver._spin`` on ``rep``: is the closure of Im A all of V, or with
+    ``backward`` that of the rows of every B all of V's dual?"""
+    return quiver._spin(quiver._spin_plan(rep.datum, rep.v, rep.w, backward), rep)

@@ -60,6 +60,7 @@ from helpers import (
     quiver_corpus_cases,
     relation_violations_oracle,
     sorted_entries,
+    spin,
     stability_by_full_lattice,
     stability_by_walking_up,
     validate_n_oracle,
@@ -418,6 +419,36 @@ def test_stability_preconditions():
     assert stability_check(GradedQuiverRep(datum, F2, {(1, 1): 15}, {}), NEG) is False
 
 
+@pytest.mark.parametrize("theta", [(1, -3, 5), (-1,)], ids=["long", "short"])
+def test_a_theta_of_the_wrong_length_is_an_error(theta):
+    # A2 has rank 2; a theta of another length is named with the rank by
+    # each entry point, reflect at either node included, before it reads
+    # theta_i
+    datum = build_cartan("A2")
+    theta = tuple(map(Fraction, theta))
+    match = f"has {len(theta)} entries, but A2 has rank 2$"
+    v, w = {(1, 1): 1, (2, 2): 1}, {(1, 0): 1}
+    rep = exhaustive_search(datum, v, w, F2)[0].rep
+    with pytest.raises(ValueError, match=match):
+        stability_check(rep, theta)
+    with pytest.raises(ValueError, match=match):
+        exhaustive_search(datum, v, w, F2, thetas=(NEG2, theta))
+    for i in datum.nodes:
+        with pytest.raises(ValueError, match=match):
+            reflect(rep, i, theta)
+
+
+@pytest.mark.parametrize("node", [0, 3, -1])
+def test_reflect_rejects_a_node_outside_the_datum(node):
+    # before it reads theta_i, which for -1 would wrap round to theta_2
+    datum = build_cartan("A2")
+    rep = GradedQuiverRep(datum, F2, {}, {(1, 0): 1})
+    with pytest.raises(ValueError, match=f"^{node} is not a node of A2$"):
+        reflect(rep, node, NEG2)
+    with pytest.raises(ValueError, match=f"^{node} is not a node of A2$"):
+        chain_reflect(rep, NEG2, (1, node))
+
+
 @pytest.mark.parametrize("theta", [NEG2, POS2], ids=["negative", "positive"])
 def test_same_sign_guards_still_fire(theta):
     datum = build_cartan("A2")
@@ -614,22 +645,39 @@ def test_stability_matches_walking_up_at_mixed_theta():
 
 def test_the_search_plans_each_theta_once(monkeypatch):
     # the walk plan reads only datum, v, w and theta, so a search looks it
-    # up once per theta, and builds it then, whatever its point count
-    routes = []
-    real = quiver._route
-    monkeypatch.setattr(quiver, "_route",
-                        lambda *args: routes.append(args) or real(*args))
+    # up once per theta, and builds it then, whatever its point count, and a
+    # check of each of its points after finds it cached.  Building it takes
+    # one step plan per letter of the route's word and one spin plan, none
+    # where a step is onto for no point (here one or two of the s_i theta);
+    # neither is cached, so S_i on a point builds its step plan again
+    calls = Counter()
+    for name in ("_route", "_step_plan", "_spin_plan"):
+        monkeypatch.setattr(quiver, name, lambda *args, name=name, real=getattr(
+            quiver, name): calls.update([name]) or real(*args))
     datum = build_cartan("B2")
     thetas = (NEG2, *(reflect_weight(datum, i, NEG2) for i in datum.nodes), POS2)
-    for v, count in [({(1, 2): 1, (2, 2): 1}, 2),
-                     ({(1, 2): 1, (1, 4): 2, (2, 2): 2, (2, 4): 1}, 512)]:
+    letters = sum(len(route[1]) for route in (quiver._route(datum, theta)
+                                              for theta in thetas) if route)
+    for v, count, walks in [({(1, 2): 1, (2, 2): 1}, 2, 3),
+                            ({(1, 2): 1, (1, 4): 2, (2, 2): 2, (2, 4): 1}, 512, 2)]:
         quiver._walk_plan.cache_clear()
-        routes.clear()
+        calls.clear()
         points = exhaustive_search(datum, v, {(2, 0): 1}, F2, thetas=thetas)
         assert len(points) == count
-        assert len(routes) == len(thetas)
+        built = {"_route": len(thetas), "_step_plan": letters, "_spin_plan": walks}
+        assert calls == built
+        for theta in thetas:
+            for point in points:
+                stability_check(point.rep, theta)
         info = quiver._walk_plan.cache_info()
-        assert (info.hits, info.misses) == (0, len(thetas))
+        assert (info.hits, info.misses) == (len(thetas) * count, len(thetas))
+        assert calls == built
+        calls.clear()
+        for point in points:
+            for i in datum.nodes:
+                _reflect_kernel(point.rep, i)
+        assert calls == {"_step_plan": len(datum.nodes) * count}
+    assert letters == 2
 
 
 def test_a_phi_domain_below_its_target_is_unstable_for_the_dims_alone():
@@ -639,7 +687,7 @@ def test_a_phi_domain_below_its_target_is_unstable_for_the_dims_alone():
     theta = (Fraction(1), Fraction(-2))
     v, w = {(1, 1): 1}, {(1, 0): 1}
     assert quiver._route(datum, theta) == (True, (1,))
-    assert quiver._step_plan(datum, 1, (((1, -1), 1),), (((1, 0), 1),)) is None
+    assert quiver._step_plan(datum, 1, {(1, -1): 1}, {(1, 0): 1}) is None
     assert quiver._walk_plan(datum, (((1, 1), 1),), (((1, 0), 1),), theta) is False
     for value in (0, 1):
         rep = GradedQuiverRep(datum, F2, v, w, {(("W", 1, 0), ("V", 1, 1)): [[value]]})
@@ -776,10 +824,10 @@ def test_span_is_canonical(case):
 
 def _spin_verdicts(rep):
     """The spin's verdict forward and backward, and the fixpoint's."""
-    spin = (quiver.is_framed_stable(rep), quiver._is_coframed_stable(rep))
+    verdicts = (spin(rep), spin(rep, backward=True))
     fixpoint = tuple(closure_dims_by_fixpoint(rep, backward) == rep.v
                      for backward in (False, True))
-    return spin, fixpoint
+    return verdicts, fixpoint
 
 
 def test_spin_matches_the_fixpoint_on_the_benchmark_searches():
@@ -789,11 +837,11 @@ def test_spin_matches_the_fixpoint_on_the_benchmark_searches():
     for workload in ("quiver_same_sign", "quiver_mixed"):
         for datum, v, w, _ in _workload_searches(workload):
             for point in exhaustive_search(datum, v, w, F2):
-                spin, fixpoint = _spin_verdicts(point.rep)
-                assert spin == fixpoint
+                verdicts, fixpoint = _spin_verdicts(point.rep)
+                assert verdicts == fixpoint
                 counts[workload] += 1
-                counts["forward", workload] += spin[0]
-                counts["backward", workload] += spin[1]
+                counts["forward", workload] += verdicts[0]
+                counts["backward", workload] += verdicts[1]
     assert counts == {"quiver_same_sign": 1279, "quiver_mixed": 1263,
                       ("forward", "quiver_same_sign"): 17,
                       ("backward", "quiver_same_sign"): 5,
@@ -804,8 +852,8 @@ def test_spin_matches_the_fixpoint_on_the_benchmark_searches():
 @given(_random_point((F2, PrimeField(3), QQ)))
 def test_spin_matches_the_fixpoint_on_random_points(case):
     rep, _, _ = case
-    spin, fixpoint = _spin_verdicts(rep)
-    assert spin == fixpoint
+    verdicts, fixpoint = _spin_verdicts(rep)
+    assert verdicts == fixpoint
 
 
 def _out_degrees(rep, backward):
@@ -835,8 +883,7 @@ def test_spin_pushes_each_basis_vector_once_along_each_map(monkeypatch):
                 dims = closure_dims_by_fixpoint(rep, backward)
                 bound = sum(n * degrees[slot] for slot, n in dims.items())
                 pushes.clear()
-                stable = (quiver._is_coframed_stable(rep) if backward
-                          else quiver.is_framed_stable(rep))
+                stable = spin(rep, backward)
                 assert len(pushes) <= bound if stable else len(pushes) == bound
                 counts["pushes"] += len(pushes)
                 counts["stable"] += stable
@@ -866,7 +913,7 @@ def test_a_stable_point_stops_the_spin_at_full_rank(monkeypatch):
                               (("V", 2, 2), ("V", 1, 3)): [[1]],
                               (("V", 1, 3), ("V", 1, 1)): [[1]],
                           })
-    assert quiver.is_framed_stable(rep) is True
+    assert spin(rep) is True
     assert len(pushes) == 2 < sum(_out_degrees(rep, False).values()) == 3
     assert subs == []
     assert closure_dims_by_fixpoint(rep) == rep.v
