@@ -86,6 +86,11 @@ class CartanDatum:
     def neighbors(self, i):
         return tuple(j for j in self.nodes if j != i and self.c(i, j) != 0)
 
+    def check_node(self, i):
+        """Raise ValueError unless ``i`` is a node of this datum."""
+        if i not in self.nodes:
+            raise ValueError(f"{i!r} is not a node of {self.label}")
+
     def to_json_obj(self):
         return {
             "label": self.label,

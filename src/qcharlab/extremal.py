@@ -358,6 +358,7 @@ def cone_vertices(datum, node):
     parent's S-push of the zero vector (framing Y_{k,0}), and its vertex is
     that push with the parameters negated.
     """
+    datum.check_node(node)
     framing = unit_framing(node)
     pushed = {}
     for word, weight in _orbit_walk(datum, fundamental_weight(datum, node)):
@@ -374,6 +375,8 @@ def word_vertex(datum, node, word):
     this is the S-push of the zero vector along the reversed word with its
     parameters negated.
     """
+    for i in (node, *word):
+        datum.check_node(i)
     dims = _push_dims(datum, reversed(word), {}, unit_framing(node))
     return _negated(node, dims)
 

@@ -204,21 +204,19 @@ def mat_rank(fld, mat):
 
 
 def kernel_basis(fld, mat, cols=None):
-    """Columns spanning the kernel, in canonical reduced column echelon form.
+    """(basis, free): columns spanning the kernel, in canonical reduced
+    column echelon form, and the free column indices, ascending.
 
     Each basis column carries a 1 at its own free index and 0 at every other
-    free index, free indices ascending; this is the unique such basis, so
-    serialized kernels are reproducible.
+    free index, so the basis restricted to the rows at ``free`` is the
+    identity; this is the unique such basis, so serialized kernels are
+    reproducible, and a matrix whose columns lie in the kernel's span is the
+    basis times its own rows at ``free``.
     """
     if cols is None:
         cols = len(mat[0]) if mat else 0
-    if cols == 0:
-        return []
     if not mat:
-        return [
-            [fld.one() if r == c else fld.zero() for c in range(cols)]
-            for r in range(cols)
-        ]
+        return identity(fld, cols), list(range(cols))
     reduced, pivots = rref(fld, mat)
     pivot_set = set(pivots)
     free = [c for c in range(cols) if c not in pivot_set]
@@ -227,39 +225,7 @@ def kernel_basis(fld, mat, cols=None):
         basis[f][idx] = fld.one()
         for r, p in enumerate(pivots):
             basis[p][idx] = fld.neg(reduced[r][f])
-    return basis
-
-
-def solve_exact(fld, a, b):
-    """Solve A X = B column-wise; returns X or None when inconsistent.
-
-    When A has dependent columns the reduced echelon solution (free variables
-    zero) is returned, which is canonical.
-    """
-    rows = len(a)
-    acols = len(a[0]) if a else 0
-    bcols = len(b[0]) if b else 0
-    if len(b) != rows:
-        raise ValueError("row counts disagree")
-    if acols == 0:
-        if rows and not is_zero_matrix(fld, b):
-            return None
-        return zeros(fld, 0, bcols)
-    if rows == 0:
-        return zeros(fld, acols, bcols)
-    aug = [list(a[r]) + list(b[r]) for r in range(rows)]
-    reduced, pivots = rref(fld, aug)
-    for r in range(len(pivots), rows):
-        if any(x != fld.zero() for x in reduced[r][acols:]):
-            return None
-    if any(p >= acols for p in pivots):
-        return None
-    x = zeros(fld, acols, bcols)
-    for r, p in enumerate(pivots):
-        if p < acols:
-            for c in range(bcols):
-                x[p][c] = reduced[r][acols + c]
-    return x
+    return basis, free
 
 
 def hstack(blocks, rows):

@@ -213,7 +213,11 @@ class QChar:
     @classmethod
     def from_json_obj(cls, datum, obj):
         """The q-character of a parsed ``to_json_text``, in canonical order
-        whatever the order of the entries and cells read."""
+        whatever the order of the entries and cells read.  ValueError when
+        the text was written for another type or under other conventions."""
+        for key, expected in (("type", datum.label), ("conventions", CONVENTIONS_VERSION)):
+            if obj.get(key) != expected:
+                raise ValueError(f"the text's {key} is {obj.get(key)!r}, not {expected!r}")
         entries = {}
         for item in obj["entries"]:
             vec = AMonomialVector(
@@ -260,8 +264,7 @@ def fm_qchar(
     checks), raised where and as a closure over every height raises them;
     the height cap defaults to H.
     """
-    if node not in datum.nodes:
-        raise ValueError(f"node {node} not in {datum.label}")
+    datum.check_node(node)
     bound = lowest_weight_height(datum, node)
     if max_height is None:
         max_height = bound

@@ -66,7 +66,6 @@ from .linalg import (
     is_zero_matrix,
     kernel_basis,
     mat_mul_shaped,
-    solve_exact,
     vstack,
     zeros,
 )
@@ -373,6 +372,7 @@ def validate_n(rep, node, xi):
     relation, the mixed relation E2, and that the single descending loop
     kills xi.
     """
+    rep.datum.check_node(node)
     if any(target[0] == "W" for _, target in rep.maps):
         raise ValueError("validate_n expects a point with all B maps zero")
     dk = rep.datum.di(node)
@@ -597,6 +597,9 @@ def stability_check(rep, theta):
     |u_j| the total dimension at node j.  Raises NonGenericTheta on a root
     hyperplane.  Nothing is enumerated, so every field and every dimension
     is decided.  Raises ValueError when theta's length is not the rank.
+    The verdict assumes ``rep`` satisfies the relations (see
+    :func:`validate_relations`): the lemmas below, and the maps each step
+    reads off its kernels, rest on them, and nothing here checks them.
     The sign of theta picks the path:
 
     * every theta_i < 0: the forward :func:`_spin`.  Every submodule pairs
@@ -788,6 +791,7 @@ def phi_map(rep, i, a):
     A_i^{a+d_i}, then for each neighbor slot the arrow into node i followed by
     t-1 descending loops.
     """
+    rep.datum.check_node(i)
     return _phi(rep.field, rep.maps, _grade(rep.datum, rep.v, rep.w, i, a))
 
 
@@ -798,6 +802,7 @@ def psi_map(rep, i, a):
     composite of -c_ij - t descending loops followed by the arrow out to j.
     Raises RelationViolated when the composite with Phi is nonzero.
     """
+    rep.datum.check_node(i)
     fld, grade = rep.field, _grade(rep.datum, rep.v, rep.w, i, a)
     phi, psi = _phi(fld, rep.maps, grade), _psi(fld, rep.maps, grade)
     composite = mat_mul_shaped(fld, phi, psi, grade.target, grade.dom, grade.vdim)
@@ -816,6 +821,7 @@ def upsilon_map(rep, i, a):
     neighbor through minus the full loop composite at that neighbor.
     """
     datum, v, w = rep.datum, rep.v, rep.w
+    datum.check_node(i)
     lower = _grade(datum, v, w, i, a - 2 * datum.di(i))
     return _upsilon(rep.field, rep.maps, _grade(datum, v, w, i, a), lower)
 
@@ -849,8 +855,8 @@ def _step_plan(datum, i, v, w):
     ``outs``, Psi's one-map blocks at a, the maps out of the new V_i^a, each
     a slice of the kernel; ``loop``, the new loop and the lower grade whose
     kernel it lands in, where that kernel is nonzero too; and ``ins``,
-    Phi's one-map blocks one step down, the maps into V_i^a, each factored
-    through Psi.
+    Phi's one-map blocks one step down, the maps into V_i^a, each Psi after
+    the old map, read off the kernel's free rows.
     """
     dii = 2 * datum.di(i)
     grades = {}
@@ -884,34 +890,37 @@ def _apply_step(step, rep):
     fld, maps = rep.field, rep.maps
     kernels = {}
     for grade in step.grades:
-        basis = kernel_basis(fld, _phi(fld, maps, grade), cols=grade.dom)
-        if len(basis[0]) != grade.dom - grade.target:  # the rank of Phi
+        basis, free = kernel_basis(fld, _phi(fld, maps, grade), cols=grade.dom)
+        if len(free) != grade.dom - grade.target:  # the rank of Phi
             return None
-        kernels[grade.a] = basis
+        kernels[grade.a] = basis, free
 
     at = ("V", step.node)
     new_maps = {ends: mat for ends, mat in maps.items()
                 if all(end[:2] != at for end in ends)}
     for grade, outs, loop, ins in step.builds:
-        basis = kernels[grade.a]
+        basis, free = kernels[grade.a]
         # the maps out of V_i^a, and the new coframing, project the kernel
         for ends, col, dim in outs:
             new_maps[ends] = [list(row) for row in basis[col:col + dim]]
+        # Upsilon K_a and Psi M lie in a kernel's span K, and K is the identity
+        # at its free rows, so the maps they factor through K are those rows.
         # the new loop, induced by the comparison map, which carries the
         # kernel at a into the kernel at a - d_ii
         if loop is not None:
             ends, lower = loop
-            image = mat_mul_shaped(fld, _upsilon(fld, maps, grade, lower), basis,
-                                   lower.dom, grade.dom, len(basis[0]))
-            new_maps[ends] = solve_exact(fld, kernels[lower.a], image)
+            upsilon = _upsilon(fld, maps, grade, lower)
+            rows = [upsilon[f] for f in kernels[lower.a][1]]
+            new_maps[ends] = mat_mul_shaped(fld, rows, basis, len(rows), grade.dom,
+                                            len(free))
         # the maps into V_i^a, and the new framing, factor through Psi
         if ins:
             psi = _psi(fld, maps, grade)
+            rows = [psi[f] for f in free]
             for ends, dim in ins:
-                mapped = mat_mul_shaped(
-                    fld, psi, _along(fld, maps, (ends,), grade.vdim, dim),
-                    grade.dom, grade.vdim, dim)
-                new_maps[ends] = solve_exact(fld, basis, mapped)
+                new_maps[ends] = mat_mul_shaped(
+                    fld, rows, _along(fld, maps, (ends,), grade.vdim, dim),
+                    len(free), grade.vdim, dim)
     return GradedQuiverRep._trusted(rep.datum, fld, step.v, rep.w, new_maps)
 
 
@@ -938,8 +947,7 @@ def reflect(rep, i, theta):
     enforced, not assumed.
     """
     datum = rep.datum
-    if i not in datum.nodes:
-        raise ValueError(f"{i!r} is not a node of {datum.label}")
+    datum.check_node(i)
     _check_length(datum, theta)
     if theta[i - 1] >= 0:
         raise ValueError(f"reflection at node {i} needs theta_{i} < 0")

@@ -11,8 +11,9 @@ object-tree writer of a search artifact, the
 per-relation oracle of the quiver relation checks, the point builder that
 cuts each assignment of the search into rows, the fixpoint submodule
 closure (the oracle of the spin that decides the same-sign chambers), the
-full submodule lattice that decides stability by enumeration, and the
-chamber walk that always walks up from theta."""
+full submodule lattice that decides stability by enumeration, the
+chamber walk that always walks up from theta, and the linear solver that
+factors each new map of the reflection through a kernel."""
 
 import importlib
 import json
@@ -44,6 +45,7 @@ from qcharlab.linalg import (
     field_by_name,
     identity,
     is_zero_matrix,
+    kernel_basis,
     mat_mul_shaped,
     rref,
     zeros,
@@ -917,3 +919,71 @@ def spin(rep, backward=False):
     """``quiver._spin`` on ``rep``: is the closure of Im A all of V, or with
     ``backward`` that of the rows of every B all of V's dual?"""
     return quiver._spin(quiver._spin_plan(rep.datum, rep.v, rep.w, backward), rep)
+
+
+# ---------------------------------------------------------------------------
+# the linear solver: the oracle of the maps quiver._apply_step reads off
+# its kernels' free rows
+
+
+def solve_exact(fld, a, b):
+    """Solve A X = B column-wise; returns X or None when inconsistent.
+
+    When A has dependent columns the reduced echelon solution (free variables
+    zero) is returned, which is canonical.
+    """
+    rows = len(a)
+    acols = len(a[0]) if a else 0
+    bcols = len(b[0]) if b else 0
+    if len(b) != rows:
+        raise ValueError("row counts disagree")
+    if acols == 0:
+        if rows and not is_zero_matrix(fld, b):
+            return None
+        return zeros(fld, 0, bcols)
+    if rows == 0:
+        return zeros(fld, acols, bcols)
+    aug = [list(a[r]) + list(b[r]) for r in range(rows)]
+    reduced, pivots = rref(fld, aug)
+    for r in range(len(pivots), rows):
+        if any(x != fld.zero() for x in reduced[r][acols:]):
+            return None
+    if any(p >= acols for p in pivots):
+        return None
+    x = zeros(fld, acols, bcols)
+    for r, p in enumerate(pivots):
+        if p < acols:
+            for c in range(bcols):
+                x[p][c] = reduced[r][acols + c]
+    return x
+
+
+def step_by_solving(step, rep):
+    """The new loop and in-maps of S_i ``rep`` by the plan ``step``, each
+    factored through its kernel by :func:`solve_exact`, as
+    ``quiver._apply_step`` once built them: ("loop" | "in", ends, map) per
+    map, the map None where the target lies outside the kernel's span.
+    Empty when some Phi is not onto.
+    """
+    fld, maps = rep.field, rep.maps
+    kernels = {}
+    for grade in step.grades:
+        basis, free = kernel_basis(fld, quiver._phi(fld, maps, grade), cols=grade.dom)
+        if len(free) != grade.dom - grade.target:
+            return []
+        kernels[grade.a] = basis
+    out = []
+    for grade, _, loop, ins in step.builds:
+        basis = kernels[grade.a]
+        if loop is not None:
+            ends, lower = loop
+            image = mat_mul_shaped(fld, quiver._upsilon(fld, maps, grade, lower), basis,
+                                   lower.dom, grade.dom, len(basis[0]))
+            out.append(("loop", ends, solve_exact(fld, kernels[lower.a], image)))
+        psi = quiver._psi(fld, maps, grade)
+        for ends, dim in ins:
+            mapped = mat_mul_shaped(
+                fld, psi, quiver._along(fld, maps, (ends,), grade.vdim, dim),
+                grade.dom, grade.vdim, dim)
+            out.append(("in", ends, solve_exact(fld, basis, mapped)))
+    return out

@@ -600,6 +600,17 @@ def test_json_round_trip_and_sorting():
     assert QChar.from_json_obj(datum, obj) == q
 
 
+def test_a_text_of_another_type_or_conventions_is_refused():
+    # A2/1 read with the B2 datum once gave a B2 character of 3 monomials,
+    # and a text under other conventions was written back under these
+    obj = json.loads(fm_qchar(build_cartan("A2"), 1).to_json_text())
+    with pytest.raises(ValueError, match="type is 'A2', not 'B2'"):
+        QChar.from_json_obj(build_cartan("B2"), obj)
+    obj["conventions"] = "other"
+    with pytest.raises(ValueError, match="conventions is 'other', not "):
+        QChar.from_json_obj(build_cartan("A2"), obj)
+
+
 @pytest.mark.parametrize("label,node", [("A2", 1), ("B2", 2), ("F4", 3)])
 def test_a_file_in_any_order_reads_back_canonical(label, node):
     # nothing vouches for the order of a file's entries or of their cells,

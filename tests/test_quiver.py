@@ -5,7 +5,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qcharlab import quiver
 from qcharlab.braid import reflect_dimensions
@@ -19,6 +19,7 @@ from qcharlab.errors import (
     ShapeMismatch,
     StabilityViolated,
 )
+from qcharlab.extremal import cone_vertices, word_vertex
 from qcharlab.linalg import (
     F2,
     QQ,
@@ -28,8 +29,8 @@ from qcharlab.linalg import (
     mat_mul_shaped,
     mat_rank,
     rref,
-    solve_exact,
 )
+from qcharlab.qchar import fm_qchar
 from qcharlab.quiver import (
     GradedQuiverRep,
     _reflect_kernel,
@@ -59,8 +60,10 @@ from helpers import (
     positive_roots,
     quiver_corpus_cases,
     relation_violations_oracle,
+    solve_exact,
     sorted_entries,
     spin,
+    step_by_solving,
     stability_by_full_lattice,
     stability_by_walking_up,
     validate_n_oracle,
@@ -100,14 +103,25 @@ def test_rref_and_rank_over_q():
 
 def test_kernel_basis_is_canonical():
     mat = [[1, 1, 0], [0, 0, 1]]
-    basis = kernel_basis(F2, mat)
+    basis, free = kernel_basis(F2, mat)
     # one free column (index 1): the basis column has 1 there
     assert basis == [[1], [1], [0]]
+    assert free == [1]
+    assert [basis[f] for f in free] == [[1]]
+    # over Q, two free columns of four: the identity at rows 1 and 3
+    mat = [[Fraction(2), Fraction(4), Fraction(0), Fraction(2)],
+           [Fraction(0), Fraction(0), Fraction(1), Fraction(3)]]
+    basis, free = kernel_basis(QQ, mat)
+    assert free == [1, 3]
+    assert [basis[f] for f in free] == [[1, 0], [0, 1]]
+    assert mat_mul_shaped(QQ, mat, basis, 2, 4, 2) == [[0, 0], [0, 0]]
 
 
 def test_kernel_of_empty_map_is_everything():
-    basis = kernel_basis(F2, [], cols=2)
+    basis, free = kernel_basis(F2, [], cols=2)
     assert basis == [[1, 0], [0, 1]]
+    assert free == [0, 1]
+    assert kernel_basis(F2, [], cols=0) == ([], [])
 
 
 def test_solve_exact():
@@ -449,6 +463,26 @@ def test_reflect_rejects_a_node_outside_the_datum(node):
         chain_reflect(rep, NEG2, (1, node))
 
 
+@pytest.mark.parametrize("node", [0, -1, 3])
+def test_every_entry_point_rejects_a_node_outside_the_datum(node):
+    # at 0 and -1 these returned [] or a vertex, at 3 some raised IndexError
+    datum = build_cartan("A2")
+    rep = GradedQuiverRep(datum, F2, {(1, 1): 1}, {(1, 0): 1})
+    calls = [
+        lambda: fm_qchar(datum, node),
+        lambda: validate_n(rep, node, []),
+        lambda: phi_map(rep, node, 0),
+        lambda: psi_map(rep, node, 0),
+        lambda: upsilon_map(rep, node, 0),
+        lambda: cone_vertices(datum, node),
+        lambda: word_vertex(datum, node, ()),
+        lambda: word_vertex(datum, 1, (2, node)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^{node} is not a node of A2$"):
+            call()
+
+
 @pytest.mark.parametrize("theta", [NEG2, POS2], ids=["negative", "positive"])
 def test_same_sign_guards_still_fire(theta):
     datum = build_cartan("A2")
@@ -561,6 +595,63 @@ def test_every_walk_step_keeps_the_relations_and_the_dimensions():
         counts["walks"] += 1
     # 1263 quiver-mixed points, and 3596 corpus points at two thetas each
     assert counts == {"walks": 8455, "stopped": 8141, "steps": 2815}
+
+
+def _check_free_row_reads(step, rep, image, counts):
+    """Check each new loop and in-map of ``image``, S_i ``rep`` by the plan
+    ``step``, against the map the linear solver finds for the same target,
+    and count them by kind in ``counts``; a target outside its kernel's span
+    has no solution to check against and counts as unsolved."""
+    counts["steps"] += 1
+    for kind, ends, solved in step_by_solving(step, rep):
+        if solved is None:
+            counts["unsolved", kind] += 1
+            continue
+        assert image.maps[ends] == solved, (kind, ends)
+        counts[kind] += 1
+
+
+def test_each_new_map_of_a_step_is_the_solvers(monkeypatch):
+    # every step of every walk of _walk_cases, and of every reflection of a
+    # quiver-same-sign stable point at every node, with its output's check;
+    # on these relation-satisfying points every target has a solution
+    counts = Counter()
+    apply_step = quiver._apply_step
+
+    def checked(step, rep):
+        image = apply_step(step, rep)
+        _check_free_row_reads(step, rep, image, counts)
+        return image
+
+    monkeypatch.setattr(quiver, "_apply_step", checked)
+    for rep, theta in _walk_cases():
+        stability_check(rep, theta)
+    for datum, v, w, theta in _workload_searches("quiver_same_sign"):
+        for point in exhaustive_search(datum, v, w, F2, thetas=(theta,)):
+            if point.stable[0]:
+                for i in datum.nodes:
+                    reflect(point.rep, i, theta)
+                    counts["reflected"] += 1
+    # 4061 calls, some stopped at a Phi that is not onto
+    assert counts == {"steps": 4061, "loop": 145, "in": 1386, "reflected": 32}
+
+
+def test_each_new_map_of_a_step_is_the_solvers_on_random_points():
+    # most random points break some relation, so some targets leave their
+    # kernel's span; wherever the solver finds a map, it is the one read
+    counts = Counter()
+
+    @settings(derandomize=True, deadline=None, database=None)
+    @given(_random_point((PrimeField(3), QQ)))
+    def check(case):
+        rep, _, _ = case
+        for i in rep.datum.nodes:
+            step = quiver._step_plan(rep.datum, i, rep.v, rep.w)
+            if step is not None:
+                _check_free_row_reads(step, rep, quiver._apply_step(step, rep), counts)
+
+    check()
+    assert counts["loop"] and counts["in"]
 
 
 @lru_cache(maxsize=None)
@@ -1116,7 +1207,6 @@ def test_phi_surjective_on_stable_points():
 def test_reflected_coframing_is_kernel_projection():
     # a stable B = 0 point reflects to one whose new coframing is literally
     # the framing-slot rows of each kernel basis
-    from qcharlab.linalg import kernel_basis as kb
     from qcharlab.quiver import phi_blocks
 
     datum = build_cartan("B2")
@@ -1138,7 +1228,7 @@ def test_reflected_coframing_is_kernel_projection():
             assert i == 1
             blocks = phi_blocks(datum, 1, a)
             dims = _block_dims(point.rep, blocks)
-            basis = kb(F2, phi_map(point.rep, 1, a), cols=sum(dims))
+            basis, _ = kernel_basis(F2, phi_map(point.rep, 1, a), cols=sum(dims))
             assert mat == [list(basis[r]) for r in range(dims[0])]
 
 
