@@ -150,29 +150,13 @@ def _parse_theta(text, datum):
 _DIMS_RE = re.compile(r"^\s*(\d+)\s*@\s*\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)\s*$")
 
 
-def _split_dims_text(text):
-    """Split 'n@(i,a),m@(j,b)' on the commas between entries only."""
-    parts, depth, current = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current))
-    return parts
-
-
 def parse_dims(text):
     """{(i, a): n} of 'n@(i,a),...'; blank text is no entries, an empty part an error."""
     dims = {}
     if not text.strip():
         return dims
-    for chunk in _split_dims_text(text):
+    # the commas between entries: those no ")" follows before a "("
+    for chunk in re.split(r",(?![^()]*\))", text):
         chunk = chunk.strip()
         if not chunk:
             raise _UsageError(f"empty dimension entry in {text!r}")

@@ -35,10 +35,10 @@ and the seed maps and moves of the closing spin.  One walk plan per
 search's points, which all share v and w, run only field arithmetic, as
 do points checked one at a time on dims already seen, and the points a
 plan builds (:meth:`GradedQuiverRep._trusted`) share its dims.  The step
-and spin plans it holds are plain functions of the dims.  A search also
-drops the relation paths through maps its points do not hold
-(:func:`_pruned`), and takes each matrix row from one table per column
-count, shared by all its points.
+and spin plans it holds are plain functions of the dims.  The relation
+table holds only the paths through maps the dims allow
+(:func:`_relation_table`), and a search takes each matrix row from one
+table per column count, shared by all its points.
 """
 
 from __future__ import annotations
@@ -220,26 +220,24 @@ def _step(datum, slot, to):
 
 
 def _path(datum, start, targets):
-    """The slots a path visits: ``start``, then one per ("V"|"W", node) of ``targets``."""
-    path = [start]
+    """The (source, target) steps of the path out of ``start`` that goes
+    toward each ("V"|"W", node) of ``targets`` in turn."""
+    steps = []
     for to in targets:
-        path.append(_step(datum, path[-1], to))
-    return tuple(path)
+        end = _step(datum, start, to)
+        steps.append((start, end))
+        start = end
+    return tuple(steps)
 
 
-def _pairs(path):
-    """The (source, target) ends of each step along ``path``."""
-    return tuple(zip(path, path[1:]))
-
-
-def _product(fld, maps, pairs, dim):
-    """The composite of the maps at ``pairs``, the steps of a path in order.
+def _product(fld, maps, steps, dim):
+    """The composite of the maps at ``steps``, the steps of a path in order.
 
     None when a map on the path is absent, since the composite is then
     zero; no steps give the identity of the start slot, of dimension ``dim``.
     """
     mat = None
-    for ends in pairs:
+    for ends in steps:
         step = maps.get(ends)
         if step is None:
             return None
@@ -248,9 +246,9 @@ def _product(fld, maps, pairs, dim):
     return identity(fld, dim) if mat is None else mat
 
 
-def _along(fld, maps, pairs, rows, cols):
+def _along(fld, maps, steps, rows, cols):
     """:func:`_product` as a rows x cols matrix, zero where a map is absent."""
-    mat = _product(fld, maps, pairs, cols)
+    mat = _product(fld, maps, steps, cols)
     return zeros(fld, rows, cols) if mat is None else mat
 
 
@@ -291,22 +289,25 @@ class RelationViolation:
         return f"{self.relation} fails at {where}, grade {self.a}"
 
 
-def _relation_table(rep, framed=True):
-    """Every relation on ``rep`` as a row (name, i, j, a, paths).
+def _relation_table(datum, v, w, framed=True):
+    """Every relation on the points of dims ``v`` and ``w`` as a row
+    (name, i, j, a, paths).
 
-    The composites along ``paths``, each a tuple of slots out of one start
-    slot, must add up to zero.  Rows come in the order E1bis, E2, then E4 and
-    E5 per W slot.  E1bis at (i, a) is Phi_i^a Psi_i^a = 0: one path per
-    block of :func:`_block_paths`, Psi's into the block's slot and then
+    The composites along ``paths``, each the steps of a path out of one
+    start slot, must add up to zero.  Rows come in the order E1bis, E2, then
+    E4 and E5 per W slot.  E1bis at (i, a) is Phi_i^a Psi_i^a = 0: one path
+    per block of :func:`_block_paths`, Psi's into the block's slot and then
     Phi's out of it.  With ``framed=False`` the loop relation drops the W
-    block, its AB term, and is named E1, and E4/E5 are left out.
+    block, its AB term, and is named E1, and E4/E5 are left out.  A path is
+    kept only when each of its steps is one of :func:`valid_map_keys`: a
+    point of these dims holds no other map, so any other path is zero on
+    it.  A row left with no path is dropped.
     """
-    datum = rep.datum
     table = [("E1bis" if framed else "E1", i, i, a,
-              [psi + phi[1:] for block, phi, psi, _ in _block_paths(datum, i, a)
+              [psi + phi for block, phi, psi, _ in _block_paths(datum, i, a)
                if framed or block[0] == "V"])
-             for (i, a) in sorted(rep.v)]
-    for (i, a) in sorted(rep.v):
+             for (i, a) in sorted(v)]
+    for (i, a) in sorted(v):
         start = ("V", i, a)
         for j in datum.neighbors(i):
             table.append(("E2", i, j, a, [
@@ -314,41 +315,22 @@ def _relation_table(rep, framed=True):
                 _path(datum, start, [("V", i)] * -datum.c(i, j) + [("V", j)]),
             ]))
     if framed:
-        for (i, a) in sorted(rep.w):
+        for (i, a) in sorted(w):
             table.append(("E4", i, i, a, [_path(datum, ("W", i, a), [("V", i)] * 2)]))
             table.append(("E5", i, i, a, [
                 _path(datum, ("V", i, a + datum.di(i)), [("V", i), ("W", i)])]))
-    return table
+    keys = set(valid_map_keys(datum, v, w))
+    return [(name, i, j, a, kept) for name, i, j, a, paths in table
+            if (kept := [path for path in paths if keys.issuperset(path)])]
 
 
-def _relation_steps(table):
-    """The rows of a :func:`_relation_table` with each path as its
-    :func:`_pairs`, the form :func:`_violations` reads."""
-    return [(name, i, j, a, [_pairs(path) for path in paths])
-            for name, i, j, a, paths in table]
-
-
-def _pruned(steps, keys):
-    """The rows of ``steps`` (:func:`_relation_steps`) on points whose maps
-    sit at ``keys`` and nowhere else: a path through a map at no key is zero
-    on every such point, so it is dropped, and so is a row that keeps no path.
-    :func:`_violations` reads the rows left as it reads ``steps``."""
-    keys = set(keys)
-    out = []
-    for name, i, j, a, paths in steps:
-        paths = [pairs for pairs in paths if keys.issuperset(pairs)]
-        if paths:
-            out.append((name, i, j, a, paths))
-    return out
-
-
-def _violations(rep, steps):
+def _violations(rep, table):
     fld, maps = rep.field, rep.maps
     out = []
-    for name, i, j, a, paths in steps:
+    for name, i, j, a, paths in table:
         total = None
-        for pairs in paths:
-            term = _product(fld, maps, pairs, None)
+        for path in paths:
+            term = _product(fld, maps, path, None)
             if term is None:
                 continue
             total = term if total is None else [
@@ -362,7 +344,7 @@ def _violations(rep, steps):
 
 def validate_relations(rep):
     """All relation failures of a (co)framed point; empty means valid."""
-    return _violations(rep, _relation_steps(_relation_table(rep)))
+    return _violations(rep, _relation_table(rep.datum, rep.v, rep.w))
 
 
 def validate_n(rep, node, xi):
@@ -379,9 +361,9 @@ def validate_n(rep, node, xi):
     dim = rep.vdim(node, dk)
     if len(xi) != dim:
         raise ShapeMismatch(f"xi must live in V_{node}^{dk} (dim {dim})")
-    out = _violations(rep, _relation_steps(_relation_table(rep, framed=False)))
+    out = _violations(rep, _relation_table(rep.datum, rep.v, rep.w, framed=False))
     loop = _product(rep.field, rep.maps,
-                    _pairs(_path(rep.datum, ("V", node, dk), [("V", node)])), None)
+                    _path(rep.datum, ("V", node, dk), [("V", node)]), None)
     if loop is not None and not is_zero_matrix(rep.field,
                                                _images(rep.field, loop, [xi])):
         out.append(RelationViolation("loop-kills-xi", node, node, dk))
@@ -700,8 +682,8 @@ def phi_blocks(datum, i, a):
 def _block_paths(datum, i, a):
     """Per block of :func:`phi_blocks` at (i, a): (block, phi, psi, upsilon).
 
-    Each path is the tuple of slots it visits, resolved here once per
-    (datum, i, a).  ``phi`` is the path of Phi's block, out of the block's
+    Each path is the tuple of its (source, target) steps, resolved here once
+    per (datum, i, a).  ``phi`` is the path of Phi's block, out of the block's
     slot into V_i^{a+d_ii}; ``psi`` the path of Psi's block, out of V_i^a
     into the block's slot.  ``upsilon`` is None for the W block, which
     Upsilon kills; otherwise (path, t, negate): Upsilon sends the block's
@@ -719,7 +701,7 @@ def _block_paths(datum, i, a):
             continue
         c = -datum.c(i, j)
         if t < c:  # the same slot, one step later in the lower layout
-            upsilon = ((slot,), t + 1, False)
+            upsilon = ((), t + 1, False)
         else:  # the top slot, through minus the full loop composite at j
             upsilon = (_path(datum, slot, [("V", j)] * -datum.c(j, i)), 1, True)
         table.append((block, _path(datum, slot, [at] * t),
@@ -732,8 +714,8 @@ class _Grade:
     less their matrix entries.
 
     ``blocks`` holds (node, dim, first column, phi, psi, upsilon) per block
-    of :func:`_block_paths` of nonzero dim, each path as the pairs of its
-    steps; ``offsets`` maps each block's (node, t) to its first column.
+    of :func:`_block_paths` of nonzero dim, each path as its steps;
+    ``offsets`` maps each block's (node, t) to its first column.
     """
 
     __slots__ = ("a", "vdim", "target", "dom", "blocks", "offsets")
@@ -753,9 +735,7 @@ def _grade(datum, v, w, i, a):
         dim = (v if space == "V" else w).get((j, b), 0)
         offsets[j, t] = dom
         if dim:
-            if upsilon is not None:
-                upsilon = (_pairs(upsilon[0]), *upsilon[1:])
-            blocks.append((j, dim, dom, _pairs(phi), _pairs(psi), upsilon))
+            blocks.append((j, dim, dom, phi, psi, upsilon))
         dom += dim
     return _Grade(a, v.get((i, a), 0), v.get((i, a + 2 * datum.di(i)), 0), dom,
                   tuple(blocks), offsets)
@@ -776,9 +756,9 @@ def _upsilon(fld, maps, grade, lower):
     for j, dim, col, _, _, upsilon in grade.blocks:
         if upsilon is None:
             continue
-        pairs, t, negate = upsilon
+        path, t, negate = upsilon
         row0 = lower.offsets[j, t]
-        for r, row in enumerate(_product(fld, maps, pairs, dim) or ()):
+        for r, row in enumerate(_product(fld, maps, path, dim) or ()):
             for c, x in enumerate(row):
                 out[row0 + r][col + c] = fld.neg(x) if negate else x
     return out
@@ -876,9 +856,9 @@ def _step_plan(datum, i, v, w):
         new_v[i, a] = width
         outs = tuple((psi[0], col, dim) for _, dim, col, _, psi, _ in grade.blocks
                      if len(psi) == 1)
-        loop = _path(datum, ("V", i, a), [("V", i)])
-        lower = grades.get(loop[1][2])
-        loop = (loop, lower) if lower and lower.dom > lower.target else None
+        (ends,) = _path(datum, ("V", i, a), [("V", i)])
+        lower = grades.get(ends[1][2])
+        loop = (ends, lower) if lower and lower.dom > lower.target else None
         ins = tuple((phi[0], dim) for _, dim, _, phi, _, _ in
                     _grade(datum, v, w, i, a - dii).blocks if len(phi) == 1)
         builds.append((grade, outs, loop, ins))
@@ -1023,7 +1003,7 @@ def exhaustive_search(datum, v, w, field, thetas=(),
         )
     # every point shares datum, v and w, and the relation table and the
     # stability plans read nothing else
-    table = _pruned(_relation_steps(_relation_table(empty)), slots)
+    table = _relation_table(datum, empty.v, empty.w)
     key_v, key_w = _dims_key(empty.v), _dims_key(empty.w)
     plans = [_walk_plan(datum, key_v, key_w, tuple(theta)) for theta in thetas]
     # a point's entries run row by row through the slots, so one table of

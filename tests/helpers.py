@@ -501,6 +501,38 @@ def search_artifact_oracle(argv):
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def split_dims_text(text):
+    """Split 'n@(i,a),m@(j,b)' on the commas at parenthesis depth 0, the
+    oracle of the one-regex split in ``cli.parse_dims``."""
+    parts, depth, current = [], 0, []
+    for ch in text:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        if ch == "," and depth == 0:
+            parts.append("".join(current))
+            current = []
+        else:
+            current.append(ch)
+    parts.append("".join(current))
+    return parts
+
+
+def parse_dims_by_depth(text):
+    """The dims ``cli.parse_dims`` reads off ``text`` when it splits it by
+    parenthesis depth (:func:`split_dims_text`), or None where it refuses it."""
+    if not text.strip():
+        return {}
+    dims = {}
+    for chunk in split_dims_text(text):
+        match = cli._DIMS_RE.match(chunk)
+        if not match or (int(match[2]), int(match[3])) in dims:
+            return None
+        dims[int(match[2]), int(match[3])] = int(match[1])
+    return dims
+
+
 # ---------------------------------------------------------------------------
 # the relation oracle: each relation built by hand, absent maps as zero matrices
 
@@ -578,8 +610,9 @@ def e1bis_paths_oracle(datum, i, a, framed):
 
     Per neighbour j and l = 0..-c_ij-1 the path of
     loop_i^{-c_ij-1-l} o (i<-j) o (j<-i) o loop_i^l out of V_i^a, then the
-    path of A_i^{a+d_i} B_i^{a+d_i} if ``framed``.  The oracle of the
-    Phi o Psi rows of ``quiver._relation_table``.
+    path of A_i^{a+d_i} B_i^{a+d_i} if ``framed``, each as the steps of
+    ``quiver._path``.  The oracle of the Phi o Psi rows of
+    ``quiver._relation_table``, which keep those through maps the dims allow.
     """
     at = ("V", i)
     paths = []

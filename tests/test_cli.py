@@ -7,6 +7,7 @@ import random
 import string
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from qcharlab.qchar import QChar
 from helpers import (
     apply_s_word_inverse,
     factor_to_a,
+    parse_dims_by_depth,
     perfbench_module,
     search_artifact_oracle,
 )
@@ -366,6 +368,30 @@ def test_an_empty_part_in_a_dims_flag_is_usage_error(capsys, flag, text):
 
 def test_blank_dims_are_no_entries():
     assert cli.parse_dims("") == cli.parse_dims("  ") == {}
+
+
+def test_dims_split_as_by_parenthesis_depth():
+    # parse_dims splits its text with one regex; on a fixed sample of texts,
+    # entries and runs of stray characters joined by commas, it reads the
+    # dims that splitting by parenthesis depth reads and refuses the texts
+    # that it refuses
+    rng = random.Random(0)
+
+    def part():
+        if rng.random() < 0.6:
+            return f"{rng.randint(0, 3)}@( {rng.randint(1, 2)},{rng.randint(-2, 2)})"
+        return "".join(rng.choice("1@(),- ") for _ in range(rng.randint(0, 6)))
+
+    outcomes = Counter()
+    for _ in range(4000):
+        text = ",".join(part() for _ in range(rng.randint(1, 4)))
+        try:
+            dims = cli.parse_dims(text)
+        except cli._UsageError:
+            dims = None
+        assert dims == parse_dims_by_depth(text), text
+        outcomes["refused" if dims is None else len(dims)] += 1
+    assert outcomes["refused"] and all(outcomes[n] for n in range(1, 5))
 
 
 def test_quiver_search_over_q_is_usage_error(capsys):

@@ -312,17 +312,25 @@ def _random_point(draw, fields=(F2, PrimeField(3))):
 def test_loop_relation_is_phi_after_psi(label):
     # each E1bis (E1) row is Psi's path into a block of the Phi domain and
     # Phi's out of it, one per block (the W block left out unframed); as a
-    # multiset of paths it must be the relation spelled term by term
+    # multiset of paths it must be the relation spelled term by term.  With
+    # a V and a W slot at every grade of the window, no path out of V_i^a
+    # with |a| <= 6 leaves it, so those rows hold every term, AB included;
+    # nearer the edge a row holds the terms through maps the dims allow, and
+    # a row left with none is dropped
     datum = build_cartan(label)
-    v = {(i, a): 1 for i in datum.nodes for a in range(-6, 7)}
-    rep = GradedQuiverRep(datum, F2, v, {})
+    dims = {(i, a): 1 for i in datum.nodes for a in range(-12, 13)}
+    keys = set(valid_map_keys(datum, dims, dims))
     for framed in (True, False):
-        rows = [row for row in quiver._relation_table(rep, framed)
-                if row[0] in ("E1bis", "E1")]
-        assert len(rows) == len(v)
-        for name, i, _, a, paths in rows:
-            assert name == ("E1bis" if framed else "E1")
-            assert Counter(paths) == Counter(e1bis_paths_oracle(datum, i, a, framed))
+        table = quiver._relation_table(datum, dims, dims, framed)
+        rows = {(i, a): paths for name, i, _, a, paths in table
+                if name in ("E1bis", "E1")}
+        assert ("E1" if framed else "E1bis") not in {name for name, *_ in table}
+        assert len(rows) < len(dims)
+        for i, a in dims:
+            every = e1bis_paths_oracle(datum, i, a, framed)
+            held = every if abs(a) <= 6 else [
+                path for path in every if keys.issuperset(path)]
+            assert Counter(rows.get((i, a), [])) == Counter(held)
 
 
 @given(_random_point())
@@ -330,6 +338,21 @@ def test_relation_checks_match_the_per_relation_oracle(case):
     # exhaustive_search keeps only valid points, so only random ones reach
     # the violation paths; the oracle builds each relation with zero matrices
     rep, node, xi = case
+    assert validate_relations(rep) == relation_violations_oracle(rep)
+    framed = GradedQuiverRep(rep.datum, rep.field, rep.v, rep.w, without_b(rep))
+    assert validate_n(framed, node, xi) == validate_n_oracle(framed, node, xi)
+
+
+@given(_random_point(), st.data())
+def test_relation_checks_match_the_oracle_on_points_that_lack_maps(case, data):
+    # _random_point stores every map its dims allow; leave a random subset of
+    # them out, so that paths the relation table keeps run through maps the
+    # point lacks, which the checks must read as zero
+    rep, node, xi = case
+    keys = valid_map_keys(rep.datum, rep.v, rep.w)
+    keep = data.draw(st.lists(st.booleans(), min_size=len(keys), max_size=len(keys)))
+    maps = {ends: rep.maps[ends] for ends, kept in zip(keys, keep) if kept}
+    rep = GradedQuiverRep(rep.datum, rep.field, rep.v, rep.w, maps)
     assert validate_relations(rep) == relation_violations_oracle(rep)
     framed = GradedQuiverRep(rep.datum, rep.field, rep.v, rep.w, without_b(rep))
     assert validate_n(framed, node, xi) == validate_n_oracle(framed, node, xi)
@@ -365,7 +388,7 @@ def test_search_builds_the_relation_table_once(monkeypatch):
     datum = build_cartan("B2")
     v, w = {(1, 2): 1, (1, 4): 2, (2, 2): 2, (2, 4): 1}, {(2, 0): 1}
     quiver._block_paths.cache_clear()
-    real(GradedQuiverRep(datum, F2, v, w))
+    real(datum, v, w)
     valid_map_keys(datum, v, w)
     once = len(steps)
     steps.clear()
@@ -1305,22 +1328,19 @@ def test_search_points_share_one_table_of_rows_per_column_count(label, v, w, fld
 def test_the_pruned_relation_table_decides_every_raw_point():
     # A2 with V_1^1, V_2^2 and V_1^3: the neighbour slots V_2^0 and V_2^4,
     # V_1^-1, V_1^5 and every W slot but W_1^0 are empty, so five of the
-    # eight rows reach no map a point of these dims holds, and each of the
-    # three left keeps one of its two paths; the rows left decide each raw
-    # point, valid or not, as the whole table does
+    # eight relations reach no map a point of these dims holds, and each of
+    # the three left keeps one of its two paths; the rows left decide each
+    # raw point, valid or not, as the relations spelled term by term do
     datum = build_cartan("A2")
     v, w, fld = {(1, 1): 1, (2, 2): 1, (1, 3): 1}, {(1, 0): 1}, PrimeField(3)
-    empty = GradedQuiverRep(datum, fld, v, w)
-    keys = valid_map_keys(datum, empty.v, empty.w)
-    table = quiver._relation_steps(quiver._relation_table(empty))
-    pruned = quiver._pruned(table, keys)
-    assert (len(table), len(pruned)) == (8, 3)
-    assert [len(paths) for *_, paths in pruned] == [1, 1, 1]
-    assert all(set(keys).issuperset(pairs) for *_, paths in pruned for pairs in paths)
+    keys = set(valid_map_keys(datum, v, w))
+    table = quiver._relation_table(datum, v, w)
+    assert [len(paths) for *_, paths in table] == [1, 1, 1]
+    assert all(keys.issuperset(path) for *_, paths in table for path in paths)
     counts = Counter()
     for rep in points_by_assignment(datum, v, w, fld):
-        bad = validate_relations(rep)
-        assert quiver._violations(rep, pruned) == bad
+        bad = relation_violations_oracle(rep)
+        assert quiver._violations(rep, table) == bad
         counts["points"] += 1
         counts["invalid"] += bool(bad)
     assert counts == {"points": 81, "invalid": 60}
