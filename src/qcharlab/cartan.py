@@ -8,8 +8,7 @@ no floats.
 from __future__ import annotations
 
 import re
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from functools import lru_cache
 
 from .errors import CapExceeded, UnsupportedType
@@ -54,21 +53,46 @@ def _layout(family, rank):
     raise UnsupportedType(f"no finite type {family}{rank} in the supported range")
 
 
-@dataclass(frozen=True)
 class CartanDatum:
     """Symmetrized Cartan data of a finite type.
 
     ``sym[i-1][j-1]`` is the symmetric pairing d_ij of simple roots,
     ``cartan[i-1][j-1]`` the Cartan entry c_ij = 2 d_ij / d_ii, ``d[i-1]``
     the half-length d_i = d_ii / 2, and ``m[i-1][j-1]`` the order of s_i s_j.
+
+    Immutable, equal and hashed by its six fields.  The fields sit in slots,
+    which the kernels read faster than a tuple's fields, and the hash of the
+    fields, which every cache keyed by the datum takes, is computed once.
     """
 
-    label: str
-    rank: int
-    sym: tuple
-    cartan: tuple
-    d: tuple
-    m: tuple
+    __slots__ = ("label", "rank", "sym", "cartan", "d", "m", "_key", "_hash")
+
+    def __init__(self, label, rank, sym, cartan, d, m):
+        key = (label, rank, sym, cartan, d, m)
+        for name, value in zip(self.__slots__, (*key, key, hash(key))):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__slots__, self._key))
+        return f"CartanDatum({fields})"
+
+    def __reduce__(self):
+        return CartanDatum, self._key
 
     @property
     def nodes(self):
@@ -147,8 +171,7 @@ def build_cartan(label):
 # Weyl group
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(namedtuple("WeylElement", "word weight")):
     """A Weyl group element with one stored reduced word.
 
     ``word = (i_1, ..., i_t)`` denotes the element s_{i_t} ... s_{i_1}: the
@@ -157,8 +180,7 @@ class WeylElement:
     and s_i is a left descent of w exactly when ``weight[i-1] < 0``.
     """
 
-    word: tuple
-    weight: tuple
+    __slots__ = ()
 
     @property
     def length(self):

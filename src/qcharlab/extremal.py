@@ -13,7 +13,7 @@ each element is re-checked with a second reduced word when one exists.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .braid import _push_dims, _reflect_rows, _reflection_table, unit_framing
 from .cartan import (
@@ -28,12 +28,8 @@ from .errors import CapExceeded
 from .lweights import AMonomialVector
 
 
-@dataclass(frozen=True)
-class ConeViolation:
-    word: tuple
-    vector: object
-    image: object
-    positions: tuple
+class ConeViolation(namedtuple("ConeViolation", "word vector image positions")):
+    __slots__ = ()
 
 
 def _violation(word, vec, image):
@@ -219,18 +215,13 @@ def _column(image, col):
 RECHECK_LIMIT = 48
 
 
-@dataclass
-class TheoremSummary:
-    label: str
-    node: int
-    monomial_count: int
-    group_order: int
-    checks: int
-    violations: list
-    word_mismatches: int
-    simple_reflection_violations: int
-    longest_element_violations: int
-    elapsed: float = field(default=0.0)
+class TheoremSummary(namedtuple(
+    "TheoremSummary",
+    "label node monomial_count group_order checks violations word_mismatches"
+    " simple_reflection_violations longest_element_violations elapsed",
+    defaults=(0.0,),
+)):
+    __slots__ = ()
 
     @property
     def ok(self):

@@ -43,7 +43,7 @@ table per column count, shared by all its points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 
@@ -277,19 +277,15 @@ def valid_map_keys(datum, v, w):
 # relations
 
 
-@dataclass(frozen=True)
-class RelationViolation:
-    relation: str
-    i: int
-    j: int
-    a: int
+class RelationViolation(namedtuple("RelationViolation", "relation i j a")):
+    __slots__ = ()
 
     def __str__(self):
         where = f"node {self.i}" if self.j == self.i else f"nodes ({self.i},{self.j})"
         return f"{self.relation} fails at {where}, grade {self.a}"
 
 
-def _relation_table(datum, v, w, framed=True):
+def _relation_table(datum, v, w, framed=True, keys=None):
     """Every relation on the points of dims ``v`` and ``w`` as a row
     (name, i, j, a, paths).
 
@@ -301,7 +297,8 @@ def _relation_table(datum, v, w, framed=True):
     block, its AB term, and is named E1, and E4/E5 are left out.  A path is
     kept only when each of its steps is one of :func:`valid_map_keys`: a
     point of these dims holds no other map, so any other path is zero on
-    it.  A row left with no path is dropped.
+    it.  A caller that already holds those keys passes them as ``keys``.
+    A row left with no path is dropped.
     """
     table = [("E1bis" if framed else "E1", i, i, a,
               [psi + phi for block, phi, psi, _ in _block_paths(datum, i, a)
@@ -319,7 +316,7 @@ def _relation_table(datum, v, w, framed=True):
             table.append(("E4", i, i, a, [_path(datum, ("W", i, a), [("V", i)] * 2)]))
             table.append(("E5", i, i, a, [
                 _path(datum, ("V", i, a + datum.di(i)), [("V", i), ("W", i)])]))
-    keys = set(valid_map_keys(datum, v, w))
+    keys = set(valid_map_keys(datum, v, w) if keys is None else keys)
     return [(name, i, j, a, kept) for name, i, j, a, paths in table
             if (kept := [path for path in paths if keys.issuperset(path)])]
 
@@ -974,10 +971,8 @@ def chain_reflect(rep, theta, word):
 # exhaustive search
 
 
-@dataclass
-class SearchPoint:
-    rep: GradedQuiverRep
-    stable: tuple
+class SearchPoint(namedtuple("SearchPoint", "rep stable")):
+    __slots__ = ()
 
 
 def exhaustive_search(datum, v, w, field, thetas=(),
@@ -1003,7 +998,7 @@ def exhaustive_search(datum, v, w, field, thetas=(),
         )
     # every point shares datum, v and w, and the relation table and the
     # stability plans read nothing else
-    table = _relation_table(datum, empty.v, empty.w)
+    table = _relation_table(datum, empty.v, empty.w, keys=slots)
     key_v, key_w = _dims_key(empty.v), _dims_key(empty.w)
     plans = [_walk_plan(datum, key_v, key_w, tuple(theta)) for theta in thetas]
     # a point's entries run row by row through the slots, so one table of

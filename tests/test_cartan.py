@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import product
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qcharlab.cartan import (
+    WeylElement,
     all_reduced_words,
     build_cartan,
     fundamental_weight,
@@ -358,3 +361,25 @@ def test_json_shape():
     datum = build_cartan("B2")
     obj = datum.to_json_obj()
     assert obj == {"label": "B2", "d": [[2, -2], [-2, 4]], "c": [[2, -2], [-1, 2]]}
+
+
+def test_labels_with_and_without_underscore_build_equal_data():
+    # two cache entries, one datum: equal, equally hashed, and one dict key
+    plain, spaced = build_cartan("B2"), build_cartan("B_2")
+    assert plain is not spaced
+    assert plain == spaced and hash(plain) == hash(spaced)
+    assert {plain: 1}[spaced] == 1
+    assert plain != build_cartan("C2") and plain != plain.label
+    assert repr(plain) == (
+        "CartanDatum(label='B2', rank=2, sym=((2, -2), (-2, 4)), "
+        "cartan=((2, -2), (-1, 2)), d=(1, 2), m=((1, 4), (4, 1)))"
+    )
+    assert pickle.loads(pickle.dumps(plain)) == plain
+    assert copy.deepcopy(plain) == plain
+
+
+def test_weyl_element_length_is_its_word_length():
+    elements = weyl_elements(build_cartan("A2"))
+    assert [e.length for e in elements] == [len(e.word) for e in elements]
+    assert sorted(e.length for e in elements) == [0, 1, 1, 2, 2, 3]
+    assert elements[0] == WeylElement(word=(), weight=(1, 1))

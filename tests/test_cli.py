@@ -811,6 +811,46 @@ def test_the_parser_is_built_once_on_the_first_call(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect(tmp_path):
+    # -S keeps site out, so only the package and what it imports load
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = (
+        f"import sys; sys.path.insert(0, {src!r}); import qcharlab.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", script], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+def _records():
+    from qcharlab.cartan import weyl_elements
+    from qcharlab.extremal import ConeViolation, TheoremSummary
+    from qcharlab.quiver import RelationViolation, SearchPoint
+
+    datum = build_cartan("A2")
+    return [
+        (datum, "label"),
+        (weyl_elements(datum)[1], "word"),
+        (ConeViolation((1,), AMonomialVector(1, {}), (), ()), "vector"),
+        (TheoremSummary("A2", 1, 3, 6, 6, [], 0, 0, 0), "violations"),
+        (RelationViolation("E2", 1, 2, 3), "relation"),
+        (SearchPoint(None, (True,)), "stable"),
+    ]
+
+
+@pytest.mark.parametrize("record, field", _records(),
+                         ids=lambda r: r if isinstance(r, str) else type(r).__name__)
+def test_records_are_immutable(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
 def test_bad_node_word_and_theta_are_usage_errors(tmp_path, capsys):
     assert run("qchar", "--type", "A2", "--node", "3") == 1
     assert run("braid-orbit", "--type", "A2", "--node", "1", "--word", "1,x") == 1

@@ -12,6 +12,7 @@ from qcharlab.cartan import (
 from qcharlab import extremal
 from qcharlab.errors import CapExceeded
 from qcharlab.extremal import (
+    TheoremSummary,
     _column,
     _push_dims,
     _row_walk,
@@ -415,3 +416,14 @@ def test_e7_node_4_cone_vertices_equal_the_oracle():
     vertices = cone_vertices(datum, 4)
     assert len(vertices) == 10080
     assert vertices == oracle_cone_vertices(datum, 4)
+
+
+def test_theorem_summary_ok_reads_violations_and_word_mismatches():
+    def summary(violations=(), word_mismatches=0, simple=0):
+        return TheoremSummary("A2", 1, 3, 6, 6, list(violations),
+                              word_mismatches, simple, 0)
+
+    assert summary().ok and summary().elapsed == 0.0
+    assert not summary(word_mismatches=1).ok
+    assert not summary(violations=["v"]).ok
+    assert summary(simple=2).ok

@@ -33,6 +33,7 @@ from qcharlab.linalg import (
 from qcharlab.qchar import fm_qchar
 from qcharlab.quiver import (
     GradedQuiverRep,
+    RelationViolation,
     _reflect_kernel,
     chain_reflect,
     exhaustive_search,
@@ -376,8 +377,8 @@ def test_relation_checks_build_no_zero_matrix(monkeypatch):
 def test_search_builds_the_relation_table_once(monkeypatch):
     # the table reads only datum, v and w, which every point of one search
     # shares; so do the slots of each path, resolved by _step only while the
-    # table and the list of map slots are built (each count starts from a
-    # cold cache of the block paths, so it holds whatever ran before)
+    # table and the one list of map slots are built (each count starts from
+    # a cold cache of the block paths, so it holds whatever ran before)
     calls, steps = [], []
     real, real_step = quiver._relation_table, quiver._step
     monkeypatch.setattr(quiver, "_relation_table",
@@ -389,7 +390,6 @@ def test_search_builds_the_relation_table_once(monkeypatch):
     v, w = {(1, 2): 1, (1, 4): 2, (2, 2): 2, (2, 4): 1}, {(2, 0): 1}
     quiver._block_paths.cache_clear()
     real(datum, v, w)
-    valid_map_keys(datum, v, w)
     once = len(steps)
     steps.clear()
     quiver._block_paths.cache_clear()
@@ -397,6 +397,26 @@ def test_search_builds_the_relation_table_once(monkeypatch):
     assert len(points) == 512
     assert len(calls) == 1
     assert len(steps) == once > 0
+
+
+def test_relation_violations_read_as_before():
+    assert str(RelationViolation("E2", 1, 2, 3)) == "E2 fails at nodes (1,2), grade 3"
+    assert str(RelationViolation("E4", 2, 2, -1)) == "E4 fails at node 2, grade -1"
+    assert RelationViolation("E2", 1, 2, 3) == RelationViolation("E2", 1, 2, 3)
+    assert repr(RelationViolation("E5", 1, 1, 0)) == (
+        "RelationViolation(relation='E5', i=1, j=1, a=0)")
+
+
+def test_search_lists_the_map_slots_once(monkeypatch):
+    # the slot list and the relation table's pruning read the same keys
+    calls = []
+    real = quiver.valid_map_keys
+    monkeypatch.setattr(quiver, "valid_map_keys",
+                        lambda *args: calls.append(args) or real(*args))
+    datum = build_cartan("B2")
+    v, w = {(1, 2): 1, (1, 4): 2, (2, 2): 2, (2, 4): 1}, {(2, 0): 1}
+    assert len(exhaustive_search(datum, v, w, F2)) == 512
+    assert calls == [(datum, v, w)]
 
 
 def test_step_matches_the_per_kind_grading_on_the_corpus():
