@@ -17,15 +17,16 @@ from functools import lru_cache
 
 @lru_cache(maxsize=None)
 def _reflection_table(datum, i):
-    """(d_i, ((j, offsets), ...)) for node i: offsets d_ij + t*d_ii, t = 1..-c_ij.
+    """(d_i, ((j, offset), ...)) for node i: one pair per neighbour j of i and
+    t = 1..-c_ij, offset = d_ij + t*d_ii, in that order.
 
-    One entry per neighbour j of i, so :func:`_reflect_rows` reads the Cartan
-    data once per (datum, node) instead of once per call.
+    So :func:`_reflect_rows` reads the Cartan data once per (datum, node)
+    instead of once per call, and runs one loop per term.
     """
     dii = 2 * datum.di(i)
     return datum.di(i), tuple(
-        (j, tuple(datum.b(i, j) + t * dii for t in range(1, -datum.c(i, j) + 1)))
-        for j in datum.neighbors(i)
+        (j, datum.b(i, j) + t * dii)
+        for j in datum.neighbors(i) for t in range(1, -datum.c(i, j) + 1)
     )
 
 
@@ -42,16 +43,17 @@ def _reflect_rows(table, rows, i, constants):
     Returns {a: vbar_i^a} for every grade a that the sums reach, zeros
     included.
     """
-    di, neighbours = table
+    di, terms = table
     dii = 2 * di
     acc = dict(constants)
     get = acc.get
-    for j, offsets in neighbours:
+    for j, offset in terms:
         for b, x in rows[j - 1].items():
-            for offset in offsets:
-                acc[b - offset] = get(b - offset, 0) + x
+            a = b - offset
+            acc[a] = get(a, 0) + x
     for b, x in rows[i - 1].items():
-        acc[b - dii] = get(b - dii, 0) - x
+        a = b - dii
+        acc[a] = get(a, 0) - x
     return acc
 
 

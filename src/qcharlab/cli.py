@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -52,7 +53,37 @@ class _UsageError(Exception):
     pass
 
 
+def _terminal_columns():
+    """The width ``shutil.get_terminal_size`` reports: COLUMNS, then the
+    terminal of ``sys.__stdout__``, else 80."""
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns > 0:
+        return columns
+    try:
+        return os.get_terminal_size(sys.__stdout__.fileno()).columns or 80
+    except (AttributeError, ValueError, OSError):
+        return 80
+
+
+class _Formatter(argparse.HelpFormatter):
+    """argparse's help formatter, reading the default width without an import:
+    the stock one imports ``shutil`` (and with it bz2, lzma and fnmatch) when
+    the first parser is built, for help text most runs never print."""
+
+    def __init__(self, prog, indent_increment=2, max_help_position=24, width=None):
+        if width is None:
+            width = _terminal_columns() - 2
+        super().__init__(prog, indent_increment, max_help_position, width)
+
+
 class _Parser(argparse.ArgumentParser):
+    # subparsers are built as this class, so they share the formatter
+    def __init__(self, *args, formatter_class=_Formatter, **kwargs):
+        super().__init__(*args, formatter_class=formatter_class, **kwargs)
+
     def error(self, message):
         raise _UsageError(message)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import time
 from collections import namedtuple
+from itertools import islice
 
 from .braid import _push_dims, _reflect_rows, _reflection_table, unit_framing
 from .cartan import (
@@ -64,8 +65,10 @@ class _Lanes:
     of rows are then plain int arithmetic.  The walk keeps every stored entry
     below ``half`` = 2**(bits-1-guard) in size, where 2**guard exceeds the
     number of terms of one reflection (see :func:`braid._reflect_rows`), so no
-    new entry, even shifted by ``half``, can reach 2**(bits-1).  :meth:`negative_columns` checks each new
-    row and raises _LaneOverflow when an entry reaches ``half``.
+    new entry, even shifted by ``half``, can reach 2**(bits-1).  A row x holds
+    entries in [0, half) exactly when ``x & low == x``; the walk tests
+    each new row so, and :meth:`negative_columns` reads the rows that fail,
+    raising _LaneOverflow when an entry reaches ``half``.
     """
 
     def __init__(self, width, bits, guard):
@@ -76,9 +79,11 @@ class _Lanes:
         # with the bias added, column c holds v_c + top in [0, 2**bits)
         self.bias = top * ones
         self.shift = self.half * ones
-        # entries in [0, half) / in [-half, half): all the lane bits at or
-        # above ``half`` but the top one are clear, and the top one is set
-        self.clean = (2 * top - self.half) * ones
+        # entries in [0, half): the row is its lanes' bits, each below ``half``
+        self.low = (self.half - 1) * ones
+        # entries in [-half, half): with the bias and ``half`` added, all the
+        # lane bits at or above 2 * half but the top one are clear, and the
+        # top one is set
         self.small = (2 * top - 2 * self.half) * ones
 
     def pack(self, row):
@@ -90,8 +95,8 @@ class _Lanes:
 
     def negative_columns(self, rows):
         """The columns holding a negative entry in any of ``rows``."""
-        bias, clean = self.bias, self.clean
-        if all(((x + bias) & clean) == bias for x in rows):
+        low, bias = self.low, self.bias
+        if all(x & low == x for x in rows):
             return frozenset()
         for x in rows:
             if ((x + bias + self.shift) & self.small) != bias:
@@ -102,54 +107,96 @@ class _Lanes:
 
 
 def _packed_walk(datum, lanes, rows, framing, cap):
-    """The walk of :func:`_row_walk` on one lane width; may raise _LaneOverflow."""
-    check = lanes.negative_columns
-    negative = {}
-    for j in datum.nodes:
-        bad = check(rows[j - 1].values())
-        if bad:
-            negative[j] = bad
+    """The walk of :func:`_row_walk` on one lane width, yielding its stack items.
+
+    Raises _LaneOverflow(n) when a row outgrows the lanes, n the number of
+    elements yielded before it.
+    """
+    low, check = lanes.low, lanes.negative_columns
     steps = [
         (
             i,
             _reflection_table(datum, i),
             {param - datum.di(i): lanes.pack((m,) * lanes.width)
              for (node, param), m in framing.items() if node == i and m},
-            # s_i changes coordinate i and those of the neighbours of i
+            # s_i w changes coordinate i and, by -w_i c_ji, those of the
+            # neighbours j of i
             tuple((j - 1, datum.c(j, i)) for j in datum.neighbors(i)),
+            *_below(datum, i),
         )
         for i in datum.nodes
     ]
-
-    stack = [((1,) * datum.rank, 0, rows, negative)]
     walked = 0
-    while stack:
-        weight, length, rows, negative = stack.pop()
-        walked += 1
-        if cap is not None and walked > cap:
-            raise CapExceeded(f"Weyl group of {datum.label} exceeds cap {cap}", cap=cap)
-        yield weight, length, rows, negative
-        for i, table, constants, neighbours in steps:
-            wi = weight[i - 1]
-            if wi <= 0:
-                continue
-            child = list(weight)
-            child[i - 1] = -wi
-            for j, c in neighbours:
-                child[j] -= wi * c
-            if i > 1 and min(child[: i - 1]) < 0:
-                continue
-            new = {a: x for a, x in _reflect_rows(table, rows, i, constants).items()
-                   if x}
-            bad = check(new.values())
-            if negative or bad:
-                child_negative = {j: cols for j, cols in negative.items() if j != i}
-                if bad:
-                    child_negative[i] = bad
-            else:
-                child_negative = negative
-            stack.append((tuple(child), length + 1, rows[: i - 1] + (new,) + rows[i:],
-                          child_negative))
+    try:
+        negative = {}
+        for j in datum.nodes:
+            bad = check(rows[j - 1].values())
+            if bad:
+                negative[j] = bad
+        stack = [((1,) * datum.rank, 0, (lanes, rows), negative)]
+        while stack:
+            item = stack.pop()
+            walked += 1
+            if cap is not None and walked > cap:
+                raise CapExceeded(f"Weyl group of {datum.label} exceeds cap {cap}",
+                                  cap=cap)
+            yield item
+            weight, length, (_, rows), negative = item
+            for wi, step in zip(weight, steps):
+                if wi <= 0:
+                    continue
+                i, table, constants, neighbours, others, near = step
+                if not _smallest_descent(weight, wi, others, near):
+                    continue
+                # one pass keeps the nonzero entries and tests each against
+                # [0, half); only a row that fails is read lane by lane
+                new = {}
+                clean = True
+                for a, x in _reflect_rows(table, rows, i, constants).items():
+                    if x:
+                        new[a] = x
+                        if x & low != x:
+                            clean = False
+                bad = None if clean else check(new.values())
+                if negative or bad:
+                    child_negative = {j: cols for j, cols in negative.items() if j != i}
+                    if bad:
+                        child_negative[i] = bad
+                else:
+                    child_negative = negative
+                child = list(weight)
+                child[i - 1] = -wi
+                for j, c in neighbours:
+                    child[j] -= wi * c
+                stack.append((tuple(child), length + 1,
+                              (lanes, rows[: i - 1] + (new,) + rows[i:]), child_negative))
+    except _LaneOverflow:
+        raise _LaneOverflow(walked) from None
+
+
+def _below(datum, i):
+    """The coordinates below i of s_i w for :func:`_smallest_descent`: those
+    that s_i leaves alone, and the (coordinate, c_ji) of the neighbours j < i."""
+    moved = {j - 1: datum.c(j, i) for j in datum.neighbors(i)}
+    return (tuple(k for k in range(i - 1) if k not in moved),
+            tuple((k, c) for k, c in moved.items() if k < i - 1))
+
+
+def _smallest_descent(weight, wi, others, near):
+    """Whether i is the smallest left descent of s_i w, for w.rho = ``weight``
+    with coordinate ``wi`` > 0 at i and (``others``, ``near``) = :func:`_below`.
+
+    Below i, s_i w.rho is w.rho but at a neighbour j, where it is
+    w.rho_j - wi * c_ji; the first of these found negative decides, and no
+    child weight is built.
+    """
+    for k in others:
+        if weight[k] < 0:
+            return False
+    for k, c in near:
+        if weight[k] < wi * c:
+            return False
+    return True
 
 
 def _row_walk(datum, columns, framing, cap=None):
@@ -157,11 +204,11 @@ def _row_walk(datum, columns, framing, cap=None):
 
     ``columns`` holds one vector v per column as its items, ((node, param),
     mult) pairs.  ``weight`` is w.rho, ``length`` is l(w), and ``image``
-    holds S_w(v) for every column as packed rows (read a column back with
-    :func:`_column`); ``negative`` maps each node whose rows hold a negative
-    entry to those columns, so a column leaves the cone under w exactly when
-    it appears in some value.  Rows of nodes other than i are shared with
-    the parent, and only the rewritten rows are checked.
+    holds S_w(v) for every column as its lanes and packed rows (read a
+    column back with :func:`_column`); ``negative`` maps each node whose
+    rows hold a negative entry to those columns, so a column leaves the cone
+    under w exactly when it appears in some value.  Rows of nodes other than
+    i are shared with the parent, and only the rewritten rows are checked.
 
     The walk is depth first from rho: the child s_i w of w is taken when
     s_i lengthens w and i is the smallest left descent of s_i w, which makes
@@ -188,13 +235,10 @@ def _row_walk(datum, columns, framing, cap=None):
             continue
         rows = tuple({a: lanes.pack(row) for a, row in node.items()} for node in by_node)
         try:
-            walk = _packed_walk(datum, lanes, rows, framing, cap)
-            for k, (weight, length, rows, negative) in enumerate(walk):
-                if k == yielded:
-                    yielded += 1
-                    yield weight, length, (lanes, rows), negative
+            yield from islice(_packed_walk(datum, lanes, rows, framing, cap), yielded, None)
             return
-        except _LaneOverflow:
+        except _LaneOverflow as overflow:
+            yielded = overflow.args[0]
             bits *= 2
 
 

@@ -668,10 +668,11 @@ def phi_blocks(datum, i, a):
 
     Its slots are the terms of the closed form of ``braid._reflect_rows``.
     """
-    di, neighbours = _reflection_table(datum, i)
+    di, terms = _reflection_table(datum, i)
+    # offset = d_ij + t*d_ii
     return (("W", i, a + di, 0),) + tuple(
-        ("V", j, a + offset, t)
-        for j, offsets in neighbours for t, offset in enumerate(offsets, 1)
+        ("V", j, a + offset, (offset - datum.b(i, j)) // (2 * di))
+        for j, offset in terms
     )
 
 

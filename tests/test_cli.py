@@ -824,6 +824,45 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect(tmp_path):
     assert done.stdout == "[]\n"
 
 
+def test_a_run_loads_no_shutil(tmp_path):
+    # argparse's stock formatter imports shutil (bz2, lzma, fnmatch) for
+    # the terminal width; the parser's own formatter reads it without
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = (
+        f"import sys; sys.path.insert(0, {src!r}); from qcharlab.cli import main; "
+        "rc = main(['qchar', '--type', 'A2', '--node', '1']); "
+        "print(rc, 'shutil' in sys.modules)"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", script], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False"
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+def test_help_reads_as_with_the_stock_formatter(columns, monkeypatch, capsys):
+    import argparse
+
+    monkeypatch.setenv("COLUMNS", columns)
+    parser, commands = cli._build_parser.__wrapped__()
+    for name, stock in [(None, parser), *commands.items()]:
+        with pytest.raises(SystemExit):
+            main(["--help"] if name is None else [name, "--help"])
+        stock.formatter_class = argparse.HelpFormatter
+        assert capsys.readouterr().out == stock.format_help(), (columns, name)
+
+
+@pytest.mark.parametrize("columns", [None, "0", "-3", "wide", "123"])
+def test_the_help_width_is_the_one_shutil_reads(columns, monkeypatch):
+    import shutil
+
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    assert cli._terminal_columns() == shutil.get_terminal_size().columns
+
+
 def _records():
     from qcharlab.cartan import weyl_elements
     from qcharlab.extremal import ConeViolation, TheoremSummary

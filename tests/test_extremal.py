@@ -7,6 +7,7 @@ from qcharlab.cartan import (
     all_reduced_words,
     build_cartan,
     fundamental_weight,
+    reflect_weight,
     weyl_elements,
 )
 from qcharlab import extremal
@@ -197,15 +198,39 @@ def _assert_walk_equals_the_replay(datum, vectors, framing):
 
 @pytest.mark.parametrize(
     "label,nodes",
+    # F4/1, C4/2 and D5/1 are the benchmark's cone-verify cases; on A5/3 the
+    # child test rejects across all five nodes
     [("A3", (1, 2, 3)), ("B3", (1, 2, 3)), ("C3", (1, 2, 3)), ("G2", (1, 2)),
-     ("F4", (1,))],
-    ids=["A3", "B3", "C3", "G2", "F4-1"],
+     ("F4", (1,)), ("C4", (2,)), ("D5", (1,)), ("A5", (3,))],
+    ids=["A3", "B3", "C3", "G2", "F4-1", "C4-2", "D5-1", "A5-3"],
 )
 def test_prefix_shared_images_equal_the_replay(label, nodes):
     datum = build_cartan(label)
     for node in nodes:
         vectors = list(fm_qchar(datum, node).entries)
         _assert_walk_equals_the_replay(datum, vectors, unit_framing(node))
+
+
+@pytest.mark.parametrize("label", ["B4", "D5", "F4", "E6"])
+def test_the_child_test_equals_the_full_child_rule(label):
+    # the walk takes s_i w, for w_i > 0, when no coordinate of s_i w.rho
+    # below i is negative; it decides without building s_i w.rho
+    datum = build_cartan(label)
+    below = {i: extremal._below(datum, i) for i in datum.nodes}
+    elements = weyl_elements(datum, 51840)
+    taken = 0
+    for element in elements:
+        weight = element.weight
+        for i in datum.nodes:
+            wi = weight[i - 1]
+            if wi < 0:
+                continue
+            child = list(reflect_weight(datum, i, weight))
+            expected = min(child[: i - 1], default=0) >= 0
+            assert extremal._smallest_descent(weight, wi, *below[i]) == expected, (
+                element.word, i)
+            taken += expected
+    assert taken == len(elements) - 1
 
 
 def test_row_walk_widens_lanes_that_overflow():
