@@ -12,11 +12,15 @@ of finite-dimensional representations of quantum affine algebras, CMP 216,
 q-characters of representations of quantum affine algebras, 1998), so the
 q-character is invariant under v -> v_low - tau(v), tau(i, a) = (ibar,
 c - a), with the same multiplicity; the map sends height h to H - h.
-Every piece comes from the root datum, and nothing is expanded: v_low is
-the S-push of the zero vector along the word of ``cartan._lower`` from
-omega_k to w_0 omega_k (``braid._push_dims``, framing Y_{k,0}),
-with its parameters negated; ibar is read off w_0 omega_i = -omega_ibar;
-and c is the smallest plus the largest parameter of v_low.
+Every piece comes from the root datum, and nothing is expanded: one
+lowering of omega_k gives both H and the word of ``cartan._lower`` from
+omega_k to w_0 omega_k; v_low is the S-push of the zero vector along that
+word (``braid._push_dims``, framing Y_{k,0}), with its parameters negated;
+ibar is read off the one lowering w_0 x of the regular dominant
+x = (1, 2, ..., r), which holds -i at ibar since w_0 omega_i = -omega_ibar;
+and c is the smallest plus the largest parameter of v_low.  The mirror
+starts every image from the row of v_low, prebuilt once, and stores one
+entry per entry of v at tau's cell.
 
 Pending work is held in one level per height, and a target goes straight
 into the level of its parent's height plus its pattern's exponent sum;
@@ -24,21 +28,28 @@ targets above L are left to the mirror.  Each level is keyed by v packed
 into one exact int, a field of H.bit_length() bits per (i, a): every entry
 lies between 0 and the height, at most H, so no field carries into the next
 and the key names v.  A target's key is its parent's plus a delta cached
-per (i, i-part, pattern), so a target already pending costs one addition
-and one lookup.  Only a new target gets its Y-exponents, its parent's
-times the few A^{-1} factors of the pattern, read from the shared table of
-:mod:`qcharlab.lweights`, and its sorted items, the tuple
-``AMonomialVector.items()`` returns: its parent's with the pattern's few
-(i, a) entries raised in place, each found by bisection and taken from the
-character's one pool of ((i, a), m) tuples, which the mirror reads too.
-Entries only grow, so the tuple stays sorted and free of zeros.  The
-closure builds no AMonomialVector and no dict: each height's (items, mu)
-row, processed or mirrored, is appended to one list, and each level is
-processed in the order of its tuples, so the rows come out in the
-canonical order of :class:`QChar` without a sort of their own.  Within a
-level the processing order is irrelevant, which the determinism tests
-check by shuffling it; a shuffled closure sorts its rows, so it writes the
-same canonical text.
+per (i-part, pattern), so a target already pending costs one addition and
+one lookup.  Y(v) is held as one part id per node, each naming an interned
+(i, sorted (p, e) items) pair; a per-closure table tells per id whether the
+part is not i-dominant, or else holds its targets, built on first use.  So
+the dominance test is one list index per node, and the moves of a part are
+found without a sort or a hash.  Each target carries, per node its A^{-r}
+factors touch, the change there (read from the shared table of
+:mod:`qcharlab.lweights`) and a map {old part id: new part id} shared by
+every target with that change, filled the first time each transition is
+used.  Only a new target gets its Y, its parent's list of ids with those
+few swapped, and its sorted items, the tuple ``AMonomialVector.items()``
+returns: its parent's with the pattern's few (i, a) entries raised in
+place, each found by bisection and taken from the character's one pool of
+((i, a), m) tuples, which the mirror reads too.  Entries only grow, so the
+tuple stays sorted and free of zeros.  The closure builds no
+AMonomialVector, and a pending v holds no dict but its requirements: each
+height's (items, mu) row, processed or mirrored, is appended to one list,
+and each level is processed in the order of its tuples, so the rows come
+out in the canonical order of :class:`QChar` without a sort of their own.
+Within a level the processing order is irrelevant, which the determinism
+tests check by shuffling it; a shuffled closure sorts its rows, so it
+writes the same canonical text.
 """
 
 from __future__ import annotations
@@ -46,16 +57,11 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from functools import cached_property
-from itertools import compress
+from itertools import groupby
 from operator import itemgetter
 
 from .braid import _push_dims, unit_framing
-from .cartan import (
-    _lower,
-    fundamental_weight,
-    lowest_weight_height,
-    simple_root_weight_coords,
-)
+from .cartan import _lower, fundamental_weight, simple_root_weight_coords
 from .conventions import CONVENTIONS_VERSION
 from .errors import CapExceeded
 from .lweights import AMonomialVector, _a_inverse_table, _accumulate
@@ -260,16 +266,20 @@ def fm_qchar(
     in height order, it starts new strings with the excess only.  The closure
     stops at half the lowest height H = ht(omega_k - w_0 omega_k), and each
     height H - h above it is the mirror of height h (see :func:`_mirror`).
-    Caps are hard errors (a truncated character would corrupt downstream
-    checks), raised where and as a closure over every height raises them;
-    the height cap defaults to H.
+    One lowering of omega_k gives both H and the word the mirror pushes.
+    Y(v) is held as one part id per node (see :class:`_Parts`), so the
+    dominance test is one list index per node and a new target's Y is its
+    parent's list with the few ids its pattern changes swapped.  Caps are
+    hard errors (a truncated character would corrupt downstream checks),
+    raised where and as a closure over every height raises them; the height
+    cap defaults to H.
     """
     datum.check_node(node)
-    bound = lowest_weight_height(datum, node)
+    _, bound, word = _lower(datum, fundamental_weight(datum, node))
     if max_height is None:
         max_height = bound
     half = bound // 2
-    pool, mirrored = _mirror_map(datum, node)
+    pool, mirrored = _mirror_map(datum, node, word)
     # a pending v is keyed by its entries packed into one int, a field of
     # bound.bit_length() bits per cell of v_low: every v lies below v_low,
     # and no entry passes the height, so no field carries into the next and
@@ -277,17 +287,22 @@ def fm_qchar(
     width = bound.bit_length()
     offsets = {cell: n * width for n, cell in enumerate(pool)}
     table = _a_inverse_table(datum)
-    # (i, i-part) -> its moves, see _moves; (d_i, shifted i-part) -> its
-    # nonempty sl2_expansion patterns
-    moves = {}
+    parts = _Parts()
+    built = parts.targets
+    # (d_i, shifted i-part) -> its nonempty sl2_expansion patterns;
+    # (j, change at node j) -> {old part id: new part id}
     shapes = {}
+    steps = {}
+    anchor_y = [parts.intern(i, ((0, 1),) if i == node else ())
+                for i in datum.nodes]
     # (v as its sorted items, mu) for each v, by height and then by items
     rows = []
     # closed[h]: the part of rows of A-height h <= half
     closed = []
-    # levels[h]: key of v -> (v as its sorted items, key, Y(v), {direction:
-    # requirement}) for each pending v of A-height h <= half
-    levels = {0: {0: ((), 0, {(node, 0): 1}, {0: 1})}}
+    # levels[h]: key of v -> (v as its sorted items, key, Y(v) as part ids,
+    # {direction: requirement}) for each pending v of A-height h <= half
+    levels = [{} for _ in range(half + 1)]
+    levels[0][0] = ((), 0, anchor_y, {0: 1})
     for height in range(bound + 1):
         if height > max_height:
             raise CapExceeded(
@@ -299,7 +314,8 @@ def fm_qchar(
         if height > half:
             row = mirrored(closed[bound - height])
         else:
-            level = sorted(levels.pop(height, {}).values(), key=itemgetter(0))
+            level = sorted(levels[height].values(), key=itemgetter(0))
+            levels[height] = None
             if shuffle_rng is not None:
                 shuffle_rng.shuffle(level)
             row = [(items, max(requirement.values()))
@@ -316,47 +332,92 @@ def fm_qchar(
         if height >= half:
             continue  # every target lies above half, where the mirror gives it
         room = half - height
-        for (items, key, exps, requirement), (_, mu) in zip(level, row):
-            parts = {}
-            for (j, p), e in exps.items():
-                parts.setdefault(j, {})[p] = e
-            for i, part in parts.items():
-                excess = mu - requirement.get(i, 0)
+        for (items, key, y, requirement), (_, mu) in zip(level, row):
+            for i, part in enumerate(y, 1):
+                targets = built[part]
                 # skip unless the monomial is i-dominant
-                if not excess or min(part.values()) < 0:
+                if targets is False:
                     continue
-                move_key = (i, tuple(sorted(part.items())))
-                targets = moves.get(move_key)
+                excess = mu - requirement.get(i, 0)
+                if not excess:
+                    continue
                 if targets is None:
-                    targets = moves[move_key] = _moves(
-                        datum, table, shapes, offsets, pool, *move_key)
-                for rise, delta, coeff, change, raise_cells in targets:
+                    targets = built[part] = _moves(
+                        datum, table, shapes, steps, offsets, pool,
+                        *parts.keys[part])
+                for rise, delta, coeff, cells, changes in targets:
                     if rise > room:
                         break  # the mirror gives this target and the rest
-                    level_up = levels.setdefault(height + rise, {})
+                    level_up = levels[height + rise]
                     target = key + delta
                     slot = level_up.get(target)
                     if slot is None:
+                        y_up = list(y)
+                        for j, change, moved in changes:
+                            old = y_up[j]
+                            new = moved.get(old)
+                            if new is None:
+                                new = moved[old] = _shift(parts, old, change)
+                            y_up[j] = new
                         slot = level_up[target] = (
-                            _raised(items, raise_cells), target,
-                            _accumulate(dict(exps), change), {})
+                            _raised(items, cells), target, y_up, {})
                     slot[3][i] = slot[3].get(i, 0) + excess * coeff
     if shuffle_rng is not None:  # a shuffled level leaves its height out of order
         rows.sort(key=_row_order)
     return QChar._trusted(datum, node, rows)
 
 
-def _moves(datum, table, shapes, offsets, pool, i, part):
+class _Parts:
+    """The interned node parts of one closure.
+
+    A part id names one (i, part) pair, ``part`` being the sorted (p, e)
+    items of Y(v) at node i: ``ids`` maps the pair to its id and ``keys``
+    the id back to the pair.  ``targets[id]`` is False when no v with that
+    part is i-dominant (the part is empty or has an exponent below 0), None
+    while the targets of a dominant part are not built, and then the list
+    :func:`_moves` builds.  Equal Y(v) are one list of ids, whichever parent
+    reached v first.
+    """
+
+    __slots__ = ("ids", "keys", "targets")
+
+    def __init__(self):
+        self.ids = {}
+        self.keys = []
+        self.targets = []
+
+    def intern(self, i, part):
+        """The id of (i, part), interned on first use."""
+        key = (i, part)
+        found = self.ids.get(key)
+        if found is None:
+            found = self.ids[key] = len(self.keys)
+            self.keys.append(key)
+            self.targets.append(
+                False if not part or min(map(itemgetter(1), part)) < 0 else None)
+        return found
+
+
+def _shift(parts, old, change):
+    """The id of part ``old`` times ``change``, (p, e) items at its node."""
+    i, part = parts.keys[old]
+    return parts.intern(i, tuple(sorted(_accumulate(dict(part), change).items())))
+
+
+def _moves(datum, table, shapes, steps, offsets, pool, i, part):
     """The targets of the i-part ``part`` (sorted (a, exponent) pairs), by rise.
 
-    One (rise, delta, coeff, change, cells) per nonempty ``sl2_expansion``
+    One (rise, delta, coeff, cells, changes) per nonempty ``sl2_expansion``
     pattern: ``cells`` the ((i, a), r, shared) entries the pattern raises,
     ``shared`` being the cell's list in ``pool`` (see :func:`_mirror_map`)
     and (i, a) its own cell object, ``rise`` the sum of the r, ``delta``
     what they add to a packed key (``offsets`` maps a cell to its field),
-    and ``change`` what their A^{-r} factors multiply into Y(v).  The
-    expansion commutes with shifting the i-part, so it is asked once per
-    (d_i, i-part shifted to start at 0).
+    and ``changes`` what their A^{-r} factors multiply into Y(v): one
+    (j - 1, change, moved) per node j they touch, ``change`` the (p, e)
+    items at j and ``moved`` the {old part id: new part id} that ``steps``
+    shares among every target with that change at j, filled on first use.
+    The expansion commutes with shifting the i-part, so it is asked once
+    per (d_i, i-part shifted to start at 0).
     """
     low = part[0][0]
     shape_key = (datum.di(i), tuple((p - low, e) for p, e in part))
@@ -376,9 +437,14 @@ def _moves(datum, table, shapes, offsets, pool, i, part):
         change = {}
         for cell, r, _ in cells:
             _accumulate(change, table[cell], r)
+        changes = []
+        for j, group in groupby(sorted(change.items()),
+                                key=lambda item: item[0][0]):
+            items = tuple((p, e) for (_, p), e in group)
+            changes.append((j - 1, items, steps.setdefault((j, items), {})))
         targets.append((sum(r for _, r, _ in cells),
                         sum(r << offsets[cell] for cell, r, _ in cells),
-                        coeff, tuple(change.items()), tuple(cells)))
+                        coeff, tuple(cells), tuple(changes)))
     targets.sort(key=itemgetter(0))
     return targets
 
@@ -400,28 +466,29 @@ def _raised(items, cells):
     return tuple(raised)
 
 
-def _mirror(datum, node):
+def _mirror(datum, node, word):
     """(v_low, bar, c): the data of the mirror v -> v_low - tau(v).
 
     v_low is the vector of the lowest monomial Y_{kbar,c}^{-1}, the S-push of
-    the anchor along the word of ``cartan._lower`` from omega_k to w_0 omega_k
-    on dimension vectors (zero v, framing Y_{k,0}), with its parameters
-    negated.  bar maps each node i to ibar, where w_0 omega_i = -omega_ibar,
-    and c = r^v h^v is the smallest plus the largest parameter of v_low.
+    the anchor along ``word``, the word of ``cartan._lower`` from omega_k to
+    w_0 omega_k, on dimension vectors (zero v, framing Y_{k,0}), with its
+    parameters negated.  bar maps each node i to ibar, where
+    w_0 omega_i = -omega_ibar: x = (1, 2, ..., r) is regular dominant, so
+    its one lowering is w_0 x = -sum_i i omega_ibar, which holds -i at ibar.
+    c = r^v h^v is the smallest plus the largest parameter of v_low.
     tau(i, a) = (ibar, c - a).  V(omega_k)* is again fundamental, so the
     q-character is invariant under v -> v_low - tau(v), multiplicities
     included, which sends height h to H - h.
     """
-    word = _lower(datum, fundamental_weight(datum, node))[2]
     dims = _push_dims(datum, word, {}, unit_framing(node))
     lowest = {(i, -a): m for (i, a), m in dims.items()}
-    bar = {i: _lower(datum, fundamental_weight(datum, i))[0].index(-1) + 1
-           for i in datum.nodes}
+    lowered = _lower(datum, tuple(datum.nodes))[0]
+    bar = {-x: j for j, x in enumerate(lowered, 1)}
     params = [a for _, a in lowest]
     return lowest, bar, min(params) + max(params)
 
 
-def _mirror_map(datum, node):
+def _mirror_map(datum, node, word):
     """The character's cell pool, and the map from the (items, mu) of a
     height h to those of height H - h, sorted by items.
 
@@ -429,28 +496,37 @@ def _mirror_map(datum, node):
     v_low.  So every entry ((i, a), m) of every v is found in the pool,
     which maps each cell (i, a) of v_low, in sorted order, to its list
     [((i, a), m) for m = 0 .. v_low's entry], one tuple per cell and value
-    over one cell object.  The mirror reads each image off those lists, and
-    the closure raises its entries to them, so equal entries are one object
-    and sorts and lookups compare them by identity first.  No result
+    over one cell object.  Two things are built once: the full row of
+    v_low, its top pool entries in cell order, and a map from each pool
+    entry to the index of tau of its cell and its image there, v_low's
+    entry minus its own, or None where that is 0.  Each image is then a
+    copy of the full row with one store per entry of v, None dropped.  The
+    closure raises its entries to the pool's too, so equal entries are one
+    object and sorts and lookups compare them by identity first.  No result
     depends on it: every comparison is by ``==``.
     """
-    lowest, bar, centre = _mirror(datum, node)
+    lowest, bar, centre = _mirror(datum, node, word)
     cells = sorted(lowest)
-    base = [lowest[cell] for cell in cells]
+    shared = [[(cell, m) for m in range(lowest[cell] + 1)] for cell in cells]
+    full = [entries[-1] for entries in shared]
     index = {cell: n for n, cell in enumerate(cells)}
-    # tau is an involution of the cells: at[cell] is the index of tau(cell),
-    # keyed by the pool's own cell objects
-    at = {cell: index[bar[cell[0]], centre - cell[1]] for cell in cells}
-    shared = [[(cell, m) for m in range(top + 1)] for cell, top in zip(cells, base)]
+    # each pool entry -> (index of tau of its cell, its image there or None);
+    # tau fixes v_low, so both cells have the same top
+    images = {}
+    for cell, entries in zip(cells, shared):
+        at = index[bar[cell[0]], centre - cell[1]]
+        top = len(entries) - 1
+        for m, entry in enumerate(entries):
+            images[entry] = (at, shared[at][top - m] if m < top else None)
 
     def mirrored(row):
         level = []
         for items, mu in row:
-            values = base.copy()
-            for cell, m in items:
-                values[at[cell]] -= m
-            level.append(
-                (tuple(compress(map(list.__getitem__, shared, values), values)), mu))
+            values = full.copy()
+            for item in items:
+                at, image = images[item]
+                values[at] = image
+            level.append((tuple(filter(None, values)), mu))
         level.sort(key=itemgetter(0))
         return level
 

@@ -10,6 +10,7 @@ import pytest
 from qcharlab import lweights
 from qcharlab.braid import unit_framing
 from qcharlab.cartan import (
+    _lower,
     build_cartan,
     fundamental_weight,
     lowest_weight_height,
@@ -376,6 +377,10 @@ def test_shuffled_closure_writes_the_canonical_text(label, node):
     *((label, node) for label in ORACLE_LABELS
       for node in build_cartan(label).nodes),
     ("E6", 4),
+    # the benchmark's other four qchar-closure cases
+    ("E8", 1), ("C8", 3), ("E7", 6), ("D8", 4),
+    # ibar != i outside ORACLE_LABELS
+    ("D5", 4), ("E6", 1),
 ])
 def test_closure_matches_the_expansion_oracle(label, node):
     datum = build_cartan(label)
@@ -410,7 +415,7 @@ _CENTRES = {"A": lambda n: n + 1, "B": lambda n: 2 * (2 * n - 1),
 def test_the_oracle_is_invariant_under_the_mirror(label, node):
     datum = build_cartan(label)
     q = fm_qchar_by_expansion(datum, node)
-    lowest, bar, centre = _mirror(datum, node)
+    lowest, bar, centre = _mirror_of(datum, node)
     bound = lowest_weight_height(datum, node)
     for vec, mu in q.entries.items():
         image = dict(lowest)
@@ -421,17 +426,23 @@ def test_the_oracle_is_invariant_under_the_mirror(label, node):
         assert q.multiplicity(image) == mu, (vec, image)
 
 
+def _mirror_of(datum, node):
+    # the mirror data, pushed along the word that lowers omega_node
+    return _mirror(datum, node, _lower(datum, fundamental_weight(datum, node))[2])
+
+
 def _longest_element(datum):
     return max(weyl_elements(datum), key=lambda element: element.length)
 
 
-@pytest.mark.parametrize("label", ORACLE_LABELS)
+# with D5 and E6, every kind of nontrivial ibar: A_n, D_n for odd n, and E6
+@pytest.mark.parametrize("label", ORACLE_LABELS + ["D5", "E6"])
 def test_the_mirror_data_come_from_the_root_datum(label):
     datum = build_cartan(label)
     longest = _longest_element(datum)
     family, rank = label[0], int(label[1:])
     for node in datum.nodes:
-        lowest, bar, centre = _mirror(datum, node)
+        lowest, bar, centre = _mirror_of(datum, node)
         # v_low is the lowest entry of the oracle, the S-push of the anchor
         # along a reduced word of w_0 with its parameters negated, and the
         # vector of Y_{kbar,c}^{-1}
@@ -558,6 +569,33 @@ def test_closure_expands_each_shifted_part_once(monkeypatch, label, node):
     assert fm_qchar(datum, node) == expected
     assert asked and len(asked) == len(set(asked))
     assert {low for _, low, _ in asked} == {0}
+
+
+@pytest.mark.parametrize("label,node", [("F4", 3), ("C4", 2), ("G2", 1)])
+def test_closure_builds_each_part_and_transition_once(monkeypatch, label, node):
+    # Y(v) is one interned part id per node: the targets of a part are built
+    # once per closure, and a part times one change at its node is computed
+    # once, then read off the change's {old id: new id} map
+    from qcharlab import qchar
+
+    datum = build_cartan(label)
+    expected = fm_qchar_by_expansion(datum, node)
+    built, shifted = [], []
+    real_moves, real_shift = qchar._moves, qchar._shift
+
+    def counting_moves(*args):
+        built.append(args[-2:])
+        return real_moves(*args)
+
+    def counting_shift(parts, old, change):
+        shifted.append((parts.keys[old], change))
+        return real_shift(parts, old, change)
+
+    monkeypatch.setattr(qchar, "_moves", counting_moves)
+    monkeypatch.setattr(qchar, "_shift", counting_shift)
+    assert fm_qchar(datum, node) == expected
+    assert built and len(built) == len(set(built))
+    assert shifted and len(shifted) == len(set(shifted))
 
 
 @pytest.mark.parametrize("label", ORACLE_LABELS)
