@@ -27,11 +27,8 @@ from .quiver import (
     GradedQuiverRep,
     chain_reflect,
     exhaustive_search,
-    phi_map,
-    psi_map,
     reflect,
     stability_check,
-    validate_n,
     validate_relations,
 )
 
@@ -57,10 +54,7 @@ __all__ = [
     "GradedQuiverRep",
     "chain_reflect",
     "exhaustive_search",
-    "phi_map",
-    "psi_map",
     "reflect",
     "stability_check",
-    "validate_n",
     "validate_relations",
 ]

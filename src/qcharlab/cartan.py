@@ -291,10 +291,3 @@ def simple_root_weight_coords(datum, i):
     """alpha_i over the fundamental-weight basis: coefficient c_ji at node j."""
     return tuple(datum.c(j, i) for j in datum.nodes)
 
-
-def lowest_weight_height(datum, k):
-    """ht(omega_k - w_0 omega_k): the A-height of the lowest weight of V(omega_k).
-
-    The antidominant conjugate of omega_k is its lowest weight w_0 omega_k.
-    """
-    return _lower(datum, fundamental_weight(datum, k))[1]

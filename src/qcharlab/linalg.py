@@ -197,12 +197,6 @@ def rref(fld, mat):
     return m, pivots
 
 
-def mat_rank(fld, mat):
-    if not mat or not mat[0]:
-        return 0
-    return len(rref(fld, mat)[1])
-
-
 def kernel_basis(fld, mat, cols=None):
     """(basis, free): columns spanning the kernel, in canonical reduced
     column echelon form, and the free column indices, ascending.

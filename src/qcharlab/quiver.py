@@ -108,9 +108,6 @@ class GradedQuiverRep:
 
     # -- dimensions ---------------------------------------------------
 
-    def vdim(self, i, a):
-        return self.v.get((i, a), 0)
-
     def slot_dim(self, slot):
         """The dimension of a ("V"|"W", node, grade) slot."""
         space, i, a = slot
@@ -285,7 +282,7 @@ class RelationViolation(namedtuple("RelationViolation", "relation i j a")):
         return f"{self.relation} fails at {where}, grade {self.a}"
 
 
-def _relation_table(datum, v, w, framed=True, keys=None):
+def _relation_table(datum, v, w, keys=None):
     """Every relation on the points of dims ``v`` and ``w`` as a row
     (name, i, j, a, paths).
 
@@ -293,16 +290,13 @@ def _relation_table(datum, v, w, framed=True, keys=None):
     start slot, must add up to zero.  Rows come in the order E1bis, E2, then
     E4 and E5 per W slot.  E1bis at (i, a) is Phi_i^a Psi_i^a = 0: one path
     per block of :func:`_block_paths`, Psi's into the block's slot and then
-    Phi's out of it.  With ``framed=False`` the loop relation drops the W
-    block, its AB term, and is named E1, and E4/E5 are left out.  A path is
-    kept only when each of its steps is one of :func:`valid_map_keys`: a
-    point of these dims holds no other map, so any other path is zero on
-    it.  A caller that already holds those keys passes them as ``keys``.
-    A row left with no path is dropped.
+    Phi's out of it.  A path is kept only when each of its steps is one of
+    :func:`valid_map_keys`: a point of these dims holds no other map, so
+    any other path is zero on it.  A caller that already holds those keys
+    passes them as ``keys``.  A row left with no path is dropped.
     """
-    table = [("E1bis" if framed else "E1", i, i, a,
-              [psi + phi for block, phi, psi, _ in _block_paths(datum, i, a)
-               if framed or block[0] == "V"])
+    table = [("E1bis", i, i, a,
+              [psi + phi for _, phi, psi, _ in _block_paths(datum, i, a)])
              for (i, a) in sorted(v)]
     for (i, a) in sorted(v):
         start = ("V", i, a)
@@ -311,11 +305,10 @@ def _relation_table(datum, v, w, framed=True, keys=None):
                 _path(datum, start, [("V", j)] * (1 - datum.c(j, i))),
                 _path(datum, start, [("V", i)] * -datum.c(i, j) + [("V", j)]),
             ]))
-    if framed:
-        for (i, a) in sorted(w):
-            table.append(("E4", i, i, a, [_path(datum, ("W", i, a), [("V", i)] * 2)]))
-            table.append(("E5", i, i, a, [
-                _path(datum, ("V", i, a + datum.di(i)), [("V", i), ("W", i)])]))
+    for (i, a) in sorted(w):
+        table.append(("E4", i, i, a, [_path(datum, ("W", i, a), [("V", i)] * 2)]))
+        table.append(("E5", i, i, a, [
+            _path(datum, ("V", i, a + datum.di(i)), [("V", i), ("W", i)])]))
     keys = set(valid_map_keys(datum, v, w) if keys is None else keys)
     return [(name, i, j, a, kept) for name, i, j, a, paths in table
             if (kept := [path for path in paths if keys.issuperset(path)])]
@@ -344,37 +337,8 @@ def validate_relations(rep):
     return _violations(rep, _relation_table(rep.datum, rep.v, rep.w))
 
 
-def validate_n(rep, node, xi):
-    """Relation check for a framed point (B = 0) with framing vector xi.
-
-    ``xi`` is a column vector in V_node^{d_node}.  Checks the AB-free loop
-    relation, the mixed relation E2, and that the single descending loop
-    kills xi.
-    """
-    rep.datum.check_node(node)
-    if any(target[0] == "W" for _, target in rep.maps):
-        raise ValueError("validate_n expects a point with all B maps zero")
-    dk = rep.datum.di(node)
-    dim = rep.vdim(node, dk)
-    if len(xi) != dim:
-        raise ShapeMismatch(f"xi must live in V_{node}^{dk} (dim {dim})")
-    out = _violations(rep, _relation_table(rep.datum, rep.v, rep.w, framed=False))
-    loop = _product(rep.field, rep.maps,
-                    _path(rep.datum, ("V", node, dk), [("V", node)]), None)
-    if loop is not None and not is_zero_matrix(rep.field,
-                                               _images(rep.field, loop, [xi])):
-        out.append(RelationViolation("loop-kills-xi", node, node, dk))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # submodule closures and stability
-
-
-def _images(fld, mat, rows):
-    """The image of each row vector (``rows`` is not empty) under ``mat``."""
-    return mat_mul_shaped(fld, rows, list(zip(*mat)), len(rows), len(rows[0]),
-                          len(mat))
 
 
 def _spin_plan(datum, v, w, backward=False):
@@ -446,7 +410,7 @@ def _push(fld, vec, mat, backward):
     the functional ``vec`` composed with ``mat``."""
     if backward:
         return mat_mul_shaped(fld, [vec], mat, 1, len(mat), len(mat[0]))[0]
-    return _images(fld, mat, [vec])[0]
+    return mat_mul_shaped(fld, [vec], list(zip(*mat)), 1, len(vec), len(mat))[0]
 
 
 def _theta_text(theta):
@@ -760,48 +724,6 @@ def _upsilon(fld, maps, grade, lower):
             for c, x in enumerate(row):
                 out[row0 + r][col + c] = fld.neg(x) if negate else x
     return out
-
-
-def phi_map(rep, i, a):
-    """The assembled map out of the framing slot and neighbor slots into V_i^{a+d_ii}.
-
-    Blocks, in the canonical order of :func:`phi_blocks`: the framing map
-    A_i^{a+d_i}, then for each neighbor slot the arrow into node i followed by
-    t-1 descending loops.
-    """
-    rep.datum.check_node(i)
-    return _phi(rep.field, rep.maps, _grade(rep.datum, rep.v, rep.w, i, a))
-
-
-def psi_map(rep, i, a):
-    """The companion map V_i^a into the Phi domain; Phi o Psi must vanish.
-
-    Blocks: the coframing B_i^{a+d_i}, then for each neighbor slot the
-    composite of -c_ij - t descending loops followed by the arrow out to j.
-    Raises RelationViolated when the composite with Phi is nonzero.
-    """
-    rep.datum.check_node(i)
-    fld, grade = rep.field, _grade(rep.datum, rep.v, rep.w, i, a)
-    phi, psi = _phi(fld, rep.maps, grade), _psi(fld, rep.maps, grade)
-    composite = mat_mul_shaped(fld, phi, psi, grade.target, grade.dom, grade.vdim)
-    if not is_zero_matrix(fld, composite):
-        raise RelationViolated(
-            f"Phi o Psi nonzero at node {i}, grade {a}: input violates relations"
-        )
-    return psi
-
-
-def upsilon_map(rep, i, a):
-    """The comparison map from the Phi domain at (i, a) to the one at (i, a - d_ii).
-
-    Kills the framing block, shifts each intermediate neighbor slot
-    identically one step down the layout, and sends the top slot of each
-    neighbor through minus the full loop composite at that neighbor.
-    """
-    datum, v, w = rep.datum, rep.v, rep.w
-    datum.check_node(i)
-    lower = _grade(datum, v, w, i, a - 2 * datum.di(i))
-    return _upsilon(rep.field, rep.maps, _grade(datum, v, w, i, a), lower)
 
 
 class _Step:

@@ -5,10 +5,11 @@ closed form on A-monomial vectors), the plain-dict model of an A-monomial
 vector, the A-level braid action, the sorted entries
 and JSON object tree of a q-character, random monomials, the braid-relation
 property check, the per-word replay
-oracle of the cone verifier, the expected cone-vertex count, the closure
-oracle that expands every monomial, the exhaustive quiver corpus, the
-object-tree writer of a search artifact, the
-per-relation oracle of the quiver relation checks, the point builder that
+oracle of the cone verifier, the expected cone-vertex count, the lowest
+weight's height and the closure oracle that expands every monomial, the
+exhaustive quiver corpus, the object-tree writer of a search artifact, the
+per-relation oracle of the quiver relation checks, Phi, Psi and Upsilon
+as the reflection builds them, the point builder that
 cuts each assignment of the search into rows, the fixpoint submodule
 closure (the oracle of the spin that decides the same-sign chambers), the
 full submodule lattice that decides stability by enumeration, the
@@ -34,7 +35,6 @@ from qcharlab.cartan import (
     _orbit_walk,
     build_cartan,
     fundamental_weight,
-    lowest_weight_height,
     reflect_weight,
 )
 from qcharlab.conventions import CONVENTIONS_VERSION
@@ -387,6 +387,14 @@ def extremal_check(datum, qchar, element, framing=None):
     )
 
 
+def lowest_weight_height(datum, k):
+    """ht(omega_k - w_0 omega_k): the A-height of the lowest weight of V(omega_k).
+
+    The antidominant conjugate of omega_k is its lowest weight w_0 omega_k.
+    """
+    return _lower(datum, fundamental_weight(datum, k))[1]
+
+
 def fm_qchar_by_expansion(datum, node, shuffle_rng=None):
     """The closure of :func:`qchar.fm_qchar` with every monomial expanded from scratch.
 
@@ -537,6 +545,11 @@ def parse_dims_by_depth(text):
 # the relation oracle: each relation built by hand, absent maps as zero matrices
 
 
+def vdim(rep, i, a):
+    """The dimension of the space V_i^a of a quiver point."""
+    return rep.v.get((i, a), 0)
+
+
 def wdim(rep, i, a):
     """The dimension of the framing space W_i^a of a quiver point."""
     return rep.w.get((i, a), 0)
@@ -583,11 +596,11 @@ def stored_or_zero(rep, kind, key):
 def loop_power(rep, i, a, count):
     """The composite of ``count`` descending loops starting at V_i^a."""
     dii = 2 * rep.datum.di(i)
-    cols = rep.vdim(i, a)
+    cols = vdim(rep, i, a)
     mat = identity(rep.field, cols)
     for step in range(count):
-        src = rep.vdim(i, a - step * dii)
-        dst = rep.vdim(i, a - (step + 1) * dii)
+        src = vdim(rep, i, a - step * dii)
+        dst = vdim(rep, i, a - (step + 1) * dii)
         mat = mat_mul_shaped(rep.field,
                              stored_or_zero(rep, "arrow", (i, a - step * dii, i)),
                              mat, dst, src, cols)
@@ -605,22 +618,21 @@ def _mat_sum(fld, mats, rows, cols):
     return total
 
 
-def e1bis_paths_oracle(datum, i, a, framed):
-    """The paths of E1bis at (i, a), or of E1 without ``framed``, term by term.
+def e1bis_paths_oracle(datum, i, a):
+    """The paths of E1bis at (i, a), term by term.
 
     Per neighbour j and l = 0..-c_ij-1 the path of
     loop_i^{-c_ij-1-l} o (i<-j) o (j<-i) o loop_i^l out of V_i^a, then the
-    path of A_i^{a+d_i} B_i^{a+d_i} if ``framed``, each as the steps of
-    ``quiver._path``.  The oracle of the Phi o Psi rows of
-    ``quiver._relation_table``, which keep those through maps the dims allow.
+    path of A_i^{a+d_i} B_i^{a+d_i}, each as the steps of ``quiver._path``.
+    The oracle of the Phi o Psi rows of ``quiver._relation_table``, which
+    keep those through maps the dims allow.
     """
     at = ("V", i)
     paths = []
     for j in datum.neighbors(i):
         c = -datum.c(i, j)
         paths += [[at] * l + [("V", j), at] + [at] * (c - 1 - l) for l in range(c)]
-    if framed:
-        paths.append([("W", i), at])
+    paths.append([("W", i), at])
     return [quiver._path(datum, ("V", i, a), targets) for targets in paths]
 
 
@@ -630,8 +642,8 @@ def _e1bis_violations(rep, include_ab):
     for (i, a) in sorted(rep.v):
         di = datum.di(i)
         dii = 2 * di
-        rows = rep.vdim(i, a + dii)
-        cols = rep.vdim(i, a)
+        rows = vdim(rep, i, a + dii)
+        cols = vdim(rep, i, a)
         if not rows:
             continue
         terms = []
@@ -642,9 +654,9 @@ def _e1bis_violations(rep, include_ab):
                 g1 = a - l * dii
                 g2 = g1 - dij
                 g3 = g2 - dij
-                d1 = rep.vdim(i, g1)
-                d2 = rep.vdim(j, g2)
-                d3 = rep.vdim(i, g3)
+                d1 = vdim(rep, i, g1)
+                d2 = vdim(rep, j, g2)
+                d3 = vdim(rep, i, g3)
                 term = loop_power(rep, i, a, l)
                 term = mat_mul_shaped(fld, stored_or_zero(rep, "arrow", (i, g1, j)),
                                       term, d2, d1, cols)
@@ -671,16 +683,16 @@ def _e2_violations(rep):
     for (i, a) in sorted(rep.v):
         for j in datum.neighbors(i):
             dij = datum.b(i, j)
-            rows = rep.vdim(j, a + dij)
-            cols = rep.vdim(i, a)
+            rows = vdim(rep, j, a + dij)
+            cols = vdim(rep, i, a)
             if not rows:
                 continue
             t1 = mat_mul_shaped(fld, loop_power(rep, j, a - dij, -datum.c(j, i)),
                                 stored_or_zero(rep, "arrow", (i, a, j)), rows,
-                                rep.vdim(j, a - dij), cols)
+                                vdim(rep, j, a - dij), cols)
             t2 = mat_mul_shaped(fld, stored_or_zero(rep, "arrow", (i, a + 2 * dij, j)),
                                 loop_power(rep, i, a, -datum.c(i, j)), rows,
-                                rep.vdim(i, a + 2 * dij), cols)
+                                vdim(rep, i, a + 2 * dij), cols)
             if not is_zero_matrix(fld, _mat_sum(fld, [t1, t2], rows, cols)):
                 out.append(RelationViolation("E2", i, j, a))
     return out
@@ -691,16 +703,16 @@ def _e4_e5_violations(rep):
     out = []
     for (i, a) in sorted(rep.w):
         di = datum.di(i)
-        if wdim(rep, i, a) and rep.vdim(i, a - di):
+        if wdim(rep, i, a) and vdim(rep, i, a - di):
             e4 = mat_mul_shaped(fld, loop_power(rep, i, a + di, 1),
-                                stored_or_zero(rep, "A", (i, a)), rep.vdim(i, a - di),
-                                rep.vdim(i, a + di), wdim(rep, i, a))
+                                stored_or_zero(rep, "A", (i, a)), vdim(rep, i, a - di),
+                                vdim(rep, i, a + di), wdim(rep, i, a))
             if not is_zero_matrix(fld, e4):
                 out.append(RelationViolation("E4", i, i, a))
-        if rep.vdim(i, a + di) and wdim(rep, i, a):
+        if vdim(rep, i, a + di) and wdim(rep, i, a):
             e5 = mat_mul_shaped(fld, stored_or_zero(rep, "B", (i, a)),
                                 loop_power(rep, i, a + di, 1), wdim(rep, i, a),
-                                rep.vdim(i, a - di), rep.vdim(i, a + di))
+                                vdim(rep, i, a - di), vdim(rep, i, a + di))
             if not is_zero_matrix(fld, e5):
                 out.append(RelationViolation("E5", i, i, a))
     return out
@@ -712,7 +724,10 @@ def relation_violations_oracle(rep):
 
 
 def validate_n_oracle(rep, node, xi):
-    """What ``validate_n`` must return on a B = 0 point with xi in V_node^{d_node}."""
+    """The failures of a framed point (B = 0) with framing vector xi in
+    V_node^{d_node}: E1, the loop relation without its AB term, then E2,
+    then loop-kills-xi where the one descending loop out of V_node^{d_node}
+    does not kill xi."""
     fld = rep.field
     dk = rep.datum.di(node)
     out = _e1bis_violations(rep, False) + _e2_violations(rep)
@@ -722,6 +737,20 @@ def validate_n_oracle(rep, node, xi):
     ):
         out.append(RelationViolation("loop-kills-xi", node, node, dk))
     return out
+
+
+def grade_map(rep, kind, i, a):
+    """Phi, Psi or Upsilon (``kind``) at (i, a) on ``rep``, built as
+    ``quiver._apply_step`` builds it: ``quiver._phi``, ``_psi`` or
+    ``_upsilon`` over ``quiver._grade``.  Phi_i^a maps the blocks of
+    ``quiver.phi_blocks`` at (i, a) into V_i^{a+d_ii}, Psi_i^a maps V_i^a
+    into them, and Upsilon_i^a maps them to the blocks at (i, a - d_ii)."""
+    datum, fld, maps = rep.datum, rep.field, rep.maps
+    grade = quiver._grade(datum, rep.v, rep.w, i, a)
+    if kind == "upsilon":
+        lower = quiver._grade(datum, rep.v, rep.w, i, a - 2 * datum.di(i))
+        return quiver._upsilon(fld, maps, grade, lower)
+    return {"phi": quiver._phi, "psi": quiver._psi}[kind](fld, maps, grade)
 
 
 # ---------------------------------------------------------------------------
@@ -854,7 +883,8 @@ def _contained_in_ker_b(rep, sub):
     fld = rep.field
     for (source, target), mat in rep.maps.items():
         rows = sub.get(source[1:]) if target[0] == "W" else None
-        if rows and not is_zero_matrix(fld, quiver._images(fld, mat, rows)):
+        if rows and not is_zero_matrix(fld, mat_mul_shaped(
+                fld, rows, list(zip(*mat)), len(rows), len(rows[0]), len(mat))):
             return False
     return True
 

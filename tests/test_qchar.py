@@ -13,7 +13,6 @@ from qcharlab.cartan import (
     _lower,
     build_cartan,
     fundamental_weight,
-    lowest_weight_height,
     reflect_weight,
     weyl_elements,
 )
@@ -38,6 +37,7 @@ from helpers import (
     fm_qchar_by_expansion,
     i_dominant,
     in_cone,
+    lowest_weight_height,
     perfbench_module,
     qchar_json_obj,
     sorted_entries,

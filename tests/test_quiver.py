@@ -15,7 +15,6 @@ from qcharlab.errors import (
     CapExceeded,
     NonGenericTheta,
     NotSurjective,
-    RelationViolated,
     ShapeMismatch,
     StabilityViolated,
 )
@@ -27,7 +26,6 @@ from qcharlab.linalg import (
     field_by_name,
     kernel_basis,
     mat_mul_shaped,
-    mat_rank,
     rref,
 )
 from qcharlab.qchar import fm_qchar
@@ -37,13 +35,9 @@ from qcharlab.quiver import (
     _reflect_kernel,
     chain_reflect,
     exhaustive_search,
-    phi_map,
-    psi_map,
     reflect,
     stability_check,
-    upsilon_map,
     valid_map_keys,
-    validate_n,
     validate_relations,
 )
 
@@ -53,6 +47,7 @@ from helpers import (
     _span,
     closure_dims_by_fixpoint,
     e1bis_paths_oracle,
+    grade_map,
     is_generic_by_roots,
     kind_and_key,
     loop_power,
@@ -68,6 +63,7 @@ from helpers import (
     stability_by_full_lattice,
     stability_by_walking_up,
     validate_n_oracle,
+    vdim,
     without_b,
 )
 
@@ -99,7 +95,7 @@ def test_rref_and_rank_over_q():
     reduced, pivots = rref(QQ, mat)
     assert pivots == [0]
     assert reduced[0] == [Fraction(1), Fraction(2)]
-    assert mat_rank(QQ, mat) == 1
+    assert len(rref(QQ, mat)[1]) == 1
 
 
 def test_kernel_basis_is_canonical():
@@ -209,43 +205,9 @@ def test_non_adjacent_arrow_rejected():
         )
 
 
-def test_validate_n_examples():
-    rep = a1_point()
-    assert validate_n(rep, 1, [1]) == []
-    datum = build_cartan("A1")
-    zero = GradedQuiverRep(datum, F2, {}, {})
-    assert validate_n(zero, 1, []) == []
-    with pytest.raises(ValueError):
-        bad = GradedQuiverRep(
-            datum, F2, {(1, -1): 1}, {(1, 0): 1},
-            maps={(("V", 1, -1), ("W", 1, 0)): [[1]]},
-        )
-        validate_n(bad, 1, [])
-
-
-def test_validate_n_flags_surviving_framing_vector():
-    # a loop that does not kill xi
-    datum = build_cartan("A1")
-    rep = GradedQuiverRep(
-        datum, F2, {(1, 1): 1, (1, -1): 1}, {},
-        maps={(("V", 1, 1), ("V", 1, -1)): [[1]]},
-    )
-    violations = validate_n(rep, 1, [1])
-    assert any(v.relation == "loop-kills-xi" for v in violations)
-
-
-def test_validate_n_adds_in_the_field():
-    # the loop sends xi = (1, 1) to 1 + 1, which is 0 in F2
-    datum = build_cartan("A1")
-    rep = GradedQuiverRep(
-        datum, F2, {(1, 1): 2, (1, -1): 1}, {},
-        maps={(("V", 1, 1), ("V", 1, -1)): [[1, 1]]},
-    )
-    assert validate_n(rep, 1, [1, 1]) == []
-
-
 def test_b_zero_slice_passes_validate_n():
-    # a valid point with B = 0 is a valid framed point with xi = A(1)
+    # a valid point with B = 0 is a valid framed point with xi = A(1): it
+    # satisfies E1, E2, and the loop out of V_node^{d_node} kills xi
     datum = build_cartan("B2")
     theta = NEG2
     for node in datum.nodes:
@@ -267,9 +229,9 @@ def test_b_zero_slice_passes_validate_n():
                 xi = (
                     [row[0] for row in a_map]
                     if a_map
-                    else [0] * rep0.vdim(node, dk)
+                    else [0] * vdim(rep0, node, dk)
                 )
-                assert validate_n(rep0, node, xi) == []
+                assert validate_n_oracle(rep0, node, xi) == []
 
 
 @st.composite
@@ -302,18 +264,14 @@ def _random_point(draw, fields=(F2, PrimeField(3))):
         rows, cols = empty.slot_dim(target), empty.slot_dim(source)
         row = st.lists(entry, min_size=cols, max_size=cols)
         maps[source, target] = draw(st.lists(row, min_size=rows, max_size=rows))
-    node = draw(st.sampled_from(datum.nodes))
-    dim = empty.vdim(node, datum.di(node))
-    xi = draw(st.lists(entry, min_size=dim, max_size=dim))
-    rep = GradedQuiverRep(datum, fld, v, w, maps)
-    return rep, node, xi
+    return GradedQuiverRep(datum, fld, v, w, maps)
 
 
 @pytest.mark.parametrize("label", SUPPORTED_LABELS)
 def test_loop_relation_is_phi_after_psi(label):
-    # each E1bis (E1) row is Psi's path into a block of the Phi domain and
-    # Phi's out of it, one per block (the W block left out unframed); as a
-    # multiset of paths it must be the relation spelled term by term.  With
+    # each E1bis row is Psi's path into a block of the Phi domain and Phi's
+    # out of it, one per block; as a multiset of paths it must be the
+    # relation spelled term by term.  With
     # a V and a W slot at every grade of the window, no path out of V_i^a
     # with |a| <= 6 leaves it, so those rows hold every term, AB included;
     # nearer the edge a row holds the terms through maps the dims allow, and
@@ -321,42 +279,33 @@ def test_loop_relation_is_phi_after_psi(label):
     datum = build_cartan(label)
     dims = {(i, a): 1 for i in datum.nodes for a in range(-12, 13)}
     keys = set(valid_map_keys(datum, dims, dims))
-    for framed in (True, False):
-        table = quiver._relation_table(datum, dims, dims, framed)
-        rows = {(i, a): paths for name, i, _, a, paths in table
-                if name in ("E1bis", "E1")}
-        assert ("E1" if framed else "E1bis") not in {name for name, *_ in table}
-        assert len(rows) < len(dims)
-        for i, a in dims:
-            every = e1bis_paths_oracle(datum, i, a, framed)
-            held = every if abs(a) <= 6 else [
-                path for path in every if keys.issuperset(path)]
-            assert Counter(rows.get((i, a), [])) == Counter(held)
+    table = quiver._relation_table(datum, dims, dims)
+    rows = {(i, a): paths for name, i, _, a, paths in table if name == "E1bis"}
+    assert len(rows) < len(dims)
+    for i, a in dims:
+        every = e1bis_paths_oracle(datum, i, a)
+        held = every if abs(a) <= 6 else [
+            path for path in every if keys.issuperset(path)]
+        assert Counter(rows.get((i, a), [])) == Counter(held)
 
 
 @given(_random_point())
-def test_relation_checks_match_the_per_relation_oracle(case):
+def test_relation_checks_match_the_per_relation_oracle(rep):
     # exhaustive_search keeps only valid points, so only random ones reach
     # the violation paths; the oracle builds each relation with zero matrices
-    rep, node, xi = case
     assert validate_relations(rep) == relation_violations_oracle(rep)
-    framed = GradedQuiverRep(rep.datum, rep.field, rep.v, rep.w, without_b(rep))
-    assert validate_n(framed, node, xi) == validate_n_oracle(framed, node, xi)
 
 
 @given(_random_point(), st.data())
-def test_relation_checks_match_the_oracle_on_points_that_lack_maps(case, data):
+def test_relation_checks_match_the_oracle_on_points_that_lack_maps(rep, data):
     # _random_point stores every map its dims allow; leave a random subset of
     # them out, so that paths the relation table keeps run through maps the
     # point lacks, which the checks must read as zero
-    rep, node, xi = case
     keys = valid_map_keys(rep.datum, rep.v, rep.w)
     keep = data.draw(st.lists(st.booleans(), min_size=len(keys), max_size=len(keys)))
     maps = {ends: rep.maps[ends] for ends, kept in zip(keys, keep) if kept}
     rep = GradedQuiverRep(rep.datum, rep.field, rep.v, rep.w, maps)
     assert validate_relations(rep) == relation_violations_oracle(rep)
-    framed = GradedQuiverRep(rep.datum, rep.field, rep.v, rep.w, without_b(rep))
-    assert validate_n(framed, node, xi) == validate_n_oracle(framed, node, xi)
 
 
 def test_relation_checks_build_no_zero_matrix(monkeypatch):
@@ -510,13 +459,8 @@ def test_reflect_rejects_a_node_outside_the_datum(node):
 def test_every_entry_point_rejects_a_node_outside_the_datum(node):
     # at 0 and -1 these returned [] or a vertex, at 3 some raised IndexError
     datum = build_cartan("A2")
-    rep = GradedQuiverRep(datum, F2, {(1, 1): 1}, {(1, 0): 1})
     calls = [
         lambda: fm_qchar(datum, node),
-        lambda: validate_n(rep, node, []),
-        lambda: phi_map(rep, node, 0),
-        lambda: psi_map(rep, node, 0),
-        lambda: upsilon_map(rep, node, 0),
         lambda: cone_vertices(datum, node),
         lambda: word_vertex(datum, node, ()),
         lambda: word_vertex(datum, 1, (2, node)),
@@ -686,8 +630,7 @@ def test_each_new_map_of_a_step_is_the_solvers_on_random_points():
 
     @settings(derandomize=True, deadline=None, database=None)
     @given(_random_point((PrimeField(3), QQ)))
-    def check(case):
-        rep, _, _ = case
+    def check(rep):
         for i in rep.datum.nodes:
             step = quiver._step_plan(rep.datum, i, rep.v, rep.w)
             if step is not None:
@@ -852,10 +795,9 @@ def test_every_dims_only_verdict_agrees_with_the_full_lattice():
 
 
 @given(_random_point())
-def test_the_dual_point_keeps_the_grading_and_the_relations(case):
+def test_the_dual_point_keeps_the_grading_and_the_relations(rep):
     # each relation of x^T is the transpose of one of x, so a random point
     # and its dual fail the same number of relations
-    rep = case[0]
     dual = quiver._dual(rep)
     GradedQuiverRep(dual.datum, dual.field, dual.v, dual.w, dual.maps)
     assert len(validate_relations(dual)) == len(validate_relations(rep))
@@ -953,7 +895,7 @@ def test_span_is_canonical(case):
     span = _span(fld, rows)
     assert span == _span(fld, shuffled)
     assert span == _span_one_at_a_time(fld, rows)
-    assert len(span) == mat_rank(fld, rows)
+    assert len(span) == len(rref(fld, rows)[1])
 
 
 def _spin_verdicts(rep):
@@ -984,8 +926,7 @@ def test_spin_matches_the_fixpoint_on_the_benchmark_searches():
 
 
 @given(_random_point((F2, PrimeField(3), QQ)))
-def test_spin_matches_the_fixpoint_on_random_points(case):
-    rep, _, _ = case
+def test_spin_matches_the_fixpoint_on_random_points(rep):
     verdicts, fixpoint = _spin_verdicts(rep)
     assert verdicts == fixpoint
 
@@ -1070,13 +1011,20 @@ def test_mixed_theta_stability_counts_in_the_field():
 
 def test_phi_is_identity_on_a1_point():
     rep = a1_point()
-    assert phi_map(rep, 1, -1) == [[1]]
+    assert grade_map(rep, "phi", 1, -1) == [[1]]
 
 
 def test_phi_empty_when_nothing_adjacent():
     datum = build_cartan("A1")
     rep = GradedQuiverRep(datum, F2, {}, {})
-    assert phi_map(rep, 1, 0) == []
+    assert grade_map(rep, "phi", 1, 0) == []
+
+
+def _phi_after_psi(rep, i, a):
+    """Phi_i^a Psi_i^a, V_i^a -> V_i^{a+d_ii}, as the reflection builds both."""
+    phi, psi = grade_map(rep, "phi", i, a), grade_map(rep, "psi", i, a)
+    return mat_mul_shaped(rep.field, phi, psi, vdim(rep, i, a + 2 * rep.datum.di(i)),
+                          len(psi), vdim(rep, i, a))
 
 
 def test_psi_composite_zero_on_search_corpus():
@@ -1085,23 +1033,23 @@ def test_psi_composite_zero_on_search_corpus():
     w = {(1, 0): 1}
     count = 0
     for point in exhaustive_search(datum, v, w, F2):
-        for a in (-1, 0, 1, 2):
-            psi_map(point.rep, 1, a)  # raises RelationViolated on failure
-            psi_map(point.rep, 2, a)
+        for i in datum.nodes:
+            for a in (-1, 0, 1, 2):
+                composite = _phi_after_psi(point.rep, i, a)
+                assert all(x == 0 for row in composite for x in row), (i, a)
         count += 1
     assert count > 0
 
 
-def test_psi_raises_on_invalid_point():
+def test_phi_after_psi_is_nonzero_where_e1bis_fails():
     datum = build_cartan("A1")
     # E1bis fails: AB != 0 with no loops to cancel it
     rep = GradedQuiverRep(
         datum, F2, {(1, 1): 1, (1, -1): 1}, {(1, 0): 1},
         maps={(("W", 1, 0), ("V", 1, 1)): [[1]], (("V", 1, -1), ("W", 1, 0)): [[1]]},
     )
-    assert validate_relations(rep)
-    with pytest.raises(RelationViolated):
-        psi_map(rep, 1, -1)
+    assert _phi_after_psi(rep, 1, -1) == [[1]]
+    assert validate_relations(rep) == [RelationViolation("E1bis", 1, 1, -1)]
 
 
 def test_reflect_a1_point():
@@ -1179,7 +1127,7 @@ def test_reflect_matches_braid_prediction_a2_corpus():
 def test_upsilon_squares_to_comparison():
     # on the A1 point the comparison map is the zero map W -> W one step down
     rep = a1_point()
-    assert upsilon_map(rep, 1, -1) == []  # target layout is empty
+    assert grade_map(rep, "upsilon", 1, -1) == []  # target layout is empty
 
 
 def test_upsilon_diagram_commutes_on_valid_points():
@@ -1208,14 +1156,14 @@ def test_upsilon_diagram_commutes_on_valid_points():
                         if dom == 0:
                             continue
                         lhs = mat_mul_shaped(
-                            F2, phi_map(rep, i, a - dii),
-                            upsilon_map(rep, i, a),
-                            rep.vdim(i, a), low, dom,
+                            F2, grade_map(rep, "phi", i, a - dii),
+                            grade_map(rep, "upsilon", i, a),
+                            vdim(rep, i, a), low, dom,
                         )
                         rhs = mat_mul_shaped(
                             F2, loop_power(rep, i, a + dii, 1),
-                            phi_map(rep, i, a),
-                            rep.vdim(i, a), rep.vdim(i, a + dii), dom,
+                            grade_map(rep, "phi", i, a),
+                            vdim(rep, i, a), vdim(rep, i, a + dii), dom,
                         )
                         assert lhs == rhs, (label, i, a)
 
@@ -1240,11 +1188,11 @@ def test_phi_surjective_on_stable_points():
                     for shift in range(-12, 13):
                         grades.add(grade + shift)
                 for a in grades:
-                    target = point.rep.vdim(i, a + 2 * datum.di(i))
+                    target = vdim(point.rep, i, a + 2 * datum.di(i))
                     if not target:
                         continue
-                    phi = phi_map(point.rep, i, a)
-                    assert mat_rank(F2, phi) == target, (label, i, a)
+                    phi = grade_map(point.rep, "phi", i, a)
+                    assert len(rref(F2, phi)[1]) == target, (label, i, a)
 
 
 def test_reflected_coframing_is_kernel_projection():
@@ -1271,7 +1219,8 @@ def test_reflected_coframing_is_kernel_projection():
             assert i == 1
             blocks = phi_blocks(datum, 1, a)
             dims = _block_dims(point.rep, blocks)
-            basis, _ = kernel_basis(F2, phi_map(point.rep, 1, a), cols=sum(dims))
+            phi = grade_map(point.rep, "phi", 1, a)
+            basis, _ = kernel_basis(F2, phi, cols=sum(dims))
             assert mat == [list(basis[r]) for r in range(dims[0])]
 
 
