@@ -192,9 +192,10 @@ def parse_dims(text):
         if not chunk:
             raise _UsageError(f"empty dimension entry in {text!r}")
         match = _DIMS_RE.match(chunk)
-        if not match:
+        try:  # no match, or a number past int()'s digit limit
+            n, i, a = map(int, match.groups())
+        except (AttributeError, ValueError):
             raise _UsageError(f"cannot parse dimension entry {chunk!r}")
-        n, i, a = (int(match.group(k)) for k in (1, 2, 3))
         if (i, a) in dims:
             raise _UsageError(f"dimension entry {chunk!r} repeats the slot {(i, a)}")
         dims[(i, a)] = n
@@ -334,7 +335,7 @@ def _load_point(path):
             return GradedQuiverRep.from_json_obj(json.load(handle))
         # wrong JSON types surface as the built-in errors of the conversions
         except (ValueError, KeyError, IndexError, TypeError, AttributeError,
-                ArithmeticError) as exc:
+                ArithmeticError, RecursionError) as exc:
             raise _UsageError(f"cannot read point file {path}: {exc!r}")
 
 

@@ -27,17 +27,18 @@ Phi_i^a out of W_i^{a+d_i} and the neighboring V slots; summand order is
 fixed globally (W first, then neighbors ascending, then the step index t
 ascending) so serialized reflected points are reproducible.
 
-Plans.  All that a check reads besides the matrix entries is fixed by the
-point's dims (and theta): the relation paths, the stability route, per
-reflection step the Phi blocks, their dims and the dims after the step,
-and the seed maps and moves of the closing spin.  One walk plan per
-(datum, v, w, theta) holds them (:func:`_walk_plan`, cached), so a
-search's points, which all share v and w, run only field arithmetic, as
-do points checked one at a time on dims already seen, and the points a
-plan builds (:meth:`GradedQuiverRep._trusted`) share its dims.  The step
-and spin plans it holds are plain functions of the dims.  The relation
-table holds only the paths through maps the dims allow
-(:func:`_relation_table`), and a search takes each matrix row from one
+Layouts.  All that a check reads besides the matrix entries is fixed by
+the point's dims (and theta).  One layout per (datum, v, w) holds it
+(:func:`_layout`, cached): the dims, their map slots
+(:func:`valid_map_keys`), the relation table, which holds only the paths
+through those slots (:func:`_relation_table`), and one walk plan per theta
+met (:func:`_walk_plan`): the stability route, per reflection step the Phi
+blocks, their dims and the dims after the step, and the seed maps and moves
+of the closing spin.  So a search's points, which all share v and w, run
+only field arithmetic, as do points checked or reflected one at a time on
+dims already seen, and the points a plan builds
+(:meth:`GradedQuiverRep._trusted`) share its dims.  The step and spin plans
+are plain functions of the dims; a search takes each matrix row from one
 table per column count, shared by all its points.
 """
 
@@ -282,18 +283,18 @@ class RelationViolation(namedtuple("RelationViolation", "relation i j a")):
         return f"{self.relation} fails at {where}, grade {self.a}"
 
 
-def _relation_table(datum, v, w, keys=None):
-    """Every relation on the points of dims ``v`` and ``w`` as a row
-    (name, i, j, a, paths).
+def _relation_table(datum, v, w, keys):
+    """Every relation on the points of dims ``v`` and ``w``, whose map slots
+    are ``keys``, as a row (name, i, j, a, paths).
 
     The composites along ``paths``, each the steps of a path out of one
     start slot, must add up to zero.  Rows come in the order E1bis, E2, then
     E4 and E5 per W slot.  E1bis at (i, a) is Phi_i^a Psi_i^a = 0: one path
     per block of :func:`_block_paths`, Psi's into the block's slot and then
     Phi's out of it.  A path is kept only when each of its steps is one of
-    :func:`valid_map_keys`: a point of these dims holds no other map, so
-    any other path is zero on it.  A caller that already holds those keys
-    passes them as ``keys``.  A row left with no path is dropped.
+    ``keys``, the :func:`valid_map_keys` of the dims: a point of these dims
+    holds no other map, so any other path is zero on it.  A row left with no
+    path is dropped.  :func:`_layout` holds the table.
     """
     table = [("E1bis", i, i, a,
               [psi + phi for _, phi, psi, _ in _block_paths(datum, i, a)])
@@ -309,7 +310,7 @@ def _relation_table(datum, v, w, keys=None):
         table.append(("E4", i, i, a, [_path(datum, ("W", i, a), [("V", i)] * 2)]))
         table.append(("E5", i, i, a, [
             _path(datum, ("V", i, a + datum.di(i)), [("V", i), ("W", i)])]))
-    keys = set(valid_map_keys(datum, v, w) if keys is None else keys)
+    keys = set(keys)
     return [(name, i, j, a, kept) for name, i, j, a, paths in table
             if (kept := [path for path in paths if keys.issuperset(path)])]
 
@@ -334,16 +335,16 @@ def _violations(rep, table):
 
 def validate_relations(rep):
     """All relation failures of a (co)framed point; empty means valid."""
-    return _violations(rep, _relation_table(rep.datum, rep.v, rep.w))
+    return _violations(rep, _layout_of(rep.datum, rep.v, rep.w).table)
 
 
 # ---------------------------------------------------------------------------
 # submodule closures and stability
 
 
-def _spin_plan(datum, v, w, backward=False):
-    """What :func:`_spin` reads on the points of dims ``v`` and ``w``, less
-    their entries: (seeds, moves, total, backward).
+def _spin_plan(layout, backward=False):
+    """What :func:`_spin` reads on the points of a :func:`_layout`'s dims,
+    less their entries: (seeds, moves, total, backward).
 
     ``seeds`` holds the (ends, V slot) of each framing map, whose columns
     seed the closure, or with ``backward`` of each coframing map, whose rows
@@ -352,7 +353,7 @@ def _spin_plan(datum, v, w, backward=False):
     there goes to.  ``total`` is |V|.
     """
     seeds, moves = [], {}
-    for source, target in valid_map_keys(datum, v, w):
+    for source, target in layout.keys:
         ends = source, target
         if source[0] == target[0]:
             start, end = (target, source) if backward else ends
@@ -360,7 +361,7 @@ def _spin_plan(datum, v, w, backward=False):
         elif (target if backward else source)[0] == "W":
             seeds.append((ends, (source if backward else target)[1:]))
     return (tuple(seeds), {slot: tuple(out) for slot, out in moves.items()},
-            sum(v.values()), backward)
+            sum(layout.v.values()), backward)
 
 
 def _spin(plan, rep):
@@ -449,25 +450,42 @@ def _route(datum, theta):
     return (True, down) if len(down) < len(up) else (False, up)
 
 
-def _dims_key(dims):
-    """``dims`` as the sorted items tuple that keys :func:`_walk_plan`."""
-    return tuple(sorted(dims.items()))
+class _Layout(namedtuple("_Layout", "v w keys table plans")):
+    """What the points of dims (v, w) share: the dims, their map slots
+    (:func:`valid_map_keys`), the relation table and ``plans``, the
+    :func:`_walk_plan` of each theta met so far."""
+
+    __slots__ = ()
 
 
-def _dual_layout(datum, v, w):
-    """(v', w', flips): the dims of the transposed point of dims ``v`` and
-    ``w``, and the new ends of each map it can hold."""
+@lru_cache(maxsize=1024)
+def _layout(datum, v, w):
+    """The :class:`_Layout` of dims ``v`` and ``w``, each a sorted items
+    tuple; :func:`_layout_of` takes the dicts."""
+    v, w = dict(v), dict(w)
+    keys = valid_map_keys(datum, v, w)
+    return _Layout(v, w, keys, _relation_table(datum, v, w, keys), {})
+
+
+def _layout_of(datum, v, w):
+    """The :func:`_layout` of the dims dicts ``v`` and ``w``."""
+    return _layout(datum, tuple(sorted(v.items())), tuple(sorted(w.items())))
+
+
+def _dual_layout(layout):
+    """(v', w', flips): the dims of the transposed points of a
+    :func:`_layout`'s dims, and the new ends of each map they can hold."""
     def flip(slot):
         space, i, a = slot
         return space, i, -a
 
     flips = {(source, target): (flip(target), flip(source))
-             for source, target in valid_map_keys(datum, v, w)}
-    return ({(i, -a): n for (i, a), n in v.items()},
-            {(i, -a): n for (i, a), n in w.items()}, flips)
+             for source, target in layout.keys}
+    return ({(i, -a): n for (i, a), n in layout.v.items()},
+            {(i, -a): n for (i, a), n in layout.w.items()}, flips)
 
 
-def _dual(rep, layout=None):
+def _dual(rep, dual):
     """The transposed point x^T on negated grades.
 
     Each V/W slot (s, i, a) becomes (s, i, -a), and each map M from source
@@ -475,38 +493,37 @@ def _dual(rep, layout=None):
     and the arrows reverse.  That is the grading of :func:`_step` again, as
     ``datum.b`` is symmetric, and each relation goes to a relation: E1bis at
     (i, a) to E1bis at (i, -a - d_ii) with l -> -c_ij - 1 - l and AB -> A'B',
-    E2 at (i, j) to E2 at (j, i), and E4 to E5.  ``layout`` is
-    :func:`_dual_layout` of x's dims, when the caller holds it.
+    E2 at (i, j) to E2 at (j, i), and E4 to E5.  ``dual`` is the
+    :func:`_dual_layout` of x's dims.
     """
-    v, w, flips = layout or _dual_layout(rep.datum, rep.v, rep.w)
+    v, w, flips = dual
     return GradedQuiverRep._trusted(
         rep.datum, rep.field, v, w,
         {flips[ends]: [list(col) for col in zip(*mat)] for ends, mat in rep.maps.items()})
 
 
-@lru_cache(maxsize=1024)
-def _walk_plan(datum, v, w, theta):
-    """How :func:`stability_check` decides the points of dims ``v`` and
-    ``w`` (sorted items tuples) at the tuple ``theta``, less their entries.
+def _walk_plan(datum, layout, theta):
+    """How :func:`stability_check` decides the points of a :func:`_layout`'s
+    dims at the tuple ``theta``, less their entries; built on the first call
+    per theta and kept in ``layout.plans``.
 
     False when the walk stops at a step for the dims alone, by the dims
     lemma of :func:`_step_plan`: then no such point is stable.  Otherwise
-    (layout, steps, spin): the :func:`_dual_layout` when :func:`_route`
+    (dual, steps, spin): the :func:`_dual_layout` when :func:`_route`
     starts from the transposed point, else None; the :func:`_step_plan` of
     each step of the route's word, each on the dims the step before leaves;
-    and the :func:`_spin_plan` of the chamber's closure on the dims the
-    walk ends on, forward in the negative chamber (no layout, no steps) and
-    backward in the positive one.  Raises as :func:`_route` does.
+    and the :func:`_spin_plan` of the chamber's closure on the layout of the
+    dims the walk ends on, forward in the negative chamber (no dual, no
+    steps) and backward in the positive one.  Raises as :func:`_route` does.
     """
+    plans = layout.plans
+    if theta in plans:
+        return plans[theta]
     route = _route(datum, theta)
-    v, w = dict(v), dict(w)
-    if route is None:
-        return None, (), _spin_plan(datum, v, w)
-    dual, word = route
-    layout = None
-    if dual:
-        layout = _dual_layout(datum, v, w)
-        v, w = layout[0], layout[1]
+    flip, word = route or (False, ())
+    plans[theta] = False  # until every step is onto for some point
+    dual = _dual_layout(layout) if flip else None
+    v, w, _ = dual or (layout.v, layout.w, None)
     steps = []
     for i in word:
         step = _step_plan(datum, i, v, w)
@@ -514,16 +531,18 @@ def _walk_plan(datum, v, w, theta):
             return False
         steps.append(step)
         v = step.v
-    return layout, tuple(steps), _spin_plan(datum, v, w, True)
+    spin = _spin_plan(_layout_of(datum, v, w), route is not None)
+    plans[theta] = plan = dual, tuple(steps), spin
+    return plan
 
 
 def _walk(plan, rep):
     """Decide ``rep`` by the :func:`_walk_plan` of its dims and a theta."""
     if plan is False:
         return False
-    layout, steps, spin = plan
-    if layout is not None:
-        rep = _dual(rep, layout)
+    dual, steps, spin = plan
+    if dual is not None:
+        rep = _dual(rep, dual)
     for step in steps:
         rep = _apply_step(step, rep)
         if rep is None:
@@ -566,10 +585,11 @@ def stability_check(rep, theta):
     Everything but the matrix entries is fixed by (datum, v, w, theta): the
     route, the transposed layout, per step the Phi blocks, their dims and
     the dims after the step, and the seeds and moves of the chamber's
-    closure (:func:`_spin_plan`).  :func:`_walk_plan` holds them, cached,
-    and :func:`_walk` runs one point through them; a search looks its plan
-    up once per theta.  Where some Phi's domain is smaller than its target
-    the plan is False for the dims alone (see :func:`_step_plan`).
+    closure (:func:`_spin_plan`).  :func:`_walk_plan` holds them, kept in
+    the dims' :func:`_layout`, and :func:`_walk` runs one point through
+    them; a search looks its plan up once per theta.  Where some Phi's
+    domain is smaller than its target the plan is False for the dims alone
+    (see :func:`_step_plan`).
 
     The walk rests on two lemmas.  The S_i lemma: for theta_i < 0, x is
     theta-stable iff Phi_i^a is onto at every grade a and S_i x is s_i
@@ -619,75 +639,58 @@ def stability_check(rep, theta):
     T^perp, which pairs -<theta, |V| - |T|> > 0 with -theta.  Both ways
     round, so x has a witness at theta iff x^T has one at -theta.
     """
-    plan = _walk_plan(rep.datum, _dims_key(rep.v), _dims_key(rep.w), tuple(theta))
-    return _walk(plan, rep)
+    layout = _layout_of(rep.datum, rep.v, rep.w)
+    return _walk(_walk_plan(rep.datum, layout, tuple(theta)), rep)
 
 
 # ---------------------------------------------------------------------------
 # the reflection at a node
 
 
-def phi_blocks(datum, i, a):
-    """Summand layout of the Phi/Psi domain at (i, a): W first, then (j, t).
-
-    Its slots are the terms of the closed form of ``braid._reflect_rows``.
-    """
-    di, terms = _reflection_table(datum, i)
-    # offset = d_ij + t*d_ii
-    return (("W", i, a + di, 0),) + tuple(
-        ("V", j, a + offset, (offset - datum.b(i, j)) // (2 * di))
-        for j, offset in terms
-    )
-
-
 @lru_cache(maxsize=1024)
 def _block_paths(datum, i, a):
-    """Per block of :func:`phi_blocks` at (i, a): (block, phi, psi, upsilon).
+    """Per block of the Phi/Psi domain at (i, a): (block, phi, psi, upsilon).
 
-    Each path is the tuple of its (source, target) steps, resolved here once
-    per (datum, i, a).  ``phi`` is the path of Phi's block, out of the block's
+    The blocks come W first, then (j, t) in the order of the closed form of
+    ``braid._reflect_rows``, whose terms are their slots; a block is its
+    slot and its step t, (space, node, grade, t), t = 0 for W.  Each path is
+    the tuple of its (source, target) steps, resolved here once per
+    (datum, i, a).  ``phi`` is the path of Phi's block, out of the block's
     slot into V_i^{a+d_ii}; ``psi`` the path of Psi's block, out of V_i^a
     into the block's slot.  ``upsilon`` is None for the W block, which
     Upsilon kills; otherwise (path, t, negate): Upsilon sends the block's
     slot along the path, negated or not, to the block of the same neighbor
     with step t in the layout at (i, a - d_ii).
     """
-    at, start = ("V", i), ("V", i, a)
-    table = []
-    for block in phi_blocks(datum, i, a):
-        space, j, _, t = block
-        slot = block[:3]
-        if space == "W":
-            table.append((block, _path(datum, slot, [at]),
-                          _path(datum, start, [("W", i)]), None))
-            continue
+    di, terms = _reflection_table(datum, i)
+    at, start, framing = ("V", i), ("V", i, a), ("W", i, a + di)
+    table = [((*framing, 0), _path(datum, framing, [at]),
+              _path(datum, start, [("W", i)]), None)]
+    for j, offset in terms:  # offset = d_ij + t*d_ii
+        t = (offset - datum.b(i, j)) // (2 * di)
+        slot = ("V", j, a + offset)
         c = -datum.c(i, j)
         if t < c:  # the same slot, one step later in the lower layout
             upsilon = ((), t + 1, False)
         else:  # the top slot, through minus the full loop composite at j
             upsilon = (_path(datum, slot, [("V", j)] * -datum.c(j, i)), 1, True)
-        table.append((block, _path(datum, slot, [at] * t),
+        table.append(((*slot, t), _path(datum, slot, [at] * t),
                       _path(datum, start, [at] * (c - t) + [("V", j)]), upsilon))
     return tuple(table)
 
 
-class _Grade:
+class _Grade(namedtuple("_Grade", "a vdim target dom blocks offsets")):
     """Phi_i^a, Psi_i^a and Upsilon_i^a on the points of some fixed dims,
     less their matrix entries.
 
-    ``blocks`` holds (node, dim, first column, phi, psi, upsilon) per block
-    of :func:`_block_paths` of nonzero dim, each path as its steps;
-    ``offsets`` maps each block's (node, t) to its first column.
+    ``vdim`` is dim V_i^a (Psi's source), ``target`` dim V_i^{a+d_ii}
+    (Phi's), ``dom`` the sum of the block dims, and ``blocks`` holds (node,
+    dim, first column, phi, psi, upsilon) per block of :func:`_block_paths`
+    of nonzero dim, each path as its steps; ``offsets`` maps each block's
+    (node, t) to its first column.
     """
 
-    __slots__ = ("a", "vdim", "target", "dom", "blocks", "offsets")
-
-    def __init__(self, a, vdim, target, dom, blocks, offsets):
-        self.a = a
-        self.vdim = vdim  # V_i^a, Psi's source
-        self.target = target  # V_i^{a+d_ii}, Phi's target
-        self.dom = dom  # the sum of the block dims
-        self.blocks, self.offsets = blocks, offsets
+    __slots__ = ()
 
 
 def _grade(datum, v, w, i, a):
@@ -726,16 +729,12 @@ def _upsilon(fld, maps, grade, lower):
     return out
 
 
-class _Step:
-    """S_i on the points of some fixed dims, less their matrix entries."""
+class _Step(namedtuple("_Step", "node grades builds v")):
+    """S_i on the points of some fixed dims, less their matrix entries: the
+    :class:`_Grade` of each grade with a nonzero Phi domain, the (grade,
+    outs, loop, ins) of each with a nonzero kernel, and the dims after."""
 
-    __slots__ = ("node", "grades", "builds", "v")
-
-    def __init__(self, node, grades, builds, v):
-        self.node = node
-        self.grades = grades  # the _Grade of each grade with a nonzero Phi domain
-        self.builds = builds  # (grade, outs, loop, ins) per grade with a nonzero kernel
-        self.v = v  # the dims after the step
+    __slots__ = ()
 
 
 def _step_plan(datum, i, v, w):
@@ -777,10 +776,10 @@ def _step_plan(datum, i, v, w):
         outs = tuple((psi[0], col, dim) for _, dim, col, _, psi, _ in grade.blocks
                      if len(psi) == 1)
         (ends,) = _path(datum, ("V", i, a), [("V", i)])
-        lower = grades.get(ends[1][2])
+        lower = grades.get(a - dii)  # where the loop lands
         loop = (ends, lower) if lower and lower.dom > lower.target else None
         ins = tuple((phi[0], dim) for _, dim, _, phi, _, _ in
-                    _grade(datum, v, w, i, a - dii).blocks if len(phi) == 1)
+                    (lower.blocks if lower else ()) if len(phi) == 1)
         builds.append((grade, outs, loop, ins))
     return _Step(i, tuple(grades.values()), tuple(builds), new_v)
 
@@ -910,9 +909,9 @@ def exhaustive_search(datum, v, w, field, thetas=(),
     if not field.is_finite:
         raise FieldNotFinite("exhaustive search needs a finite field")
     empty = GradedQuiverRep(datum, field, v, w)
-    slots = valid_map_keys(datum, empty.v, empty.w)
+    layout = _layout_of(datum, empty.v, empty.w)
     shapes = [(empty.slot_dim(target), empty.slot_dim(source))
-              for source, target in slots]
+              for source, target in layout.keys]
     total_entries = sum(r * c for r, c in shapes)
     if total_entries > cap_entries:
         raise CapExceeded(
@@ -921,23 +920,21 @@ def exhaustive_search(datum, v, w, field, thetas=(),
         )
     # every point shares datum, v and w, and the relation table and the
     # stability plans read nothing else
-    table = _relation_table(datum, empty.v, empty.w, keys=slots)
-    key_v, key_w = _dims_key(empty.v), _dims_key(empty.w)
-    plans = [_walk_plan(datum, key_v, key_w, tuple(theta)) for theta in thetas]
+    plans = [_walk_plan(datum, layout, tuple(theta)) for theta in thetas]
     # a point's entries run row by row through the slots, so one table of
     # every row per column count, shared by all points, enumerates the points
     # in the order of product(elements, repeat=total_entries)
     tables = {cols: [list(row) for row in product(field.elements(), repeat=cols)]
               for cols in {cols for _, cols in shapes}}
     row_tables, spans = [], []
-    for ends, (rows, cols) in zip(slots, shapes):
+    for ends, (rows, cols) in zip(layout.keys, shapes):
         spans.append((ends, len(row_tables), len(row_tables) + rows))
         row_tables += [tables[cols]] * rows
     results = []
     for combo in product(*row_tables):
         maps = {ends: list(combo[start:stop]) for ends, start, stop in spans}
         rep = GradedQuiverRep._trusted(datum, field, empty.v, empty.w, maps)
-        if _violations(rep, table):
+        if _violations(rep, layout.table):
             continue
         stable = tuple(_walk(plan, rep) for plan in plans)
         results.append(SearchPoint(rep=rep, stable=stable))

@@ -743,7 +743,7 @@ def grade_map(rep, kind, i, a):
     """Phi, Psi or Upsilon (``kind``) at (i, a) on ``rep``, built as
     ``quiver._apply_step`` builds it: ``quiver._phi``, ``_psi`` or
     ``_upsilon`` over ``quiver._grade``.  Phi_i^a maps the blocks of
-    ``quiver.phi_blocks`` at (i, a) into V_i^{a+d_ii}, Psi_i^a maps V_i^a
+    ``quiver._block_paths`` at (i, a) into V_i^{a+d_ii}, Psi_i^a maps V_i^a
     into them, and Upsilon_i^a maps them to the blocks at (i, a - d_ii)."""
     datum, fld, maps = rep.datum, rep.field, rep.maps
     grade = quiver._grade(datum, rep.v, rep.w, i, a)
@@ -981,7 +981,15 @@ def stability_by_walking_up(rep, theta):
 def spin(rep, backward=False):
     """``quiver._spin`` on ``rep``: is the closure of Im A all of V, or with
     ``backward`` that of the rows of every B all of V's dual?"""
-    return quiver._spin(quiver._spin_plan(rep.datum, rep.v, rep.w, backward), rep)
+    layout = quiver._layout_of(rep.datum, rep.v, rep.w)
+    return quiver._spin(quiver._spin_plan(layout, backward), rep)
+
+
+def dual_point(rep):
+    """``quiver._dual`` of ``rep``: the transposed point x^T on negated
+    grades, by the ``quiver._dual_layout`` of its dims."""
+    layout = quiver._layout_of(rep.datum, rep.v, rep.w)
+    return quiver._dual(rep, quiver._dual_layout(layout))
 
 
 # ---------------------------------------------------------------------------

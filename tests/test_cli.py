@@ -345,6 +345,17 @@ def test_point_file_with_an_inexact_value_is_usage_error(
         assert named in err and "Traceback" not in err, command
 
 
+def test_a_deeply_nested_point_file_is_usage_error(tmp_path, capsys):
+    # json.load gives up on the nesting with a RecursionError
+    point = tmp_path / "point.json"
+    point.write_text("[" * 100_000 + "]" * 100_000)
+    for command in (("quiver-check",), ("quiver-reflect", "--node", "1", "--theta=-1")):
+        assert run(*command, str(point)) == 1, command
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: cannot read point file {point}: "
+                              "RecursionError(") and err.count("\n") == 1, command
+
+
 @pytest.mark.parametrize("flag, slot", [("--v", "(1, 1)"), ("--w", "(1, 0)")])
 def test_a_slot_repeated_in_a_dims_flag_is_usage_error(capsys, flag, slot):
     # as in a point file: a slot typed twice is not one slot of the summed dim
@@ -364,6 +375,21 @@ def test_an_empty_part_in_a_dims_flag_is_usage_error(capsys, flag, text):
                "--w", dims["--w"], "--theta=-1") == 1
     err = capsys.readouterr().err
     assert err == f"usage error: empty dimension entry in {text!r}\n"
+
+
+@pytest.mark.parametrize("flag", ["--v", "--w"])
+@pytest.mark.parametrize("slot", [0, 2])
+def test_a_number_past_the_int_digit_limit_in_a_dims_flag_is_usage_error(
+        capsys, flag, slot):
+    # int() refuses more than 4300 digits; the entry is still one n@(i,a)
+    entry = ["1", "1", "0" if flag == "--w" else "1"]
+    entry[slot] = "9" * 5000
+    dims = {"--v": "1@(1,1)", "--w": "1@(1,0)",
+            flag: "{}@({},{})".format(*entry)}
+    assert run("quiver-search", "--type", "A2", "--v", dims["--v"],
+               "--w", dims["--w"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"usage error: cannot parse dimension entry {dims[flag]!r}\n"
 
 
 def test_blank_dims_are_no_entries():

@@ -46,6 +46,7 @@ from helpers import (
     _map_ends,
     _span,
     closure_dims_by_fixpoint,
+    dual_point,
     e1bis_paths_oracle,
     grade_map,
     is_generic_by_roots,
@@ -72,9 +73,10 @@ NEG2 = (Fraction(-1), Fraction(-1))
 POS2 = (Fraction(1), Fraction(1))
 
 
-def _block_dims(rep, blocks):
-    """The dim of each block of a ``quiver.phi_blocks`` layout on ``rep``."""
-    return [rep.slot_dim(block[:3]) for block in blocks]
+def _block_dims(rep, i, a):
+    """The dim on ``rep`` of each block of the Phi/Psi domain at (i, a)."""
+    return [rep.slot_dim(block[:3])
+            for block, *_ in quiver._block_paths(rep.datum, i, a)]
 
 
 def a1_point(field=F2):
@@ -279,7 +281,7 @@ def test_loop_relation_is_phi_after_psi(label):
     datum = build_cartan(label)
     dims = {(i, a): 1 for i in datum.nodes for a in range(-12, 13)}
     keys = set(valid_map_keys(datum, dims, dims))
-    table = quiver._relation_table(datum, dims, dims)
+    table = quiver._relation_table(datum, dims, dims, keys)
     rows = {(i, a): paths for name, i, _, a, paths in table if name == "E1bis"}
     assert len(rows) < len(dims)
     for i, a in dims:
@@ -323,29 +325,47 @@ def test_relation_checks_build_no_zero_matrix(monkeypatch):
     assert calls == []
 
 
-def test_search_builds_the_relation_table_once(monkeypatch):
-    # the table reads only datum, v and w, which every point of one search
-    # shares; so do the slots of each path, resolved by _step only while the
-    # table and the one list of map slots are built (each count starts from
-    # a cold cache of the block paths, so it holds whatever ran before)
-    calls, steps = [], []
-    real, real_step = quiver._relation_table, quiver._step
-    monkeypatch.setattr(quiver, "_relation_table",
-                        lambda *args, **kwargs: calls.append(args)
-                        or real(*args, **kwargs))
+def test_nothing_is_built_twice_for_equal_dims(monkeypatch):
+    # the map slots and the relation table read only datum, v and w: a
+    # search builds them once into the layout of its dims, and the checks
+    # that reflecting each stable point makes on its input and its output
+    # find them there; the dims a stability walk ends on get a layout too.
+    # No point resolves a slot of a path (_step) itself, so a second search
+    # of the same dims resolves none
+    calls = {"_relation_table": Counter(), "valid_map_keys": Counter()}
+    steps, real_step = [], quiver._step
     monkeypatch.setattr(quiver, "_step",
                         lambda *args: steps.append(args) or real_step(*args))
+
+    def counted(name):
+        real, seen = getattr(quiver, name), calls[name]
+
+        def count(datum, v, w, *rest, **named):
+            seen[datum, tuple(sorted(v.items())), tuple(sorted(w.items()))] += 1
+            return real(datum, v, w, *rest, **named)
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(quiver, name, counted(name))
+    quiver._layout.cache_clear()
     datum = build_cartan("B2")
-    v, w = {(1, 2): 1, (1, 4): 2, (2, 2): 2, (2, 4): 1}, {(2, 0): 1}
-    quiver._block_paths.cache_clear()
-    real(datum, v, w)
-    once = len(steps)
+    v, w = {(1, 2): 1, (1, 4): 1, (2, 2): 1, (2, 4): 1}, {(2, 0): 1}
+    theta = reflect_weight(datum, 1, NEG2)
+    assert theta == (1, -2)
+    points = exhaustive_search(datum, v, w, PrimeField(3), thetas=(theta,))
+    stable = [point.rep for point in points if point.stable[0]]
+    assert (len(points), len(stable)) == (81, 16)
+    assert steps
     steps.clear()
-    quiver._block_paths.cache_clear()
-    points = exhaustive_search(datum, v, w, F2)
-    assert len(points) == 512
-    assert len(calls) == 1
-    assert len(steps) == once > 0
+    assert len(exhaustive_search(datum, v, w, PrimeField(3), thetas=(theta,))) == 81
+    assert steps == []
+    for rep in stable:
+        reflect(rep, 2, theta)
+    for seen in calls.values():
+        assert max(seen.values()) == 1
+    assert calls["_relation_table"].keys() == calls["valid_map_keys"].keys()
+    # v, S_2 v, and the ends of their walks: S_1 v^T, and S_2 S_1 S_2 v = 0
+    assert len(calls["valid_map_keys"]) == 4
 
 
 def test_relation_violations_read_as_before():
@@ -354,18 +374,6 @@ def test_relation_violations_read_as_before():
     assert RelationViolation("E2", 1, 2, 3) == RelationViolation("E2", 1, 2, 3)
     assert repr(RelationViolation("E5", 1, 1, 0)) == (
         "RelationViolation(relation='E5', i=1, j=1, a=0)")
-
-
-def test_search_lists_the_map_slots_once(monkeypatch):
-    # the slot list and the relation table's pruning read the same keys
-    calls = []
-    real = quiver.valid_map_keys
-    monkeypatch.setattr(quiver, "valid_map_keys",
-                        lambda *args: calls.append(args) or real(*args))
-    datum = build_cartan("B2")
-    v, w = {(1, 2): 1, (1, 4): 2, (2, 2): 2, (2, 4): 1}, {(2, 0): 1}
-    assert len(exhaustive_search(datum, v, w, F2)) == 512
-    assert calls == [(datum, v, w)]
 
 
 def test_step_matches_the_per_kind_grading_on_the_corpus():
@@ -722,11 +730,12 @@ def test_stability_matches_walking_up_at_mixed_theta():
 
 def test_the_search_plans_each_theta_once(monkeypatch):
     # the walk plan reads only datum, v, w and theta, so a search looks it
-    # up once per theta, and builds it then, whatever its point count, and a
-    # check of each of its points after finds it cached.  Building it takes
-    # one step plan per letter of the route's word and one spin plan, none
-    # where a step is onto for no point (here one or two of the s_i theta);
-    # neither is cached, so S_i on a point builds its step plan again
+    # up once per theta, and builds it then into the layout of its dims,
+    # whatever its point count, and a check of each of its points after
+    # finds that same plan there.  Building it takes one step plan per
+    # letter of the route's word and one spin plan, none where a step is
+    # onto for no point (here one or two of the s_i theta); neither is
+    # cached, so S_i on a point builds its step plan again
     calls = Counter()
     for name in ("_route", "_step_plan", "_spin_plan"):
         monkeypatch.setattr(quiver, name, lambda *args, name=name, real=getattr(
@@ -737,17 +746,20 @@ def test_the_search_plans_each_theta_once(monkeypatch):
                                               for theta in thetas) if route)
     for v, count, walks in [({(1, 2): 1, (2, 2): 1}, 2, 3),
                             ({(1, 2): 1, (1, 4): 2, (2, 2): 2, (2, 4): 1}, 512, 2)]:
-        quiver._walk_plan.cache_clear()
+        quiver._layout.cache_clear()
         calls.clear()
         points = exhaustive_search(datum, v, {(2, 0): 1}, F2, thetas=thetas)
         assert len(points) == count
         built = {"_route": len(thetas), "_step_plan": letters, "_spin_plan": walks}
         assert calls == built
+        rep = points[0].rep
+        plans = dict(quiver._layout_of(datum, rep.v, rep.w).plans)
+        assert list(plans) == list(thetas)
         for theta in thetas:
             for point in points:
                 stability_check(point.rep, theta)
-        info = quiver._walk_plan.cache_info()
-        assert (info.hits, info.misses) == (len(thetas) * count, len(thetas))
+        after = quiver._layout_of(datum, rep.v, rep.w).plans
+        assert all(after[theta] is plan for theta, plan in plans.items())
         assert calls == built
         calls.clear()
         for point in points:
@@ -765,7 +777,7 @@ def test_a_phi_domain_below_its_target_is_unstable_for_the_dims_alone():
     v, w = {(1, 1): 1}, {(1, 0): 1}
     assert quiver._route(datum, theta) == (True, (1,))
     assert quiver._step_plan(datum, 1, {(1, -1): 1}, {(1, 0): 1}) is None
-    assert quiver._walk_plan(datum, (((1, 1), 1),), (((1, 0), 1),), theta) is False
+    assert quiver._walk_plan(datum, quiver._layout_of(datum, v, w), theta) is False
     for value in (0, 1):
         rep = GradedQuiverRep(datum, F2, v, w, {(("W", 1, 0), ("V", 1, 1)): [[value]]})
         assert stability_check(rep, theta) is False
@@ -780,9 +792,9 @@ def test_every_dims_only_verdict_agrees_with_the_full_lattice():
     for label, sample in [("A2", None), ("B2", 16)]:
         for datum, _, _, _, _, points in quiver_corpus_cases(label, sums=True):
             rep = points[0].rep
-            key_v, key_w = quiver._dims_key(rep.v), quiver._dims_key(rep.w)
+            layout = quiver._layout_of(datum, rep.v, rep.w)
             for theta in filter(_mixed, _chamber_thetas(datum)):
-                if quiver._walk_plan(datum, key_v, key_w, theta) is not False:
+                if quiver._walk_plan(datum, layout, theta) is not False:
                     continue
                 for point in points:
                     assert stability_check(point.rep, theta) is False
@@ -798,7 +810,7 @@ def test_every_dims_only_verdict_agrees_with_the_full_lattice():
 def test_the_dual_point_keeps_the_grading_and_the_relations(rep):
     # each relation of x^T is the transpose of one of x, so a random point
     # and its dual fail the same number of relations
-    dual = quiver._dual(rep)
+    dual = dual_point(rep)
     GradedQuiverRep(dual.datum, dual.field, dual.v, dual.w, dual.maps)
     assert len(validate_relations(dual)) == len(validate_relations(rep))
 
@@ -806,10 +818,10 @@ def test_the_dual_point_keeps_the_grading_and_the_relations(rep):
 def test_the_dual_point_is_an_involution_on_the_corpus():
     for _, reps in _point_groups():
         for rep in reps:
-            dual = quiver._dual(rep)
+            dual = dual_point(rep)
             GradedQuiverRep(dual.datum, dual.field, dual.v, dual.w, dual.maps)
             assert validate_relations(dual) == []
-            back = quiver._dual(dual)
+            back = dual_point(dual)
             assert (back.v, back.w, back.maps) == (rep.v, rep.w, rep.maps)
 
 
@@ -820,7 +832,7 @@ def test_duality_of_stability_on_the_corpus():
     for datum, reps in _point_groups():
         thetas = _chamber_thetas(datum)
         for rep in reps:
-            dual = quiver._dual(rep)
+            dual = dual_point(rep)
             for theta in thetas:
                 minus = tuple(-t for t in theta)
                 stable = stability_check(rep, theta)
@@ -841,7 +853,7 @@ def test_every_dual_walk_step_keeps_the_relations_and_the_dimensions():
             dual, word = quiver._route(datum, theta)
             for rep in reps:
                 if dual:
-                    rep = quiver._dual(rep)
+                    rep = dual_point(rep)
                 for i in word:
                     image = _reflect_kernel(rep, i)
                     if image is None:
@@ -1133,8 +1145,6 @@ def test_upsilon_squares_to_comparison():
 def test_upsilon_diagram_commutes_on_valid_points():
     # Phi at (i, a - d_ii) composed with the comparison map equals the loop
     # composed with Phi at (i, a), on every relation-satisfying point
-    from qcharlab.quiver import phi_blocks
-
     for label, v, w in [
         ("A2", {(1, 1): 1, (2, 2): 1}, {(1, 0): 1}),
         ("B2", {(1, 1): 1, (1, 5): 1, (2, 3): 1}, {(1, 0): 1}),
@@ -1149,10 +1159,8 @@ def test_upsilon_diagram_commutes_on_valid_points():
                 for base in grades:
                     for shift in range(-10, 11):
                         a = base + shift
-                        dom = sum(_block_dims(rep, phi_blocks(datum, i, a)))
-                        low = sum(
-                            _block_dims(rep, phi_blocks(datum, i, a - dii))
-                        )
+                        dom = sum(_block_dims(rep, i, a))
+                        low = sum(_block_dims(rep, i, a - dii))
                         if dom == 0:
                             continue
                         lhs = mat_mul_shaped(
@@ -1170,8 +1178,6 @@ def test_upsilon_diagram_commutes_on_valid_points():
 
 def test_phi_surjective_on_stable_points():
     # negative-chamber stable points have every assembled map onto
-    from qcharlab.quiver import phi_blocks
-
     for label, v, w in [
         ("A2", {(1, 1): 1, (2, 2): 1}, {(1, 0): 1}),
         ("B2", {(1, 1): 1, (1, 5): 1, (2, 3): 1}, {(1, 0): 1}),
@@ -1198,8 +1204,6 @@ def test_phi_surjective_on_stable_points():
 def test_reflected_coframing_is_kernel_projection():
     # a stable B = 0 point reflects to one whose new coframing is literally
     # the framing-slot rows of each kernel basis
-    from qcharlab.quiver import phi_blocks
-
     datum = build_cartan("B2")
     v = {(1, 1): 1, (2, 3): 1}
     w = {(1, 0): 1}
@@ -1217,8 +1221,7 @@ def test_reflected_coframing_is_kernel_projection():
             if space != "W":
                 continue
             assert i == 1
-            blocks = phi_blocks(datum, 1, a)
-            dims = _block_dims(point.rep, blocks)
+            dims = _block_dims(point.rep, 1, a)
             phi = grade_map(point.rep, "phi", 1, a)
             basis, _ = kernel_basis(F2, phi, cols=sum(dims))
             assert mat == [list(basis[r]) for r in range(dims[0])]
@@ -1303,7 +1306,7 @@ def test_the_pruned_relation_table_decides_every_raw_point():
     datum = build_cartan("A2")
     v, w, fld = {(1, 1): 1, (2, 2): 1, (1, 3): 1}, {(1, 0): 1}, PrimeField(3)
     keys = set(valid_map_keys(datum, v, w))
-    table = quiver._relation_table(datum, v, w)
+    table = quiver._relation_table(datum, v, w, keys)
     assert [len(paths) for *_, paths in table] == [1, 1, 1]
     assert all(keys.issuperset(path) for *_, paths in table for path in paths)
     counts = Counter()
