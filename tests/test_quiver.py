@@ -325,6 +325,46 @@ def test_relation_checks_build_no_zero_matrix(monkeypatch):
     assert calls == []
 
 
+def test_search_builds_the_relation_table_once(monkeypatch):
+    # the table reads only datum, v and w, which every point of one search
+    # shares; so do the slots of each path, resolved by _step only while the
+    # table and the one list of map slots are built (each count starts from
+    # cold caches of the layouts and the block paths, so it holds whatever
+    # ran before)
+    calls, steps = [], []
+    real, real_step = quiver._relation_table, quiver._step
+    monkeypatch.setattr(quiver, "_relation_table",
+                        lambda *args, **kwargs: calls.append(args)
+                        or real(*args, **kwargs))
+    monkeypatch.setattr(quiver, "_step",
+                        lambda *args: steps.append(args) or real_step(*args))
+    datum = build_cartan("B2")
+    v, w = {(1, 2): 1, (1, 4): 2, (2, 2): 2, (2, 4): 1}, {(2, 0): 1}
+    quiver._block_paths.cache_clear()
+    real(datum, v, w, valid_map_keys(datum, v, w))
+    once = len(steps)
+    steps.clear()
+    quiver._layout.cache_clear()
+    quiver._block_paths.cache_clear()
+    points = exhaustive_search(datum, v, w, F2)
+    assert len(points) == 512
+    assert len(calls) == 1
+    assert len(steps) == once > 0
+
+
+def test_search_lists_the_map_slots_once(monkeypatch):
+    # the slot list and the relation table's pruning read the same keys
+    calls = []
+    real = quiver.valid_map_keys
+    monkeypatch.setattr(quiver, "valid_map_keys",
+                        lambda *args: calls.append(args) or real(*args))
+    quiver._layout.cache_clear()
+    datum = build_cartan("B2")
+    v, w = {(1, 2): 1, (1, 4): 2, (2, 2): 2, (2, 4): 1}, {(2, 0): 1}
+    assert len(exhaustive_search(datum, v, w, F2)) == 512
+    assert calls == [(datum, v, w)]
+
+
 def test_nothing_is_built_twice_for_equal_dims(monkeypatch):
     # the map slots and the relation table read only datum, v and w: a
     # search builds them once into the layout of its dims, and the checks
