@@ -164,6 +164,9 @@ def _parse_word(text):
 
 def _parse_theta(text, datum):
     """A generic theta over the nodes of ``datum``; one value stands for all."""
+    # Fraction("1e999999999") computes 10**e before any check can refuse it
+    if "e" in text.lower():
+        raise _UsageError(f"cannot parse theta {text!r}")
     try:
         parts = [Fraction(part.strip()) for part in text.split(",")]
     except (ValueError, ZeroDivisionError):
