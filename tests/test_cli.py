@@ -725,23 +725,46 @@ def test_the_parser_is_built_once_on_the_first_call(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
-def test_a_run_loads_only_the_standard_library(tmp_path):
-    # -S keeps site-packages off sys.path, so a third-party import fails;
-    # dataclasses and inspect are standard but cost start-up time, and
-    # shutil, which argparse's stock formatter imports, costs parser time
+@pytest.fixture(scope="module")
+def loaded_modules(tmp_path_factory):
+    # one python -S process: -S keeps site-packages off sys.path, so a
+    # third-party import fails; the modules loaded after the import of
+    # qcharlab.cli and after one run of main are read back as JSON
     src = str(Path(__file__).resolve().parents[1] / "src")
     script = (
-        f"import sys; sys.path.insert(0, {src!r}); from qcharlab.cli import main\n"
+        f"import json, sys; sys.path.insert(0, {src!r}); from qcharlab.cli import main\n"
+        "imported = sorted(sys.modules)\n"
         "rc = main(['qchar', '--type', 'A2', '--node', '1'])\n"
-        "outside = sorted(name for name in sys.modules if name.split('.')[0]\n"
-        "                 not in sys.stdlib_module_names | {'__main__', 'qcharlab'})\n"
-        "slow = sorted({'dataclasses', 'inspect', 'shutil'} & set(sys.modules))\n"
-        "print(rc, outside, slow)\n"
+        "print(json.dumps([imported, rc, sorted(sys.modules)]))\n"
     )
-    done = subprocess.run([sys.executable, "-S", "-c", script], cwd=tmp_path,
+    done = subprocess.run([sys.executable, "-S", "-c", script],
+                          cwd=tmp_path_factory.mktemp("imports"),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "0 [] []"
+    imported, rc, ran = json.loads(done.stdout.splitlines()[-1])
+    assert rc == 0
+    return set(imported), set(ran)
+
+
+def test_a_run_loads_only_the_standard_library(loaded_modules):
+    _, ran = loaded_modules
+    outside = sorted(name for name in ran if name.split(".")[0]
+                     not in sys.stdlib_module_names | {"__main__", "qcharlab"})
+    assert outside == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect(loaded_modules):
+    # both are standard but cost start-up time
+    imported, ran = loaded_modules
+    assert {"dataclasses", "inspect"} & imported == set()
+    assert {"dataclasses", "inspect"} & ran == set()
+
+
+def test_a_run_loads_no_shutil(loaded_modules):
+    # argparse's stock formatter imports shutil (bz2, lzma, fnmatch) for
+    # the terminal width; the parser's own formatter reads it without
+    _, ran = loaded_modules
+    assert "shutil" not in ran
 
 
 @pytest.mark.parametrize("columns", ["40", "80", "200"])
