@@ -312,7 +312,7 @@ def verify_theorem_main(qchar, weyl_cap=DEFAULT_WEYL_CAP):
     framing = unit_framing(node)
     longest = (-1,) * datum.rank  # w_0 rho = -rho
     # one column per row of the character; a vector is built only for a violation
-    columns = [items for items, _ in qchar._rows]
+    columns = [items for items, _ in qchar._item_rows()]
 
     found = []
     simple_bad = 0

@@ -19,8 +19,8 @@ word (``braid._push_dims``, framing Y_{k,0}), with its parameters negated;
 ibar is read off the one lowering w_0 x of the regular dominant
 x = (1, 2, ..., r), which holds -i at ibar since w_0 omega_i = -omega_ibar;
 and c is the smallest plus the largest parameter of v_low.  The mirror
-starts every image from the row of v_low, prebuilt once, and stores one
-entry per entry of v at tau's cell.
+starts every image from the codes of v_low, prebuilt once, and stores one
+code per code of v at tau's cell, both read from lists indexed by code.
 
 Pending work is held in one level per height, and a target goes straight
 into the level of its parent's height plus its pattern's exponent sum;
@@ -38,15 +38,18 @@ factors touch, the change there (read from the shared table of
 :mod:`qcharlab.lweights`) and a map {old part id: new part id} shared by
 every target with that change, filled the first time each transition is
 used.  Only a new target gets its Y, its parent's list of ids with those
-few swapped, and its sorted items, the tuple ``AMonomialVector.items()``
-returns: its parent's with the pattern's few (i, a) entries raised in
-place, each found by bisection and taken from the character's one pool of
-((i, a), m) tuples, which the mirror reads too.  Entries only grow, so the
-tuple stays sorted and free of zeros.  The closure builds no
-AMonomialVector, and a pending v holds no dict but its requirements: each
-height's (items, mu) row, processed or mirrored, is appended to one list,
-and each level is processed in the order of its tuples, so the rows come
-out in the canonical order of :class:`QChar` without a sort of their own.
+few swapped, and its codes: v's entries ((i, a), m) as their indices in the
+character's pool, the flat list of every cell of v_low with m = 0 .. its
+top in turn, in sorted order, so codes order as the entries do.  A
+target's codes are its parent's with the pattern's few cells raised in
+place, each found by bisecting ints and raised by adding r, every code
+taken from one shared list of the pool's indices.  Entries only grow, so
+the codes stay sorted and hold no m = 0.  The closure builds no
+AMonomialVector and hashes no entry, and a pending v holds no dict but its
+requirements: each height's (codes, mu) row, processed or mirrored, is
+appended to one list, and each level is processed in the order of its
+codes, so the rows come out in the canonical order of :class:`QChar`
+without a sort of their own.
 Within a level the processing order is irrelevant, which the determinism
 tests check by shuffling it; a shuffled closure sorts its rows, so it
 writes the same canonical text.
@@ -129,33 +132,49 @@ def sl2_expansion(d_i, multiset):
 class QChar:
     """A q-character: anchor node plus multiplicities over A-monomial vectors.
 
-    It is stored as ``_rows``, one (items, mu) pair per monomial, items being
-    the sorted items tuple of its A-vector, in canonical order: by A-height,
-    then by items.  That is the order ``to_json_text`` writes and the order
-    of ``entries``, the {AMonomialVector: mu} dict built on first read.
+    It is stored as a pool and rows.  ``_pool`` is a sorted list of
+    ((i, a), m) entries; ``_rows`` holds one (codes, mu) pair per monomial,
+    codes being the indices in the pool of the sorted items of its
+    A-vector, in canonical order: by A-height, then by items, which codes
+    order as the entries do.  That is the order ``to_json_text`` writes and
+    the order of ``entries``, the {AMonomialVector: mu} dict built on first
+    read.  A character built from entries pools the entries they hold; the
+    closure's pool is every entry below v_low (see :func:`_mirror_map`).
     """
 
     def __init__(self, datum, anchor, entries):
         self.datum = datum
         self.anchor = anchor
+        self._pool = sorted({item for vec in entries for item in vec.items()})
+        code = {item: n for n, item in enumerate(self._pool)}
         self._rows = sorted(
-            ((vec.items(), mu) for vec, mu in entries.items()), key=_row_order)
+            ((tuple(map(code.__getitem__, vec.items())), mu)
+             for vec, mu in entries.items()),
+            key=_row_order(self._pool))
 
     @classmethod
-    def _trusted(cls, datum, anchor, rows):
-        """The q-character of ``rows``, (items, mu) pairs already in canonical
-        order, with no two items equal, and not used after."""
+    def _trusted(cls, datum, anchor, pool, rows):
+        """The q-character of ``rows``, (codes, mu) pairs over ``pool``
+        already in canonical order, with no two codes equal, and neither
+        used after."""
         result = cls.__new__(cls)
         result.datum = datum
         result.anchor = anchor
+        result._pool = pool
         result._rows = rows
         return result
+
+    def _item_rows(self):
+        """The (items, mu) of each row, items decoded as the pool's tuples."""
+        decode = self._pool.__getitem__
+        return [(tuple(map(decode, codes)), mu) for codes, mu in self._rows]
 
     @cached_property
     def entries(self):
         """{AMonomialVector: mu} in canonical order, one vector per row."""
         anchor = self.anchor
-        return {AMonomialVector._trusted(anchor, items): mu for items, mu in self._rows}
+        return {AMonomialVector._trusted(anchor, items): mu
+                for items, mu in self._item_rows()}
 
     def multiplicity(self, vec):
         return self.entries.get(vec, 0)
@@ -170,15 +189,16 @@ class QChar:
         """The height of the last row: rows run by increasing height."""
         if not self._rows:
             raise ValueError("an empty q-character has no height")
-        return _row_height(self._rows[-1])
+        return _row_height(self._pool)(self._rows[-1])
 
     def __eq__(self, other):
-        return (
-            isinstance(other, QChar)
-            and self.datum.label == other.datum.label
-            and self.anchor == other.anchor
-            and self._rows == other._rows
-        )
+        if not (isinstance(other, QChar)
+                and self.datum.label == other.datum.label
+                and self.anchor == other.anchor):
+            return False
+        if self._pool == other._pool:
+            return self._rows == other._rows
+        return self._item_rows() == other._item_rows()
 
     def __repr__(self):
         return (
@@ -199,19 +219,19 @@ class QChar:
         """The text of :meth:`to_json_text` in pieces: the envelope's head,
         one chunk per height (its rows joined, led by a comma after the
         first), and the envelope's tail.  Writing the pieces one by one
-        never holds the whole text.  The few distinct "[i,a,m]" cells are
-        formatted once each, and no object tree is built.
+        never holds the whole text.  Each pool entry's "[i,a,m]" is
+        formatted once, read by code, and no object tree is built.
         """
         yield f'{{"conventions":{json.dumps(CONVENTIONS_VERSION)},"entries":['
-        cells = _Cells()
+        texts = [f"[{i},{a},{m}]" for (i, a), m in self._pool]
+        height = _row_height(self._pool)
         rows = self._rows
         start, lead = 0, ""
         while start < len(rows):
-            end = bisect_right(rows, _row_height(rows[start]), lo=start,
-                               key=_row_height)
+            end = bisect_right(rows, height(rows[start]), lo=start, key=height)
             yield lead + ",".join([
-                f'{{"mu":{mu},"v":[{",".join(map(cells.__getitem__, items))}]}}'
-                for items, mu in rows[start:end]
+                f'{{"mu":{mu},"v":[{",".join(map(texts.__getitem__, codes))}]}}'
+                for codes, mu in rows[start:end]
             ])
             start, lead = end, ","
         yield f'],"node":{self.anchor},"type":{json.dumps(self.datum.label)}}}'
@@ -233,23 +253,17 @@ class QChar:
         return cls(datum, int(obj["node"]), entries)
 
 
-def _row_height(row):
-    """The A-height of an (items, mu) row: the sum of its entries."""
-    return sum(map(itemgetter(1), row[0]))
+def _row_height(pool):
+    """The A-height of a (codes, mu) row over ``pool``: the sum of its m."""
+    values = list(map(itemgetter(1), pool))
+    return lambda row: sum(map(values.__getitem__, row[0]))
 
 
-def _row_order(row):
-    """The canonical sort key of a row: its height, then its items."""
-    return _row_height(row), row[0]
-
-
-class _Cells(dict):
-    """((i, a), m) -> its JSON text "[i,a,m]", formatted on first use."""
-
-    def __missing__(self, item):
-        (i, a), m = item
-        text = self[item] = f"[{i},{a},{m}]"
-        return text
+def _row_order(pool):
+    """The canonical sort key of a row over ``pool``: its height, then its
+    codes."""
+    height = _row_height(pool)
+    return lambda row: (height(row), row[0])
 
 
 def fm_qchar(
@@ -279,13 +293,13 @@ def fm_qchar(
     if max_height is None:
         max_height = bound
     half = bound // 2
-    pool, mirrored = _mirror_map(datum, node, word)
+    pool, codes, spans, mirrored = _mirror_map(datum, node, word)
     # a pending v is keyed by its entries packed into one int, a field of
     # bound.bit_length() bits per cell of v_low: every v lies below v_low,
     # and no entry passes the height, so no field carries into the next and
     # the key names v
     width = bound.bit_length()
-    offsets = {cell: n * width for n, cell in enumerate(pool)}
+    offsets = {cell: n * width for n, cell in enumerate(spans)}
     table = _a_inverse_table(datum)
     parts = _Parts()
     built = parts.targets
@@ -295,11 +309,11 @@ def fm_qchar(
     steps = {}
     anchor_y = [parts.intern(i, ((0, 1),) if i == node else ())
                 for i in datum.nodes]
-    # (v as its sorted items, mu) for each v, by height and then by items
+    # (v as its codes, mu) for each v, by height and then by codes
     rows = []
     # closed[h]: the part of rows of A-height h <= half
     closed = []
-    # levels[h]: key of v -> (v as its sorted items, key, Y(v) as part ids,
+    # levels[h]: key of v -> (v as its codes, key, Y(v) as part ids,
     # {direction: requirement}) for each pending v of A-height h <= half
     levels = [{} for _ in range(half + 1)]
     levels[0][0] = ((), 0, anchor_y, {0: 1})
@@ -343,9 +357,9 @@ def fm_qchar(
                     continue
                 if targets is None:
                     targets = built[part] = _moves(
-                        datum, table, shapes, steps, offsets, pool,
+                        datum, table, shapes, steps, offsets, spans,
                         *parts.keys[part])
-                for rise, delta, coeff, cells, changes in targets:
+                for rise, delta, coeff, raises, changes in targets:
                     if rise > room:
                         break  # the mirror gives this target and the rest
                     level_up = levels[height + rise]
@@ -360,11 +374,11 @@ def fm_qchar(
                                 new = moved[old] = _shift(parts, old, change)
                             y_up[j] = new
                         slot = level_up[target] = (
-                            _raised(items, cells), target, y_up, {})
+                            _raised(items, raises, codes), target, y_up, {})
                     slot[3][i] = slot[3].get(i, 0) + excess * coeff
     if shuffle_rng is not None:  # a shuffled level leaves its height out of order
-        rows.sort(key=_row_order)
-    return QChar._trusted(datum, node, rows)
+        rows.sort(key=_row_order(pool))
+    return QChar._trusted(datum, node, pool, rows)
 
 
 class _Parts:
@@ -404,16 +418,16 @@ def _shift(parts, old, change):
     return parts.intern(i, tuple(sorted(_accumulate(dict(part), change).items())))
 
 
-def _moves(datum, table, shapes, steps, offsets, pool, i, part):
+def _moves(datum, table, shapes, steps, offsets, spans, i, part):
     """The targets of the i-part ``part`` (sorted (a, exponent) pairs), by rise.
 
-    One (rise, delta, coeff, cells, changes) per nonempty ``sl2_expansion``
-    pattern: ``cells`` the ((i, a), r, shared) entries the pattern raises,
-    ``shared`` being the cell's list in ``pool`` (see :func:`_mirror_map`)
-    and (i, a) its own cell object, ``rise`` the sum of the r, ``delta``
-    what they add to a packed key (``offsets`` maps a cell to its field),
-    and ``changes`` what their A^{-r} factors multiply into Y(v): one
-    (j - 1, change, moved) per node j they touch, ``change`` the (p, e)
+    One (rise, delta, coeff, raises, changes) per nonempty ``sl2_expansion``
+    pattern: ``raises`` the (start, top, r) per cell the pattern raises by
+    r, start and top being the codes of the cell's m = 0 and of its top
+    (``spans``, see :func:`_mirror_map`), ``rise`` the sum of the r,
+    ``delta`` what they add to a packed key (``offsets`` maps a cell to its
+    field), and ``changes`` what their A^{-r} factors multiply into Y(v):
+    one (j - 1, change, moved) per node j they touch, ``change`` the (p, e)
     items at j and ``moved`` the {old part id: new part id} that ``steps``
     shares among every target with that change at j, filled on first use.
     The expansion commutes with shifting the i-part, so it is asked once
@@ -430,39 +444,40 @@ def _moves(datum, table, shapes, steps, offsets, pool, i, part):
         ]
     targets = []
     for pattern, coeff in shape:
-        cells = []
-        for p, r in pattern:
-            shared = pool[i, low + p]
-            cells.append((shared[0][0], r, shared))
+        raises = []
+        delta = 0
         change = {}
-        for cell, r, _ in cells:
+        for p, r in pattern:
+            cell = (i, low + p)
+            raises.append((*spans[cell], r))
+            delta += r << offsets[cell]
             _accumulate(change, table[cell], r)
         changes = []
         for j, group in groupby(sorted(change.items()),
                                 key=lambda item: item[0][0]):
             items = tuple((p, e) for (_, p), e in group)
             changes.append((j - 1, items, steps.setdefault((j, items), {})))
-        targets.append((sum(r for _, r, _ in cells),
-                        sum(r << offsets[cell] for cell, r, _ in cells),
-                        coeff, tuple(cells), tuple(changes)))
+        targets.append((sum(r for _, r in pattern), delta, coeff,
+                        tuple(raises), tuple(changes)))
     targets.sort(key=itemgetter(0))
     return targets
 
 
-def _raised(items, cells):
-    """The sorted items of v raised by r at each (cell, r, shared) of ``cells``.
+def _raised(items, raises, codes):
+    """The codes of v raised by r at each (start, top, r) of ``raises``.
 
-    Each new entry is taken from ``shared``, the cell's pool list, never
-    built.  Entries only grow, so no zero appears and the result stays
-    canonical.
+    A cell's codes run from start (its m = 0, never in a row) to top, so
+    bisecting for start finds the cell's code if v holds one.  Each new
+    code is taken from ``codes``, the pool's shared indices, never built.
+    Entries only grow, so no m = 0 appears and the result stays canonical.
     """
     raised = list(items)
-    for cell, r, shared in cells:
-        at = bisect_left(raised, (cell,))
-        if at < len(raised) and raised[at][0] == cell:
-            raised[at] = shared[raised[at][1] + r]
+    for start, top, r in raises:
+        at = bisect_left(raised, start)
+        if at < len(raised) and raised[at] <= top:
+            raised[at] = codes[raised[at] + r]
         else:
-            raised.insert(at, shared[r])
+            raised.insert(at, codes[start + r])
     return tuple(raised)
 
 
@@ -489,48 +504,53 @@ def _mirror(datum, node, word):
 
 
 def _mirror_map(datum, node, word):
-    """The character's cell pool, and the map from the (items, mu) of a
-    height h to those of height H - h, sorted by items.
+    """The character's pool, its codes, the span of each cell, and the map
+    from the (codes, mu) of a height h to those of height H - h, sorted by
+    codes.
 
     Every v lies below v_low: v_low - tau(v) lies in the cone, and tau fixes
-    v_low.  So every entry ((i, a), m) of every v is found in the pool,
-    which maps each cell (i, a) of v_low, in sorted order, to its list
-    [((i, a), m) for m = 0 .. v_low's entry], one tuple per cell and value
-    over one cell object.  Two things are built once: the full row of
-    v_low, its top pool entries in cell order, and a map from each pool
-    entry to the index of tau of its cell and its image there, v_low's
+    v_low.  So every entry ((i, a), m) of every v is found in the pool, the
+    list of each cell (i, a) of v_low, in sorted order, with m = 0 .. v_low's
+    entry in turn, one tuple per entry over one cell object.  An entry's
+    code is its index there, and ``codes`` holds every code once, so rows
+    share their int objects.  ``spans`` maps each cell, in order, to the
+    codes of its m = 0 and of its top.  Three lists are built once: the
+    codes of v_low, its top entries in cell order, and, indexed by code,
+    the index of tau of the code's cell and the code's image there, v_low's
     entry minus its own, or None where that is 0.  Each image is then a
-    copy of the full row with one store per entry of v, None dropped.  The
-    closure raises its entries to the pool's too, so equal entries are one
-    object and sorts and lookups compare them by identity first.  No result
-    depends on it: every comparison is by ``==``.
+    copy of v_low's codes with one store per code of v, None dropped.
     """
     lowest, bar, centre = _mirror(datum, node, word)
     cells = sorted(lowest)
-    shared = [[(cell, m) for m in range(lowest[cell] + 1)] for cell in cells]
-    full = [entries[-1] for entries in shared]
+    pool = [(cell, m) for cell in cells for m in range(lowest[cell] + 1)]
+    codes = list(range(len(pool)))
+    spans = {}
+    start = 0
+    for cell in cells:
+        spans[cell] = (codes[start], codes[start + lowest[cell]])
+        start += lowest[cell] + 1
+    full = [top for _, top in spans.values()]
     index = {cell: n for n, cell in enumerate(cells)}
-    # each pool entry -> (index of tau of its cell, its image there or None);
-    # tau fixes v_low, so both cells have the same top
-    images = {}
-    for cell, entries in zip(cells, shared):
+    # tau fixes v_low, so a cell and tau of it have the same top
+    taus = []
+    images = []
+    for cell, m in pool:
         at = index[bar[cell[0]], centre - cell[1]]
-        top = len(entries) - 1
-        for m, entry in enumerate(entries):
-            images[entry] = (at, shared[at][top - m] if m < top else None)
+        taus.append(at)
+        images.append(codes[full[at] - m] if m < lowest[cell] else None)
 
     def mirrored(row):
         level = []
         for items, mu in row:
             values = full.copy()
-            for item in items:
-                at, image = images[item]
-                values[at] = image
+            for code in items:
+                values[taus[code]] = images[code]
+            # code 0 holds m = 0, so dropping it with None drops no entry
             level.append((tuple(filter(None, values)), mu))
         level.sort(key=itemgetter(0))
         return level
 
-    return dict(zip(cells, shared)), mirrored
+    return pool, codes, spans, mirrored
 
 
 def classical_character(qchar):
@@ -542,7 +562,7 @@ def classical_character(qchar):
     top = fundamental_weight(datum, qchar.anchor)
     alphas = [simple_root_weight_coords(datum, i) for i in datum.nodes]
     out = {}
-    for items, mu in qchar._rows:
+    for items, mu in qchar._item_rows():
         weight = list(top)
         for (i, _), mult in items:
             for j, c in enumerate(alphas[i - 1]):

@@ -718,13 +718,20 @@ RANK_FOUR_CASES = [(label, node) for label in ORACLE_LABELS
 
 @pytest.mark.parametrize("label,node", [("A3", 2), ("F4", 1), ("E6", 4)])
 def test_equal_cells_are_one_object(label, node):
-    # the closure raises and mirrors every ((i, a), m) entry to one tuple of
-    # the character's pool, so equal cells across its rows are one object
+    # the closure raises and mirrors every v to codes, indices of its
+    # ((i, a), m) entries in the character's pool, so each decoded entry is
+    # the pool's own tuple and codes order as the entries do
     datum = build_cartan(label)
     for rng in (None, random.Random(label)):
         q = fm_qchar(datum, node, shuffle_rng=rng)
-        cells = [cell for items, _ in q._rows for cell in items]
-        assert len({id(cell) for cell in cells}) == len(set(cells))
+        pool = q._pool
+        for codes, _ in q._rows:
+            assert all(0 <= code < len(pool) for code in codes)
+            assert all(a < b for a, b in zip(codes, codes[1:]))
+            assert all(pool[code][1] for code in codes)
+        pooled = {id(item) for item in pool}
+        assert all(id(item) in pooled
+                   for vec in q.entries for item in vec.items())
 
 
 @pytest.mark.parametrize("label,node", RANK_FOUR_CASES)
@@ -803,9 +810,11 @@ def test_e7_node_4_trips_the_default_monomial_cap_in_the_mirrored_half():
 
 
 # E8 node 2 as the closure wrote it when every vector also kept a dict copy
-# of its entries; that closure peaked at about 405 MB, the tuple alone at 126
+# of its entries; that closure peaked at about 405 MB, the tuple alone at
+# 126, and rows of codes over one pool at about 100: its 7.3 million entries
+# would add over 200 MB if each held an object of its own
 E8_NODE_2_SHA256 = "2124d66a7beed95fe5920afbd1aa78b516f39b7af2d50324b2db7ff7568836b0"
-E8_NODE_2_PEAK_MB = 250
+E8_NODE_2_PEAK_MB = 150
 
 _E8_NODE_2_SCRIPT = r"""
 import hashlib, json, sys
@@ -831,9 +840,9 @@ digest = hashlib.sha256((q.to_json_text() + "\n").encode()).hexdigest()
 print(json.dumps([q.monomial_count(), q.total_multiplicity(), q.max_height(),
                   digest, file_digest, closure_kb, write_kb]))
 """
-# the peak after writing the file chunk by chunk; holding the whole text
-# took it to about 284 MB
-E8_NODE_2_WRITE_PEAK_MB = 160
+# the peak after writing the file chunk by chunk, about 105 MB; holding the
+# whole text took it to about 284 MB
+E8_NODE_2_WRITE_PEAK_MB = 150
 
 
 @pytest.mark.heavy
