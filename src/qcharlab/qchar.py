@@ -196,8 +196,6 @@ class QChar:
                 and self.datum.label == other.datum.label
                 and self.anchor == other.anchor):
             return False
-        if self._pool == other._pool:
-            return self._rows == other._rows
         return self._item_rows() == other._item_rows()
 
     def __repr__(self):

@@ -27,6 +27,8 @@ from qcharlab.lweights import (
 from qcharlab.qchar import (
     QChar,
     _mirror,
+    _mirror_map,
+    _raised,
     classical_character,
     fm_qchar,
     sl2_expansion,
@@ -734,6 +736,34 @@ def test_equal_cells_are_one_object(label, node):
                    for vec in q.entries for item in vec.items())
 
 
+# CPython caches the ints up to 256 only, so past that a code computed
+# rather than read from ``codes`` is an object of its own for each entry
+
+def test_raised_codes_are_the_pools_own_ints():
+    codes = list(range(450))
+    # three cells of 150 slots, whose m = 0 are codes 0, 150 and 300: v
+    # holds m = 110 at the second, which rises, and gains the other two
+    raises = ((150, 299, 5), (300, 449, 20), (0, 149, 3))
+    raised = _raised((codes[260],), raises, codes)
+    assert raised == (3, 265, 320)
+    assert all(code is codes[code] for code in raised)
+
+
+def test_mirrored_codes_are_the_pools_own_ints():
+    datum = build_cartan("E8")
+    word = _lower(datum, fundamental_weight(datum, 4))[2]
+    pool, codes, _, mirrored = _mirror_map(datum, 4, word)
+    assert len(pool) == 376
+    # the empty v and each single entry, whose images hold the top codes
+    # and one code below a top
+    rows = [((), 1)] + [((code,), 1) for code in codes if pool[code][1]]
+    images = mirrored(rows)
+    assert max(code for row, _ in images for code in row) > 256
+    assert all(code is codes[code] for row, _ in images for code in row)
+    # v -> v_low - tau(v) is an involution
+    assert mirrored(images) == rows
+
+
 @pytest.mark.parametrize("label,node", RANK_FOUR_CASES)
 def test_row_readers_match_the_entries(label, node):
     # classical_character against the entries is
@@ -811,8 +841,9 @@ def test_e7_node_4_trips_the_default_monomial_cap_in_the_mirrored_half():
 
 # E8 node 2 as the closure wrote it when every vector also kept a dict copy
 # of its entries; that closure peaked at about 405 MB, the tuple alone at
-# 126, and rows of codes over one pool at about 100: its 7.3 million entries
-# would add over 200 MB if each held an object of its own
+# 126, and rows of codes over one pool at about 102.  Its pool has 228
+# slots, all cached ints, so this bound cannot see whether rows share their
+# codes: the two *_are_the_pools_own_ints tests check that past 256
 E8_NODE_2_SHA256 = "2124d66a7beed95fe5920afbd1aa78b516f39b7af2d50324b2db7ff7568836b0"
 E8_NODE_2_PEAK_MB = 150
 
