@@ -53,46 +53,15 @@ def _layout(family, rank):
     raise UnsupportedType(f"no finite type {family}{rank} in the supported range")
 
 
-class CartanDatum:
+class CartanDatum(namedtuple("CartanDatum", "label rank sym cartan d m")):
     """Symmetrized Cartan data of a finite type.
 
     ``sym[i-1][j-1]`` is the symmetric pairing d_ij of simple roots,
     ``cartan[i-1][j-1]`` the Cartan entry c_ij = 2 d_ij / d_ii, ``d[i-1]``
     the half-length d_i = d_ii / 2, and ``m[i-1][j-1]`` the order of s_i s_j.
-
-    Immutable, equal and hashed by its six fields.  The fields sit in slots,
-    which the kernels read faster than a tuple's fields, and the hash of the
-    fields, which every cache keyed by the datum takes, is computed once.
     """
 
-    __slots__ = ("label", "rank", "sym", "cartan", "d", "m", "_key", "_hash")
-
-    def __init__(self, label, rank, sym, cartan, d, m):
-        key = (label, rank, sym, cartan, d, m)
-        for name, value in zip(self.__slots__, (*key, key, hash(key))):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}"
-                           for name, value in zip(self.__slots__, self._key))
-        return f"CartanDatum({fields})"
-
-    def __reduce__(self):
-        return CartanDatum, self._key
+    __slots__ = ()
 
     @property
     def nodes(self):

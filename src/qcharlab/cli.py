@@ -500,6 +500,10 @@ def main(argv=None):
                                   in sorted(exc.diagnostics.items())),
                   file=sys.stderr)
         return EXIT_RESOURCE
+    except MemoryError:
+        # its own text is usually empty
+        print("resource error: out of memory", file=sys.stderr)
+        return EXIT_RESOURCE
     except QCharLabError as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION

@@ -29,8 +29,7 @@ from .errors import CapExceeded
 from .lweights import AMonomialVector
 
 
-class ConeViolation(namedtuple("ConeViolation", "word vector image positions")):
-    __slots__ = ()
+ConeViolation = namedtuple("ConeViolation", "word vector image positions")
 
 
 def _violation(word, vec, image):

@@ -59,8 +59,9 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from functools import cached_property
-from itertools import groupby
+from itertools import groupby, product
 from operator import itemgetter
 
 from .braid import _push_dims, unit_framing
@@ -79,8 +80,9 @@ def sl2_expansion(d_i, multiset):
     decomposed greedily (ascending) into maximal strings
     {b, b+2d_i, ..., b+2(l-1)d_i}; a string of length l contributes the l+1
     exponent patterns picking up A_{p + d_i}^{-1} factors from the top of the
-    string downward.  The full output is the distributive product over
-    strings, multiplicities added when patterns collide.  The empty pattern
+    string downward.  The full output is the product over strings, one
+    pattern per choice of a term on each, multiplicities added when patterns
+    collide, in ascending order of the sorted pattern.  The empty pattern
     (the top term) is always present with multiplicity 1.
     """
     counts = {p: m for p, m in multiset.items() if m}
@@ -99,34 +101,14 @@ def sl2_expansion(d_i, multiset):
             p += 2 * d_i
         strings.append(string)
 
-    # terms of one string: r = 0..l, picking the top r lowering positions
-    def string_terms(string):
-        length = len(string)
-        terms = []
-        for r in range(length + 1):
-            pattern = {}
-            for t in range(1, r + 1):
-                pos = string[length - t] + d_i
-                pattern[pos] = pattern.get(pos, 0) + 1
-            terms.append(pattern)
-        return terms
-
-    result = {(): 1}
-    for string in strings:
-        new = {}
-        for key, mult in result.items():
-            base = dict(key)
-            for pattern in string_terms(string):
-                combined = dict(base)
-                for pos, e in pattern.items():
-                    combined[pos] = combined.get(pos, 0) + e
-                ckey = tuple(sorted(combined.items()))
-                new[ckey] = new.get(ckey, 0) + mult
-        result = new
-    return sorted(
-        ((dict(key), mult) for key, mult in result.items()),
-        key=lambda item: sorted(item[0].items()),
-    )
+    # one term per pick of r = 0..l on each string: the top r positions of
+    # the string, each shifted by d_i; picks whose patterns collide add up
+    terms = Counter()
+    for picks in product(*(range(len(string) + 1) for string in strings)):
+        pattern = Counter(p + d_i for string, r in zip(strings, picks)
+                          for p in string[len(string) - r:])
+        terms[tuple(sorted(pattern.items()))] += 1
+    return [(dict(key), mult) for key, mult in sorted(terms.items())]
 
 
 class QChar:

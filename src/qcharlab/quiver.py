@@ -893,8 +893,7 @@ def chain_reflect(rep, theta, word):
 # exhaustive search
 
 
-class SearchPoint(namedtuple("SearchPoint", "rep stable")):
-    __slots__ = ()
+SearchPoint = namedtuple("SearchPoint", "rep stable")
 
 
 def exhaustive_search(datum, v, w, field, thetas=(),

@@ -363,6 +363,13 @@ def test_json_shape():
     assert obj == {"label": "B2", "d": [[2, -2], [-2, 4]], "c": [[2, -2], [-1, 2]]}
 
 
+def test_a_datum_is_the_tuple_of_its_six_fields():
+    datum = build_cartan("G2")
+    fields = (datum.label, datum.rank, datum.sym, datum.cartan, datum.d, datum.m)
+    assert tuple(datum) == fields and datum == fields
+    assert hash(datum) == hash(fields)
+
+
 def test_labels_with_and_without_underscore_build_equal_data():
     # two cache entries, one datum: equal, equally hashed, and one dict key
     plain, spaced = build_cartan("B2"), build_cartan("B_2")

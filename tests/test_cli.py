@@ -605,6 +605,24 @@ def test_cap_diagnostics_go_to_stderr(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_running_out_of_memory_is_resource_error(tmp_path, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps(POINT_A1))
+    out = tmp_path / "out.json"
+    for kernel, argv in [
+        ("fm_qchar", ("qchar", "--type", "A2", "--node", "1")),
+        ("reflect", ("quiver-reflect", "--node", "1", "--theta=-1", str(point))),
+    ]:
+        monkeypatch.setattr(cli, kernel, exhausted)
+        assert run(*argv, "--out", str(out)) == 2, kernel
+        err = capsys.readouterr().err
+        assert err == "resource error: out of memory\n", kernel
+        assert not out.exists(), kernel
+
+
 def test_weyl_cap_below_the_group_order_is_resource_error(tmp_path, capsys):
     report = tmp_path / "r.json"
     for command in (["extremal-check", "--report", str(report)], ["braid-orbit"]):

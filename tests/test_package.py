@@ -1,7 +1,7 @@
 """The package holds only what the program runs or exports: every public
-module-level function of ``src/qcharlab`` is either named by other code
-there or listed in ``qcharlab.__all__``.  A function only the tests call
-belongs in ``tests/helpers.py``."""
+module-level function or class of ``src/qcharlab`` is either named by
+other code there or listed in ``qcharlab.__all__``.  A function or class
+only the tests use belongs in ``tests/helpers.py``."""
 
 import ast
 from collections import Counter
@@ -19,22 +19,23 @@ def _names(node):
                    if isinstance(sub, (ast.Name, ast.Attribute)))
 
 
-def unreferenced_public_functions(package, exported):
-    """"module.name" of each public module-level function of the package
-    directory ``package`` that is not in ``exported`` and that no code of
-    the package names outside the function's own body."""
+def unreferenced_public_definitions(package, exported):
+    """"module.name" of each public module-level function or class of the
+    package directory ``package`` that is not in ``exported`` and that no
+    code of the package names outside its own body."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(package.glob("*.py"))}
     read = sum((_names(tree) for tree in trees.values()), Counter())
     return [f"{module}.{node.name}" for module, tree in trees.items()
             for node in tree.body
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
             and node.name not in exported
             and read[node.name] == _names(node)[node.name]]
 
 
 def test_every_public_function_is_run_or_exported():
-    assert unreferenced_public_functions(PACKAGE, set(qcharlab.__all__)) == []
+    assert unreferenced_public_definitions(PACKAGE, set(qcharlab.__all__)) == []
 
 
 def test_the_guard_flags_a_function_only_its_own_body_names(tmp_path):
@@ -50,4 +51,5 @@ def test_the_guard_flags_a_function_only_its_own_body_names(tmp_path):
         "def caller():\n    return one.used()\n\n"
         "caller()\n"
     )
-    assert unreferenced_public_functions(tmp_path, {"exported"}) == ["one.recursive"]
+    assert unreferenced_public_definitions(tmp_path, {"exported"}) == [
+        "one.recursive", "one.Holder"]

@@ -100,6 +100,29 @@ def test_sl2_expansion_respects_step():
     assert ({6: 1, 2: 1}, 1) in terms and len(terms) == 3
 
 
+def test_sl2_expansion_long_node_of_g2():
+    # d_i = 3: {0, 6} is one string of step 6 and {2} another, lowered at +3
+    assert sl2_expansion(3, {0: 1, 2: 1, 6: 1}) == [
+        ({}, 1),
+        ({3: 1, 5: 1, 9: 1}, 1),
+        ({3: 1, 9: 1}, 1),
+        ({5: 1}, 1),
+        ({5: 1, 9: 1}, 1),
+        ({9: 1}, 1),
+    ]
+
+
+def test_sl2_expansion_strings_of_two_lengths_collide():
+    # {0, 0, 2} splits into {0, 2} and {0}; {3} times {1} meets {1, 3} times {}
+    assert sl2_expansion(1, {0: 2, 2: 1}) == [
+        ({}, 1),
+        ({1: 1}, 1),
+        ({1: 1, 3: 1}, 2),
+        ({1: 2, 3: 1}, 1),
+        ({3: 1}, 1),
+    ]
+
+
 def test_sl2_expansion_rejects_negative_multiplicities():
     with pytest.raises(ValueError):
         sl2_expansion(1, {0: -1})
