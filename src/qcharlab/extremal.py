@@ -337,7 +337,7 @@ def verify_theorem_main(qchar, weyl_cap=DEFAULT_WEYL_CAP):
         found.sort(key=lambda item: (order[item[0]], item[1]))
         for weight, col, image in found:
             word = elements[order[weight]].word
-            vec = AMonomialVector._trusted(node, columns[col])
+            vec = AMonomialVector._make((node, columns[col]))
             violations.append(_violation(word, vec, _column(image, col)))
 
     word_mismatches = 0

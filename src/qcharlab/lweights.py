@@ -9,6 +9,7 @@ here.  The index conventions are spelled out in :mod:`qcharlab.conventions`.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
 from functools import lru_cache
 from operator import itemgetter
 
@@ -24,18 +25,19 @@ def _accumulate(data, items, scale=1):
     return data
 
 
-class LaurentMonomial:
-    """Immutable product of Y_{i,a}^{e} factors, stored as its sorted entries.
+class LaurentMonomial(tuple):
+    """Immutable product of Y_{i,a}^{e} factors: the tuple of its sorted
+    ((node, param), exp) entries, none with exp 0.
 
     The constructor accumulates: a key given twice gets the sum of its
     exponents, so a product is the monomial of both factors' entries.
     """
 
-    __slots__ = ("_key",)
+    __slots__ = ()
 
-    def __init__(self, exps=()):
+    def __new__(cls, exps=()):
         items = exps.items() if hasattr(exps, "items") else exps
-        self._key = tuple(sorted(_accumulate({}, items).items()))
+        return super().__new__(cls, sorted(_accumulate({}, items).items()))
 
     @classmethod
     def y(cls, node, param, exp=1):
@@ -43,19 +45,13 @@ class LaurentMonomial:
 
     def items(self):
         """Entries ((node, param), exp) in canonical (node, param) order."""
-        return self._key
-
-    def __eq__(self, other):
-        return isinstance(other, LaurentMonomial) and self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
+        return tuple(self)
 
     def __repr__(self):
-        if not self._key:
+        if not self:
             return "1"
         parts = []
-        for (node, param), exp in self._key:
+        for (node, param), exp in self:
             text = f"Y[{node},{param}]"
             if exp != 1:
                 text += f"^{exp}"
@@ -63,31 +59,31 @@ class LaurentMonomial:
         return "*".join(parts)
 
     def to_pairs(self):
-        return [[node, param, exp] for (node, param), exp in self._key]
+        return [[node, param, exp] for (node, param), exp in self]
 
 
-class AMonomialVector:
+class AMonomialVector(namedtuple("AMonomialVector", "anchor v")):
     """Anchor node k plus a sparse integer vector v over (node, parameter).
 
     Represents Y_{k,0} * prod A_{i,a}^{-v_i^a}; negative entries are allowed
     (cone membership is exactly "all entries >= 0").  The one stored form of
-    v is its sorted items tuple, ((node, param), mult) with no mult 0, held
-    in ``_key`` beside the anchor.
+    v is its sorted items tuple, ((node, param), mult) with no mult 0.  The
+    constructor accumulates and sorts; ``_make((anchor, items))`` takes items
+    already in that form as they are.
     """
 
-    __slots__ = ("anchor", "_key")
+    __slots__ = ()
 
-    def __init__(self, anchor, v=None):
+    def __new__(cls, anchor, v=None):
         items = () if v is None else v.items() if hasattr(v, "items") else v
         data = _accumulate({}, (((node, param), mult) for (node, param), mult in items))
-        self.anchor = anchor
-        self._key = (anchor, tuple(sorted(data.items())))
+        return super().__new__(cls, anchor, tuple(sorted(data.items())))
 
     def items(self):
-        return self._key[1]
+        return self.v
 
     def entry(self, node, param):
-        items = self._key[1]
+        items = self.v
         k = bisect_left(items, ((node, param),))
         if k < len(items) and items[k][0] == (node, param):
             return items[k][1]
@@ -95,50 +91,35 @@ class AMonomialVector:
 
     def support(self):
         """The (node, param) keys with a nonzero entry, in sorted order."""
-        return tuple(map(itemgetter(0), self._key[1]))
+        return tuple(map(itemgetter(0), self.v))
 
     def as_dict(self):
-        return dict(self._key[1])
+        return dict(self.v)
 
     def height(self):
-        return sum(map(itemgetter(1), self._key[1]))
-
-    @classmethod
-    def _trusted(cls, anchor, items):
-        """The vector of ``items``: ((node, param), mult) pairs already sorted
-        by (node, param), none with mult 0, as :meth:`items` returns them."""
-        result = cls.__new__(cls)
-        result.anchor = anchor
-        result._key = (anchor, items)
-        return result
+        return sum(map(itemgetter(1), self.v))
 
     def add_entries(self, entries):
         """New vector with (node, param) -> mult increments applied."""
         items = entries.items() if hasattr(entries, "items") else entries
-        data = _accumulate(dict(self._key[1]), items)
-        return self._trusted(self.anchor, tuple(sorted(data.items())))
+        data = _accumulate(dict(self.v), items)
+        return self._make((self.anchor, tuple(sorted(data.items()))))
 
     def __add__(self, other):
         if not isinstance(other, AMonomialVector):
             return NotImplemented
         if other.anchor != self.anchor:
             raise ValueError("cannot add vectors with different anchors")
-        return self.add_entries(other._key[1])
-
-    def __eq__(self, other):
-        return isinstance(other, AMonomialVector) and self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
+        return self.add_entries(other.v)
 
     def __repr__(self):
-        body = ",".join(f"({i},{a}):{m}" for (i, a), m in self._key[1]) or "0"
+        body = ",".join(f"({i},{a}):{m}" for (i, a), m in self.v) or "0"
         return f"AVec[{self.anchor}|{body}]"
 
     def to_json_obj(self):
         return {
             "anchor": self.anchor,
-            "v": [[i, a, m] for (i, a), m in self._key[1]],
+            "v": [[i, a, m] for (i, a), m in self.v],
         }
 
     @classmethod

@@ -155,7 +155,7 @@ class QChar:
     def entries(self):
         """{AMonomialVector: mu} in canonical order, one vector per row."""
         anchor = self.anchor
-        return {AMonomialVector._trusted(anchor, items): mu
+        return {AMonomialVector._make((anchor, items)): mu
                 for items, mu in self._item_rows()}
 
     def multiplicity(self, vec):

@@ -290,18 +290,18 @@ def test_the_verifier_builds_a_vector_only_per_violation(
     else:
         q = _injected(label, node, entry)[1]
     built = []
-    real_init, real_trusted = AMonomialVector.__init__, AMonomialVector._trusted.__func__
+    real_new, real_make = AMonomialVector.__new__, AMonomialVector._make.__func__
 
-    def init(self, *args):
+    def new(cls, *args):
         built.append(args)
-        real_init(self, *args)
+        return real_new(cls, *args)
 
-    def trusted(cls, *args):
+    def make(cls, *args):
         built.append(args)
-        return real_trusted(cls, *args)
+        return real_make(cls, *args)
 
-    monkeypatch.setattr(AMonomialVector, "__init__", init)
-    monkeypatch.setattr(AMonomialVector, "_trusted", classmethod(trusted))
+    monkeypatch.setattr(AMonomialVector, "__new__", staticmethod(new))
+    monkeypatch.setattr(AMonomialVector, "_make", classmethod(make))
     summary = verify_theorem_main(q)
     assert len(built) == len(summary.violations)
     assert summary.ok == (entry is None)

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 
 import pytest
@@ -69,6 +71,35 @@ def test_equality_is_map_equality():
     assert times(Y(1, 0), Y(2, 3)) == LaurentMonomial([((2, 3), 1), ((1, 0), 1)])
     assert Y(1, 0) != Y(1, 1)
     assert hash(times(Y(1, 2), Y(1, 2))) == hash(Y(1, 2, 2))
+
+
+# the empty value and one with entries of both signs, of each class
+VALUES = [LaurentMonomial(), times(Y(2, -3, 2), Y(1, 0, -1)),
+          AMonomialVector(3), AMonomialVector(2, {(1, 1): 1, (2, -2): -3})]
+VALUE_IDS = ["one", "monomial", "zero", "vector"]
+
+
+@pytest.mark.parametrize("value", VALUES, ids=VALUE_IDS)
+def test_copies_keep_the_value_and_its_hash(value):
+    # a monomial hashes as its items, a vector as (anchor, items), so dicts
+    # and sets keyed by either behave as they always have
+    if isinstance(value, LaurentMonomial):
+        expected = hash(value.items())
+    else:
+        expected = hash((value.anchor, value.items()))
+    assert hash(value) == expected
+    for other in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert type(other) is type(value)
+        assert other == value and hash(other) == expected
+
+
+@pytest.mark.parametrize("value", VALUES, ids=VALUE_IDS)
+def test_values_cannot_be_assigned_to(value):
+    before = (repr(value), value.items(), hash(value))
+    for name in ("anchor", "v", "_key", "items", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 2)
+    assert (repr(value), value.items(), hash(value)) == before
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +259,16 @@ def test_trusted_vectors_equal_the_constructed_ones():
     q = fm_qchar(build_cartan("E6"), 4)
     for vec in q.entries:
         items = vec.items()
-        trusted = AMonomialVector._trusted(4, items)
+        trusted = AMonomialVector._make((4, items))
         built = AMonomialVector(4, dict(items))
         assert trusted == built and hash(trusted) == hash(built)
     assert q.monomial_count() == 2925
 
 
 def test_a_vector_stores_only_its_anchor_and_items():
-    assert AMonomialVector.__slots__ == ("anchor", "_key")
-    for vec in (AMonomialVector(2, {(1, 0): 1}), AMonomialVector._trusted(2, ())):
+    assert AMonomialVector._fields == ("anchor", "v")
+    assert AMonomialVector.__slots__ == ()
+    for vec in (AMonomialVector(2, {(1, 0): 1}), AMonomialVector._make((2, ()))):
         assert not hasattr(vec, "__dict__")
         with pytest.raises(AttributeError):
             vec.extra = 1
@@ -279,14 +311,25 @@ def test_classical_weight_examples():
 
 
 def test_monomial_json_round_trip():
-    m = times(Y(2, -3, 2), Y(1, 0, -1))
-    pairs = m.to_pairs()
-    assert pairs == [[1, 0, -1], [2, -3, 2]]  # sorted by (node, param)
-    assert laurent_from_pairs(json.loads(json.dumps(pairs))) == m
+    for m, text, expected in [
+        (LaurentMonomial(), "1", []),
+        # sorted by (node, param)
+        (times(Y(2, -3, 2), Y(1, 0, -1)), "Y[1,0]^-1*Y[2,-3]^2",
+         [[1, 0, -1], [2, -3, 2]]),
+    ]:
+        assert repr(m) == text
+        pairs = m.to_pairs()
+        assert pairs == expected
+        assert laurent_from_pairs(json.loads(json.dumps(pairs))) == m
 
 
 def test_vector_json_round_trip():
-    vec = AMonomialVector(2, {(1, 1): 1, (2, -2): -3})
-    obj = json.loads(json.dumps(vec.to_json_obj()))
-    assert obj == {"anchor": 2, "v": [[1, 1, 1], [2, -2, -3]]}
-    assert AMonomialVector.from_json_obj(obj) == vec
+    for vec, text, expected in [
+        (AMonomialVector(3), "AVec[3|0]", {"anchor": 3, "v": []}),
+        (AMonomialVector(2, {(1, 1): 1, (2, -2): -3}), "AVec[2|(1,1):1,(2,-2):-3]",
+         {"anchor": 2, "v": [[1, 1, 1], [2, -2, -3]]}),
+    ]:
+        assert repr(vec) == text
+        obj = json.loads(json.dumps(vec.to_json_obj()))
+        assert obj == expected
+        assert AMonomialVector.from_json_obj(obj) == vec

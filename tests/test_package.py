@@ -1,7 +1,8 @@
 """The package holds only what the program runs or exports: every public
 module-level function or class of ``src/qcharlab`` is either named by
-other code there or listed in ``qcharlab.__all__``.  A function or class
-only the tests use belongs in ``tests/helpers.py``."""
+other code there or listed in ``qcharlab.__all__``, and every private one
+is named by other code there.  A function or class only the tests use
+belongs in ``tests/helpers.py``."""
 
 import ast
 from collections import Counter
@@ -19,23 +20,22 @@ def _names(node):
                    if isinstance(sub, (ast.Name, ast.Attribute)))
 
 
-def unreferenced_public_definitions(package, exported):
-    """"module.name" of each public module-level function or class of the
-    package directory ``package`` that is not in ``exported`` and that no
-    code of the package names outside its own body."""
+def unreferenced_definitions(package, exported):
+    """"module.name" of each module-level function or class of the package
+    directory ``package`` that no code of the package names outside its own
+    body, unless it is public and in ``exported``."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(package.glob("*.py"))}
     read = sum((_names(tree) for tree in trees.values()), Counter())
     return [f"{module}.{node.name}" for module, tree in trees.items()
             for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")
-            and node.name not in exported
+            and (node.name.startswith("_") or node.name not in exported)
             and read[node.name] == _names(node)[node.name]]
 
 
 def test_every_public_function_is_run_or_exported():
-    assert unreferenced_public_definitions(PACKAGE, set(qcharlab.__all__)) == []
+    assert unreferenced_definitions(PACKAGE, set(qcharlab.__all__)) == []
 
 
 def test_the_guard_flags_a_function_only_its_own_body_names(tmp_path):
@@ -51,5 +51,5 @@ def test_the_guard_flags_a_function_only_its_own_body_names(tmp_path):
         "def caller():\n    return one.used()\n\n"
         "caller()\n"
     )
-    assert unreferenced_public_definitions(tmp_path, {"exported"}) == [
-        "one.recursive", "one.Holder"]
+    assert unreferenced_definitions(tmp_path, {"exported", "_private"}) == [
+        "one.recursive", "one._private", "one.Holder"]

@@ -538,24 +538,24 @@ def test_closure_builds_each_vector_once(monkeypatch):
     datum = build_cartan("F4")
     expected = fm_qchar_by_expansion(datum, 1)
     built = []
-    real_init = AMonomialVector.__init__
-    real_trusted = AMonomialVector._trusted
+    real_new = AMonomialVector.__new__
+    real_make = AMonomialVector._make.__func__
 
     def refuse(*args, **kwargs):
         raise AssertionError("the closure extended a vector")
 
-    def counting_init(self, *args):
+    def counting_new(cls, *args):
         built.append(args)
-        real_init(self, *args)
+        return real_new(cls, *args)
 
-    def counting_trusted(cls, *args):
+    def counting_make(cls, *args):
         built.append(args)
-        return real_trusted(*args)
+        return real_make(cls, *args)
 
     # the public constructor and the trusted one are the only ways to a vector
     monkeypatch.setattr(AMonomialVector, "add_entries", refuse)
-    monkeypatch.setattr(AMonomialVector, "__init__", counting_init)
-    monkeypatch.setattr(AMonomialVector, "_trusted", classmethod(counting_trusted))
+    monkeypatch.setattr(AMonomialVector, "__new__", staticmethod(counting_new))
+    monkeypatch.setattr(AMonomialVector, "_make", classmethod(counting_make))
     q = fm_qchar(datum, 1)
     assert built == []
     entries = q.entries
@@ -570,7 +570,7 @@ def test_closure_builds_each_vector_once(monkeypatch):
     ("A3", 2), ("C3", 3), ("D4", 1), ("G2", 2), ("F4", 1), ("E6", 1),
 ])
 def test_closure_vectors_match_the_public_constructor(label, node):
-    # the closure hands AMonomialVector._trusted each v as sorted items, with
+    # the closure hands AMonomialVector._make each v as sorted items, with
     # no sort of its own, so each must be the vector the constructor makes
     datum = build_cartan(label)
     for rng in (None, random.Random(label)):
